@@ -28,6 +28,7 @@ import threading
 import time
 from pathlib import Path
 
+from munagi_client import REQUESTS as MUNAGI_REQUESTS
 from tracer import MODULES, TRACE_MARK
 
 BENCH = Path(__file__).resolve().parent
@@ -45,7 +46,6 @@ CLI_WORKLOADS = {
     ],
 }
 WORKLOADS = (*CLI_WORKLOADS, "munagi")
-MUNAGI_REQUESTS = 1008  # 42 blocks of the 24 (period, kind) pairs
 SETUP_SPAWNS = 7
 DEADLINE_S = 170  # every run ends in well under 180 s, even on a hung job
 # Fixed here rather than read from the package, so metric names stay put.
@@ -131,17 +131,22 @@ def run_pass(workload, seed, index, traced, deadline):
     py = sys.executable
     if workload == "munagi":
         argv = [py, str(BENCH / "munagi_client.py"), "--seed", f"{seed}:{index}",
-                "--requests", str(MUNAGI_REQUESTS), "--trace", str(int(traced))]
+                "--trace", str(int(traced))]
         proc = spawn(argv, deadline)
-        res.add_proc(proc)
         try:
             doc = json.loads(proc.out.decode().splitlines()[-1])
         except (IndexError, ValueError):
+            res.add_proc(proc)
             res.attempted = res.failed = MUNAGI_REQUESTS
             res.why.append(f"munagi client exit {proc.code}: {proc.err.strip()[-300:]}")
             res.latencies = [proc.wall]
             res.busy = proc.wall
             return res
+        # The client's own work, making requests and checking results, is
+        # not the program's: take it out of the pass's wall and CPU time.
+        proc.wall -= doc["own_ns"] / 1e9
+        proc.cpu -= doc["own_cpu_ns"] / 1e9
+        res.add_proc(proc)
         res.attempted, res.failed = doc["attempted"], doc["failed"]
         res.why.extend(doc["failures"])
         res.latencies = [ns / 1e9 for ns in doc["latencies_ns"]]
@@ -307,9 +312,14 @@ def main(argv=None):
     setup_s = setup_seconds(deadline)
 
     passes = []
+    longest = 0.0
     start = time.monotonic()
-    while not passes or time.monotonic() - start < args.seconds:
+    # Start a pass only if one as long as the longest so far still ends
+    # within --seconds, so a run does not overrun by up to a whole pass.
+    while not passes or time.monotonic() - start + longest <= args.seconds:
+        t0 = time.monotonic()
         passes.append(run_pass(args.workload, args.seed, len(passes), False, deadline))
+        longest = max(longest, time.monotonic() - t0)
     runs = list(passes)
     if args.trace:
         traced = run_pass(args.workload, args.seed, 0, True, deadline)
@@ -322,6 +332,7 @@ def main(argv=None):
     failed = sum(p.failed for p in runs)
     env["loadavg_end"] = os.getloadavg()
     env["passes"] = len(passes)
+    env["pass_wall_s"] = [round(p.wall, 4) for p in passes]
     print("env " + json.dumps(env))
     for why in [w for p in runs for w in p.why][:10]:
         print(f"FAILED {why}")

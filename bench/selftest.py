@@ -57,11 +57,15 @@ def munagi_gate(results):
     from rootheight.exactalg import Polynomial
     from rootheight.identities import munagi_decompose
 
-    stream = [(h, coeffs, Polynomial(coeffs))
-              for h, coeffs in munagi_client.requests("selftest", 24)]
-    decs = [munagi_decompose(numer, h) for h, _, numer in stream]
-    results.append(("true decompositions pass",
-                    munagi_client.failures(stream, decs) == []))
+    stream = munagi_client.requests("selftest", 24)
+    decs = [munagi_decompose(Polynomial(coeffs), h) for h, coeffs in stream]
+
+    def failures(results):
+        whys = [munagi_client.judge(h, coeffs, dec)
+                for (h, coeffs), dec in zip(stream, results)]
+        return [why for why in whys if why]
+
+    results.append(("true decompositions pass", failures(decs) == []))
 
     def corrupted(i, change):
         parts = {d: list(p.coeffs) for d, p in decs[i].parts.items()}
@@ -83,11 +87,11 @@ def munagi_gate(results):
     for label, change in (("coefficient changed", bump_coefficient),
                           ("degree too high", raise_degree),
                           ("divisor missing", drop_divisor)):
-        found = munagi_client.failures(stream, corrupted(5, change))
+        found = failures(corrupted(5, change))
         results.append((f"corrupted decomposition ({label}) is one failure",
                         len(found) == 1))
-    results.append(("a raised error is a failure", len(munagi_client.failures(
-        stream, decs[:3] + [ValueError("x")] + decs[4:])) == 1))
+    results.append(("a raised error is a failure",
+                    len(failures(decs[:3] + [ValueError("x")] + decs[4:])) == 1))
 
 
 def main():

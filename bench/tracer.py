@@ -1,18 +1,19 @@
 """Spans and counters for the rootheight package, installed from outside it.
 
-``Tracer.install()`` wraps the package's public functions, and the kernel
-methods of its exact-arithmetic classes, in the process that imports this
-module.  The package itself is not edited.  Names imported by value (for
-example ``identities.det`` or ``cli.build``) are replaced in every importing
-module, so each call is seen once whichever module makes it.
+``Tracer.install()`` wraps the package's public functions, and counts the
+kernel methods of its exact-arithmetic classes, in the process that imports
+this module.  The package itself is not edited.  Names imported by value
+(for example ``identities.det`` or ``cli.build``) are replaced in every
+importing module, so each call is seen once whichever module makes it.
 
 Every wrapped callable keeps a record ``[calls, total_ns, self_ns]`` under a
-``<module>.<name>`` key.  Self time is the span's duration minus the time of
-the wrapped calls nested in it, so the self times of one process add up to
-the time spent inside wrapped calls.  Kernel methods (``CycNum.__mul__``,
-``Polynomial.__mul__``, ``mat_mul``, ...) are timed the same way because
-their module has no other boundary that could own that time.
-``Fraction.__new__`` is only counted: timing it would cost more than it does.
+``<module>.<name>`` key.  A span (a public function) times each call; its
+self time is its duration minus the time of the spans nested in it, so the
+self times of one process add up to the time spent inside spans.  A counter
+(a kernel method such as ``CycNum.__mul__`` or ``mat_mul``, listed in
+``COUNTED``) only counts its calls and keeps 0 for both times: timing
+90,000 small calls would cost more than they do.  Their time is self time
+of the span that calls them.  ``Fraction.__new__`` is counted the same way.
 """
 
 from __future__ import annotations
@@ -80,6 +81,13 @@ WRAPPED = (
 )
 
 
+# Kernel methods: counted, not timed.
+COUNTED = frozenset({
+    "exactalg.cyc_mul", "exactalg.cyc_inverse", "exactalg.poly_mul",
+    "exactalg.poly_divmod", "exactalg.ratfun_add", "rootsys.mat_mul",
+})
+
+
 def _run_check_name(args, kwargs):
     check_id = args[1] if len(args) > 1 else kwargs["check_id"]
     return f"identities.run_check[{check_id}]"
@@ -104,7 +112,23 @@ class Tracer:
         self.bfs_elements = 0
         self._stack = []
 
+    def _count(self, fn, name):
+        rec = self.records.setdefault(name, [0, 0, 0])
+        key_of = DISTINCT.get(name)
+        seen = self.distinct.get(name)
+
+        @functools.wraps(fn)
+        def counter(*args, **kwargs):
+            rec[0] += 1
+            if key_of is not None:
+                seen.add(key_of(args, kwargs))
+            return fn(*args, **kwargs)
+
+        return counter
+
     def _wrap(self, fn, name):
+        if name in COUNTED:
+            return self._count(fn, name)
         records = self.records
         stack = self._stack
         clock = time.perf_counter_ns
