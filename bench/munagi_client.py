@@ -6,7 +6,9 @@
 Each block of 24 requests is a seeded shuffle of every (period, numerator
 kind) pair, so every stream has the same mix and the seed changes only the
 order and the numerators.  The loop sends the next request when the previous
-one returns and times each call.  Between calls, outside the timed span, each
+one returns and times each call, recording when it started (``perf_counter``,
+the system-wide monotonic clock on Linux, so the caller can match it with
+its own readings).  Between calls, outside the timed span, each
 decomposition is checked with this file's own integer arithmetic, not the
 package's, and then dropped.  The wall and CPU time the client spends on its
 own work (making the requests and checking the results) is reported, so the
@@ -118,7 +120,7 @@ def main(argv=None):
     stream = requests(args.seed)
     make_ns, make_cpu_ns = clock() - t0, cpu() - c0
     decompose = identities.munagi_decompose
-    latencies = []
+    latencies, starts = [], []
     failed = []
     check_ns = check_cpu_ns = 0
     start = clock()
@@ -131,6 +133,7 @@ def main(argv=None):
             dec = exc
         t1, c1 = clock(), cpu()
         latencies.append(t1 - t0)
+        starts.append(t0)
         why = judge(h, coeffs, dec)
         if why:
             failed.append(why)
@@ -141,7 +144,8 @@ def main(argv=None):
 
     print(json.dumps({"attempted": len(stream), "failed": len(failed),
                       "failures": failed[:5], "latencies_ns": latencies,
-                      "loop_ns": loop_ns, "own_ns": make_ns + check_ns,
+                      "starts_ns": starts, "loop_ns": loop_ns,
+                      "own_ns": make_ns + check_ns,
                       "own_cpu_ns": make_cpu_ns + check_cpu_ns,
                       "trace": summary}))
 

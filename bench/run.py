@@ -1,6 +1,6 @@
 """The rootheight benchmark: one command, four workloads, golden-checked.
 
-    python3 bench/run.py --workload catalog --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload catalog --seed 1 --seconds 30 --trace 0
 
 Run from anywhere; the package is taken from ``src/`` next to this
 directory.  Every job runs in a fresh interpreter, one at a time (one
@@ -28,6 +28,7 @@ import threading
 import time
 from pathlib import Path
 
+from hostspeed import HostSpeed, pin_to_one_cpu
 from munagi_client import REQUESTS as MUNAGI_REQUESTS
 from tracer import MODULES, TRACE_MARK
 
@@ -37,11 +38,11 @@ GOLDEN = json.loads((BENCH / "golden.json").read_text())
 
 CLI_WORKLOADS = {
     "catalog": [["verify", "all", "--format", "json"]],
-    "large_h": [["verify", "A", "18", "--format", "json"]],
+    "large_h": [["verify", "A", "16", "--format", "json"]],
     "construction": [
         ["info", "A", "60", "--format", "json"],
         ["info", "C", "48", "--format", "json"],
-        ["verify", "E", "6", "--props", "eq5", "--bfs-cap", "51840",
+        ["verify", "D", "6", "--props", "eq5", "--bfs-cap", "23040",
          "--format", "json"],
     ],
 }
@@ -116,14 +117,29 @@ class Pass:
     def __init__(self):
         self.wall = self.cpu = self.rss_mb = self.busy = 0.0
         self.latencies = []
+        self.starts = []  # perf_counter when each request started
         self.attempted = self.failed = 0
         self.traces = []
         self.why = []
+        self.start = time.perf_counter()
+        self.end = self.start
+        self.factor = 1.0
 
     def add_proc(self, proc):
         self.wall += proc.wall
         self.cpu += proc.cpu
         self.rss_mb = max(self.rss_mb, proc.rss_mb)
+
+    def scale(self, speed):
+        """Turn measured times into times at the nominal host speed: the
+        pass's totals by the speed over the pass, each request by the speed
+        while it ran."""
+        self.factor = speed.factor(self.start, self.end)
+        self.wall *= self.factor
+        self.cpu *= self.factor
+        self.busy *= self.factor
+        self.latencies = [x * speed.factor(t, t + x)
+                          for x, t in zip(self.latencies, self.starts)]
 
 
 def run_pass(workload, seed, index, traced, deadline):
@@ -139,8 +155,9 @@ def run_pass(workload, seed, index, traced, deadline):
             res.add_proc(proc)
             res.attempted = res.failed = MUNAGI_REQUESTS
             res.why.append(f"munagi client exit {proc.code}: {proc.err.strip()[-300:]}")
-            res.latencies = [proc.wall]
+            res.latencies, res.starts = [proc.wall], [res.start]
             res.busy = proc.wall
+            res.end = time.perf_counter()
             return res
         # The client's own work, making requests and checking results, is
         # not the program's: take it out of the pass's wall and CPU time.
@@ -150,9 +167,11 @@ def run_pass(workload, seed, index, traced, deadline):
         res.attempted, res.failed = doc["attempted"], doc["failed"]
         res.why.extend(doc["failures"])
         res.latencies = [ns / 1e9 for ns in doc["latencies_ns"]]
+        res.starts = [ns / 1e9 for ns in doc["starts_ns"]]
         res.busy = doc["loop_ns"] / 1e9
         if doc["trace"]:
             res.traces.append(doc["trace"])
+        res.end = time.perf_counter()
         return res
 
     runner = [py, str(BENCH / "traced_cli.py")] if traced else [py, "-m", "rootheight"]
@@ -170,23 +189,26 @@ def run_pass(workload, seed, index, traced, deadline):
             res.failed += 1
             res.why.append(f"{' '.join(job)}: {why}")
     # On a CLI workload the request is the whole pass, the job list one user runs.
-    res.latencies = [res.wall]
+    res.latencies, res.starts = [res.wall], [res.start]
     res.busy = res.wall
+    res.end = time.perf_counter()
     return res
 
 
 def setup_seconds(deadline):
     """Median time from spawning an interpreter to having imported
-    ``rootheight.cli``, after one unmeasured spawn that writes bytecode."""
+    ``rootheight.cli``, after one unmeasured spawn that writes bytecode;
+    and the ``perf_counter`` span the measured spawns took."""
     argv = [sys.executable, "-c", "import rootheight.cli"]
     spawn(argv, deadline)
     times = []
+    start = time.perf_counter()
     for _ in range(SETUP_SPAWNS):
         proc = spawn(argv, deadline)
         if proc.code != 0:
             raise RuntimeError(f"cannot import rootheight.cli: {proc.err.strip()}")
         times.append(proc.wall)
-    return statistics.median(times)
+    return statistics.median(times), start, time.perf_counter()
 
 
 def percentile(values, q):
@@ -308,23 +330,28 @@ def main(argv=None):
         return 2
 
     env = environment(args)
+    env["cpu"] = pin_to_one_cpu()
     deadline = time.monotonic() + DEADLINE_S
-    setup_s = setup_seconds(deadline)
-
-    passes = []
-    longest = 0.0
-    start = time.monotonic()
-    # Start a pass only if one as long as the longest so far still ends
-    # within --seconds, so a run does not overrun by up to a whole pass.
-    while not passes or time.monotonic() - start + longest <= args.seconds:
-        t0 = time.monotonic()
-        passes.append(run_pass(args.workload, args.seed, len(passes), False, deadline))
-        longest = max(longest, time.monotonic() - t0)
-    runs = list(passes)
+    with HostSpeed() as speed:
+        setup_measured, *setup_span = setup_seconds(deadline)
+        passes = []
+        longest = 0.0
+        start = time.monotonic()
+        # Start a pass only if one as long as the longest so far still ends
+        # within --seconds, so a run does not overrun by up to a whole pass.
+        while not passes or time.monotonic() - start + longest <= args.seconds:
+            t0 = time.monotonic()
+            passes.append(run_pass(args.workload, args.seed, len(passes), False, deadline))
+            longest = max(longest, time.monotonic() - t0)
+        runs = list(passes)
+        if args.trace:
+            runs.append(run_pass(args.workload, args.seed, 0, True, deadline))
+    measured_wall = [round(p.wall, 4) for p in runs]
+    setup_s = setup_measured * speed.factor(*setup_span)
+    for p in runs:
+        p.scale(speed)
     if args.trace:
-        traced = run_pass(args.workload, args.seed, 0, True, deadline)
-        runs.append(traced)
-        metrics = per_layer(traced, statistics.median(p.wall for p in passes))
+        metrics = per_layer(runs[-1], statistics.median(p.wall for p in passes))
     else:
         metrics = end_to_end(passes, setup_s)
 
@@ -332,7 +359,10 @@ def main(argv=None):
     failed = sum(p.failed for p in runs)
     env["loadavg_end"] = os.getloadavg()
     env["passes"] = len(passes)
-    env["pass_wall_s"] = [round(p.wall, 4) for p in passes]
+    env["probe_median_ns"] = speed.median_ns()
+    env["setup_measured_s"] = round(setup_measured, 4)
+    env["pass_wall_measured_s"] = measured_wall
+    env["pass_speed_factor"] = [round(p.factor, 4) for p in runs]
     print("env " + json.dumps(env))
     for why in [w for p in runs for w in p.why][:10]:
         print(f"FAILED {why}")

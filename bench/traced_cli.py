@@ -2,7 +2,7 @@
 passed through, and the trace summary is written to stderr as one line
 after ``TRACE_MARK``.
 
-    PYTHONPATH=src python3 bench/traced_cli.py verify A 18 --format json
+    PYTHONPATH=src python3 bench/traced_cli.py verify A 16 --format json
 """
 
 import json
