@@ -9,7 +9,7 @@ from .errors import (DegreeTooHigh, DivisionByZero, GroupTooLarge, InvalidRank,
                      MethodMismatch, NoTripleFound, NotDivisible,
                      ReconstructionMismatch, RootHeightError, SingularSystem,
                      UnsupportedOrder)
-from .exactalg import (CycNum, Polynomial, Rat, RationalFunction, cyc_eval,
+from .exactalg import (CycNum, Polynomial, RationalFunction, cyc_eval,
                        poly_arith, poly_gcd, poly_str, ratfun_normalize)
 from .identities import (IdentityReport, MunagiDecomposition, SingularityData,
                          available_checks, b_from_exponents, b_poly,

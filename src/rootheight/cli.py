@@ -239,7 +239,14 @@ def main(argv=None):
                 props = [p.strip() for p in args.props.split(",") if p.strip()]
             cap = args.bfs_cap
             if cap is None:
-                cap = int(os.environ.get("ROOTHEIGHT_BFS_CAP", DEFAULT_BFS_CAP))
+                raw = os.environ.get("ROOTHEIGHT_BFS_CAP", str(DEFAULT_BFS_CAP))
+                try:
+                    cap = int(raw)
+                except ValueError:
+                    raise UsageError(f"ROOTHEIGHT_BFS_CAP must be an integer, "
+                                     f"got {raw!r}") from None
+            if cap < 0:
+                raise UsageError(f"Weyl enumeration cap must be non-negative, got {cap}")
             if args.jobs < 1:
                 raise UsageError("--jobs must be positive")
             return cmd_verify(systems, props, cap, args.jobs, args.format, out)

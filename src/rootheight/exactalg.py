@@ -17,9 +17,6 @@ from functools import lru_cache
 
 from .errors import DivisionByZero, NotDivisible
 
-# Exact rational scalar used throughout the library.
-Rat = Fraction
-
 
 def _coeff_inv(c):
     """Multiplicative inverse of a coefficient, staying exact."""
@@ -219,9 +216,6 @@ class Polynomial:
         inv = _coeff_inv(self.leading)
         return Polynomial(tuple(c * inv for c in self.coeffs))
 
-    def map_coeffs(self, fn):
-        return Polynomial(tuple(fn(c) for c in self.coeffs))
-
     # -- comparison / display ------------------------------------------------
 
     def __eq__(self, other):
@@ -296,9 +290,9 @@ def poly_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _int_divexact(num, den):
-    """Exact long division of integer coefficient lists (monic divisor)."""
-    assert den[-1] == 1
+def _int_divmod(num, den):
+    """Quotient and remainder of integer coefficient lists, for a monic
+    divisor no longer than the dividend."""
     num = list(num)
     dd = len(den)
     quot = [0] * (len(num) - dd + 1)
@@ -309,8 +303,7 @@ def _int_divexact(num, den):
         quot[i] = c
         for j in range(dd):
             num[i + j] -= c * den[j]
-    assert all(x == 0 for x in num[: dd - 1])
-    return quot
+    return quot, num[: dd - 1]
 
 
 @lru_cache(maxsize=None)
@@ -320,7 +313,9 @@ def _cyclotomic_int(h):
     coeffs = [-1] + [0] * (h - 1) + [1]
     for d in range(1, h):
         if h % d == 0:
-            coeffs = _int_divexact(coeffs, _cyclotomic_int(d))
+            coeffs, rem = _int_divmod(coeffs, _cyclotomic_int(d))
+            if any(rem):
+                raise NotDivisible(f"order {d} cyclotomic does not divide q**{h} - 1")
     return tuple(coeffs)
 
 

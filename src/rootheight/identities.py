@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound,
-                     RootHeightError)
+                     ReconstructionMismatch, RootHeightError)
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
-                       cyc_eval)
-from .linalg import FractionLU, det
+                       _cyclotomic_int, _int_divmod, cyc_eval)
+from .linalg import det
 from .numth import (ArithSeq, cyclotomic_poly, divisors, factorize, gcd_count,
                     is_cohen, mobius, psi_poly, ramanujan_sum, totient)
 from .rootsys import (DEFAULT_BFS_CAP, coxeter_element, factor_exponents,
@@ -105,6 +105,11 @@ def _scalar_mismatch(label, got, expected):
     return f"{label}: got {got!r}, expected {expected!r}"
 
 
+def _rf_sum(terms):
+    """Sum of rational functions, added left to right onto zero."""
+    return sum(terms, RationalFunction(ZERO, ONE))
+
+
 # -- shared building blocks ---------------------------------------------------
 
 
@@ -136,14 +141,16 @@ def b_poly(rs):
 
 
 def _div_linear(coeffs, z):
-    """Synthetic division of a coefficient list by (q - z)."""
+    """Exact quotient of a coefficient list by (q - z), for a root z."""
     n = len(coeffs) - 1
     out = [0] * n
     acc = coeffs[n]
     for i in range(n - 1, -1, -1):
         out[i] = acc
         acc = coeffs[i] + z * acc
-    return out, acc
+    if acc:
+        raise MethodMismatch(f"q - {z!r} leaves remainder {acc!r}")
+    return Polynomial(out)
 
 
 def _sum_over_roots(weights, h):
@@ -154,9 +161,7 @@ def _sum_over_roots(weights, h):
     for k, w in enumerate(weights):
         if not w:
             continue
-        quot, rem = _div_linear(base, CycNum.zeta_pow(h, k))
-        assert not rem
-        num = num + Polynomial(quot) * w
+        num = num + _div_linear(base, CycNum.zeta_pow(h, k)) * w
     return RationalFunction(num, _qm1(h))
 
 
@@ -179,14 +184,15 @@ def _c_shift(d):
     return Polynomial([ramanujan_sum(d, j) for j in range(1, d + 1)])
 
 
-def _psi_inner(d):
-    """(1 - q**d) + sum over d'|d of mu(d')/phi(d') * Psi_{d'}(q**(d/d'))."""
-    total = _one_minus(d)
-    for dp in divisors(d):
-        mu = mobius(dp)
-        if mu:
-            total = total + Fraction(mu, totient(dp)) * psi_poly(dp).compose_power(d // dp)
-    return total
+def _psi_sum(d):
+    """Sum over d'|d of mu(d')/phi(d') * Psi_{d'}(q**(d/d'))."""
+    return sum((Fraction(mu, totient(dp)) * psi_poly(dp).compose_power(d // dp)
+                for dp in divisors(d) if (mu := mobius(dp))), ZERO)
+
+
+def _log_derivative(p):
+    """p'/p as a rational function."""
+    return RationalFunction(p.derivative(), p)
 
 
 # -- interpolation at roots of unity ------------------------------------------
@@ -226,9 +232,7 @@ def lagrange_all_roots(values, h, det_check=None):
     for i, v in enumerate(vals):
         if not v:
             continue
-        quot, rem = _div_linear(base, CycNum.zeta_pow(h, i))
-        assert not rem
-        total = total + Polynomial(quot) * (CycNum.zeta_pow(h, i) * v)
+        total = total + _div_linear(base, CycNum.zeta_pow(h, i)) * (CycNum.zeta_pow(h, i) * v)
     barycentric = total * Fraction(1, h)
 
     coeffs = []
@@ -295,12 +299,10 @@ def lagrange_primitive_roots(values, h, det_check=None):
     dphi = phi_poly.derivative()
     total = ZERO
     for k, v in zip(nodes, vals):
-        node = CycNum.zeta_pow(h, k)
-        quot, rem = _div_linear(list(phi_poly.coeffs), node)
-        assert not rem
+        quot = _div_linear(phi_poly.coeffs, CycNum.zeta_pow(h, k))
         weight = v * cyc_eval(dphi, h, k).inverse()
         if weight:
-            total = total + Polynomial(quot) * weight
+            total = total + quot * weight
 
     if det_check and h >= 3:
         phi = len(nodes)
@@ -339,30 +341,36 @@ class MunagiDecomposition:
         return total
 
 
-_MUNAGI_SOLVERS = {}
-
-
-def _munagi_solver(h):
-    if h not in _MUNAGI_SOLVERS:
-        cols = [(d, j) for d in divisors(h) for j in range(totient(d))]
-        rows = [[1 if i % d == j else 0 for (d, j) in cols] for i in range(h)]
-        _MUNAGI_SOLVERS[h] = (cols, FractionLU(rows))
-    return _MUNAGI_SOLVERS[h]
-
-
 def munagi_decompose(numer, h):
-    """Solve for the unique parts H_d with deg H_d < phi(d); exact rational
-    solve with a verified round trip."""
+    """The unique parts H_d with deg H_d < phi(d), by cyclotomic reduction
+    over the divisors of h, largest first (Munagi, "Computation of
+    q-partial fractions", INTEGERS 7, 2007), with a verified round trip.
+
+    Modulo Phi_d, (1-q**h)/(1-q**d) is h/d, and every other divisor whose
+    part survives modulo Phi_d is a multiple of d, already subtracted from
+    the rest; so H_d = (d/h) * (rest mod Phi_d).  The rest is carried as
+    integers over the common denominator h * lcm(denominators of numer).
+    The division by h is exact on every unit numerator q**i for h <= 120
+    (tested), hence on every numerator of those periods; the round trip
+    guards every period.
+    """
     if numer.degree >= h:
         raise DegreeTooHigh(f"degree {numer.degree} not below period {h}")
-    cols, lu = _munagi_solver(h)
-    rhs = [Fraction(numer.coeff(i)) for i in range(h)]
-    sol = lu.solve(rhs)
-    grouped = {d: [] for d in divisors(h)}
-    for (d, _), v in zip(cols, sol):
-        grouped[d].append(v)
-    dec = MunagiDecomposition(h, {d: Polynomial(cs) for d, cs in grouped.items()})
-    assert dec.reconstruct() == numer, "round trip failed"
+    coeffs = [Fraction(c) for c in numer.coeffs]
+    scale = h * lcm(1, *(c.denominator for c in coeffs))
+    rest = [c.numerator * (scale // c.denominator) for c in coeffs]
+    rest += [0] * (h - len(rest))
+    parts = dict.fromkeys(divisors(h))
+    for d in reversed(parts):
+        top = [d * c // h for c in _int_divmod(rest, _cyclotomic_int(d))[1]]
+        parts[d] = Polynomial([Fraction(c, scale) for c in top])
+        # rest -= H_d * (1 + q**d + ... + q**(h-d))
+        for shift in range(0, h, d):
+            for i, c in enumerate(top):
+                rest[shift + i] -= c
+    dec = MunagiDecomposition(h, parts)
+    if dec.reconstruct() != numer:
+        raise ReconstructionMismatch(f"parts of period {h} do not rebuild the numerator")
     return dec
 
 
@@ -408,61 +416,26 @@ def prop2_check(rs):
     """Six expansions of the logarithmic derivative of the Coxeter
     characteristic polynomial."""
     h = rs.h
-    cpoly = coxeter_element(rs).charpoly
     divs = divisors(h)
-    members = [("C'/C", RationalFunction(cpoly.derivative(), cpoly))]
-
-    f = RationalFunction(ZERO, ONE)
-    for d in divs:
-        e = rs.e_of_d[d]
-        if e:
-            f = f + e * RationalFunction(Polynomial.monomial(d - 1, d), _qm1(d))
-    members.append(("binomial exponents", f))
-
-    members.append(("eigenvalue poles", _sum_over_roots(rs.m, h)))
-
-    f = RationalFunction(ZERO, ONE)
-    for d in divs:
-        mult = rs.m[(h // d) % h]
-        if mult:
-            phi_d = cyclotomic_poly(d)
-            f = f + mult * RationalFunction(phi_d.derivative(), phi_d)
-    members.append(("cyclotomic log-derivatives", f))
-
-    f = RationalFunction(ZERO, ONE)
-    for d in divs:
-        mult = rs.m[(h // d) % h]
-        if not mult:
-            continue
-        inner = RationalFunction(ZERO, ONE)
-        for dp in divisors(d):
-            mu = mobius(d // dp)
-            if mu:
-                inner = inner + mu * RationalFunction(
-                    Polynomial.monomial(dp - 1, dp), _qm1(dp))
-        f = f + mult * inner
-    members.append(("Moebius split", f))
-
-    f = RationalFunction(ZERO, ONE)
-    for d in divs:
-        mult = rs.m[(h // d) % h]
-        if mult:
-            f = f + mult * RationalFunction(_c_shift(d), _qm1(d))
-    members.append(("Ramanujan numerators", f))
-
-    f = RationalFunction(ZERO, ONE)
-    for d in divs:
-        mult = rs.m[(h // d) % h]
-        if mult:
-            inner = ZERO
-            for dp in divisors(d):
-                mu = mobius(dp)
-                if mu:
-                    inner = inner + Fraction(mu, totient(dp)) * \
-                        psi_poly(dp).compose_power(d // dp)
-            f = f + mult * totient(d) * RationalFunction(inner, _qm1(d).shifted(1))
-    members.append(("totient q-analogue", f))
-
+    mults = [(d, mult) for d in divs if (mult := rs.m[(h // d) % h])]
+    members = [
+        ("C'/C", _log_derivative(coxeter_element(rs).charpoly)),
+        ("binomial exponents",
+         _rf_sum(e * RationalFunction(Polynomial.monomial(d - 1, d), _qm1(d))
+                 for d in divs if (e := rs.e_of_d[d]))),
+        ("eigenvalue poles", _sum_over_roots(rs.m, h)),
+        ("cyclotomic log-derivatives",
+         _rf_sum(mult * _log_derivative(cyclotomic_poly(d)) for d, mult in mults)),
+        ("Moebius split",
+         _rf_sum(mult * _rf_sum(mu * RationalFunction(Polynomial.monomial(dp - 1, dp), _qm1(dp))
+                                for dp in divisors(d) if (mu := mobius(d // dp)))
+                 for d, mult in mults)),
+        ("Ramanujan numerators",
+         _rf_sum(mult * RationalFunction(_c_shift(d), _qm1(d)) for d, mult in mults)),
+        ("totient q-analogue",
+         _rf_sum(mult * totient(d) * RationalFunction(_psi_sum(d), _qm1(d).shifted(1))
+                 for d, mult in mults)),
+    ]
     return _report("prop2", _sys(rs), _chain_check(members))
 
 
@@ -504,40 +477,50 @@ def _cohen_tail_members(h, avals):
     """The four divisor expansions of A(q)/(1-q**h) shared by every
     gcd-determined coefficient sequence A; avals maps each divisor d to the
     value of A at the (h/d)-th power node."""
-    divs = divisors(h)
-    members = []
+    divs = [d for d in divisors(h) if avals[d]]
+    return [
+        ("Ramanujan numerators",
+         _rf_sum(avals[d] * RationalFunction(_c_low(d), _one_minus(d)) for d in divs)
+         * Fraction(1, h)),
+        ("reciprocal log-derivative",
+         _rf_sum(avals[d] * _phi_recip(d) for d in divs) * Fraction(1, h)),
+        ("Moebius split",
+         _rf_sum(avals[d] * _rf_sum(mu * dp * RationalFunction(ONE, _one_minus(dp))
+                                    for dp in divisors(d) if (mu := mobius(d // dp)))
+                 for d in divs) * Fraction(1, h)),
+        ("totient q-analogue",
+         _rf_sum(avals[d] * totient(d) * RationalFunction(_one_minus(d) + _psi_sum(d),
+                                                          _one_minus(d))
+                 for d in divs) * Fraction(1, h)),
+    ]
 
-    f = RationalFunction(ZERO, ONE)
-    for d in divs:
-        if avals[d]:
-            f = f + avals[d] * RationalFunction(_c_low(d), _one_minus(d))
-    members.append(("Ramanujan numerators", f * Fraction(1, h)))
 
-    f = RationalFunction(ZERO, ONE)
-    for d in divs:
-        if avals[d]:
-            f = f + avals[d] * _phi_recip(d)
-    members.append(("reciprocal log-derivative", f * Fraction(1, h)))
+def _periodic_members(h, a):
+    """Expansions of A(q)/(1-q**h) for the h-periodic sequence a(0..h-1):
+    eigenvalue poles, transform numerator, double Ramanujan numerator, and
+    the Cohen tail members."""
+    weights = [CycNum.zeta_pow(h, k) * (-a[k]) for k in range(h)]
+    members = [("eigenvalue poles", _sum_over_roots(weights, h) * Fraction(1, h))]
 
-    f = RationalFunction(ZERO, ONE)
-    for d in divs:
-        if not avals[d]:
-            continue
-        inner = RationalFunction(ZERO, ONE)
-        for dp in divisors(d):
-            mu = mobius(d // dp)
-            if mu:
-                inner = inner + mu * dp * RationalFunction(ONE, _one_minus(dp))
-        f = f + avals[d] * inner
-    members.append(("Moebius split", f * Fraction(1, h)))
+    ctx = _context(h)
+    coeffs = []
+    for k in range(h):
+        acc = [0] * ctx.phi
+        for i in range(h):
+            if a[i]:
+                row = ctx.powers[((h - i) * k) % h]
+                for idx, rt in enumerate(row):
+                    if rt:
+                        acc[idx] += a[i] * rt
+        coeffs.append(CycNum(h, acc))
+    members.append(("transform numerator",
+                    RationalFunction(Polynomial(coeffs), _one_minus(h)) * Fraction(1, h)))
 
-    f = RationalFunction(ZERO, ONE)
-    for d in divs:
-        if avals[d]:
-            f = f + avals[d] * totient(d) * RationalFunction(_psi_inner(d),
-                                                             _one_minus(d))
-    members.append(("totient q-analogue", f * Fraction(1, h)))
-    return members
+    coeffs = [sum(a[(h // d) % h] * ramanujan_sum(d, k) for d in divisors(h))
+              for k in range(h)]
+    members.append(("double Ramanujan numerator",
+                    RationalFunction(Polynomial(coeffs), _one_minus(h)) * Fraction(1, h)))
+    return members + _cohen_tail_members(h, {d: a[(h // d) % h] for d in divisors(h)})
 
 
 def prop5_check(rs):
@@ -562,51 +545,15 @@ def prop6_check(h, system=None):
     """Expansions of the totient q-analogue over 1-q**h, including the
     classical Moebius forms."""
     system = system or f"h={h}"
-    psih = psi_poly(h)
-    lhs = RationalFunction(psih, _one_minus(h))
-    ch = [ramanujan_sum(h, k) for k in range(h)]
-    members = [("Psi/(1-q^h)", lhs)]
-
-    weights = [CycNum.zeta_pow(h, k) * (-ch[k]) for k in range(h)]
-    members.append(("eigenvalue poles", _sum_over_roots(weights, h) * Fraction(1, h)))
-
-    ctx = _context(h)
-    coeffs = []
-    for k in range(h):
-        acc = [0] * ctx.phi
-        for i in range(h):
-            if ch[i]:
-                row = ctx.powers[((h - i) * k) % h]
-                for idx, rt in enumerate(row):
-                    if rt:
-                        acc[idx] += ch[i] * rt
-        coeffs.append(CycNum(h, acc))
-    members.append(("transform numerator",
-                    RationalFunction(Polynomial(coeffs), _one_minus(h)) * Fraction(1, h)))
-
-    coeffs = [sum(ch[(h // d) % h] * ramanujan_sum(d, k) for d in divisors(h))
-              for k in range(h)]
-    members.append(("double Ramanujan numerator",
-                    RationalFunction(Polynomial(coeffs), _one_minus(h)) * Fraction(1, h)))
-
-    avals = {d: ch[(h // d) % h] for d in divisors(h)}
-    members += _cohen_tail_members(h, avals)
-
-    f = RationalFunction(ZERO, ONE)
-    for d in divisors(h):
-        mu = mobius(d)
-        if mu:
-            f = f + mu * RationalFunction(Polynomial.monomial(d), _one_minus(d))
-    members.append(("Moebius with shifted numerators", f))
-
+    members = [("Psi/(1-q^h)", RationalFunction(psi_poly(h), _one_minus(h)))]
+    members += _periodic_members(h, [ramanujan_sum(h, k) for k in range(h)])
+    mus = [(d, mu) for d in divisors(h) if (mu := mobius(d))]
+    members.append(("Moebius with shifted numerators",
+                    _rf_sum(mu * RationalFunction(Polynomial.monomial(d), _one_minus(d))
+                            for d, mu in mus)))
     if h > 1:
-        f = RationalFunction(ZERO, ONE)
-        for d in divisors(h):
-            mu = mobius(d)
-            if mu:
-                f = f + mu * RationalFunction(ONE, _one_minus(d))
-        members.append(("Moebius plain", f))
-
+        members.append(("Moebius plain",
+                        _rf_sum(mu * RationalFunction(ONE, _one_minus(d)) for d, mu in mus)))
     return _report("prop6", system, _chain_check(members))
 
 
@@ -614,58 +561,31 @@ def prop7_check(rs):
     """Tail expansions of E(q)/(1-q**h) through the totient q-analogue at
     power substitutions."""
     h = rs.h
-    epoly = exponent_poly(rs)
     a = lambda k: rs.m[k % h]
-    lhs_full = RationalFunction(epoly, _one_minus(h))
-    lhs = lhs_full - a(0)
+    lhs_full = RationalFunction(exponent_poly(rs), _one_minus(h))
+    divs = [d for d in divisors(h) if a(h // d)]
 
-    num = ZERO
-    for d in divisors(h):
-        if a(h // d):
-            num = num + a(h // d) * psi_poly(d).compose_power(h // d)
-    members = [("E/(1-q^h) - a(0)", lhs),
-               ("psi substitution", RationalFunction(num, _one_minus(h)))]
+    def plain(d):
+        return _rf_sum(mu * RationalFunction(ONE, _one_minus(h * dp // d))
+                       for dp in divisors(d) if (mu := mobius(dp)))
 
-    f = RationalFunction(ZERO, ONE)
-    for d in divisors(h):
-        if not a(h // d):
-            continue
-        inner = RationalFunction(ZERO, ONE)
-        for dp in divisors(d):
-            mu = mobius(dp)
-            if mu:
-                x = h * dp // d
-                inner = inner + mu * RationalFunction(Polynomial.monomial(x),
-                                                      _one_minus(x))
-        f = f + a(h // d) * inner
-    members.append(("Moebius with shifted numerators", f))
-
-    f = a(0) * RationalFunction(Polynomial.monomial(h), _one_minus(h))
-    for d in divisors(h):
-        if d == 1 or not a(h // d):
-            continue
-        inner = RationalFunction(ZERO, ONE)
-        for dp in divisors(d):
-            mu = mobius(dp)
-            if mu:
-                inner = inner + mu * RationalFunction(ONE, _one_minus(h * dp // d))
-        f = f + a(h // d) * inner
-    members.append(("split constant term", f))
-
+    num = sum((a(h // d) * psi_poly(d).compose_power(h // d) for d in divs), ZERO)
+    members = [
+        ("E/(1-q^h) - a(0)", lhs_full - a(0)),
+        ("psi substitution", RationalFunction(num, _one_minus(h))),
+        ("Moebius with shifted numerators",
+         _rf_sum(a(h // d) * _rf_sum(mu * RationalFunction(Polynomial.monomial(h * dp // d),
+                                                           _one_minus(h * dp // d))
+                                     for dp in divisors(d) if (mu := mobius(dp)))
+                 for d in divs)),
+        ("split constant term",
+         _rf_sum([a(0) * RationalFunction(Polynomial.monomial(h), _one_minus(h))]
+                 + [a(h // d) * plain(d) for d in divs if d != 1])),
+    ]
     witness = _chain_check(members)
     if witness is None:
-        f = RationalFunction(ZERO, ONE)
-        for d in divisors(h):
-            if not a(h // d):
-                continue
-            inner = RationalFunction(ZERO, ONE)
-            for dp in divisors(d):
-                mu = mobius(dp)
-                if mu:
-                    inner = inner + mu * RationalFunction(ONE, _one_minus(h * dp // d))
-            f = f + a(h // d) * inner
         witness = _chain_check([("E/(1-q^h)", lhs_full),
-                                ("Moebius plain", f)])
+                                ("Moebius plain", _rf_sum(a(h // d) * plain(d) for d in divs))])
     return _report("prop7", _sys(rs), witness)
 
 
@@ -689,40 +609,11 @@ def prop8_check(rs):
 def prop9_check(rs):
     """Divisor expansions of (n - E(q))/(1-q**h) = (1-q)B(q)/(1-q**h)."""
     h, n = rs.h, rs.id.rank
-    bpoly = b_poly(rs)
-    epoly = exponent_poly(rs)
-    p0 = rs.p[0]
     members = [("(1-q)B/(1-q^h)",
-                RationalFunction(bpoly * _one_minus(1), _one_minus(h))),
+                RationalFunction(b_poly(rs) * _one_minus(1), _one_minus(h))),
                ("(n-E)/(1-q^h)",
-                RationalFunction(n - epoly, _one_minus(h)))]
-
-    weights = [CycNum.zeta_pow(h, k) * (-(p0 - rs.p[k])) for k in range(h)]
-    members.append(("eigenvalue poles",
-                    _sum_over_roots(weights, h) * Fraction(1, h)))
-
-    ctx = _context(h)
-    coeffs = []
-    for k in range(h):
-        acc = [0] * ctx.phi
-        for i in range(h):
-            diff = p0 - rs.p[i]
-            if diff:
-                row = ctx.powers[((h - i) * k) % h]
-                for idx, rt in enumerate(row):
-                    if rt:
-                        acc[idx] += diff * rt
-        coeffs.append(CycNum(h, acc))
-    members.append(("transform numerator",
-                    RationalFunction(Polynomial(coeffs), _one_minus(h)) * Fraction(1, h)))
-
-    coeffs = [sum((p0 - rs.p[(h // d) % h]) * ramanujan_sum(d, k)
-                  for d in divisors(h)) for k in range(h)]
-    members.append(("double Ramanujan numerator",
-                    RationalFunction(Polynomial(coeffs), _one_minus(h)) * Fraction(1, h)))
-
-    avals = {d: p0 - rs.p[(h // d) % h] for d in divisors(h)}
-    members += _cohen_tail_members(h, avals)
+                RationalFunction(n - exponent_poly(rs), _one_minus(h)))]
+    members += _periodic_members(h, [rs.p[0] - rs.p[k] for k in range(h)])
     return _report("prop9", _sys(rs), _chain_check(members))
 
 
@@ -734,57 +625,27 @@ def prop10_check(rs):
     notes on the misplaced power factor.
     """
     h, n = rs.h, rs.id.rank
-    bpoly = b_poly(rs)
-    epoly = exponent_poly(rs)
-    members = [("B", RationalFunction(bpoly, ONE)),
-               ("(n-E)/(1-q)", RationalFunction(n - epoly, _one_minus(1)))]
+    mults = [(d, mult) for d in divisors(h)[1:] if (mult := rs.m[(h // d) % h])]
 
-    f = RationalFunction(ZERO, ONE)
-    for d in divisors(h):
-        if d == 1:
-            continue
-        mult = rs.m[(h // d) % h]
-        if mult:
-            f = f + mult * RationalFunction(
-                totient(d) - psi_poly(d).compose_power(h // d), _one_minus(1))
-    members.append(("psi deficit", f))
+    def moebius_split(d, shifted):
+        # sum of mu(d') (d/d' - (1-q^h) q^(shifted * x)/(1-q^x)), x = h d'/d
+        inner = _rf_sum(mu * (RationalFunction(Polynomial((d // dp,)), ONE)
+                              - RationalFunction(_one_minus(h).shifted(h * dp // d * shifted),
+                                                 _one_minus(h * dp // d)))
+                        for dp in divisors(d) if (mu := mobius(dp)))
+        return inner * RationalFunction(ONE, _one_minus(1))
 
-    f = RationalFunction(ZERO, ONE)
-    for d in divisors(h):
-        if d == 1:
-            continue
-        mult = rs.m[(h // d) % h]
-        if not mult:
-            continue
-        inner = RationalFunction(ZERO, ONE)
-        for dp in divisors(d):
-            mu = mobius(dp)
-            if mu:
-                x = h * dp // d
-                inner = inner + mu * (RationalFunction(Polynomial((d // dp,)), ONE)
-                                      - RationalFunction(_one_minus(h), _one_minus(x)))
-        f = f + mult * (inner * RationalFunction(ONE, _one_minus(1)))
-    members.append(("Moebius plain split", f))
-
-    f = RationalFunction(ZERO, ONE)
-    for d in divisors(h):
-        if d == 1:
-            continue
-        mult = rs.m[(h // d) % h]
-        if not mult:
-            continue
-        inner = RationalFunction(ZERO, ONE)
-        for dp in divisors(d):
-            mu = mobius(dp)
-            if mu:
-                x = h * dp // d
-                inner = inner + mu * (RationalFunction(Polynomial((d // dp,)), ONE)
-                                      - RationalFunction(_one_minus(h) *
-                                                         Polynomial.monomial(x),
-                                                         _one_minus(x)))
-        f = f + mult * (inner * RationalFunction(ONE, _one_minus(1)))
-    members.append(("Moebius shifted split", f))
-
+    members = [
+        ("B", RationalFunction(b_poly(rs), ONE)),
+        ("(n-E)/(1-q)", RationalFunction(n - exponent_poly(rs), _one_minus(1))),
+        ("psi deficit",
+         _rf_sum(mult * RationalFunction(totient(d) - psi_poly(d).compose_power(h // d),
+                                         _one_minus(1)) for d, mult in mults)),
+        ("Moebius plain split",
+         _rf_sum(mult * moebius_split(d, False) for d, mult in mults)),
+        ("Moebius shifted split",
+         _rf_sum(mult * moebius_split(d, True) for d, mult in mults)),
+    ]
     return _report("prop10", _sys(rs), _chain_check(members))
 
 
@@ -827,11 +688,8 @@ def prop12_check(rs):
     """B(q) from the constant-part decomposition of the eigenvalue
     multiplicities."""
     h, n = rs.h, rs.id.rank
-    tail = RationalFunction(ZERO, ONE)
-    for d in divisors(h):
-        e = rs.e_of_d[h // d]
-        if e:
-            tail = tail + e * RationalFunction(ONE, _one_minus(d))
+    tail = _rf_sum(e * RationalFunction(ONE, _one_minus(d))
+                   for d in divisors(h) if (e := rs.e_of_d[h // d]))
     rhs = RationalFunction(Polynomial((n,)), _one_minus(1)) - \
         RationalFunction(_one_minus(h), _one_minus(1)) * tail
     witness = _chain_check([("B", RationalFunction(b_poly(rs), ONE)),
@@ -839,18 +697,10 @@ def prop12_check(rs):
     return _report("prop12", _sys(rs), witness)
 
 
-def _b_parts(rs):
-    return munagi_decompose(b_poly(rs), rs.h).parts
-
-
-def _qb_parts(rs):
-    return munagi_decompose(b_poly(rs).shifted(1), rs.h).parts
-
-
 def prop13_check(rs):
     """Boundary coefficients of the decomposition parts of B(q)."""
     h, n = rs.h, rs.id.rank
-    parts = _b_parts(rs)
+    parts = munagi_decompose(b_poly(rs), h).parts
     top = sum(parts[d].coeff(totient(d) - 1) for d in divisors(h)
               if len(factorize(d)) == 1 and factorize(d)[0][1] == 1)
     checks = [
@@ -876,17 +726,20 @@ def _lvec(h, j_count, offset):
     return out
 
 
-def prop14_check(rs):
-    """Top decomposition part of B(q) as a scaled interpolation of 1/(1-q)
-    at the primitive roots, plus its determinant form."""
+def top_part_check(rs, shift):
+    """Top decomposition part of q**shift * B(q) as a scaled interpolation
+    of q**shift/(1-q) at the primitive roots, plus its determinant form
+    (prop14 for shift 0, prop18 for shift 1)."""
+    check_id = "prop18" if shift else "prop14"
     h, n = rs.h, rs.id.rank
     if h < 2:
-        return _report("prop14", _sys(rs), None)
-    parts = _b_parts(rs)
-    top = parts[h]
+        return _report(check_id, _sys(rs), None)
+    top = munagi_decompose(b_poly(rs).shifted(shift), h).parts[h]
     scale = n - rs.e_of_d[1]
     nodes = primitive_residues(h)
     values = [(1 - CycNum.zeta_pow(h, k)).inverse() for k in nodes]
+    if shift:
+        values = [CycNum.zeta_pow(h, k) * v for k, v in zip(nodes, values)]
     witness = None
     try:
         interp = lagrange_primitive_roots(values, h)
@@ -898,11 +751,11 @@ def prop14_check(rs):
     if witness is None and h >= 3:
         phi = totient(h)
         gram = [[ramanujan_sum(h, i + j) for j in range(phi)] for i in range(phi)]
-        lvec = _lvec(h, phi, 0)
-        det_form = _bordered_det(lvec, gram) * _primitive_det_constant(h) * scale
+        det_form = (_bordered_det(_lvec(h, phi, shift), gram)
+                    * _primitive_det_constant(h) * scale)
         witness = _poly_mismatch("top part", top, "determinant form", det_form)
 
-    if witness is None:
+    if witness is None and not shift:
         # Alternate evaluation of the pole-sum vector entries.
         phi_poly = cyclotomic_poly(h)
         dphi = phi_poly.derivative()
@@ -916,7 +769,7 @@ def prop14_check(rs):
             if direct * phi1 != via_interp:
                 witness = f"pole-sum vector entry j={j} mismatch"
                 break
-    return _report("prop14", _sys(rs), witness)
+    return _report(check_id, _sys(rs), witness)
 
 
 def pole_sum_witness(h):
@@ -945,23 +798,24 @@ def prop15_check(rs):
     return _report("prop15", _sys(rs), pole_sum_witness(rs.h))
 
 
-def prop16_check(rs):
-    """Palindromic pairing of the decomposition parts of B(q)."""
+def paired_parts_check(rs, shift):
+    """Palindromic pairing of the decomposition parts H_d of q**shift * B(q):
+    the sum of (H_d / q**shift + q**(d-1+shift) H_d(1/q)) / (1-q**d) is
+    n/(1-q) (prop16 for shift 0, prop19 for shift 1)."""
     h, n = rs.h, rs.id.rank
-    parts = _b_parts(rs)
-    total = RationalFunction(ZERO, ONE)
-    for d in divisors(h):
-        paired = parts[d] + parts[d].reversed_to(d - 1)
-        total = total + RationalFunction(paired, _one_minus(d))
+    parts = munagi_decompose(b_poly(rs).shifted(shift), h).parts
+    total = _rf_sum((RationalFunction(parts[d], Polynomial.monomial(shift))
+                     + RationalFunction(parts[d].reversed_to(d - 1 + shift), ONE))
+                    * RationalFunction(ONE, _one_minus(d)) for d in divisors(h))
     witness = _chain_check([("n/(1-q)", RationalFunction(Polynomial((n,)), _one_minus(1))),
                             ("paired parts", total)])
-    return _report("prop16", _sys(rs), witness)
+    return _report("prop19" if shift else "prop16", _sys(rs), witness)
 
 
 def prop17_check(rs):
     """Boundary coefficients of the decomposition parts of qB(q)."""
     h, n = rs.h, rs.id.rank
-    parts = _qb_parts(rs)
+    parts = munagi_decompose(b_poly(rs).shifted(1), h).parts
     b_const = parts[2].coeff(0) if h % 2 == 0 else 0
     second = sum(parts[d].coeff(2) for d in divisors(h) if d > 2)
     checks = [
@@ -973,53 +827,6 @@ def prop17_check(rs):
     ]
     witness = next((c for c in checks if c), None)
     return _report("prop17", _sys(rs), witness)
-
-
-def prop18_check(rs):
-    """Top decomposition part of qB(q) as a scaled interpolation of
-    q/(1-q) at the primitive roots, plus its determinant form."""
-    h, n = rs.h, rs.id.rank
-    parts = _qb_parts(rs)
-    top = parts[h]
-    scale = n - rs.e_of_d[1]
-    nodes = primitive_residues(h)
-    values = [CycNum.zeta_pow(h, k) * (1 - CycNum.zeta_pow(h, k)).inverse()
-              for k in nodes]
-    witness = None
-    try:
-        interp = lagrange_primitive_roots(values, h)
-        witness = _poly_mismatch("top part", top, "scaled interpolant",
-                                 scale * interp)
-    except MethodMismatch as exc:
-        witness = str(exc)
-
-    if witness is None and h >= 3:
-        phi = totient(h)
-        gram = [[ramanujan_sum(h, i + j) for j in range(phi)] for i in range(phi)]
-        mvec = _lvec(h, phi, 1)
-        det_form = _bordered_det(mvec, gram) * _primitive_det_constant(h) * scale
-        witness = _poly_mismatch("top part", top, "determinant form", det_form)
-    return _report("prop18", _sys(rs), witness)
-
-
-def prop19_check(rs):
-    """Palindromic pairing of the decomposition parts of qB(q)."""
-    h, n = rs.h, rs.id.rank
-    parts = _qb_parts(rs)
-    total = RationalFunction(ZERO, ONE)
-    for d in divisors(h):
-        term = RationalFunction(parts[d], Q) + RationalFunction(parts[d].reversed_to(d), ONE)
-        total = total + term * RationalFunction(ONE, _one_minus(d))
-    witness = _chain_check([("n/(1-q)", RationalFunction(Polynomial((n,)), _one_minus(1))),
-                            ("paired parts", total)])
-    return _report("prop19", _sys(rs), witness)
-
-
-def prop12_to_19_check(rs):
-    """All decomposition-based checks, in catalog order."""
-    return [prop12_check(rs), prop13_check(rs), prop14_check(rs),
-            prop15_check(rs), prop16_check(rs), prop17_check(rs),
-            prop18_check(rs), prop19_check(rs)]
 
 
 # -- simply-laced singularity data ----------------------------------------------
@@ -1066,7 +873,8 @@ def _weights_identity_holds(rs, a, b, c):
     den = Polynomial.monomial(h2)
     for x in (a, b, c):
         e = 2 * x
-        assert e.denominator == 1
+        if e.denominator != 1:
+            raise MethodMismatch(f"{rs.id}: weight {x} is not a half-integer")
         e = int(e)
         num = num * (Polynomial.monomial(h2) - Polynomial.monomial(e))
         den = den * (Polynomial.monomial(e) - 1)
@@ -1093,7 +901,8 @@ def singularity_data(rs):
         raise NoTripleFound(f"{rs.id}: {len(found)} admissible triples")
     a, b = found[0]
     cartan_det = det(rs.cartan)
-    assert cartan_det == int(cartan_det)
+    if cartan_det != int(cartan_det):
+        raise MethodMismatch(f"{rs.id}: Cartan determinant {cartan_det} is not an integer")
     return SingularityData(rs.id, a, b, c, _binary_group_order(rs.id),
                            _branch_lengths(rs.id), int(cartan_det))
 
@@ -1283,9 +1092,10 @@ def run_check(rs, check_id, bfs_cap=DEFAULT_BFS_CAP):
         "prop6": lambda r: prop6_check(r.h, system=_sys(r)),
         "prop7": prop7_check, "prop8": prop8_check, "prop9": prop9_check,
         "prop10": prop10_check, "prop11": prop11_check, "prop12": prop12_check,
-        "prop13": prop13_check, "prop14": prop14_check, "prop15": prop15_check,
-        "prop16": prop16_check, "prop17": prop17_check, "prop18": prop18_check,
-        "prop19": prop19_check,
+        "prop13": prop13_check, "prop14": lambda r: top_part_check(r, 0),
+        "prop15": prop15_check, "prop16": lambda r: paired_parts_check(r, 0),
+        "prop17": prop17_check, "prop18": lambda r: top_part_check(r, 1),
+        "prop19": lambda r: paired_parts_check(r, 1),
         "eq5": lambda r: eq5_check(r, bfs_cap=bfs_cap),
         "eq12": eq12_check, "eq13": eq13_check,
         "eq19": singularity_check, "eq20": dynkin_check,

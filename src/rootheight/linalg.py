@@ -49,7 +49,8 @@ def det(rows):
 class FractionLU:
     """LU factorization with row pivoting over exact rationals.
 
-    Factor once, then solve many right-hand sides in O(n^2) each.
+    Factor once, then solve many right-hand sides in O(n^2) each.  The tests
+    use it as the dense reference route for ``munagi_decompose``.
     """
 
     def __init__(self, rows):

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import MethodMismatch, UnsupportedOrder
-from .exactalg import Polynomial, _context
+from .exactalg import Polynomial, _context, _cyclotomic_int
 
 
 def divisors(n):
@@ -118,27 +118,9 @@ def ramanujan_sum_checked(h, j):
     return vals["divisor_sum"]
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_mobius(h):
-    # Product over divisors of (q^d - 1)^mu(h/d), split into an exact
-    # numerator/denominator pair before one exact division.
-    num = Polynomial((1,))
-    den = Polynomial((1,))
-    for d in divisors(h):
-        mu = mobius(h // d)
-        if mu == 0:
-            continue
-        factor = Polynomial((-1,) + (0,) * (d - 1) + (1,))
-        if mu == 1:
-            num = num * factor
-        else:
-            den = den * factor
-    return tuple(num.divexact(den).coeffs)
-
-
 def cyclotomic_poly(h):
-    """The order-h cyclotomic polynomial via the Moebius product."""
-    return Polynomial(_cyclotomic_mobius(h))
+    """The order-h cyclotomic polynomial (the kernel's cached coefficients)."""
+    return Polynomial(_cyclotomic_int(h))
 
 
 def psi_poly(h):

@@ -2,6 +2,7 @@
 line.  All equality assertions are exact (tolerance zero); the only
 numeric bounds are the stated runtime budgets."""
 
+import hashlib
 import io
 import json
 import random
@@ -86,6 +87,9 @@ def test_criterion_3_full_identity_suite():
         assert len(docs) == 34
         assert all(check["verdict"] == "pass"
                    for doc in docs for check in doc["checks"])
+        # Byte-identical to the recorded output (bench/golden.json).
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+            "a6732d7f1f66d5a42310d89207576e0aea5612ffe5014e08e108e897614acadc"
         assert elapsed < 60.0, f"suite took {elapsed:.2f}s"
 
 

@@ -98,6 +98,16 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "A", "2", "--props", "eq5")
         assert code == 0  # cap of 1 skips enumeration; products still checked
 
+    def test_bfs_cap_env_not_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("ROOTHEIGHT_BFS_CAP", "abc")
+        assert main(["verify", "G", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rootheight: error:") and "ROOTHEIGHT_BFS_CAP" in err
+
+    def test_negative_bfs_cap(self, capsys):
+        assert main(["verify", "G", "2", "--bfs-cap", "-5"]) == 2
+        assert capsys.readouterr().err.startswith("rootheight: error:")
+
 
 class TestMunagi:
     def test_cohen_constants(self, capsys):

@@ -2,6 +2,8 @@
 interpolation projections, and full-suite runs on small systems."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,12 +17,26 @@ from rootheight.identities import (available_checks, b_from_exponents, b_poly,
                                    munagi_decompose, pole_sum_witness,
                                    primitive_residues, run_suite,
                                    singularity_check, singularity_data)
+from rootheight.linalg import FractionLU
 from rootheight.numth import ArithSeq, divisors, is_cohen, totient
 from rootheight.rootsys import RootSystemId, build
 
 
 def P(*coeffs):
     return Polynomial(coeffs)
+
+
+def dense_munagi_parts(numer, h):
+    """The dense route munagi_decompose replaced: coefficient i of numer is
+    the sum of coefficient j of H_d over the (d, j) with i = j mod d, an
+    h x h 0/1 system solved by rational LU."""
+    cols = [(d, j) for d in divisors(h) for j in range(totient(d))]
+    lu = FractionLU([[1 if i % d == j else 0 for d, j in cols] for i in range(h)])
+    sol = lu.solve([Fraction(numer.coeff(i)) for i in range(h)])
+    parts = {d: [] for d in divisors(h)}
+    for (d, _), v in zip(cols, sol):
+        parts[d].append(v)
+    return {d: Polynomial(cs) for d, cs in parts.items()}
 
 
 class TestHeightPolynomial:
@@ -79,6 +95,37 @@ class TestMunagi:
                 assert dec.reconstruct() == numer
                 for d, part in dec.parts.items():
                     assert part.degree < totient(d)
+
+    def test_matches_dense_route(self):
+        rng = random.Random(31)
+        for h in list(range(1, 61)) + [72, 90, 120]:
+            integer = Polynomial([rng.randint(-99, 99) for _ in range(h)])
+            rational = Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                                   for _ in range(rng.randint(1, h))])
+            for numer in (integer, rational):
+                assert munagi_decompose(numer, h).parts == dense_munagi_parts(numer, h)
+
+    def test_unit_numerators(self):
+        # The reduction divides by h in integers; an inexact division would
+        # fail the round trip and raise.
+        for h in range(1, 121):
+            for i in range(h):
+                munagi_decompose(Polynomial.monomial(i), h)
+
+    def test_round_trip_guard_survives_optimize(self):
+        script = (
+            "from rootheight.errors import ReconstructionMismatch\n"
+            "from rootheight.exactalg import Polynomial\n"
+            "from rootheight.identities import MunagiDecomposition, munagi_decompose\n"
+            "assert False, 'asserts are on'\n"
+            "MunagiDecomposition.reconstruct = lambda self: Polynomial((42,))\n"
+            "try:\n"
+            "    munagi_decompose(Polynomial((1, 2, 3)), 6)\n"
+            "except ReconstructionMismatch:\n"
+            "    print('raised')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "raised\n"), proc.stderr
 
     def test_cohen_iff_constant_parts(self):
         rng = random.Random(23)
