@@ -8,12 +8,18 @@ be used freely from concurrent workers.
 Polynomial coefficients may be Python ints, ``Fraction`` values, or ``CycNum``
 elements of one fixed order; the three kinds interoperate through the usual
 arithmetic operators (ints and Fractions embed as constants of the field).
+
+Each cyclotomic order has one field context, built once by the cached
+``_context(h)``: the modulus, the reduced powers of the root, the primitive
+residues, ``coords`` for sums of powers, and per-order memo tables of the
+inverses 1/(1 - z**k) and 1/Phi'(z**k) that the interpolation checks reuse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import DivisionByZero, NotDivisible
 
@@ -320,9 +326,12 @@ def _cyclotomic_int(h):
 
 
 class _CycContext:
-    """Per-order tables: modulus, reduction rows, and root-of-unity powers."""
+    """Per-order tables: modulus, the reduced powers z**0 .. z**(h-1) (which
+    also reduce products) and the primitive residues, plus memo tables of
+    inverses filled on first use."""
 
-    __slots__ = ("order", "phi", "modulus", "red_rows", "powers")
+    __slots__ = ("order", "phi", "modulus", "powers", "residues",
+                 "_inv_one_minus", "_inv_dphi")
 
     def __init__(self, h):
         self.order = h
@@ -331,13 +340,6 @@ class _CycContext:
         self.phi = phi
         self.modulus = mod
         top = tuple(-c for c in mod[:phi])
-        rows = [top]
-        for _ in range(phi - 2):
-            prev = rows[-1]
-            carry = prev[phi - 1]
-            shifted = (0,) + prev[: phi - 1]
-            rows.append(tuple(shifted[i] + carry * top[i] for i in range(phi)))
-        self.red_rows = rows
         powers = []
         cur = (1,) + (0,) * (phi - 1)
         for _ in range(h):
@@ -347,6 +349,36 @@ class _CycContext:
             cur = tuple(shifted[i] + carry * top[i] for i in range(phi)) if carry \
                 else shifted
         self.powers = powers
+        self.residues = tuple(k for k in range(1, h + 1)
+                              if gcd(k, h) == 1 and (h == 1 or k < h))
+        self._inv_one_minus = {}
+        self._inv_dphi = {}
+
+    def coords(self, terms):
+        """Power-basis coordinates of the sum of c * z**e over the (e, c)
+        pairs, added in order; zero coefficients are skipped."""
+        acc = [0] * self.phi
+        for e, c in terms:
+            if c:
+                for t, rt in enumerate(self.powers[e % self.order]):
+                    if rt:
+                        acc[t] += c * rt
+        return acc
+
+    def inv_one_minus(self, k):
+        """1/(1 - z**k), memoised."""
+        k %= self.order
+        if k not in self._inv_one_minus:
+            self._inv_one_minus[k] = (1 - CycNum.zeta_pow(self.order, k)).inverse()
+        return self._inv_one_minus[k]
+
+    def inv_dphi(self, k):
+        """1/Phi'(z**k) for the order-h cyclotomic polynomial Phi, memoised."""
+        k %= self.order
+        if k not in self._inv_dphi:
+            dphi = Polynomial(self.modulus).derivative()
+            self._inv_dphi[k] = cyc_eval(dphi, self.order, k).inverse()
+        return self._inv_dphi[k]
 
 
 @lru_cache(maxsize=None)
@@ -453,7 +485,7 @@ class CycNum:
             c = conv[deg]
             if not c:
                 continue
-            row = ctx.red_rows[deg - phi]
+            row = ctx.powers[deg % self.order]
             for t, rt in enumerate(row):
                 if rt:
                     conv[t] = conv[t] + c * rt
@@ -540,16 +572,7 @@ class CycNum:
 def cyc_eval(p, h, k):
     """Evaluate a rational-coefficient polynomial at z**k for the primitive
     h-th root of unity z, returning the reduced cyclotomic element."""
-    ctx = _context(h)
-    acc = [0] * ctx.phi
-    for i, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        row = ctx.powers[(i * k) % h]
-        for t, rt in enumerate(row):
-            if rt:
-                acc[t] = acc[t] + c * rt
-    return CycNum._raw(h, acc)
+    return CycNum._raw(h, _context(h).coords((i * k, c) for i, c in enumerate(p.coeffs)))
 
 
 # ---------------------------------------------------------------------------

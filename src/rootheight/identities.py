@@ -20,7 +20,7 @@ from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound,
                      ReconstructionMismatch, RootHeightError)
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
                        _cyclotomic_int, _int_divmod, cyc_eval)
-from .linalg import det
+from .linalg import FractionLU, det
 from .numth import (ArithSeq, cyclotomic_poly, divisors, factorize, gcd_count,
                     is_cohen, mobius, psi_poly, ramanujan_sum, totient)
 from .rootsys import (DEFAULT_BFS_CAP, coxeter_element, factor_exponents,
@@ -199,76 +199,53 @@ def _log_derivative(p):
 
 
 def _bordered_det(vec, mat):
-    """det [[0, (1, q, ..., q^{k-1})], [vec^T, mat]], expanded along the
-    polynomial row into scalar minors."""
-    k = len(vec)
-    out = ZERO
-    for c in range(1, k + 1):
-        minor = [[vec[i]] + [mat[i][j] for j in range(k) if j != c - 1]
-                 for i in range(k)]
-        sign = -1 if c % 2 else 1
-        out = out + Polynomial.monomial(c - 1, sign * det(minor))
-    return out
+    """det [[0, (1, q, ..., q^{k-1})], [vec^T, mat]] for a nonsingular mat,
+    by the Schur complement: -det(mat) * (1, q, ..., q^{k-1}) mat^-1 vec."""
+    return Polynomial(FractionLU(mat).solve(vec)) * -det(mat)
 
 
-def lagrange_all_roots(values, h, det_check=None):
+def lagrange_all_roots(values, h, det_check=True):
     """Interpolating polynomial of degree < h through the points
     (z**i, values[i]) for all h-th roots of unity z**i.
 
     Three routes are cross-checked: the barycentric form over q**h - 1, the
-    transform form (coefficients as averaged root-of-unity sums), and a
-    bordered-determinant form.  The determinant route costs O(h^4) field
-    operations and defaults to orders h <= 12.
+    transform form (coefficients as averaged root-of-unity sums) and, with
+    det_check, a bordered-determinant form over h times the identity.
     """
     if len(values) != h:
         raise ValueError("need one value per root of unity")
     vals = [v if isinstance(v, CycNum) else CycNum.rational(h, v)
             for v in values]
-    if det_check is None:
-        det_check = h <= 12
+    weights = [CycNum.zeta_pow(h, i) * v for i, v in enumerate(vals)]
+    barycentric = _sum_over_roots(weights, h).num * Fraction(1, h)
 
-    base = [-1] + [0] * (h - 1) + [1]
-    total = ZERO
-    for i, v in enumerate(vals):
-        if not v:
-            continue
-        total = total + _div_linear(base, CycNum.zeta_pow(h, i)) * (CycNum.zeta_pow(h, i) * v)
-    barycentric = total * Fraction(1, h)
-
-    coeffs = []
+    sums = []
     for k in range(h):
         acc = CycNum.rational(h, 0)
         for i, v in enumerate(vals):
             if v:
                 acc = acc + v * CycNum.zeta_pow(h, (-i * k) % h)
-        coeffs.append(acc * Fraction(1, h))
-    transform = Polynomial(coeffs)
-
-    w = _poly_mismatch("barycentric", barycentric, "transform", transform)
-    if w:
-        raise MethodMismatch(f"interpolation routes disagree: {w}")
-
+        sums.append(acc)
+    routes = [("transform", Polynomial([s * Fraction(1, h) for s in sums]))]
     if det_check:
-        u = []
-        for j in range(h):
-            acc = CycNum.rational(h, 0)
-            for i, v in enumerate(vals):
-                if v:
-                    acc = acc + v * CycNum.zeta_pow(h, (-i * j) % h)
-            u.append(acc)
         diag = [[h if i == j else 0 for j in range(h)] for i in range(h)]
-        det_form = _bordered_det(u, diag) * Fraction(-1, h ** h)
-        w = _poly_mismatch("barycentric", barycentric, "determinant", det_form)
+        routes.append(("determinant", _bordered_det(sums, diag) * Fraction(-1, h ** h)))
+    for label, poly in routes:
+        w = _poly_mismatch("barycentric", barycentric, label, poly)
         if w:
             raise MethodMismatch(f"interpolation routes disagree: {w}")
     return barycentric
 
 
 def primitive_residues(h):
-    return [k for k in range(1, h + 1) if gcd(k, h) == 1 and (h == 1 or k < h)]
+    """The k in 1..h-1 coprime to h (k = 1 alone for h = 1), as a tuple."""
+    return _context(h).residues
 
 
-def _primitive_det_constant(h):
+def _gram_form(h):
+    """The Ramanujan-sum Gram matrix [c_h(i + j)] of size phi(h), and the
+    constant that turns its bordered determinant into the primitive-root
+    interpolant."""
     phi = totient(h)
     if phi % 2:
         raise ValueError("determinant form needs an even basis size")
@@ -276,46 +253,42 @@ def _primitive_det_constant(h):
     for p, _ in factorize(h):
         num *= p ** (phi // (p - 1))
     sign = -1 if (1 + phi // 2) % 2 else 1
-    return Fraction(sign * num, h ** phi)
+    gram = [[ramanujan_sum(h, i + j) for j in range(phi)] for i in range(phi)]
+    return gram, Fraction(sign * num, h ** phi)
 
 
-def lagrange_primitive_roots(values, h, det_check=None):
+def lagrange_primitive_roots(values, h, det_check=True):
     """Interpolating polynomial of degree < phi(h) through the points at the
     primitive h-th roots of unity.
 
-    Computed from the cyclotomic-polynomial barycentric form and, for h >= 3
-    (where the sign constant is defined), cross-checked against the
-    bordered-determinant form over the Ramanujan-sum Gram matrix.
+    Computed from the cyclotomic-polynomial barycentric form and, with
+    det_check for h >= 3 (where the sign constant is defined), cross-checked
+    against the bordered-determinant form over the Ramanujan-sum Gram matrix.
     """
-    nodes = primitive_residues(h)
+    ctx = _context(h)
+    nodes = ctx.residues
     if len(values) != len(nodes):
         raise ValueError("need one value per primitive root")
     vals = [v if isinstance(v, CycNum) else CycNum.rational(h, v)
             for v in values]
-    if det_check is None:
-        det_check = h >= 3
 
-    phi_poly = cyclotomic_poly(h)
-    dphi = phi_poly.derivative()
     total = ZERO
     for k, v in zip(nodes, vals):
-        quot = _div_linear(phi_poly.coeffs, CycNum.zeta_pow(h, k))
-        weight = v * cyc_eval(dphi, h, k).inverse()
+        quot = _div_linear(ctx.modulus, CycNum.zeta_pow(h, k))
+        weight = v * ctx.inv_dphi(k)
         if weight:
             total = total + quot * weight
 
     if det_check and h >= 3:
-        phi = len(nodes)
-        gram = [[ramanujan_sum(h, i + j) for j in range(phi)] for i in range(phi)]
         u = []
-        for j in range(phi):
+        for j in range(len(nodes)):
             acc = CycNum.rational(h, 0)
             for k, v in zip(nodes, vals):
                 if v:
                     acc = acc + v * CycNum.zeta_pow(h, (k * j) % h)
             u.append(acc)
-        det_form = _bordered_det(u, gram) * _primitive_det_constant(h)
-        w = _poly_mismatch("barycentric", total, "determinant", det_form)
+        gram, const = _gram_form(h)
+        w = _poly_mismatch("barycentric", total, "determinant", _bordered_det(u, gram) * const)
         if w:
             raise MethodMismatch(f"primitive interpolation routes disagree: {w}")
     return total
@@ -333,12 +306,17 @@ class MunagiDecomposition:
     parts: dict
 
     def reconstruct(self):
-        total = ZERO
-        for d, part in self.parts.items():
-            expander = Polynomial(tuple(1 if i % d == 0 else 0
-                                        for i in range(self.h - d + 1)))
-            total = total + part * expander
-        return total
+        """The sum of H_d * (1 + q**d + ... + q**(h-d)), added in integers
+        over the common denominator of the parts."""
+        coeffs = [part.coeffs for part in self.parts.values()]
+        den = lcm(1, *(c.denominator for cs in coeffs for c in cs))
+        total = [0] * (self.h + max(map(len, coeffs), default=0))
+        for d, cs in zip(self.parts, coeffs):
+            nums = [c.numerator * (den // c.denominator) for c in cs]
+            for shift in range(0, self.h - d + 1, d):
+                for i, c in enumerate(nums):
+                    total[shift + i] += c
+        return Polynomial([Fraction(c, den) for c in total])
 
 
 def munagi_decompose(numer, h):
@@ -391,13 +369,7 @@ def prop1_check(rs):
     ctx = _context(h)
     witness = None
     for k in range(h):
-        acc = [0] * ctx.phi
-        for t, tr in enumerate(traces):
-            if tr:
-                row = ctx.powers[(-k * t) % h]
-                for idx, rt in enumerate(row):
-                    if rt:
-                        acc[idx] += tr * rt
+        acc = ctx.coords((-k * t, tr) for t, tr in enumerate(traces))
         if any(acc[1:]) or acc[0] != h * rs.m[k]:
             witness = f"trace pairing at k={k} does not give m({k})"
             break
@@ -503,16 +475,8 @@ def _periodic_members(h, a):
     members = [("eigenvalue poles", _sum_over_roots(weights, h) * Fraction(1, h))]
 
     ctx = _context(h)
-    coeffs = []
-    for k in range(h):
-        acc = [0] * ctx.phi
-        for i in range(h):
-            if a[i]:
-                row = ctx.powers[((h - i) * k) % h]
-                for idx, rt in enumerate(row):
-                    if rt:
-                        acc[idx] += a[i] * rt
-        coeffs.append(CycNum(h, acc))
+    coeffs = [CycNum(h, ctx.coords(((h - i) * k, a[i]) for i in range(h)))
+              for k in range(h)]
     members.append(("transform numerator",
                     RationalFunction(Polynomial(coeffs), _one_minus(h)) * Fraction(1, h)))
 
@@ -713,15 +677,15 @@ def prop13_check(rs):
     return _report("prop13", _sys(rs), witness)
 
 
-def _lvec(h, j_count, offset):
+def _lvec(h, offset):
     """Vector with entries L_{h, j+offset} = sum over primitive residues k of
-    zeta^{k(j+offset-1)} / (1 - zeta^k), for j = 1..j_count."""
+    zeta^{k(j+offset-1)} / (1 - zeta^k), for j = 1..phi(h)."""
+    ctx = _context(h)
     out = []
-    for j in range(1, j_count + 1):
+    for j in range(1, len(ctx.residues) + 1):
         acc = CycNum.rational(h, 0)
-        for k in primitive_residues(h):
-            inv = (1 - CycNum.zeta_pow(h, k)).inverse()
-            acc = acc + CycNum.zeta_pow(h, (k * (j + offset - 1)) % h) * inv
+        for k in ctx.residues:
+            acc = acc + CycNum.zeta_pow(h, (k * (j + offset - 1)) % h) * ctx.inv_one_minus(k)
         out.append(acc)
     return out
 
@@ -736,37 +700,35 @@ def top_part_check(rs, shift):
         return _report(check_id, _sys(rs), None)
     top = munagi_decompose(b_poly(rs).shifted(shift), h).parts[h]
     scale = n - rs.e_of_d[1]
-    nodes = primitive_residues(h)
-    values = [(1 - CycNum.zeta_pow(h, k)).inverse() for k in nodes]
+    ctx = _context(h)
+    nodes = ctx.residues
+    values = [ctx.inv_one_minus(k) for k in nodes]
     if shift:
         values = [CycNum.zeta_pow(h, k) * v for k, v in zip(nodes, values)]
-    witness = None
     try:
         interp = lagrange_primitive_roots(values, h)
         witness = _poly_mismatch("top part", top, "scaled interpolant",
                                  scale * interp)
     except MethodMismatch as exc:
         witness = str(exc)
+    if witness:
+        return _report(check_id, _sys(rs), witness)
 
-    if witness is None and h >= 3:
-        phi = totient(h)
-        gram = [[ramanujan_sum(h, i + j) for j in range(phi)] for i in range(phi)]
-        det_form = (_bordered_det(_lvec(h, phi, shift), gram)
-                    * _primitive_det_constant(h) * scale)
+    lvec = _lvec(h, shift)
+    if h >= 3:
+        gram, const = _gram_form(h)
+        det_form = _bordered_det(lvec, gram) * const * scale
         witness = _poly_mismatch("top part", top, "determinant form", det_form)
 
     if witness is None and not shift:
         # Alternate evaluation of the pole-sum vector entries.
         phi_poly = cyclotomic_poly(h)
         dphi = phi_poly.derivative()
-        phi1 = phi_poly(1)
-        for j in range(1, totient(h) + 1):
-            direct = _lvec(h, 1, j - 1)[0]
-            vals = [cyc_eval(Polynomial.monomial(j - 1), h, k) * cyc_eval(dphi, h, k)
-                    for k in nodes]
-            via_interp = lagrange_primitive_roots(vals, h, det_check=False)(
-                CycNum.rational(h, 1))
-            if direct * phi1 != via_interp:
+        dphi_at = [cyc_eval(dphi, h, k) for k in nodes]
+        one = CycNum.rational(h, 1)
+        for j, direct in enumerate(lvec, start=1):
+            vals = [CycNum.zeta_pow(h, k * (j - 1)) * dv for k, dv in zip(nodes, dphi_at)]
+            if direct * phi_poly(1) != lagrange_primitive_roots(vals, h, det_check=False)(one):
                 witness = f"pole-sum vector entry j={j} mismatch"
                 break
     return _report(check_id, _sys(rs), witness)
@@ -775,18 +737,14 @@ def top_part_check(rs, shift):
 def pole_sum_witness(h):
     """Verify, for m = 1..h, that the pole sums over primitive d-th roots
     summed across the divisors d > 1 collapse to the rational m - (h+1)/2."""
-    inv_cache = {}
+    ctx = _context(h)
     for m in range(1, h + 1):
         total = CycNum.rational(h, 0)
-        for d in divisors(h):
-            if d == 1:
-                continue
+        for d in divisors(h)[1:]:
             step = h // d
             for k in primitive_residues(d):
-                t = (step * k) % h
-                if t not in inv_cache:
-                    inv_cache[t] = (1 - CycNum.zeta_pow(h, t)).inverse()
-                total = total + CycNum.zeta_pow(h, (step * k * m) % h) * inv_cache[t]
+                total = total + (CycNum.zeta_pow(h, (step * k * m) % h)
+                                 * ctx.inv_one_minus(step * k))
         expected = Fraction(2 * m - h - 1, 2)
         if not total.is_rational or total.as_rational() != expected:
             return f"pole sum at m={m} is not {expected}"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SingularSystem
+from .errors import MethodMismatch, SingularSystem
 from .exactalg import Polynomial, _coeff_inv
 
 
@@ -49,8 +49,9 @@ def det(rows):
 class FractionLU:
     """LU factorization with row pivoting over exact rationals.
 
-    Factor once, then solve many right-hand sides in O(n^2) each.  The tests
-    use it as the dense reference route for ``munagi_decompose``.
+    Factor once, then solve many right-hand sides in O(n^2) each.  The
+    right-hand side may hold CycNum values: the bordered determinants of the
+    interpolation checks solve against their integer Gram matrix.
     """
 
     def __init__(self, rows):
@@ -117,7 +118,8 @@ def charpoly_int(mat):
               for i in range(n)]
         tr = sum(am[i][i] for i in range(n))
         q, r = divmod(-tr, k)
-        assert r == 0, "trace recursion divisibility failed"
+        if r:
+            raise MethodMismatch(f"trace recursion: {-tr} not divisible by {k}")
         coeffs_desc.append(q)
         m = [[am[i][j] + (q if i == j else 0) for j in range(n)] for i in range(n)]
     return Polynomial(tuple(reversed(coeffs_desc)))

@@ -67,13 +67,7 @@ def _ramanujan_exp_sum(h, j):
     # Sum of j-th powers over the primitive h-th roots of unity, reduced in
     # the cyclotomic field; integer coordinate arithmetic throughout.
     ctx = _context(h)
-    acc = [0] * ctx.phi
-    for k in range(1, h + 1):
-        if gcd(k, h) == 1:
-            row = ctx.powers[(j * k) % h]
-            for t, rt in enumerate(row):
-                if rt:
-                    acc[t] += rt
+    acc = ctx.coords((j * k, 1) for k in ctx.residues)
     if any(acc[1:]):
         raise MethodMismatch(f"exp-sum c_{h}({j}) is not rational: {acc}")
     return acc[0]
@@ -182,7 +176,8 @@ def cyclotomic_discriminant(h):
     den = 1
     for p, _ in factorize(h):
         e, r = divmod(phi, p - 1)
-        assert r == 0
+        if r:
+            raise MethodMismatch(f"p - 1 = {p - 1} does not divide phi({h})")
         den *= p ** e
     sign = -1 if (phi // 2) % 2 else 1
     return Fraction(sign * h ** phi, den)

@@ -178,7 +178,8 @@ def build(rsid, *, check=True):
         heights.extend([k] * len(level))
 
     # Exponents are the conjugate of the height-count partition.
-    assert all(b[i] >= b[i + 1] for i in range(len(b) - 1)), "heights not unimodal"
+    if any(b[i] < b[i + 1] for i in range(len(b) - 1)):
+        raise MethodMismatch(f"{rsid}: height counts are not non-increasing")
     exponents = [sum(1 for bk in b if bk >= j) for j in range(n, 0, -1)]
 
     m = [0] * h
@@ -200,22 +201,27 @@ def build(rsid, *, check=True):
 
 
 def _check_invariants(rs):
-    n, h, b = rs.id.rank, rs.h, rs.b
-    assert b[0] == n, "rank-many simple roots expected at height 1"
-    assert len(rs.positive_roots) == n * h // 2
-    assert b[-1] == 1, "unique root of maximal height"
-    if h >= 3:
-        assert b[1] == n - 1
+    n, h, b, e = rs.id.rank, rs.h, rs.b, rs.exponents
 
     def b_at(k):
         return b[k - 1] if 1 <= k <= h - 1 else 0
 
-    assert all(b_at(k) + b_at(h + 1 - k) == n for k in range(1, h + 1))
-    e = rs.exponents
-    assert all(e[k] + e[n - 1 - k] == h for k in range(n))
-    assert rs.m[0] == 0 and sum(rs.m) == n
-    assert all(b_at(k) == sum(1 for ei in e if ei >= k) for k in range(1, h))
-    assert rs.p[0] == n
+    invariants = (
+        (b[0] == n, "rank-many simple roots expected at height 1"),
+        (len(rs.positive_roots) == n * h // 2, "n*h/2 positive roots expected"),
+        (b[-1] == 1, "unique root of maximal height"),
+        (h < 3 or b[1] == n - 1, "n-1 roots expected at height 2"),
+        (all(b_at(k) + b_at(h + 1 - k) == n for k in range(1, h + 1)),
+         "height counts not complementary"),
+        (all(e[k] + e[n - 1 - k] == h for k in range(n)), "exponents not symmetric"),
+        (rs.m[0] == 0 and sum(rs.m) == n, "multiplicities do not sum to the rank"),
+        (all(b_at(k) == sum(1 for ei in e if ei >= k) for k in range(1, h)),
+         "height counts not conjugate to the exponents"),
+        (rs.p[0] == n, "p(0) is not the rank"),
+    )
+    for holds, what in invariants:
+        if not holds:
+            raise MethodMismatch(f"{rs.id}: {what}")
 
 
 def multiplicities(rs):
@@ -321,12 +327,7 @@ def power_sums(rs):
 
     ctx = _context(h)
     for k in range(h):
-        acc = [0] * ctx.phi
-        for e in rs.exponents:
-            row = ctx.powers[(e * k) % h]
-            for t, rt in enumerate(row):
-                if rt:
-                    acc[t] += rt
+        acc = ctx.coords((e * k, 1) for e in rs.exponents)
         if any(acc[1:]) or acc[0] != out[k]:
             raise MethodMismatch(f"{rs.id}: p({k}) disagrees with eigenvalue sum")
 
@@ -369,7 +370,8 @@ def weyl_length_gf_bruteforce(rs, cap=DEFAULT_BFS_CAP):
         if nxt:
             counts.append(len(nxt))
         level = nxt
-    assert sum(counts) == order
+    if sum(counts) != order:
+        raise MethodMismatch(f"{rs.id}: enumeration found {sum(counts)} of {order} elements")
     return Polynomial(counts)
 
 

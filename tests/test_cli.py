@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import rootheight.identities as identities
-from rootheight.cli import main
-from rootheight.identities import IdentityReport
+from rootheight.cli import MAX_PERIOD, main
+from rootheight.exactalg import Polynomial
+from rootheight.identities import IdentityReport, MunagiDecomposition
 
 
 def run_cli(capsys, *args):
@@ -141,6 +142,20 @@ class TestMunagi:
 
     def test_bad_coefficient(self, capsys):
         assert run_cli(capsys, "munagi", "1,zebra", "--h", "2")[0] == 2
+
+    def test_round_trip_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(MunagiDecomposition, "reconstruct",
+                            lambda self: Polynomial((42,)))
+        assert main(["munagi", "1,2,3", "--h", "6", "--roundtrip"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rootheight: error: ReconstructionMismatch")
+        assert "Traceback" not in captured.err
+
+    def test_period_limit(self, capsys):
+        assert main(["munagi", "1", "--h", str(MAX_PERIOD + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rootheight: error:") and str(MAX_PERIOD) in err
 
 
 def test_module_entry_point_subprocess():

@@ -7,8 +7,8 @@ import pytest
 
 from rootheight.errors import DivisionByZero, NotDivisible
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction,
-                                 cyc_eval, poly_arith, poly_gcd, poly_str,
-                                 ratfun_normalize)
+                                 _context, cyc_eval, poly_arith, poly_gcd,
+                                 poly_str, ratfun_normalize)
 from rootheight.numth import cyclotomic_poly, totient
 
 
@@ -116,6 +116,33 @@ class TestCycNum:
                     continue
                 assert x * x.inverse() == 1
                 assert (1 / x) * x == 1
+
+    def test_memoised_inverses(self):
+        for h in range(2, 31):
+            ctx = _context(h)
+            dphi = cyclotomic_poly(h).derivative()
+            for k in range(1, h):
+                assert ctx.inv_one_minus(k) * (1 - CycNum.zeta_pow(h, k)) == 1
+                assert ctx.inv_one_minus(k) is ctx.inv_one_minus(k + h)
+            for k in ctx.residues:
+                assert ctx.inv_dphi(k) * cyc_eval(dphi, h, k) == 1
+                assert ctx.inv_dphi(k) is ctx.inv_dphi(k)
+
+    def test_coords_matches_naive_sum(self):
+        rng = random.Random(8)
+        for h in (1, 2, 5, 6, 12, 15, 30):
+            for _ in range(10):
+                terms = [(rng.randint(-2 * h, 2 * h),
+                          rng.choice([0, rng.randint(-5, 5),
+                                      Fraction(rng.randint(-5, 5), rng.randint(1, 4))]))
+                         for _ in range(rng.randint(0, 12))]
+                naive = CycNum.rational(h, 0)
+                for e, c in terms:
+                    naive = naive + CycNum.zeta_pow(h, e) * c
+                assert CycNum(h, _context(h).coords(terms)) == naive
+        # integer inputs stay integers, so reprs of reduced sums do not change
+        assert all(type(c) is int
+                   for c in _context(12).coords([(1, 3), (5, 0), (7, -2)]))
 
     def test_arith_mixes_with_rationals(self):
         z = CycNum.zeta_pow(12, 1)

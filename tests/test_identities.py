@@ -5,20 +5,23 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from rootheight.errors import DegreeTooHigh
+import rootheight.identities as identities
+from rootheight.errors import DegreeTooHigh, MethodMismatch
 from rootheight.exactalg import CycNum, Polynomial, cyc_eval
-from rootheight.identities import (available_checks, b_from_exponents, b_poly,
-                                   dynkin_check, exponent_poly,
-                                   lagrange_all_roots,
+from rootheight.identities import (_bordered_det, available_checks,
+                                   b_from_exponents, b_poly, dynkin_check,
+                                   exponent_poly, lagrange_all_roots,
                                    lagrange_primitive_roots, mirimanoff_check,
                                    munagi_decompose, pole_sum_witness,
                                    primitive_residues, run_suite,
                                    singularity_check, singularity_data)
-from rootheight.linalg import FractionLU
-from rootheight.numth import ArithSeq, divisors, is_cohen, totient
+from rootheight.linalg import FractionLU, det
+from rootheight.numth import (ArithSeq, divisors, is_cohen, ramanujan_sum,
+                              totient)
 from rootheight.rootsys import RootSystemId, build
 
 
@@ -37,6 +40,28 @@ def dense_munagi_parts(numer, h):
     for (d, _), v in zip(cols, sol):
         parts[d].append(v)
     return {d: Polynomial(cs) for d, cs in parts.items()}
+
+
+def product_reconstruct(dec):
+    """The product form MunagiDecomposition.reconstruct replaced: the sum of
+    H_d * (1 + q**d + ... + q**(h-d)) as Fraction polynomial products."""
+    total = Polynomial(())
+    for d, part in dec.parts.items():
+        total = total + part * Polynomial([1 if i % d == 0 else 0
+                                           for i in range(dec.h - d + 1)])
+    return total
+
+
+def bordered_det_minors(vec, mat):
+    """The expansion _bordered_det replaced: det [[0, (1, q, ..., q^{k-1})],
+    [vec^T, mat]] along the polynomial row, one k x k minor per power."""
+    k = len(vec)
+    out = Polynomial(())
+    for c in range(1, k + 1):
+        minor = [[vec[i]] + [mat[i][j] for j in range(k) if j != c - 1]
+                 for i in range(k)]
+        out = out + Polynomial.monomial(c - 1, (-1 if c % 2 else 1) * det(minor))
+    return out
 
 
 class TestHeightPolynomial:
@@ -105,6 +130,16 @@ class TestMunagi:
             for numer in (integer, rational):
                 assert munagi_decompose(numer, h).parts == dense_munagi_parts(numer, h)
 
+    def test_reconstruct_matches_product_form(self):
+        rng = random.Random(37)
+        for h in list(range(1, 61)) + [72, 90, 120]:
+            integer = Polynomial([rng.randint(-99, 99) for _ in range(h)])
+            rational = Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                                   for _ in range(rng.randint(1, h))])
+            for numer in (integer, rational):
+                dec = munagi_decompose(numer, h)
+                assert dec.reconstruct() == product_reconstruct(dec) == numer
+
     def test_unit_numerators(self):
         # The reduction divides by h in integers; an inexact division would
         # fail the round trip and raise.
@@ -129,7 +164,6 @@ class TestMunagi:
 
     def test_cohen_iff_constant_parts(self):
         rng = random.Random(23)
-        from math import gcd
         for h in range(3, 25):
             for _ in range(20):
                 vals = {d: rng.randint(-9, 9) for d in divisors(h)}
@@ -182,6 +216,45 @@ class TestInterpolation:
     def test_primitive_square_collapses(self):
         vals = [cyc_eval(P(0, 0, 1), 4, k) for k in primitive_residues(4)]
         assert lagrange_primitive_roots(vals, 4) == P(-1)
+
+    def test_primitive_residues_tuple(self):
+        for h in range(1, 40):
+            res = primitive_residues(h)
+            assert isinstance(res, tuple)
+            assert res == tuple(k for k in range(1, max(h, 2)) if gcd(k, h) == 1)
+        with pytest.raises(AttributeError):
+            primitive_residues(12).append(13)
+
+    def test_schur_determinant_matches_minors(self):
+        rng = random.Random(47)
+
+        def vector(h, size):
+            phi = totient(h)
+            return [CycNum(h, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for _ in range(phi)]) if rng.random() < 0.7
+                    else CycNum.rational(h, 0) for _ in range(size)]
+
+        for h in range(1, 13):
+            diag = [[h if i == j else 0 for j in range(h)] for i in range(h)]
+            mats = [diag]
+            if h >= 3:
+                phi = totient(h)
+                mats.append([[ramanujan_sum(h, i + j) for j in range(phi)]
+                             for i in range(phi)])
+            for mat in mats:
+                for _ in range(2):
+                    vec = vector(h, len(mat))
+                    vec[rng.randrange(len(vec))] = CycNum.rational(h, 0)
+                    assert _bordered_det(vec, mat) == bordered_det_minors(vec, mat)
+
+    def test_all_roots_determinant_route_on_by_default(self, monkeypatch):
+        h = 13
+        vals = [cyc_eval(P(1, 2), h, i) for i in range(h)]
+        assert lagrange_all_roots(vals, h) == P(1, 2)
+        monkeypatch.setattr(identities, "_bordered_det", lambda vec, mat: P(1))
+        with pytest.raises(MethodMismatch):
+            lagrange_all_roots(vals, h)
+        assert lagrange_all_roots(vals, h, det_check=False) == P(1, 2)
 
     def test_primitive_projection_random(self):
         rng = random.Random(43)

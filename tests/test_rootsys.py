@@ -1,6 +1,9 @@
 """Root-system engine tests: construction, invariants, Coxeter data, and the
 Weyl-group oracle."""
 
+import subprocess
+import sys
+
 import pytest
 
 from conftest import conjugate_partition, golden_charpoly, golden_exponents
@@ -47,6 +50,23 @@ class TestBuild:
             assert rs.exponents == golden_exponents(fam, n)
             assert rs.b == conjugate_partition(rs.exponents, rs.h)
             assert len(rs.positive_roots) == n * rs.h // 2
+
+    def test_invariant_guard_survives_optimize(self):
+        # A closure that loses the top height level must fail the build
+        # even with asserts compiled out.
+        script = (
+            "import rootheight.rootsys as rootsys\n"
+            "from rootheight.errors import RootHeightError\n"
+            "assert False, 'asserts are on'\n"
+            "close = rootsys._close_positive_roots\n"
+            "rootsys._close_positive_roots = lambda cartan: close(cartan)[:-1]\n"
+            "try:\n"
+            "    rootsys.build(rootsys.RootSystemId('A', 3))\n"
+            "except RootHeightError as exc:\n"
+            "    print(type(exc).__name__)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "MethodMismatch\n"), proc.stderr
 
     def test_catalog_invariants(self, catalog):
         for rs in catalog.values():
