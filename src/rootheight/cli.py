@@ -14,6 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from math import lcm
 
 from .errors import RootHeightError
 from .exactalg import Polynomial, poly_str
@@ -27,6 +28,9 @@ MAX_RANK = 500
 # h <= 2000 (slowest measured: h = 1980, 0.64 s; h = 2310 took 1.03 s;
 # 2-core Xeon, CPython 3.11).
 MAX_PERIOD = 2000
+# Largest munagi common denominator in bits: at h = 1980 a dense numerator took
+# 0.76 s over 2048 bits, 1.03 s over 4096 (14,000-bit numerators alone: 0.35 s).
+MAX_DENOMINATOR_BITS = 2048
 
 
 class UsageError(Exception):
@@ -122,8 +126,7 @@ def cmd_info(rs, fmt, out):
 
 
 def _verify_worker(task):
-    family, rank, props, bfs_cap = task
-    rs = build(RootSystemId(family, rank))
+    rs, props, bfs_cap = task
     ids = props if props is not None else available_checks(rs)
     reports = run_suite(rs, ids, bfs_cap=bfs_cap)
     return {"system": str(rs.id),
@@ -139,7 +142,7 @@ def cmd_verify(systems, props, bfs_cap, jobs, fmt, out):
             if unknown:
                 raise UsageError(f"unknown checks: {','.join(unknown)}")
             ids = [p for p in props if p in available_checks(rs)]
-        tasks.append((rs.id.family, rs.id.rank, ids, bfs_cap))
+        tasks.append((rs, ids, bfs_cap))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -174,6 +177,10 @@ def cmd_munagi(coeffs, h, roundtrip, fmt, out):
         raise UsageError(f"period {h} above the configured limit {MAX_PERIOD}")
     if len(coeffs) > h:
         raise UsageError(f"{len(coeffs)} coefficients exceed period {h}")
+    bits = lcm(*(c.denominator for c in coeffs)).bit_length()
+    if bits > MAX_DENOMINATOR_BITS:
+        raise UsageError(f"common denominator of {bits} bits above the configured "
+                         f"limit {MAX_DENOMINATOR_BITS}")
     # munagi_decompose raises ReconstructionMismatch unless the round trip holds.
     dec = munagi_decompose(Polynomial(coeffs), h)
     if fmt == "json":

@@ -24,9 +24,8 @@ from .linalg import FractionLU, det
 from .numth import (ArithSeq, cyclotomic_poly, divisors, factorize, gcd_count,
                     is_cohen, mobius, psi_poly, ramanujan_sum, totient)
 from .rootsys import (DEFAULT_BFS_CAP, coxeter_element, factor_exponents,
-                      mat_identity, mat_mul, power_sums,
-                      weyl_length_gf_bruteforce, weyl_length_gf_product,
-                      weyl_order)
+                      power_sums, weyl_length_gf_bruteforce,
+                      weyl_length_gf_product, weyl_order)
 
 Q = Polynomial.monomial(1)
 ONE = Polynomial((1,))
@@ -359,13 +358,7 @@ def prop1_check(rs):
     """Multiplicities recovered from Coxeter power traces (the induced
     character pairing), and heights as their partial-sum complements."""
     h, n = rs.h, rs.id.rank
-    cox = coxeter_element(rs)
-    traces = []
-    power = mat_identity(n)
-    for _ in range(h):
-        traces.append(sum(power[i][i] for i in range(n)))
-        power = mat_mul(power, cox.matrix)
-
+    traces = coxeter_element(rs).traces
     ctx = _context(h)
     witness = None
     for k in range(h):
@@ -722,16 +715,25 @@ def top_part_check(rs, shift):
 
     if witness is None and not shift:
         # Alternate evaluation of the pole-sum vector entries.
-        phi_poly = cyclotomic_poly(h)
-        dphi = phi_poly.derivative()
-        dphi_at = [cyc_eval(dphi, h, k) for k in nodes]
-        one = CycNum.rational(h, 1)
-        for j, direct in enumerate(lvec, start=1):
-            vals = [CycNum.zeta_pow(h, k * (j - 1)) * dv for k, dv in zip(nodes, dphi_at)]
-            if direct * phi_poly(1) != lagrange_primitive_roots(vals, h, det_check=False)(one):
+        phi_at_one = cyclotomic_poly(h)(1)
+        for j, (direct, alt) in enumerate(zip(lvec, _lvec_interpolated(h)), start=1):
+            if direct * phi_at_one != alt:
                 witness = f"pole-sum vector entry j={j} mismatch"
                 break
     return _report(check_id, _sys(rs), witness)
+
+
+def _lvec_interpolated(h):
+    """Phi_h(1) * L_{h,j}, j = 1..phi(h): at q = 1, lagrange_primitive_roots'
+    interpolant through zeta**(k(j-1)) * Phi_h'(zeta**k), with each node's
+    Phi_h(q)/(q - zeta**k) evaluated at 1 once."""
+    ctx = _context(h)
+    dphi = Polynomial(ctx.modulus).derivative()
+    one = CycNum.rational(h, 1)
+    terms = [(k, _div_linear(ctx.modulus, CycNum.zeta_pow(h, k))(one)
+              * (cyc_eval(dphi, h, k) * ctx.inv_dphi(k))) for k in ctx.residues]
+    return [sum((t * CycNum.zeta_pow(h, k * j) for k, t in terms), CycNum.rational(h, 0))
+            for j in range(len(terms))]
 
 
 def pole_sum_witness(h):

@@ -1,5 +1,5 @@
 """Small exact linear-algebra helpers: determinants over any exact field,
-an LU solver over the rationals, and integer characteristic polynomials."""
+an LU solver over the rationals, and characteristic polynomials from traces."""
 
 from __future__ import annotations
 
@@ -107,19 +107,16 @@ class FractionLU:
         return x
 
 
-def charpoly_int(mat):
-    """Monic characteristic polynomial det(qI - M) of an integer matrix,
-    by the trace recursion with exact integer divisions."""
-    n = len(mat)
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def charpoly_int(traces):
+    """Monic characteristic polynomial det(qI - M) of an n x n integer
+    matrix from the traces of its powers M**0 .. M**n (so traces[0] = n),
+    by Newton's identities with exact integer divisions."""
+    n = traces[0]
     coeffs_desc = [1]
     for k in range(1, n + 1):
-        am = [[sum(mat[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        tr = sum(am[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
+        s = sum(c * traces[k - j] for j, c in enumerate(coeffs_desc))
+        q, r = divmod(-s, k)
         if r:
-            raise MethodMismatch(f"trace recursion: {-tr} not divisible by {k}")
+            raise MethodMismatch(f"Newton's identities: {-s} not divisible by {k}")
         coeffs_desc.append(q)
-        m = [[am[i][j] + (q if i == j else 0) for j in range(n)] for i in range(n)]
     return Polynomial(tuple(reversed(coeffs_desc)))

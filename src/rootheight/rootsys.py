@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import GroupTooLarge, InvalidRank, MethodMismatch, ReconstructionMismatch
-from .exactalg import Polynomial, _context
+from .exactalg import Polynomial, RationalFunction, _context
 from .linalg import charpoly_int
 from .numth import cyclotomic_poly, divisors, mobius, ramanujan_sum
 
@@ -126,41 +126,36 @@ class RootSystem:
         return f"RootSystem({self.id}, h={self.h})"
 
 
-def _close_positive_roots(cartan):
-    """Height-by-height closure from the simple roots.
+def _sparse_rows(cartan):
+    """The nonzero (j, c) pairs of each Cartan row (at most four per row)."""
+    return [tuple((j, c) for j, c in enumerate(row) if c) for row in cartan]
 
-    A candidate alpha + alpha_i is accepted exactly when p - c > 0, where c
-    is the pairing of alpha against the i-th coroot and p is the number of
-    steps alpha - alpha_i, alpha - 2*alpha_i, ... that stay inside the set
-    built so far (all of which have smaller height, hence are known).
-    """
+
+def _reflect(v, i, rows):
+    """s_i on the list v in place (only v[i] changes); returns <v, alpha_i^vee>."""
+    c = sum(k * v[j] for j, k in rows[i])
+    v[i] -= c
+    return c
+
+
+def _close_positive_roots(cartan):
+    """The positive roots by height, each level sorted: the simple roots closed
+    under the s_i with <beta, alpha_i^vee> < 0, which raise the height and keep
+    the root positive (Humphreys, Reflection Groups and Coxeter Groups, 1.6)."""
+    rows = _sparse_rows(cartan)
     n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known = set(simple)
-    levels = [simple]
-    current = simple
-    while current:
-        nxt = set()
-        for alpha in current:
+    levels = {1: {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}}
+    k = 1
+    while k in levels:
+        for beta in levels[k]:
+            v = list(beta)
             for i in range(n):
-                row = cartan[i]
-                c = sum(row[j] * alpha[j] for j in range(n) if alpha[j])
-                p = 0
-                beta = list(alpha)
-                while True:
-                    beta[i] -= 1
-                    if beta[i] < 0 or tuple(beta) not in known:
-                        break
-                    p += 1
-                if p - c > 0:
-                    cand = list(alpha)
-                    cand[i] += 1
-                    nxt.add(tuple(cand))
-        current = sorted(nxt)
-        if current:
-            known.update(current)
-            levels.append(current)
-    return levels
+                c = _reflect(v, i, rows)
+                if c < 0:
+                    levels.setdefault(k - c, set()).add(tuple(v))
+                v[i] = beta[i]
+        k += 1
+    return [sorted(levels[j]) for j in range(1, k)]
 
 
 def build(rsid, *, check=True):
@@ -185,12 +180,7 @@ def build(rsid, *, check=True):
     m = [0] * h
     for e in exponents:
         m[e % h] += 1
-
-    divs = divisors(h)
-    e_of_d = {}
-    for d in divs:
-        e_of_d[d] = sum(mobius(dp // d) * m[(h // dp) % h]
-                        for dp in divs if dp % d == 0)
+    e_of_d = _moebius_exponents(m, h)
 
     p = [sum(d * e_of_d[d] for d in divisors(gcd(k, h))) for k in range(h)]
 
@@ -198,6 +188,13 @@ def build(rsid, *, check=True):
     if check:
         _check_invariants(rs)
     return rs
+
+
+def _moebius_exponents(m, h):
+    """e(d) for the divisors d of h: the Moebius inversion of m over them."""
+    divs = divisors(h)
+    return {d: sum(mobius(dp // d) * m[(h // dp) % h] for dp in divs if dp % d == 0)
+            for d in divs}
 
 
 def _check_invariants(rs):
@@ -240,17 +237,7 @@ def multiplicities(rs):
 class CoxeterElement:
     matrix: tuple
     charpoly: Polynomial
-
-
-def _reflection_matrix(cartan, i):
-    n = len(cartan)
-    rows = []
-    for k in range(n):
-        if k != i:
-            rows.append(tuple(1 if j == k else 0 for j in range(n)))
-        else:
-            rows.append(tuple((1 if j == i else 0) - cartan[i][j] for j in range(n)))
-    return tuple(rows)
+    traces: tuple
 
 
 def mat_mul(a, b):
@@ -264,56 +251,60 @@ def mat_identity(n):
 
 
 def coxeter_element(rs):
-    """Product of the simple reflections in index order, with its exact
-    characteristic polynomial.  Cached on the root system."""
+    """c = s_0 s_1 ... s_{n-1}, the traces of c**0 .. c**(h-1) and the exact
+    characteristic polynomial, with every basis column carried through the
+    sparse reflections.  Cached on the root system."""
     if rs._coxeter is not None:
         return rs._coxeter
-    n = rs.id.rank
-    mat = mat_identity(n)
-    for i in range(n):
-        mat = mat_mul(mat, _reflection_matrix(rs.cartan, i))
-    charpoly = charpoly_int([list(row) for row in mat])
-
-    power = mat_identity(n)
-    for _ in range(rs.h):
-        power = mat_mul(power, mat)
-    if power != mat_identity(n):
+    n, h = rs.id.rank, rs.h
+    rows = _sparse_rows(rs.cartan)
+    cols = [list(col) for col in mat_identity(n)]
+    traces = []
+    for t in range(h):
+        traces.append(sum(col[j] for j, col in enumerate(cols)))
+        for col in cols:
+            for i in range(n - 1, -1, -1):
+                _reflect(col, i, rows)
+        if t == 0:
+            matrix = tuple(zip(*cols))
+    if tuple(map(tuple, cols)) != mat_identity(n):
         raise MethodMismatch(f"{rs.id}: Coxeter element order is not h")
+    charpoly = charpoly_int(traces)
 
     expected = Polynomial((1,))
-    for d in divisors(rs.h):
-        mult = rs.m[(rs.h // d) % rs.h]
+    for d in divisors(h):
+        mult = rs.m[(h // d) % h]
         if mult:
             expected = expected * cyclotomic_poly(d) ** mult
     if charpoly != expected:
         raise MethodMismatch(f"{rs.id}: charpoly does not match eigenvalue data")
 
-    cox = CoxeterElement(mat, charpoly)
+    cox = CoxeterElement(matrix, charpoly, tuple(traces))
     rs._coxeter = cox
     return cox
+
+
+def _binomial_product(exps, sign):
+    """Numerator and denominator of the product of (sign * (q**d - 1))**e over
+    the (d, e) pairs: e > 0 goes to the numerator, e < 0 to the denominator."""
+    num = den = Polynomial((1,))
+    for d, e in exps:
+        if e:
+            factor = Polynomial((-sign,) + (0,) * (d - 1) + (sign,)) ** abs(e)
+            if e > 0:
+                num = num * factor
+            else:
+                den = den * factor
+    return num, den
 
 
 def factor_exponents(rs):
     """Exponents e(d) of the factorization of the Coxeter characteristic
     polynomial into binomials q**d - 1, by Moebius inversion over the
     divisor lattice; verified by exact reconstruction."""
-    h = rs.h
-    divs = divisors(h)
-    e_of_d = {d: sum(mobius(dp // d) * rs.m[(h // dp) % h]
-                     for dp in divs if dp % d == 0) for d in divs}
-
-    num = Polynomial((1,))
-    den = Polynomial((1,))
-    for d, e in e_of_d.items():
-        if e == 0:
-            continue
-        factor = Polynomial((-1,) + (0,) * (d - 1) + (1,)) ** abs(e)
-        if e > 0:
-            num = num * factor
-        else:
-            den = den * factor
-    rebuilt = num.divexact(den)
-    if rebuilt != coxeter_element(rs).charpoly:
+    e_of_d = _moebius_exponents(rs.m, rs.h)
+    num, den = _binomial_product(e_of_d.items(), 1)
+    if num.divexact(den) != coxeter_element(rs).charpoly:
         raise ReconstructionMismatch(f"{rs.id}: e(d) reconstruction failed")
     return e_of_d
 
@@ -349,26 +340,24 @@ def weyl_order(rs):
 
 
 def weyl_length_gf_bruteforce(rs, cap=DEFAULT_BFS_CAP):
-    """Length generating function by breadth-first search over the Cayley
-    graph on the simple reflections; BFS depth equals word length."""
+    """Length generating function by walking the orbit of 2*rho (the sum of
+    the positive roots; trivial stabilizer) one length at a time: for
+    v = w(2*rho), s_i w is one longer than w exactly when <v, alpha_i^vee> > 0."""
     order = weyl_order(rs)
     if order > cap:
         raise GroupTooLarge(f"|W({rs.id})| = {order} exceeds cap {cap}")
-    gens = [_reflection_matrix(rs.cartan, i) for i in range(rs.id.rank)]
-    ident = mat_identity(rs.id.rank)
-    seen = {ident}
-    level = [ident]
-    counts = [1]
+    rows = _sparse_rows(rs.cartan)
+    level = {tuple(map(sum, zip(*rs.positive_roots)))}
+    counts = []
     while level:
-        nxt = []
-        for g in level:
-            for s in gens:
-                gs = mat_mul(g, s)
-                if gs not in seen:
-                    seen.add(gs)
-                    nxt.append(gs)
-        if nxt:
-            counts.append(len(nxt))
+        counts.append(len(level))
+        nxt = set()
+        for x in level:
+            v = list(x)
+            for i in range(len(rows)):
+                if _reflect(v, i, rows) > 0:
+                    nxt.add(tuple(v))
+                v[i] = x[i]
         level = nxt
     if sum(counts) != order:
         raise MethodMismatch(f"{rs.id}: enumeration found {sum(counts)} of {order} elements")
@@ -379,29 +368,13 @@ def weyl_length_gf_product(rs):
     """The two product forms of the length generating function, as exact
     rational functions: over positive roots in terms of heights, and over
     the exponents."""
-    from .exactalg import RationalFunction
-
     counts = Counter()
     for k, bk in enumerate(rs.b, start=1):
         counts[k + 1] += bk
         counts[k] -= bk
-    num = Polynomial((1,))
-    den = Polynomial((1,))
-    for j, c in sorted(counts.items()):
-        if c == 0:
-            continue
-        factor = Polynomial((1,) + (0,) * (j - 1) + (-1,)) ** abs(c)
-        if c > 0:
-            num = num * factor
-        else:
-            den = den * factor
-    by_heights = RationalFunction(num, den)
-
-    num2 = Polynomial((1,))
-    for e in rs.exponents:
-        num2 = num2 * Polynomial((1,) + (0,) * e + (-1,))
-    den2 = Polynomial((1, -1)) ** rs.id.rank
-    by_exponents = RationalFunction(num2, den2)
+    by_heights = RationalFunction(*_binomial_product(sorted(counts.items()), -1))
+    by_exponents = RationalFunction(*_binomial_product(
+        [(e + 1, 1) for e in rs.exponents] + [(1, -rs.id.rank)], -1))
     return by_heights, by_exponents
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import rootheight.identities as identities
-from rootheight.cli import MAX_PERIOD, main
+from rootheight.cli import MAX_DENOMINATOR_BITS, MAX_PERIOD, main
 from rootheight.exactalg import Polynomial
 from rootheight.identities import IdentityReport, MunagiDecomposition
 
@@ -94,6 +94,12 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)[0]["system"] == "A2"
 
+    def test_jobs_output_matches_serial(self, capsys):
+        for fmt in ("table", "json"):
+            args = ["verify", "all", "--props", "prop1,eq12,cohen", "--format", fmt]
+            serial = run_cli(capsys, *args)
+            assert run_cli(capsys, *args, "--jobs", "2") == serial
+
     def test_bfs_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOTHEIGHT_BFS_CAP", "1")
         code, _ = run_cli(capsys, "verify", "A", "2", "--props", "eq5")
@@ -156,6 +162,22 @@ class TestMunagi:
         assert main(["munagi", "1", "--h", str(MAX_PERIOD + 1)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("rootheight: error:") and str(MAX_PERIOD) in err
+
+
+    def test_denominator_limit(self, capsys):
+        # Coprime denominators whose product has exactly the limit's bits,
+        # then one bit more.
+        half = MAX_DENOMINATOR_BITS // 2
+        p, q, r = 2 ** half + 1, 2 ** half - 1, 2 ** half + 3
+        assert (p * q).bit_length() == MAX_DENOMINATOR_BITS
+        assert (p * r).bit_length() == MAX_DENOMINATOR_BITS + 1
+        assert main(["munagi", f"1/{p},1/{q}", "--h", "4"]) == 0
+        capsys.readouterr()
+        assert main(["munagi", f"1/{p},1/{r}", "--h", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rootheight: error:")
+        assert str(MAX_DENOMINATOR_BITS) in captured.err
 
 
 def test_module_entry_point_subprocess():

@@ -12,7 +12,8 @@ import pytest
 import rootheight.identities as identities
 from rootheight.errors import DegreeTooHigh, MethodMismatch
 from rootheight.exactalg import CycNum, Polynomial, cyc_eval
-from rootheight.identities import (_bordered_det, available_checks,
+from rootheight.identities import (_bordered_det, _lvec_interpolated,
+                                   available_checks,
                                    b_from_exponents, b_poly, dynkin_check,
                                    exponent_poly, lagrange_all_roots,
                                    lagrange_primitive_roots, mirimanoff_check,
@@ -20,8 +21,8 @@ from rootheight.identities import (_bordered_det, available_checks,
                                    primitive_residues, run_suite,
                                    singularity_check, singularity_data)
 from rootheight.linalg import FractionLU, det
-from rootheight.numth import (ArithSeq, divisors, is_cohen, ramanujan_sum,
-                              totient)
+from rootheight.numth import (ArithSeq, cyclotomic_poly, divisors, is_cohen,
+                              ramanujan_sum, totient)
 from rootheight.rootsys import RootSystemId, build
 
 
@@ -255,6 +256,20 @@ class TestInterpolation:
         with pytest.raises(MethodMismatch):
             lagrange_all_roots(vals, h)
         assert lagrange_all_roots(vals, h, det_check=False) == P(1, 2)
+
+    def test_lvec_interpolated_matches_lagrange(self):
+        # Every entry up to h = 12, then the first two and the last: each
+        # lagrange_primitive_roots call costs O(phi**3).
+        for h in range(1, 31):
+            nodes = primitive_residues(h)
+            dphi = cyclotomic_poly(h).derivative()
+            one = CycNum.rational(h, 1)
+            got = _lvec_interpolated(h)
+            assert len(got) == len(nodes)
+            for j in sorted({0, 1, len(nodes) - 1} if h > 12 else range(len(nodes))):
+                value = got[j]
+                vals = [CycNum.zeta_pow(h, k * j) * cyc_eval(dphi, h, k) for k in nodes]
+                assert value == lagrange_primitive_roots(vals, h, det_check=False)(one), (h, j)
 
     def test_primitive_projection_random(self):
         rng = random.Random(43)

@@ -7,14 +7,103 @@ import sys
 import pytest
 
 from conftest import conjugate_partition, golden_charpoly, golden_exponents
-from rootheight.errors import GroupTooLarge, InvalidRank
+from rootheight.errors import GroupTooLarge, InvalidRank, MethodMismatch
 from rootheight.exactalg import Polynomial
+from rootheight.linalg import charpoly_int
 from rootheight.numth import divisors
-from rootheight.rootsys import (RootSystemId, build, coxeter_element,
+from rootheight.rootsys import (RootSystem, RootSystemId, _close_positive_roots,
+                                build, cartan_matrix, coxeter_element,
                                 factor_exponents, mat_identity, mat_mul,
                                 multiplicities, power_sums,
                                 weyl_length_gf_bruteforce,
                                 weyl_length_gf_product, weyl_order)
+
+
+# -- dense reference routes, replaced in the library by sparse reflections ----
+
+
+def reflection_matrix(cartan, i):
+    """s_i as a dense matrix acting on simple-root coordinate columns."""
+    n = len(cartan)
+    rows = [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]
+    rows[i] = tuple((1 if j == i else 0) - cartan[i][j] for j in range(n))
+    return tuple(rows)
+
+
+def string_closure(cartan):
+    """Height-by-height closure by root strings: alpha + alpha_i is a root
+    exactly when p - <alpha, alpha_i^vee> > 0, p counting the steps
+    alpha - alpha_i, alpha - 2 alpha_i, ... inside the set built so far."""
+    n = len(cartan)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    known = set(simple)
+    levels = [sorted(simple)]
+    current = simple
+    while current:
+        nxt = set()
+        for alpha in current:
+            for i in range(n):
+                c = sum(cartan[i][j] * alpha[j] for j in range(n))
+                p = 0
+                beta = list(alpha)
+                while True:
+                    beta[i] -= 1
+                    if beta[i] < 0 or tuple(beta) not in known:
+                        break
+                    p += 1
+                if p - c > 0:
+                    cand = list(alpha)
+                    cand[i] += 1
+                    nxt.add(tuple(cand))
+        current = sorted(nxt)
+        if current:
+            known.update(current)
+            levels.append(current)
+    return levels
+
+
+def faddeev_leverrier(mat):
+    """det(qI - M) by the trace recursion over n dense matrix products."""
+    n = len(mat)
+    m = mat_identity(n)
+    coeffs_desc = [1]
+    for k in range(1, n + 1):
+        am = mat_mul(mat, m)
+        q, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        assert r == 0
+        coeffs_desc.append(q)
+        m = tuple(tuple(am[i][j] + (q if i == j else 0) for j in range(n))
+                  for i in range(n))
+    return Polynomial(tuple(reversed(coeffs_desc)))
+
+
+def matrix_bfs(rs):
+    """Length generating function by BFS over the Cayley graph of the
+    reflection matrices; BFS depth equals word length."""
+    gens = [reflection_matrix(rs.cartan, i) for i in range(rs.id.rank)]
+    ident = mat_identity(rs.id.rank)
+    seen = {ident}
+    level = [ident]
+    counts = [1]
+    while level:
+        nxt = []
+        for g in level:
+            for s in gens:
+                gs = mat_mul(g, s)
+                if gs not in seen:
+                    seen.add(gs)
+                    nxt.append(gs)
+        if nxt:
+            counts.append(len(nxt))
+        level = nxt
+    return Polynomial(counts)
+
+
+def small_ids(max_rank):
+    ids = [RootSystemId(fam, n) for fam, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+           for n in range(low, max_rank + 1)]
+    return ids + [RootSystemId("E", n) for n in (6, 7, 8)] + [
+        RootSystemId("F", 4), RootSystemId("G", 2)]
 
 
 class TestBuild:
@@ -67,6 +156,11 @@ class TestBuild:
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "MethodMismatch\n"), proc.stderr
+
+    def test_closure_matches_root_strings(self):
+        for rsid in small_ids(20):
+            cartan = cartan_matrix(rsid)
+            assert _close_positive_roots(cartan) == string_closure(cartan), rsid
 
     def test_catalog_invariants(self, catalog):
         for rs in catalog.values():
@@ -124,6 +218,41 @@ class TestCoxeterElement:
                     assert power != mat_identity(rs.id.rank)
             assert power == mat_identity(rs.id.rank)
 
+    def test_matrix_is_product_of_reflections(self, catalog):
+        for rs in catalog.values():
+            dense = mat_identity(rs.id.rank)
+            for i in range(rs.id.rank):
+                dense = mat_mul(dense, reflection_matrix(rs.cartan, i))
+            assert coxeter_element(rs).matrix == dense, rs.id
+
+    def test_traces_match_dense_powers(self, catalog):
+        for rs in catalog.values():
+            cox = coxeter_element(rs)
+            power = mat_identity(rs.id.rank)
+            traces = []
+            for _ in range(rs.h):
+                traces.append(sum(power[i][i] for i in range(rs.id.rank)))
+                power = mat_mul(power, cox.matrix)
+            assert cox.traces == tuple(traces), rs.id
+
+    def test_newton_matches_faddeev_leverrier(self, catalog):
+        for rs in catalog.values():
+            cox = coxeter_element(rs)
+            assert charpoly_int(cox.traces) == faddeev_leverrier(cox.matrix), rs.id
+            assert cox.charpoly == faddeev_leverrier(cox.matrix), rs.id
+
+    def test_newton_remainder_raises(self):
+        # traces (2, 0, 1) would need 2 c_2 = -1
+        with pytest.raises(MethodMismatch):
+            charpoly_int((2, 0, 1))
+
+    def test_wrong_order_raises(self, catalog):
+        a4 = catalog["A4"]
+        wrong = RootSystem(a4.id, a4.cartan, a4.positive_roots, a4.heights, 6,
+                           a4.exponents, a4.b, a4.m + [0], a4.e_of_d, a4.p)
+        with pytest.raises(MethodMismatch, match="order is not h"):
+            coxeter_element(wrong)
+
     def test_charpoly_equals_golden_table(self, catalog):
         for rs in catalog.values():
             assert coxeter_element(rs).charpoly == golden_charpoly(
@@ -146,6 +275,12 @@ class TestWeylOracle:
         with pytest.raises(GroupTooLarge):
             weyl_length_gf_bruteforce(catalog["E6"])
         assert weyl_length_gf_bruteforce(catalog["E6"], cap=60000)(1) == 51840
+
+    def test_orbit_matches_matrix_bfs(self, catalog):
+        small = [rs for rs in catalog.values() if weyl_order(rs) <= 1152]
+        assert len(small) == 14
+        for rs in small:
+            assert weyl_length_gf_bruteforce(rs) == matrix_bfs(rs), rs.id
 
     def test_products_match_enumeration(self, catalog):
         for name in ("A2", "A3", "B2", "B3", "C3", "G2", "D4"):
