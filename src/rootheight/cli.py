@@ -18,10 +18,10 @@ from math import lcm
 
 from .errors import RootHeightError
 from .exactalg import Polynomial, poly_str
-from .identities import (CHECK_IDS, available_checks, b_poly,
+from .identities import (CHECK_IDS, available_checks, b_poly, dynkin_polys,
                          munagi_decompose, run_suite)
-from .rootsys import (DEFAULT_BFS_CAP, RootSystemId, build, default_catalog,
-                      factorization_string, weyl_order)
+from .rootsys import (DEFAULT_BFS_CAP, RootSystemId, build, coxeter_element,
+                      default_catalog, factorization_string, weyl_order)
 
 MAX_RANK = 500
 # Largest munagi period: a dense numerator decomposes within 1 s for every
@@ -72,14 +72,7 @@ def _parse_selector(tokens):
 
 
 def _info_doc(rs):
-    from .rootsys import coxeter_element
-
-    spoly = Polynomial(())
-    for e in rs.exponents:
-        spoly = spoly + Polynomial.monomial(e - 1)
-    dyn = Polynomial.geometric(rs.h) * spoly
-    anti = Polynomial.geometric(rs.h - 1) * spoly
-
+    dyn, anti = dynkin_polys(rs)
     return {
         "system": str(rs.id),
         "family": rs.id.family,
@@ -183,17 +176,23 @@ def cmd_munagi(coeffs, h, roundtrip, fmt, out):
                          f"limit {MAX_DENOMINATOR_BITS}")
     # munagi_decompose raises ReconstructionMismatch unless the round trip holds.
     dec = munagi_decompose(Polynomial(coeffs), h)
-    if fmt == "json":
-        doc = {"h": h,
-               "parts": {str(d): _poly_json(p) for d, p in sorted(dec.parts.items())}}
-        if roundtrip:
-            doc["roundtrip"] = "ok"
-        out.write(_dump_json(doc))
-    else:
-        for d, part in sorted(dec.parts.items()):
-            out.write(f"H_{d} = {poly_str(part)}\n")
-        if roundtrip:
-            out.write("roundtrip: ok\n")
+    parts = sorted(dec.parts.items())
+    # Rendered whole before writing: a part past Python's int-to-str digit
+    # limit raises ValueError, which must leave stdout empty.
+    try:
+        if fmt == "json":
+            doc = {"h": h, "parts": {str(d): _poly_json(p) for d, p in parts}}
+            if roundtrip:
+                doc["roundtrip"] = "ok"
+            text = _dump_json(doc)
+        else:
+            text = "".join(f"H_{d} = {poly_str(part)}\n" for d, part in parts)
+            if roundtrip:
+                text += "roundtrip: ok\n"
+    except ValueError:
+        raise UsageError(f"a part is too long to print (over "
+                         f"{sys.get_int_max_str_digits()} digits)") from None
+    out.write(text)
     return 0
 
 

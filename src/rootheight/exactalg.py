@@ -11,8 +11,10 @@ arithmetic operators (ints and Fractions embed as constants of the field).
 
 Each cyclotomic order has one field context, built once by the cached
 ``_context(h)``: the modulus, the reduced powers of the root, the primitive
-residues, ``coords`` for sums of powers, and per-order memo tables of the
-inverses 1/(1 - z**k) and 1/Phi'(z**k) that the interpolation checks reuse.
+residues, ``coords`` for sums of powers, ``root_sum`` for sums of field
+elements times powers of the root (every root-of-unity sum of the
+interpolation checks), and per-order memo tables of the inverses
+1/(1 - z**k) and 1/Phi'(z**k).
 """
 
 from __future__ import annotations
@@ -364,6 +366,14 @@ class _CycContext:
                     if rt:
                         acc[t] += c * rt
         return acc
+
+    def root_sum(self, terms):
+        """The sum of v * z**e over the (e, v) pairs, v a CycNum of this order
+        or a rational: each coordinate of v shifts along one power row, so no
+        field product is formed."""
+        return CycNum._raw(self.order, self.coords(
+            (e + t, c) for e, v in terms
+            for t, c in enumerate(v.coeffs if isinstance(v, CycNum) else (v,))))
 
     def inv_one_minus(self, k):
         """1/(1 - z**k), memoised."""

@@ -5,7 +5,9 @@ Every check returns an ``IdentityReport``; equality of rational functions is
 decided by cross-multiplication over the exact coefficient field (rationals,
 or the cyclotomic field of the system's Coxeter order where roots of unity
 appear), so a "pass" verdict means exact coefficient equality, never a
-numerical tolerance.  Checks are pure and independent; a runner may execute
+numerical tolerance.  Every sum over roots of unity (props 2-4, 6, 9, 14,
+15 and 18) is one ``root_sum`` of the order's field context, never a loop of
+field products.  Checks are pure and independent; a runner may execute
 them concurrently and sort the reports afterwards.
 """
 
@@ -21,8 +23,9 @@ from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound,
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
                        _cyclotomic_int, _int_divmod, cyc_eval)
 from .linalg import FractionLU, det
-from .numth import (ArithSeq, cyclotomic_poly, divisors, factorize, gcd_count,
-                    is_cohen, mobius, psi_poly, ramanujan_sum, totient)
+from .numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly, divisors,
+                    factorize, gcd_count, is_cohen, mobius, psi_poly,
+                    ramanujan_sum, totient)
 from .rootsys import (DEFAULT_BFS_CAP, coxeter_element, factor_exponents,
                       power_sums, weyl_length_gf_bruteforce,
                       weyl_length_gf_product, weyl_order)
@@ -139,29 +142,14 @@ def b_poly(rs):
     return from_heights
 
 
-def _div_linear(coeffs, z):
-    """Exact quotient of a coefficient list by (q - z), for a root z."""
-    n = len(coeffs) - 1
-    out = [0] * n
-    acc = coeffs[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = coeffs[i] + z * acc
-    if acc:
-        raise MethodMismatch(f"q - {z!r} leaves remainder {acc!r}")
-    return Polynomial(out)
-
-
 def _sum_over_roots(weights, h):
     """Sum of w_k / (q - z**k) over all h-th roots of unity, as one rational
-    function with denominator q**h - 1."""
-    num = ZERO
-    base = [-1] + [0] * (h - 1) + [1]
-    for k, w in enumerate(weights):
-        if not w:
-            continue
-        num = num + _div_linear(base, CycNum.zeta_pow(h, k)) * w
-    return RationalFunction(num, _qm1(h))
+    function with denominator q**h - 1; (q**h - 1)/(q - z**k) is the sum of
+    z**(k(h-1-j)) q**j, so coefficient j is one root sum."""
+    ctx = _context(h)
+    return RationalFunction(Polynomial([ctx.root_sum((k * (h - 1 - j), w)
+                                                     for k, w in enumerate(weights))
+                                        for j in range(h)]), _qm1(h))
 
 
 def _phi_recip(d):
@@ -203,33 +191,24 @@ def _bordered_det(vec, mat):
     return Polynomial(FractionLU(mat).solve(vec)) * -det(mat)
 
 
-def lagrange_all_roots(values, h, det_check=True):
+def lagrange_all_roots(values, h):
     """Interpolating polynomial of degree < h through the points
     (z**i, values[i]) for all h-th roots of unity z**i.
 
     Three routes are cross-checked: the barycentric form over q**h - 1, the
-    transform form (coefficients as averaged root-of-unity sums) and, with
-    det_check, a bordered-determinant form over h times the identity.
+    transform form (coefficients as averaged root-of-unity sums) and a
+    bordered-determinant form over h times the identity.
     """
     if len(values) != h:
         raise ValueError("need one value per root of unity")
-    vals = [v if isinstance(v, CycNum) else CycNum.rational(h, v)
-            for v in values]
-    weights = [CycNum.zeta_pow(h, i) * v for i, v in enumerate(vals)]
+    ctx = _context(h)
+    weights = [ctx.root_sum([(i, v)]) for i, v in enumerate(values)]
     barycentric = _sum_over_roots(weights, h).num * Fraction(1, h)
 
-    sums = []
-    for k in range(h):
-        acc = CycNum.rational(h, 0)
-        for i, v in enumerate(vals):
-            if v:
-                acc = acc + v * CycNum.zeta_pow(h, (-i * k) % h)
-        sums.append(acc)
-    routes = [("transform", Polynomial([s * Fraction(1, h) for s in sums]))]
-    if det_check:
-        diag = [[h if i == j else 0 for j in range(h)] for i in range(h)]
-        routes.append(("determinant", _bordered_det(sums, diag) * Fraction(-1, h ** h)))
-    for label, poly in routes:
+    sums = [ctx.root_sum((-i * k, v) for i, v in enumerate(values)) for k in range(h)]
+    diag = [[h if i == j else 0 for j in range(h)] for i in range(h)]
+    for label, poly in (("transform", Polynomial([s * Fraction(1, h) for s in sums])),
+                        ("determinant", _bordered_det(sums, diag) * Fraction(-1, h ** h))):
         w = _poly_mismatch("barycentric", barycentric, label, poly)
         if w:
             raise MethodMismatch(f"interpolation routes disagree: {w}")
@@ -242,52 +221,45 @@ def primitive_residues(h):
 
 
 def _gram_form(h):
-    """The Ramanujan-sum Gram matrix [c_h(i + j)] of size phi(h), and the
-    constant that turns its bordered determinant into the primitive-root
-    interpolant."""
+    """The Ramanujan-sum Gram matrix [c_h(i + j)] of size phi(h), whose
+    determinant is the discriminant of Phi_h, and the constant -1/disc that
+    turns its bordered determinant into the primitive-root interpolant."""
     phi = totient(h)
-    if phi % 2:
-        raise ValueError("determinant form needs an even basis size")
-    num = 1
-    for p, _ in factorize(h):
-        num *= p ** (phi // (p - 1))
-    sign = -1 if (1 + phi // 2) % 2 else 1
     gram = [[ramanujan_sum(h, i + j) for j in range(phi)] for i in range(phi)]
-    return gram, Fraction(sign * num, h ** phi)
+    return gram, -1 / cyclotomic_discriminant(h)
 
 
-def lagrange_primitive_roots(values, h, det_check=True):
+def lagrange_primitive_roots(values, h):
     """Interpolating polynomial of degree < phi(h) through the points at the
     primitive h-th roots of unity.
 
-    Computed from the cyclotomic-polynomial barycentric form and, with
-    det_check for h >= 3 (where the sign constant is defined), cross-checked
-    against the bordered-determinant form over the Ramanujan-sum Gram matrix.
+    Both routes start from the root sums U(e) of v_k z**(ke) over the nodes
+    (h-periodic in e).  The barycentric form is the sum of
+    v_k/Phi'(z**k) * Phi(q)/(q - z**k): coefficient j is the sum over i > j
+    of Phi_i D(i-1-j), where D(e) = sum_k v_k z**(ke)/Phi'(z**k) is
+    sum_t a_t U(t+e) for the coordinates a_t of 1/Phi'(z), since
+    1/Phi'(z**k) is its conjugate under z -> z**k.  For h >= 3 (where the
+    discriminant is defined) it is cross-checked against the
+    bordered-determinant form of U(0..phi-1) over the Ramanujan-sum Gram
+    matrix.
     """
     ctx = _context(h)
-    nodes = ctx.residues
+    nodes, phi = ctx.residues, ctx.phi
     if len(values) != len(nodes):
         raise ValueError("need one value per primitive root")
-    vals = [v if isinstance(v, CycNum) else CycNum.rational(h, v)
-            for v in values]
+    sums = [ctx.root_sum((k * e, v) for k, v in zip(nodes, values))
+            for e in range(min(h, 2 * phi - 1))]
+    inv = [(t, a) for t, a in enumerate(ctx.inv_dphi(1).coeffs) if a]
+    dsums = [sum((a * sums[(t + e) % h] for t, a in inv), CycNum.rational(h, 0))
+             for e in range(phi)]
+    total = Polynomial([sum((c * dsums[i - 1 - j] for i, c in enumerate(ctx.modulus)
+                             if i > j and c), CycNum.rational(h, 0))
+                        for j in range(phi)])
 
-    total = ZERO
-    for k, v in zip(nodes, vals):
-        quot = _div_linear(ctx.modulus, CycNum.zeta_pow(h, k))
-        weight = v * ctx.inv_dphi(k)
-        if weight:
-            total = total + quot * weight
-
-    if det_check and h >= 3:
-        u = []
-        for j in range(len(nodes)):
-            acc = CycNum.rational(h, 0)
-            for k, v in zip(nodes, vals):
-                if v:
-                    acc = acc + v * CycNum.zeta_pow(h, (k * j) % h)
-            u.append(acc)
+    if h >= 3:
         gram, const = _gram_form(h)
-        w = _poly_mismatch("barycentric", total, "determinant", _bordered_det(u, gram) * const)
+        w = _poly_mismatch("barycentric", total, "determinant",
+                           _bordered_det(sums[:phi], gram) * const)
         if w:
             raise MethodMismatch(f"primitive interpolation routes disagree: {w}")
     return total
@@ -429,8 +401,7 @@ def prop4_check(rs):
     try:
         interp = lagrange_primitive_roots(values, h)
         for k, v in zip(primitive_residues(h), values):
-            got = interp(CycNum.zeta_pow(h, k))
-            if got != v:
+            if _context(h).root_sum((i * k, c) for i, c in enumerate(interp.coeffs)) != v:
                 witness = f"interpolant misses node {k}"
                 break
     except MethodMismatch as exc:
@@ -468,8 +439,7 @@ def _periodic_members(h, a):
     members = [("eigenvalue poles", _sum_over_roots(weights, h) * Fraction(1, h))]
 
     ctx = _context(h)
-    coeffs = [CycNum(h, ctx.coords(((h - i) * k, a[i]) for i in range(h)))
-              for k in range(h)]
+    coeffs = [ctx.root_sum(((h - i) * k, a[i]) for i in range(h)) for k in range(h)]
     members.append(("transform numerator",
                     RationalFunction(Polynomial(coeffs), _one_minus(h)) * Fraction(1, h)))
 
@@ -670,23 +640,19 @@ def prop13_check(rs):
     return _report("prop13", _sys(rs), witness)
 
 
-def _lvec(h, offset):
-    """Vector with entries L_{h, j+offset} = sum over primitive residues k of
-    zeta^{k(j+offset-1)} / (1 - zeta^k), for j = 1..phi(h)."""
+def _lvec(h):
+    """Vector with entries L_{h,j} = sum over primitive residues k of
+    zeta^{k(j-1)} / (1 - zeta^k), for j = 1..phi(h)."""
     ctx = _context(h)
-    out = []
-    for j in range(1, len(ctx.residues) + 1):
-        acc = CycNum.rational(h, 0)
-        for k in ctx.residues:
-            acc = acc + CycNum.zeta_pow(h, (k * (j + offset - 1)) % h) * ctx.inv_one_minus(k)
-        out.append(acc)
-    return out
+    return [ctx.root_sum((k * j, ctx.inv_one_minus(k)) for k in ctx.residues)
+            for j in range(ctx.phi)]
 
 
 def top_part_check(rs, shift):
     """Top decomposition part of q**shift * B(q) as a scaled interpolation
-    of q**shift/(1-q) at the primitive roots, plus its determinant form
-    (prop14 for shift 0, prop18 for shift 1)."""
+    of q**shift/(1-q) at the primitive roots, whose determinant form
+    lagrange_primitive_roots cross-checks (prop14 for shift 0, prop18 for
+    shift 1)."""
     check_id = "prop18" if shift else "prop14"
     h, n = rs.h, rs.id.rank
     if h < 2:
@@ -694,29 +660,18 @@ def top_part_check(rs, shift):
     top = munagi_decompose(b_poly(rs).shifted(shift), h).parts[h]
     scale = n - rs.e_of_d[1]
     ctx = _context(h)
-    nodes = ctx.residues
-    values = [ctx.inv_one_minus(k) for k in nodes]
-    if shift:
-        values = [CycNum.zeta_pow(h, k) * v for k, v in zip(nodes, values)]
+    values = [ctx.root_sum([(k * shift, ctx.inv_one_minus(k))]) for k in ctx.residues]
     try:
         interp = lagrange_primitive_roots(values, h)
         witness = _poly_mismatch("top part", top, "scaled interpolant",
                                  scale * interp)
     except MethodMismatch as exc:
         witness = str(exc)
-    if witness:
-        return _report(check_id, _sys(rs), witness)
-
-    lvec = _lvec(h, shift)
-    if h >= 3:
-        gram, const = _gram_form(h)
-        det_form = _bordered_det(lvec, gram) * const * scale
-        witness = _poly_mismatch("top part", top, "determinant form", det_form)
 
     if witness is None and not shift:
         # Alternate evaluation of the pole-sum vector entries.
         phi_at_one = cyclotomic_poly(h)(1)
-        for j, (direct, alt) in enumerate(zip(lvec, _lvec_interpolated(h)), start=1):
+        for j, (direct, alt) in enumerate(zip(_lvec(h), _lvec_interpolated(h)), start=1):
             if direct * phi_at_one != alt:
                 witness = f"pole-sum vector entry j={j} mismatch"
                 break
@@ -724,16 +679,14 @@ def top_part_check(rs, shift):
 
 
 def _lvec_interpolated(h):
-    """Phi_h(1) * L_{h,j}, j = 1..phi(h): at q = 1, lagrange_primitive_roots'
-    interpolant through zeta**(k(j-1)) * Phi_h'(zeta**k), with each node's
-    Phi_h(q)/(q - zeta**k) evaluated at 1 once."""
+    """Phi_h(1) * L_{h,j}, j = 1..phi(h), with each Phi_h(1)/(1 - zeta**k)
+    taken as Phi_h(q)/(q - zeta**k) at q = 1: the sum over e of
+    (Phi_{e+1} + ... + Phi_phi) zeta**(ke)."""
     ctx = _context(h)
-    dphi = Polynomial(ctx.modulus).derivative()
-    one = CycNum.rational(h, 1)
-    terms = [(k, _div_linear(ctx.modulus, CycNum.zeta_pow(h, k))(one)
-              * (cyc_eval(dphi, h, k) * ctx.inv_dphi(k))) for k in ctx.residues]
-    return [sum((t * CycNum.zeta_pow(h, k * j) for k, t in terms), CycNum.rational(h, 0))
-            for j in range(len(terms))]
+    tails = [sum(ctx.modulus[e + 1:]) for e in range(ctx.phi)]
+    at_one = [(k, ctx.root_sum((k * e, c) for e, c in enumerate(tails)))
+              for k in ctx.residues]
+    return [ctx.root_sum((k * j, t) for k, t in at_one) for j in range(ctx.phi)]
 
 
 def pole_sum_witness(h):
@@ -741,12 +694,8 @@ def pole_sum_witness(h):
     summed across the divisors d > 1 collapse to the rational m - (h+1)/2."""
     ctx = _context(h)
     for m in range(1, h + 1):
-        total = CycNum.rational(h, 0)
-        for d in divisors(h)[1:]:
-            step = h // d
-            for k in primitive_residues(d):
-                total = total + (CycNum.zeta_pow(h, (step * k * m) % h)
-                                 * ctx.inv_one_minus(step * k))
+        total = ctx.root_sum((h // d * k * m, ctx.inv_one_minus(h // d * k))
+                             for d in divisors(h)[1:] for k in primitive_residues(d))
         expected = Fraction(2 * m - h - 1, 2)
         if not total.is_rational or total.as_rational() != expected:
             return f"pole sum at m={m} is not {expected}"
@@ -959,15 +908,19 @@ def eq13_check(rs):
     return _report("eq13", _sys(rs), witness)
 
 
+def dynkin_polys(rs):
+    """D(q) and M(q): the sum of q**(e-1) over the exponents times
+    1 + q + ... + q**(h-1) (representation variant) and times
+    1 + q + ... + q**(h-2) (antichain variant)."""
+    spoly = sum((Polynomial.monomial(e - 1) for e in rs.exponents), ZERO)
+    return Polynomial.geometric(rs.h) * spoly, Polynomial.geometric(rs.h - 1) * spoly
+
+
 def dynkin_check(rs):
     """The two quotient polynomials built on q**(e-1) (representation and
     antichain variants) and their relations expressing B(q)."""
     h, n = rs.h, rs.id.rank
-    spoly = ZERO
-    for e in rs.exponents:
-        spoly = spoly + Polynomial.monomial(e - 1)
-    dpoly = Polynomial.geometric(h) * spoly
-    mpoly = Polynomial.geometric(h - 1) * spoly
+    dpoly, mpoly = dynkin_polys(rs)
     bpoly = b_poly(rs)
 
     checks = [

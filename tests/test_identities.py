@@ -1,6 +1,7 @@
 """Identity-catalog tests: frozen small values, decomposition oracles,
 interpolation projections, and full-suite runs on small systems."""
 
+import json
 import random
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import rootheight.identities as identities
 from rootheight.errors import DegreeTooHigh, MethodMismatch
-from rootheight.exactalg import CycNum, Polynomial, cyc_eval
+from rootheight.exactalg import CycNum, Polynomial, _context, cyc_eval
 from rootheight.identities import (_bordered_det, _lvec_interpolated,
                                    available_checks,
                                    b_from_exponents, b_poly, dynkin_check,
@@ -51,6 +52,26 @@ def product_reconstruct(dec):
         total = total + part * Polynomial([1 if i % d == 0 else 0
                                            for i in range(dec.h - d + 1)])
     return total
+
+
+def div_linear(coeffs, z):
+    """Exact quotient of a coefficient list by (q - z), for a root z, by
+    synthetic division (the route the closed-form root sums replaced)."""
+    n = len(coeffs) - 1
+    out = [0] * n
+    acc = coeffs[n]
+    for i in range(n - 1, -1, -1):
+        out[i] = acc
+        acc = coeffs[i] + z * acc
+    assert not acc, f"q - {z!r} leaves remainder {acc!r}"
+    return Polynomial(out)
+
+
+def random_cycnums(rng, h, count):
+    """Random elements of the order-h field, about a fifth of them zero."""
+    return [CycNum(h, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(totient(h))]) if rng.random() < 0.8
+            else CycNum.rational(h, 0) for _ in range(count)]
 
 
 def bordered_det_minors(vec, mat):
@@ -255,7 +276,6 @@ class TestInterpolation:
         monkeypatch.setattr(identities, "_bordered_det", lambda vec, mat: P(1))
         with pytest.raises(MethodMismatch):
             lagrange_all_roots(vals, h)
-        assert lagrange_all_roots(vals, h, det_check=False) == P(1, 2)
 
     def test_lvec_interpolated_matches_lagrange(self):
         # Every entry up to h = 12, then the first two and the last: each
@@ -269,7 +289,36 @@ class TestInterpolation:
             for j in sorted({0, 1, len(nodes) - 1} if h > 12 else range(len(nodes))):
                 value = got[j]
                 vals = [CycNum.zeta_pow(h, k * j) * cyc_eval(dphi, h, k) for k in nodes]
-                assert value == lagrange_primitive_roots(vals, h, det_check=False)(one), (h, j)
+                assert value == lagrange_primitive_roots(vals, h)(one), (h, j)
+
+    def test_sum_over_roots_matches_division(self):
+        # Coefficient j as a root sum against the synthetic division of
+        # q**h - 1 by each q - z**k, for field and for integer weights.
+        rng = random.Random(53)
+        for h in range(1, 25):
+            base = [-1] + [0] * (h - 1) + [1]
+            for weights in (random_cycnums(rng, h, h),
+                            [rng.choice([0, rng.randint(-3, 3)]) for _ in range(h)]):
+                num = Polynomial(())
+                for k, w in enumerate(weights):
+                    if w:
+                        num = num + div_linear(base, CycNum.zeta_pow(h, k)) * w
+                got = identities._sum_over_roots(weights, h)
+                assert (got.num, got.den) == (num, P(*base)), h
+
+    def test_primitive_barycentric_matches_quotient_sum(self):
+        # The numerator from the sums U(e) against the quotient-times-weight
+        # sum it replaced: Phi_h(q)/(q - z**k) times v_k/Phi_h'(z**k).
+        rng = random.Random(59)
+        for h in range(1, 31):
+            ctx = _context(h)
+            for _ in range(2 if h <= 12 else 1):
+                values = random_cycnums(rng, h, totient(h))
+                total = Polynomial(())
+                for k, v in zip(ctx.residues, values):
+                    quot = div_linear(ctx.modulus, CycNum.zeta_pow(h, k))
+                    total = total + quot * (v * ctx.inv_dphi(k))
+                assert lagrange_primitive_roots(values, h) == total, h
 
     def test_primitive_projection_random(self):
         rng = random.Random(43)
@@ -351,3 +400,19 @@ class TestSuite:
         rs = build(RootSystemId("D", 5))
         for rep in run_suite(rs, ["prop11", "prop14", "eq19"]):
             assert rep.passed, rep.witness
+
+    def test_suites_survive_optimize(self, catalog):
+        # With asserts compiled out, the G2 and F4 suites report exactly what
+        # they report in process.
+        script = (
+            "import json\n"
+            "from rootheight.identities import run_suite\n"
+            "from rootheight.rootsys import RootSystemId, build\n"
+            "assert False, 'asserts are on'\n"
+            "print(json.dumps([[r.as_dict() for r in run_suite(build(RootSystemId(f, n)))]\n"
+            "                  for f, n in (('G', 2), ('F', 4))]))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        expected = [[r.as_dict() for r in run_suite(catalog[name])] for name in ("G2", "F4")]
+        assert json.loads(proc.stdout) == expected
