@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -230,8 +231,25 @@ def _build_parser():
     return parser
 
 
+def _negative_lists_last(argv):
+    """argparse reads a munagi coefficient list that starts with a minus sign
+    ("-5,3") as an unknown option; move such lists behind "--".  A value of
+    --h or --format stays where it is, and so does an argv that already
+    has "--"."""
+    if argv[:1] != ["munagi"] or "--" in argv:
+        return argv
+    keep, lists = ["munagi"], []
+    for prev, tok in zip(argv, argv[1:]):
+        if re.match(r"-[\d.]", tok) and prev not in ("--h", "--format"):
+            lists.append(tok)
+        else:
+            keep.append(tok)
+    return keep + ["--"] + lists if lists else argv
+
+
 def main(argv=None):
     parser = _build_parser()
+    argv = _negative_lists_last(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -12,9 +12,10 @@ arithmetic operators (ints and Fractions embed as constants of the field).
 Each cyclotomic order has one field context, built once by the cached
 ``_context(h)``: the modulus, the reduced powers of the root, the primitive
 residues, ``coords`` for sums of powers, ``root_sum`` for sums of field
-elements times powers of the root (every root-of-unity sum of the
-interpolation checks), and per-order memo tables of the inverses
-1/(1 - z**k) and 1/Phi'(z**k).
+elements times powers of the root, ``trace`` for the sum of the Galois
+conjugates of v * z**e (a rational, from the Ramanujan sums c_h(0..h-1),
+which the context builds on first use), and per-order memo tables of the
+inverses 1/(1 - z**k) and 1/Phi'(z**k).
 """
 
 from __future__ import annotations
@@ -329,11 +330,11 @@ def _cyclotomic_int(h):
 
 class _CycContext:
     """Per-order tables: modulus, the reduced powers z**0 .. z**(h-1) (which
-    also reduce products) and the primitive residues, plus memo tables of
-    inverses filled on first use."""
+    also reduce products) and the primitive residues, plus the Ramanujan
+    sums and memo tables of inverses, filled on first use."""
 
     __slots__ = ("order", "phi", "modulus", "powers", "residues",
-                 "_inv_one_minus", "_inv_dphi")
+                 "_ramanujan", "_inv_one_minus", "_inv_dphi")
 
     def __init__(self, h):
         self.order = h
@@ -353,6 +354,7 @@ class _CycContext:
         self.powers = powers
         self.residues = tuple(k for k in range(1, h + 1)
                               if gcd(k, h) == 1 and (h == 1 or k < h))
+        self._ramanujan = None
         self._inv_one_minus = {}
         self._inv_dphi = {}
 
@@ -374,6 +376,28 @@ class _CycContext:
         return CycNum._raw(self.order, self.coords(
             (e + t, c) for e, v in terms
             for t, c in enumerate(v.coeffs if isinstance(v, CycNum) else (v,))))
+
+    def ramanujan_row(self):
+        """The Ramanujan sums c_h(0..h-1), the power sums of the primitive
+        h-th roots: Newton's identities on the modulus, built on first use."""
+        if self._ramanujan is None:
+            mod, phi = self.modulus, self.phi
+            row = [phi]
+            for k in range(1, self.order):
+                acc = k * mod[phi - k] if k <= phi else 0
+                for i in range(1, min(k, phi + 1)):
+                    acc += mod[phi - i] * row[k - i]
+                row.append(-acc)
+            self._ramanujan = tuple(row)
+        return self._ramanujan
+
+    def trace(self, v, e=0):
+        """Tr(v * z**e) over Q, the sum of its Galois conjugates: the sum of
+        v_t c_h(t + e) over the coordinates v_t of v (a CycNum of this order
+        or a rational), a rational number formed without field products."""
+        row, h = self.ramanujan_row(), self.order
+        coeffs = v.coeffs if isinstance(v, CycNum) else (v,)
+        return sum(c * row[(t + e) % h] for t, c in enumerate(coeffs) if c)
 
     def inv_one_minus(self, k):
         """1/(1 - z**k), memoised."""

@@ -5,10 +5,13 @@ Every check returns an ``IdentityReport``; equality of rational functions is
 decided by cross-multiplication over the exact coefficient field (rationals,
 or the cyclotomic field of the system's Coxeter order where roots of unity
 appear), so a "pass" verdict means exact coefficient equality, never a
-numerical tolerance.  Every sum over roots of unity (props 2-4, 6, 9, 14,
-15 and 18) is one ``root_sum`` of the order's field context, never a loop of
-field products.  Checks are pure and independent; a runner may execute
-them concurrently and sort the reports afterwards.
+numerical tolerance.  Every sum over roots of unity is formed without a
+loop of field products: where the summands are the Galois conjugates of one
+field element (props 4, 14, 15 and 18), the sum is that element's ``trace``,
+a rational read off the Ramanujan sums; every other sum (props 2, 3, 6 and
+9) is one ``root_sum`` of the order's field context.  Checks are pure and
+independent; a runner may execute them concurrently and sort the reports
+afterwards.
 """
 
 from __future__ import annotations
@@ -195,8 +198,7 @@ def lagrange_all_roots(values, h):
     """Interpolating polynomial of degree < h through the points
     (z**i, values[i]) for all h-th roots of unity z**i.
 
-    Three routes are cross-checked: the barycentric form over q**h - 1, the
-    transform form (coefficients as averaged root-of-unity sums) and a
+    The barycentric form over q**h - 1 is cross-checked against a
     bordered-determinant form over h times the identity.
     """
     if len(values) != h:
@@ -207,11 +209,10 @@ def lagrange_all_roots(values, h):
 
     sums = [ctx.root_sum((-i * k, v) for i, v in enumerate(values)) for k in range(h)]
     diag = [[h if i == j else 0 for j in range(h)] for i in range(h)]
-    for label, poly in (("transform", Polynomial([s * Fraction(1, h) for s in sums])),
-                        ("determinant", _bordered_det(sums, diag) * Fraction(-1, h ** h))):
-        w = _poly_mismatch("barycentric", barycentric, label, poly)
-        if w:
-            raise MethodMismatch(f"interpolation routes disagree: {w}")
+    w = _poly_mismatch("barycentric", barycentric, "determinant",
+                       _bordered_det(sums, diag) * Fraction(-1, h ** h))
+    if w:
+        raise MethodMismatch(f"interpolation routes disagree: {w}")
     return barycentric
 
 
@@ -229,31 +230,31 @@ def _gram_form(h):
     return gram, -1 / cyclotomic_discriminant(h)
 
 
-def lagrange_primitive_roots(values, h):
-    """Interpolating polynomial of degree < phi(h) through the points at the
-    primitive h-th roots of unity.
+def lagrange_primitive_roots(value, h):
+    """Interpolating polynomial of degree < phi(h) through the points
+    (z**k, v_k) at the primitive h-th roots of unity z**k, where v_1 = value
+    (a CycNum of order h or a rational) and v_k is its Galois conjugate under
+    z -> z**k.  The interpolant has rational coefficients.
 
-    Both routes start from the root sums U(e) of v_k z**(ke) over the nodes
-    (h-periodic in e).  The barycentric form is the sum of
-    v_k/Phi'(z**k) * Phi(q)/(q - z**k): coefficient j is the sum over i > j
-    of Phi_i D(i-1-j), where D(e) = sum_k v_k z**(ke)/Phi'(z**k) is
-    sum_t a_t U(t+e) for the coordinates a_t of 1/Phi'(z), since
-    1/Phi'(z**k) is its conjugate under z -> z**k.  For h >= 3 (where the
-    discriminant is defined) it is cross-checked against the
-    bordered-determinant form of U(0..phi-1) over the Ramanujan-sum Gram
-    matrix.
+    Both routes start from the root sums U(e) of v_k z**(ke) over the nodes,
+    which are the traces Tr(value * z**e): rational and h-periodic in e.
+    The barycentric form is the sum of v_k/Phi'(z**k) * Phi(q)/(q - z**k):
+    coefficient j is the sum over i > j of Phi_i D(i-1-j), where
+    D(e) = sum_k v_k z**(ke)/Phi'(z**k) is sum_t a_t U(t+e) for the
+    coordinates a_t of 1/Phi'(z), since 1/Phi'(z**k) is its conjugate too.
+    For h >= 3 (where the discriminant is defined) it is cross-checked
+    against the bordered-determinant form of U(0..phi-1) over the
+    Ramanujan-sum Gram matrix.
     """
     ctx = _context(h)
-    nodes, phi = ctx.residues, ctx.phi
-    if len(values) != len(nodes):
-        raise ValueError("need one value per primitive root")
-    sums = [ctx.root_sum((k * e, v) for k, v in zip(nodes, values))
-            for e in range(min(h, 2 * phi - 1))]
+    phi = ctx.phi
+    if isinstance(value, CycNum) and value.order != h:
+        raise ValueError(f"value lies in the order-{value.order} field, not order {h}")
+    sums = [ctx.trace(value, e) for e in range(min(h, 2 * phi - 1))]
     inv = [(t, a) for t, a in enumerate(ctx.inv_dphi(1).coeffs) if a]
-    dsums = [sum((a * sums[(t + e) % h] for t, a in inv), CycNum.rational(h, 0))
-             for e in range(phi)]
-    total = Polynomial([sum((c * dsums[i - 1 - j] for i, c in enumerate(ctx.modulus)
-                             if i > j and c), CycNum.rational(h, 0))
+    dsums = [sum(a * sums[(t + e) % h] for t, a in inv) for e in range(phi)]
+    total = Polynomial([sum(c * dsums[i - 1 - j] for i, c in enumerate(ctx.modulus)
+                            if i > j and c)
                         for j in range(phi)])
 
     if h >= 3:
@@ -392,16 +393,16 @@ def prop3_check(rs):
 
 
 def prop4_check(rs):
-    """Interpolation at the primitive roots cross-checks its determinant
-    form on the exponent polynomial's values."""
+    """Interpolation at the primitive roots of the exponent polynomial's
+    value at z cross-checks its determinant form, and the interpolant is
+    re-evaluated at every node."""
     h = rs.h
     epoly = exponent_poly(rs)
-    values = [cyc_eval(epoly, h, k) for k in primitive_residues(h)]
     witness = None
     try:
-        interp = lagrange_primitive_roots(values, h)
-        for k, v in zip(primitive_residues(h), values):
-            if _context(h).root_sum((i * k, c) for i, c in enumerate(interp.coeffs)) != v:
+        interp = lagrange_primitive_roots(cyc_eval(epoly, h, 1), h)
+        for k in primitive_residues(h):
+            if cyc_eval(interp - epoly, h, k):
                 witness = f"interpolant misses node {k}"
                 break
     except MethodMismatch as exc:
@@ -640,14 +641,6 @@ def prop13_check(rs):
     return _report("prop13", _sys(rs), witness)
 
 
-def _lvec(h):
-    """Vector with entries L_{h,j} = sum over primitive residues k of
-    zeta^{k(j-1)} / (1 - zeta^k), for j = 1..phi(h)."""
-    ctx = _context(h)
-    return [ctx.root_sum((k * j, ctx.inv_one_minus(k)) for k in ctx.residues)
-            for j in range(ctx.phi)]
-
-
 def top_part_check(rs, shift):
     """Top decomposition part of q**shift * B(q) as a scaled interpolation
     of q**shift/(1-q) at the primitive roots, whose determinant form
@@ -660,50 +653,51 @@ def top_part_check(rs, shift):
     top = munagi_decompose(b_poly(rs).shifted(shift), h).parts[h]
     scale = n - rs.e_of_d[1]
     ctx = _context(h)
-    values = [ctx.root_sum([(k * shift, ctx.inv_one_minus(k))]) for k in ctx.residues]
+    value = ctx.root_sum([(shift, ctx.inv_one_minus(1))])
     try:
-        interp = lagrange_primitive_roots(values, h)
+        interp = lagrange_primitive_roots(value, h)
         witness = _poly_mismatch("top part", top, "scaled interpolant",
                                  scale * interp)
     except MethodMismatch as exc:
         witness = str(exc)
 
     if witness is None and not shift:
-        # Alternate evaluation of the pole-sum vector entries.
+        # The pole-sum vector L_{h,j}, the interpolator's sums U(j-1) of
+        # 1/(1 - z), against its alternate evaluation.
         phi_at_one = cyclotomic_poly(h)(1)
-        for j, (direct, alt) in enumerate(zip(_lvec(h), _lvec_interpolated(h)), start=1):
-            if direct * phi_at_one != alt:
+        for j, alt in enumerate(_lvec_interpolated(h), start=1):
+            if ctx.trace(value, j - 1) * phi_at_one != alt:
                 witness = f"pole-sum vector entry j={j} mismatch"
                 break
     return _report(check_id, _sys(rs), witness)
 
 
 def _lvec_interpolated(h):
-    """Phi_h(1) * L_{h,j}, j = 1..phi(h), with each Phi_h(1)/(1 - zeta**k)
-    taken as Phi_h(q)/(q - zeta**k) at q = 1: the sum over e of
-    (Phi_{e+1} + ... + Phi_phi) zeta**(ke)."""
+    """Phi_h(1) * L_{h,j}, j = 1..phi(h), as the traces of T z**(j-1), where
+    T = Phi_h(1)/(1 - z) is taken as Phi_h(q)/(q - z) at q = 1: the sum over
+    e of (Phi_{e+1} + ... + Phi_phi) z**e."""
     ctx = _context(h)
-    tails = [sum(ctx.modulus[e + 1:]) for e in range(ctx.phi)]
-    at_one = [(k, ctx.root_sum((k * e, c) for e, c in enumerate(tails)))
-              for k in ctx.residues]
-    return [ctx.root_sum((k * j, t) for k, t in at_one) for j in range(ctx.phi)]
+    at_one = CycNum._raw(h, [sum(ctx.modulus[e + 1:]) for e in range(ctx.phi)])
+    return [ctx.trace(at_one, j) for j in range(ctx.phi)]
 
 
 def pole_sum_witness(h):
-    """Verify, for m = 1..h, that the pole sums over primitive d-th roots
-    summed across the divisors d > 1 collapse to the rational m - (h+1)/2."""
-    ctx = _context(h)
+    """Verify, for m = 1..h, that the pole sums over the primitive d-th
+    roots, summed across the divisors d > 1, equal m - (h+1)/2.  The pole
+    sum of d is the trace Tr(z_d**m/(1 - z_d)) over Q in the order-d field."""
+    ctxs = [_context(d) for d in divisors(h)[1:]]
     for m in range(1, h + 1):
-        total = ctx.root_sum((h // d * k * m, ctx.inv_one_minus(h // d * k))
-                             for d in divisors(h)[1:] for k in primitive_residues(d))
+        total = sum(ctx.trace(ctx.inv_one_minus(1), m) for ctx in ctxs)
         expected = Fraction(2 * m - h - 1, 2)
-        if not total.is_rational or total.as_rational() != expected:
+        if total != expected:
             return f"pole sum at m={m} is not {expected}"
     return None
 
 
 def prop15_check(rs):
-    """Rationality and closed form of the divisor-summed pole sums."""
+    """Closed form m - (h+1)/2 of the divisor-summed pole sums.  Each pole
+    sum is a trace, so its rationality is built in rather than checked; the
+    closed form is what is checked."""
     return _report("prop15", _sys(rs), pole_sum_witness(rs.h))
 
 

@@ -143,6 +143,19 @@ class TestMunagi:
         assert code == 0
         assert json.loads(out)["roundtrip"] == "ok"
 
+    def test_negative_leading_coefficient(self, capsys):
+        # A list starting with a minus sign is a coefficient list, not an
+        # option, before or after --h; the "--" form keeps working.
+        for argv in (["munagi", "-5,3", "--h", "2"],
+                     ["munagi", "--h", "2", "-5,3"],
+                     ["munagi", "--h", "2", "--", "-5,3"]):
+            code, out = run_cli(capsys, *argv)
+            assert (code, out) == (0, "H_1 = 3\nH_2 = -8\n"), argv
+        code, out = run_cli(capsys, "munagi", "-1/2,-.25", "--format", "json", "--h", "2")
+        assert code == 0
+        assert {d: p["coeffs"] for d, p in json.loads(out)["parts"].items()} == {
+            "1": ["-1/4"], "2": ["-1/4"]}
+
     def test_length_violation(self, capsys):
         assert run_cli(capsys, "munagi", "1,2,3", "--h", "2")[0] == 2
 

@@ -1,0 +1,79 @@
+"""Corruption differential: every check except eq5 on eight systems, each
+rebuilt through the ``RootSystem`` constructor with one stored field
+corrupted.
+
+Two sha256 goldens pin the outcome: one over the (system, corruption, check,
+verdict) rows, one over the full reports with their witnesses.  A route
+change that keeps both digests leaves every verdict and every witness of the
+differential unchanged.  Running this file as a script prints the reports as
+JSON, for diffing two versions of the code.
+"""
+
+import hashlib
+import json
+
+from rootheight.identities import available_checks, run_check
+from rootheight.rootsys import RootSystem, RootSystemId, build
+
+SYSTEMS = (("A", 4), ("A", 7), ("B", 3), ("C", 4), ("D", 5), ("E", 6), ("F", 4),
+           ("G", 2))
+CORRUPTIONS = ("b", "m", "p", "e(1)", "e(h)", "exponents")
+
+VERDICTS_SHA256 = "c77851ec0490b1d368590fb20cdb21332c95e9d499fe7e9253f0039d6d2a732c"
+REPORTS_SHA256 = "4c36bacea7155b9ad7ab18a98d0b347a521779e50cec57bbbb2549562d14cf61"
+
+
+def corrupted(rs, kind):
+    """A copy of rs, built by the constructor, with one field off by one:
+    the middle height count, m(1), p(1), e(1), e(h) or the largest
+    exponent."""
+    b, m, p = list(rs.b), list(rs.m), list(rs.p)
+    e_of_d, exponents = dict(rs.e_of_d), list(rs.exponents)
+    if kind == "b":
+        b[len(b) // 2] += 1
+    elif kind == "m":
+        m[1] += 1
+    elif kind == "p":
+        p[1] += 1
+    elif kind == "e(1)":
+        e_of_d[1] += 1
+    elif kind == "e(h)":
+        e_of_d[rs.h] += 1
+    elif kind == "exponents":
+        exponents[-1] -= 1
+    else:
+        raise ValueError(f"unknown corruption {kind!r}")
+    return RootSystem(rs.id, rs.cartan, rs.positive_roots, rs.heights, rs.h,
+                      exponents, b, m, e_of_d, p)
+
+
+def differential_reports():
+    """[system, corruption, check, verdict, witness] for every system,
+    corruption and check except eq5, in that order."""
+    rows = []
+    for family, rank in SYSTEMS:
+        rs = build(RootSystemId(family, rank))
+        for kind in CORRUPTIONS:
+            bad = corrupted(rs, kind)
+            for cid in available_checks(bad):
+                if cid != "eq5":
+                    rep = run_check(bad, cid)
+                    rows.append([rep.system, kind, cid, rep.verdict, rep.witness])
+    return rows
+
+
+def _digest(doc):
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_corruption_differential_goldens():
+    rows = differential_reports()
+    assert len(rows) == 1176
+    failures = sum(row[3] == "fail" for row in rows)
+    assert _digest([row[:4] for row in rows]) == VERDICTS_SHA256, f"{failures} failures"
+    assert _digest(rows) == REPORTS_SHA256
+
+
+if __name__ == "__main__":
+    print(json.dumps(differential_reports(), indent=1))

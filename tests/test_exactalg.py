@@ -7,9 +7,9 @@ import pytest
 
 from rootheight.errors import DivisionByZero, NotDivisible
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction,
-                                 _context, cyc_eval, poly_arith, poly_gcd,
-                                 poly_str, ratfun_normalize)
-from rootheight.numth import cyclotomic_poly, totient
+                                 _context, _CycContext, cyc_eval, poly_arith,
+                                 poly_gcd, poly_str, ratfun_normalize)
+from rootheight.numth import cyclotomic_poly, ramanujan_sum_checked, totient
 
 
 def P(*coeffs):
@@ -170,6 +170,37 @@ class TestCycNum:
                 got = ctx.root_sum(terms)
                 assert isinstance(got, CycNum) and got.order == h
                 assert got == naive, (h, terms)
+
+    def test_trace_matches_conjugate_root_sum(self):
+        # trace(v, e) against the conjugate route it replaces: the root sum
+        # of sigma_k(v) z**(ke) over the primitive residues k, where
+        # sigma_k(v) is v's coordinate polynomial evaluated at z**k.
+        rng = random.Random(17)
+        for h in range(1, 41):
+            ctx = _context(h)
+            for _ in range(2 if h <= 12 else 1):
+                v = CycNum(h, [rng.choice([0, rng.randint(-5, 5),
+                                           Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+                               for _ in range(ctx.phi)])
+                conjugates = [(k, cyc_eval(Polynomial(v.coeffs), h, k)) for k in ctx.residues]
+                for e in range(-1, h + 1):
+                    direct = ctx.root_sum((k * e, c) for k, c in conjugates)
+                    assert direct.is_rational, (h, e)
+                    assert ctx.trace(v, e) == direct.as_rational(), (h, e)
+                r = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                assert ctx.trace(r, 1) == ctx.trace(CycNum.rational(h, r), 1)
+
+    def test_ramanujan_row_matches_numth(self):
+        for h in range(1, 61):
+            assert _context(h).ramanujan_row() == tuple(
+                ramanujan_sum_checked(h, j) for j in range(h)), h
+
+    def test_ramanujan_row_built_on_first_use(self):
+        ctx = _CycContext(35)
+        assert ctx._ramanujan is None
+        ctx.trace(CycNum.zeta_pow(35, 1))
+        assert ctx._ramanujan is not None
+        assert ctx.ramanujan_row() is ctx.ramanujan_row()
 
     def test_arith_mixes_with_rationals(self):
         z = CycNum.zeta_pow(12, 1)

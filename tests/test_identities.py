@@ -74,6 +74,30 @@ def random_cycnums(rng, h, count):
             else CycNum.rational(h, 0) for _ in range(count)]
 
 
+def conjugate_lagrange_primitive_roots(values, h):
+    """The conjugate-values route lagrange_primitive_roots replaced: the
+    root sums U(e) = sum_k v_k z**(ke) over the primitive residues k, one
+    field element each, then the barycentric numerator from U and the
+    coordinates of 1/Phi'(z), all in the order-h field."""
+    ctx = _context(h)
+    phi = ctx.phi
+    sums = [ctx.root_sum((k * e, v) for k, v in zip(ctx.residues, values))
+            for e in range(min(h, 2 * phi - 1))]
+    inv = [(t, a) for t, a in enumerate(ctx.inv_dphi(1).coeffs) if a]
+    dsums = [sum((a * sums[(t + e) % h] for t, a in inv), CycNum.rational(h, 0))
+             for e in range(phi)]
+    return Polynomial([sum((c * dsums[i - 1 - j] for i, c in enumerate(ctx.modulus)
+                            if i > j and c), CycNum.rational(h, 0))
+                       for j in range(phi)])
+
+
+def conjugates(v, h):
+    """The values sigma_k(v) at the primitive residues k: the coordinate
+    polynomial of v evaluated at z**k."""
+    coeffs = v.coeffs if isinstance(v, CycNum) else (v,)
+    return [cyc_eval(Polynomial(coeffs), h, k) for k in primitive_residues(h)]
+
+
 def bordered_det_minors(vec, mat):
     """The expansion _bordered_det replaced: det [[0, (1, q, ..., q^{k-1})],
     [vec^T, mat]] along the polynomial row, one k x k minor per power."""
@@ -228,16 +252,13 @@ class TestInterpolation:
 
     def test_primitive_constant(self):
         for h in (3, 4, 6, 8):
-            ones = [1] * totient(h)
-            assert lagrange_primitive_roots(ones, h) == P(1)
+            assert lagrange_primitive_roots(1, h) == P(1)
 
     def test_primitive_linear(self):
-        vals = [cyc_eval(P(0, 1), 4, k) for k in primitive_residues(4)]
-        assert lagrange_primitive_roots(vals, 4) == P(0, 1)
+        assert lagrange_primitive_roots(cyc_eval(P(0, 1), 4, 1), 4) == P(0, 1)
 
     def test_primitive_square_collapses(self):
-        vals = [cyc_eval(P(0, 0, 1), 4, k) for k in primitive_residues(4)]
-        assert lagrange_primitive_roots(vals, 4) == P(-1)
+        assert lagrange_primitive_roots(cyc_eval(P(0, 0, 1), 4, 1), 4) == P(-1)
 
     def test_primitive_residues_tuple(self):
         for h in range(1, 40):
@@ -279,7 +300,7 @@ class TestInterpolation:
 
     def test_lvec_interpolated_matches_lagrange(self):
         # Every entry up to h = 12, then the first two and the last: each
-        # lagrange_primitive_roots call costs O(phi**3).
+        # lagrange_primitive_roots call costs an O(phi**3) determinant.
         for h in range(1, 31):
             nodes = primitive_residues(h)
             dphi = cyclotomic_poly(h).derivative()
@@ -288,8 +309,8 @@ class TestInterpolation:
             assert len(got) == len(nodes)
             for j in sorted({0, 1, len(nodes) - 1} if h > 12 else range(len(nodes))):
                 value = got[j]
-                vals = [CycNum.zeta_pow(h, k * j) * cyc_eval(dphi, h, k) for k in nodes]
-                assert value == lagrange_primitive_roots(vals, h)(one), (h, j)
+                at_node_one = CycNum.zeta_pow(h, j) * cyc_eval(dphi, h, 1)
+                assert value == lagrange_primitive_roots(at_node_one, h)(one), (h, j)
 
     def test_sum_over_roots_matches_division(self):
         # Coefficient j as a root sum against the synthetic division of
@@ -307,18 +328,36 @@ class TestInterpolation:
                 assert (got.num, got.den) == (num, P(*base)), h
 
     def test_primitive_barycentric_matches_quotient_sum(self):
-        # The numerator from the sums U(e) against the quotient-times-weight
-        # sum it replaced: Phi_h(q)/(q - z**k) times v_k/Phi_h'(z**k).
+        # The numerator from the traces U(e) against the quotient-times-weight
+        # sum it replaced: Phi_h(q)/(q - z**k) times v_k/Phi_h'(z**k), where
+        # v_k runs over the conjugates of a random v.
         rng = random.Random(59)
         for h in range(1, 31):
             ctx = _context(h)
             for _ in range(2 if h <= 12 else 1):
-                values = random_cycnums(rng, h, totient(h))
+                v = random_cycnums(rng, h, 1)[0]
                 total = Polynomial(())
-                for k, v in zip(ctx.residues, values):
+                for k, vk in zip(ctx.residues, conjugates(v, h)):
                     quot = div_linear(ctx.modulus, CycNum.zeta_pow(h, k))
-                    total = total + quot * (v * ctx.inv_dphi(k))
-                assert lagrange_primitive_roots(values, h) == total, h
+                    total = total + quot * (vk * ctx.inv_dphi(k))
+                assert lagrange_primitive_roots(v, h) == total, h
+
+    def test_primitive_traces_match_conjugate_route(self):
+        # Random v (a field element, a rational or zero) against the
+        # conjugate-values route over the order-h field; the trace route's
+        # coefficients are rationals.
+        rng = random.Random(61)
+        for h in range(1, 31):
+            for _ in range(3 if h <= 12 else 1):
+                v = rng.choice([random_cycnums(rng, h, 1)[0],
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+                got = lagrange_primitive_roots(v, h)
+                assert all(isinstance(c, (int, Fraction)) for c in got.coeffs)
+                assert got == conjugate_lagrange_primitive_roots(conjugates(v, h), h), h
+
+    def test_primitive_rejects_other_order(self):
+        with pytest.raises(ValueError):
+            lagrange_primitive_roots(CycNum.zeta_pow(5, 1), 10)
 
     def test_primitive_projection_random(self):
         rng = random.Random(43)
@@ -326,8 +365,43 @@ class TestInterpolation:
             phi = totient(h)
             for _ in range(3 if h <= 12 else 1):
                 p = Polynomial([rng.randint(-5, 5) for _ in range(phi)])
-                vals = [cyc_eval(p, h, k) for k in primitive_residues(h)]
-                assert lagrange_primitive_roots(vals, h) == p
+                assert lagrange_primitive_roots(cyc_eval(p, h, 1), h) == p
+
+
+class TestCrossChecksFail:
+    """Each cross-check of the trace-route checks, broken on purpose, turns
+    its check into a fail."""
+
+    def test_primitive_determinant_route(self, catalog, monkeypatch):
+        h = 13
+        value = cyc_eval(P(1, 2), h, 1)
+        assert lagrange_primitive_roots(value, h) == P(1, 2)
+        monkeypatch.setattr(identities, "_bordered_det", lambda vec, mat: P(1))
+        with pytest.raises(MethodMismatch):
+            lagrange_primitive_roots(value, h)
+        for cid in ("prop4", "prop14", "prop18"):
+            rep = run_suite(catalog["E6"], [cid])[0]
+            assert not rep.passed and "routes disagree" in rep.witness, cid
+
+    def test_prop4_node_reevaluation(self, catalog, monkeypatch):
+        monkeypatch.setattr(identities, "lagrange_primitive_roots",
+                            lambda value, h: P(1))
+        rep = run_suite(catalog["E6"], ["prop4"])[0]
+        assert (rep.verdict, rep.witness) == ("fail", "interpolant misses node 1")
+
+    def test_prop14_pole_sum_vector(self, catalog, monkeypatch):
+        real = identities._lvec_interpolated
+        monkeypatch.setattr(identities, "_lvec_interpolated",
+                            lambda h: [real(h)[0] + 1] + real(h)[1:])
+        rep = run_suite(catalog["E6"], ["prop14"])[0]
+        assert (rep.verdict, rep.witness) == ("fail", "pole-sum vector entry j=1 mismatch")
+
+    def test_prop15_closed_form(self, catalog, monkeypatch):
+        ctx_type = type(_context(12))
+        real = ctx_type.inv_one_minus
+        monkeypatch.setattr(ctx_type, "inv_one_minus", lambda self, k: real(self, k) + 1)
+        rep = run_suite(catalog["E6"], ["prop15"])[0]
+        assert (rep.verdict, rep.witness) == ("fail", "pole sum at m=1 is not -11/2")
 
 
 class TestSingularity:
