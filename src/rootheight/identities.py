@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Optional
 
@@ -188,32 +189,22 @@ def _log_derivative(p):
 # -- interpolation at roots of unity ------------------------------------------
 
 
-def _bordered_det(vec, mat):
-    """det [[0, (1, q, ..., q^{k-1})], [vec^T, mat]] for a nonsingular mat,
-    by the Schur complement: -det(mat) * (1, q, ..., q^{k-1}) mat^-1 vec."""
-    return Polynomial(FractionLU(mat).solve(vec)) * -det(mat)
-
-
 def lagrange_all_roots(values, h):
     """Interpolating polynomial of degree < h through the points
     (z**i, values[i]) for all h-th roots of unity z**i.
 
-    The barycentric form over q**h - 1 is cross-checked against a
-    bordered-determinant form over h times the identity.
+    The coefficients are the inverse transform c_j = s_j/h, where
+    s_j = sum_i v_i z**(-ij) is one root sum; the sums are then re-evaluated
+    at every node, sum_j s_j z**(ij) = h v_i, as one root sum per node.
     """
     if len(values) != h:
         raise ValueError("need one value per root of unity")
     ctx = _context(h)
-    weights = [ctx.root_sum([(i, v)]) for i, v in enumerate(values)]
-    barycentric = _sum_over_roots(weights, h).num * Fraction(1, h)
-
-    sums = [ctx.root_sum((-i * k, v) for i, v in enumerate(values)) for k in range(h)]
-    diag = [[h if i == j else 0 for j in range(h)] for i in range(h)]
-    w = _poly_mismatch("barycentric", barycentric, "determinant",
-                       _bordered_det(sums, diag) * Fraction(-1, h ** h))
-    if w:
-        raise MethodMismatch(f"interpolation routes disagree: {w}")
-    return barycentric
+    sums = [ctx.root_sum((-i * j, v) for i, v in enumerate(values)) for j in range(h)]
+    for i, v in enumerate(values):
+        if ctx.root_sum((i * j, s) for j, s in enumerate(sums)) != h * v:
+            raise MethodMismatch(f"interpolation routes disagree: interpolant misses node {i}")
+    return Polynomial(sums) * Fraction(1, h)
 
 
 def primitive_residues(h):
@@ -221,13 +212,17 @@ def primitive_residues(h):
     return _context(h).residues
 
 
-def _gram_form(h):
-    """The Ramanujan-sum Gram matrix [c_h(i + j)] of size phi(h), whose
-    determinant is the discriminant of Phi_h, and the constant -1/disc that
-    turns its bordered determinant into the primitive-root interpolant."""
-    phi = totient(h)
-    gram = [[ramanujan_sum(h, i + j) for j in range(phi)] for i in range(phi)]
-    return gram, -1 / cyclotomic_discriminant(h)
+@lru_cache(maxsize=None)
+def _gram_lu(h):
+    """LU factorisation of the Ramanujan-sum Gram matrix [c_h(i + j)] of size
+    phi(h), h >= 3, after its determinant is checked against the discriminant
+    of Phi_h; factored once per order."""
+    ctx = _context(h)
+    row = ctx.ramanujan_row()
+    gram = [[row[(i + j) % h] for j in range(ctx.phi)] for i in range(ctx.phi)]
+    if det(gram) != cyclotomic_discriminant(h):
+        raise MethodMismatch(f"Gram determinant of order {h} is not disc(Phi_{h})")
+    return FractionLU(gram)
 
 
 def lagrange_primitive_roots(value, h):
@@ -243,8 +238,9 @@ def lagrange_primitive_roots(value, h):
     D(e) = sum_k v_k z**(ke)/Phi'(z**k) is sum_t a_t U(t+e) for the
     coordinates a_t of 1/Phi'(z), since 1/Phi'(z**k) is its conjugate too.
     For h >= 3 (where the discriminant is defined) it is cross-checked
-    against the bordered-determinant form of U(0..phi-1) over the
-    Ramanujan-sum Gram matrix.
+    against the Gram-system form: coefficients a_j with
+    sum_j c_h(i + j) a_j = U(i), i < phi, solved over the Ramanujan-sum
+    Gram matrix.
     """
     ctx = _context(h)
     phi = ctx.phi
@@ -258,9 +254,8 @@ def lagrange_primitive_roots(value, h):
                         for j in range(phi)])
 
     if h >= 3:
-        gram, const = _gram_form(h)
         w = _poly_mismatch("barycentric", total, "determinant",
-                           _bordered_det(sums[:phi], gram) * const)
+                           Polynomial(_gram_lu(h).solve(sums[:phi])))
         if w:
             raise MethodMismatch(f"primitive interpolation routes disagree: {w}")
     return total
@@ -394,17 +389,17 @@ def prop3_check(rs):
 
 def prop4_check(rs):
     """Interpolation at the primitive roots of the exponent polynomial's
-    value at z cross-checks its determinant form, and the interpolant is
-    re-evaluated at every node."""
+    value at z cross-checks its Gram-system form, and the interpolant is
+    re-evaluated at node 1.  interp - E has rational coefficients, so its
+    value at z**k is the conjugate of its value at z: it vanishes at every
+    primitive root exactly when it vanishes at z."""
     h = rs.h
     epoly = exponent_poly(rs)
     witness = None
     try:
         interp = lagrange_primitive_roots(cyc_eval(epoly, h, 1), h)
-        for k in primitive_residues(h):
-            if cyc_eval(interp - epoly, h, k):
-                witness = f"interpolant misses node {k}"
-                break
+        if cyc_eval(interp - epoly, h, 1):
+            witness = "interpolant misses node 1"
     except MethodMismatch as exc:
         witness = str(exc)
     return _report("prop4", _sys(rs), witness)
@@ -643,7 +638,7 @@ def prop13_check(rs):
 
 def top_part_check(rs, shift):
     """Top decomposition part of q**shift * B(q) as a scaled interpolation
-    of q**shift/(1-q) at the primitive roots, whose determinant form
+    of q**shift/(1-q) at the primitive roots, whose Gram-system form
     lagrange_primitive_roots cross-checks (prop14 for shift 0, prop18 for
     shift 1)."""
     check_id = "prop18" if shift else "prop14"
@@ -878,7 +873,8 @@ def eq5_check(rs, bfs_cap=DEFAULT_BFS_CAP):
 
 def eq12_check(rs):
     """Multiplicities as divisor sums of the factorization exponents, with
-    the exponents themselves re-derived and reconstruction-checked."""
+    the exponents themselves re-derived from the multiplicities once the
+    Coxeter characteristic polynomial has been matched against them."""
     h = rs.h
     witness = None
     if factor_exponents(rs) != rs.e_of_d:

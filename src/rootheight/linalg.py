@@ -49,9 +49,7 @@ def det(rows):
 class FractionLU:
     """LU factorization with row pivoting over exact rationals.
 
-    Factor once, then solve many right-hand sides in O(n^2) each.  The
-    right-hand side may hold CycNum values: the bordered determinants of the
-    interpolation checks solve against their integer Gram matrix.
+    Factor once, then solve many right-hand sides in O(n^2) each.
     """
 
     def __init__(self, rows):

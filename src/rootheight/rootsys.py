@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import GroupTooLarge, InvalidRank, MethodMismatch, ReconstructionMismatch
+from .errors import GroupTooLarge, InvalidRank, MethodMismatch
 from .exactalg import Polynomial, RationalFunction, _context
 from .linalg import charpoly_int
 from .numth import cyclotomic_poly, divisors, mobius, ramanujan_sum
@@ -284,13 +284,13 @@ def coxeter_element(rs):
     return cox
 
 
-def _binomial_product(exps, sign):
-    """Numerator and denominator of the product of (sign * (q**d - 1))**e over
-    the (d, e) pairs: e > 0 goes to the numerator, e < 0 to the denominator."""
+def _binomial_product(exps):
+    """Numerator and denominator of the product of (1 - q**d)**e over the
+    (d, e) pairs: e > 0 goes to the numerator, e < 0 to the denominator."""
     num = den = Polynomial((1,))
     for d, e in exps:
         if e:
-            factor = Polynomial((-sign,) + (0,) * (d - 1) + (sign,)) ** abs(e)
+            factor = Polynomial((1,) + (0,) * (d - 1) + (-1,)) ** abs(e)
             if e > 0:
                 num = num * factor
             else:
@@ -301,12 +301,11 @@ def _binomial_product(exps, sign):
 def factor_exponents(rs):
     """Exponents e(d) of the factorization of the Coxeter characteristic
     polynomial into binomials q**d - 1, by Moebius inversion over the
-    divisor lattice; verified by exact reconstruction."""
-    e_of_d = _moebius_exponents(rs.m, rs.h)
-    num, den = _binomial_product(e_of_d.items(), 1)
-    if num.divexact(den) != coxeter_element(rs).charpoly:
-        raise ReconstructionMismatch(f"{rs.id}: e(d) reconstruction failed")
-    return e_of_d
+    divisor lattice.  ``coxeter_element`` has matched that polynomial with
+    the product of Phi_d**m(h/d), which is the product of (q**d - 1)**e(d)
+    for the inversion of the same m."""
+    coxeter_element(rs)
+    return _moebius_exponents(rs.m, rs.h)
 
 
 def power_sums(rs):
@@ -372,9 +371,9 @@ def weyl_length_gf_product(rs):
     for k, bk in enumerate(rs.b, start=1):
         counts[k + 1] += bk
         counts[k] -= bk
-    by_heights = RationalFunction(*_binomial_product(sorted(counts.items()), -1))
+    by_heights = RationalFunction(*_binomial_product(sorted(counts.items())))
     by_exponents = RationalFunction(*_binomial_product(
-        [(e + 1, 1) for e in rs.exponents] + [(1, -rs.id.rank)], -1))
+        [(e + 1, 1) for e in rs.exponents] + [(1, -rs.id.rank)]))
     return by_heights, by_exponents
 
 

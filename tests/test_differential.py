@@ -5,12 +5,16 @@ corrupted.
 Two sha256 goldens pin the outcome: one over the (system, corruption, check,
 verdict) rows, one over the full reports with their witnesses.  A route
 change that keeps both digests leaves every verdict and every witness of the
-differential unchanged.  Running this file as a script prints the reports as
-JSON, for diffing two versions of the code.
+differential unchanged.  The same rows render the sensitivity table of
+README.md (the corruption kinds each check fails under), and the test
+asserts that README's copy matches.  Running this file as a script prints
+the reports as JSON, for diffing two versions of the code.
 """
 
 import hashlib
 import json
+from collections import Counter
+from pathlib import Path
 
 from rootheight.identities import available_checks, run_check
 from rootheight.rootsys import RootSystem, RootSystemId, build
@@ -18,6 +22,10 @@ from rootheight.rootsys import RootSystem, RootSystemId, build
 SYSTEMS = (("A", 4), ("A", 7), ("B", 3), ("C", 4), ("D", 5), ("E", 6), ("F", 4),
            ("G", 2))
 CORRUPTIONS = ("b", "m", "p", "e(1)", "e(h)", "exponents")
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+TABLE_BEGIN = "<!-- sensitivity table: rendered by tests/test_differential.py -->"
+TABLE_END = "<!-- end of sensitivity table -->"
 
 VERDICTS_SHA256 = "c77851ec0490b1d368590fb20cdb21332c95e9d499fe7e9253f0039d6d2a732c"
 REPORTS_SHA256 = "4c36bacea7155b9ad7ab18a98d0b347a521779e50cec57bbbb2549562d14cf61"
@@ -67,12 +75,32 @@ def _digest(doc):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def sensitivity_table(rows):
+    """Markdown table of the corruption kinds each check fails under, in the
+    order of the rows; a kind that fails on only some systems carries the
+    count."""
+    runs = Counter((row[2], row[1]) for row in rows)
+    fails = Counter((row[2], row[1]) for row in rows if row[3] == "fail")
+    lines = ["| check | fails under |", "|---|---|"]
+    for cid in dict.fromkeys(row[2] for row in rows):
+        kinds = [kind if fails[cid, kind] == runs[cid, kind]
+                 else f"{kind} ({fails[cid, kind]} of {runs[cid, kind]} systems)"
+                 for kind in CORRUPTIONS if fails[cid, kind]]
+        lines.append(f"| {cid} | {', '.join(kinds) or 'none'} |")
+    return "\n".join(lines)
+
+
 def test_corruption_differential_goldens():
     rows = differential_reports()
     assert len(rows) == 1176
     failures = sum(row[3] == "fail" for row in rows)
     assert _digest([row[:4] for row in rows]) == VERDICTS_SHA256, f"{failures} failures"
     assert _digest(rows) == REPORTS_SHA256
+
+    readme = README.read_text()
+    block = readme[readme.index(TABLE_BEGIN) + len(TABLE_BEGIN):readme.index(TABLE_END)]
+    table = sensitivity_table(rows)
+    assert block.strip() == table, f"README sensitivity table is stale; expected:\n{table}"
 
 
 if __name__ == "__main__":

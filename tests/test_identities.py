@@ -13,7 +13,7 @@ import pytest
 import rootheight.identities as identities
 from rootheight.errors import DegreeTooHigh, MethodMismatch
 from rootheight.exactalg import CycNum, Polynomial, _context, cyc_eval
-from rootheight.identities import (_bordered_det, _lvec_interpolated,
+from rootheight.identities import (_gram_lu, _lvec_interpolated,
                                    available_checks,
                                    b_from_exponents, b_poly, dynkin_check,
                                    exponent_poly, lagrange_all_roots,
@@ -22,8 +22,8 @@ from rootheight.identities import (_bordered_det, _lvec_interpolated,
                                    primitive_residues, run_suite,
                                    singularity_check, singularity_data)
 from rootheight.linalg import FractionLU, det
-from rootheight.numth import (ArithSeq, cyclotomic_poly, divisors, is_cohen,
-                              ramanujan_sum, totient)
+from rootheight.numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly,
+                              divisors, is_cohen, ramanujan_sum, totient)
 from rootheight.rootsys import RootSystemId, build
 
 
@@ -99,8 +99,9 @@ def conjugates(v, h):
 
 
 def bordered_det_minors(vec, mat):
-    """The expansion _bordered_det replaced: det [[0, (1, q, ..., q^{k-1})],
-    [vec^T, mat]] along the polynomial row, one k x k minor per power."""
+    """The paper's determinant form: det [[0, (1, q, ..., q^{k-1})],
+    [vec^T, mat]] expanded along the polynomial row, one k x k minor per
+    power."""
     k = len(vec)
     out = Polynomial(())
     for c in range(1, k + 1):
@@ -268,34 +269,40 @@ class TestInterpolation:
         with pytest.raises(AttributeError):
             primitive_residues(12).append(13)
 
-    def test_schur_determinant_matches_minors(self):
+    def test_gram_solve_matches_bordered_minors(self):
+        # The Gram-system form is the paper's bordered determinant over the
+        # Ramanujan-sum Gram matrix G times -1/disc, since det G = disc.
         rng = random.Random(47)
-
-        def vector(h, size):
+        for h in range(3, 13):
             phi = totient(h)
-            return [CycNum(h, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                               for _ in range(phi)]) if rng.random() < 0.7
-                    else CycNum.rational(h, 0) for _ in range(size)]
+            gram = [[ramanujan_sum(h, i + j) for j in range(phi)] for i in range(phi)]
+            for _ in range(2):
+                vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(phi)]
+                vec[rng.randrange(phi)] = 0
+                assert Polynomial(_gram_lu(h).solve(vec)) == \
+                    bordered_det_minors(vec, gram) * (-1 / cyclotomic_discriminant(h)), h
 
-        for h in range(1, 13):
-            diag = [[h if i == j else 0 for j in range(h)] for i in range(h)]
-            mats = [diag]
-            if h >= 3:
-                phi = totient(h)
-                mats.append([[ramanujan_sum(h, i + j) for j in range(phi)]
-                             for i in range(phi)])
-            for mat in mats:
-                for _ in range(2):
-                    vec = vector(h, len(mat))
-                    vec[rng.randrange(len(vec))] = CycNum.rational(h, 0)
-                    assert _bordered_det(vec, mat) == bordered_det_minors(vec, mat)
+    def test_gram_factored_once_per_order(self, catalog):
+        _gram_lu.cache_clear()
+        for cid in ("prop4", "prop14", "prop18"):
+            assert run_suite(catalog["E6"], [cid])[0].passed, cid
+        assert _gram_lu.cache_info().misses == 1
 
-    def test_all_roots_determinant_route_on_by_default(self, monkeypatch):
+    def test_all_roots_reevaluation_catches_bad_coefficient(self, monkeypatch):
+        # Perturb the third root sum, the transform coefficient c_2: the
+        # re-evaluation at the nodes must miss.
         h = 13
         vals = [cyc_eval(P(1, 2), h, i) for i in range(h)]
         assert lagrange_all_roots(vals, h) == P(1, 2)
-        monkeypatch.setattr(identities, "_bordered_det", lambda vec, mat: P(1))
-        with pytest.raises(MethodMismatch):
+        ctx_type = type(_context(h))
+        real, calls = ctx_type.root_sum, []
+
+        def perturbed(self, terms):
+            calls.append(None)
+            return real(self, terms) + (1 if len(calls) == 3 else 0)
+
+        monkeypatch.setattr(ctx_type, "root_sum", perturbed)
+        with pytest.raises(MethodMismatch, match="misses node 0"):
             lagrange_all_roots(vals, h)
 
     def test_lvec_interpolated_matches_lagrange(self):
@@ -376,12 +383,22 @@ class TestCrossChecksFail:
         h = 13
         value = cyc_eval(P(1, 2), h, 1)
         assert lagrange_primitive_roots(value, h) == P(1, 2)
-        monkeypatch.setattr(identities, "_bordered_det", lambda vec, mat: P(1))
+        # The identity's factorisation in place of the Gram matrix's.
+        monkeypatch.setattr(identities, "_gram_lu", lambda h: FractionLU(
+            [[int(i == j) for j in range(totient(h))] for i in range(totient(h))]))
         with pytest.raises(MethodMismatch):
             lagrange_primitive_roots(value, h)
         for cid in ("prop4", "prop14", "prop18"):
             rep = run_suite(catalog["E6"], [cid])[0]
             assert not rep.passed and "routes disagree" in rep.witness, cid
+
+    def test_gram_discriminant_check(self, catalog, monkeypatch):
+        # A failing factorisation raises, so nothing wrong is cached.
+        monkeypatch.setattr(identities, "cyclotomic_discriminant", lambda h: 1)
+        _gram_lu.cache_clear()
+        rep = run_suite(catalog["E6"], ["prop4"])[0]
+        assert (rep.verdict, rep.witness) == (
+            "fail", "Gram determinant of order 12 is not disc(Phi_12)")
 
     def test_prop4_node_reevaluation(self, catalog, monkeypatch):
         monkeypatch.setattr(identities, "lagrange_primitive_roots",
