@@ -207,22 +207,17 @@ def lagrange_all_roots(values, h):
     return Polynomial(sums) * Fraction(1, h)
 
 
-def primitive_residues(h):
-    """The k in 1..h-1 coprime to h (k = 1 alone for h = 1), as a tuple."""
-    return _context(h).residues
-
-
 @lru_cache(maxsize=None)
 def _gram_lu(h):
     """LU factorisation of the Ramanujan-sum Gram matrix [c_h(i + j)] of size
-    phi(h), h >= 3, after its determinant is checked against the discriminant
-    of Phi_h; factored once per order."""
+    phi(h), h >= 3, after its determinant, read off the pivots, is checked
+    against the discriminant of Phi_h; factored once per order."""
     ctx = _context(h)
     row = ctx.ramanujan_row()
-    gram = [[row[(i + j) % h] for j in range(ctx.phi)] for i in range(ctx.phi)]
-    if det(gram) != cyclotomic_discriminant(h):
+    lu = FractionLU([[row[(i + j) % h] for j in range(ctx.phi)] for i in range(ctx.phi)])
+    if lu.det != cyclotomic_discriminant(h):
         raise MethodMismatch(f"Gram determinant of order {h} is not disc(Phi_{h})")
-    return FractionLU(gram)
+    return lu
 
 
 def lagrange_primitive_roots(value, h):

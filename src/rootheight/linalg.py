@@ -49,13 +49,16 @@ def det(rows):
 class FractionLU:
     """LU factorization with row pivoting over exact rationals.
 
-    Factor once, then solve many right-hand sides in O(n^2) each.
+    Factor once, then solve many right-hand sides in O(n^2) each.  ``det`` is
+    read off the pivots: the sign of the row permutation times the product of
+    the diagonal.  A singular matrix raises ``SingularSystem``.
     """
 
     def __init__(self, rows):
         n = len(rows)
         a = [[Fraction(x) for x in row] for row in rows]
         perm = list(range(n))
+        det = Fraction(1)
         for col in range(n):
             piv = None
             for r in range(col, n):
@@ -67,7 +70,9 @@ class FractionLU:
             if piv != col:
                 a[col], a[piv] = a[piv], a[col]
                 perm[col], perm[piv] = perm[piv], perm[col]
+                det = -det
             pv = a[col][col]
+            det *= pv
             for r in range(col + 1, n):
                 f = a[r][col]
                 if not f:
@@ -82,6 +87,7 @@ class FractionLU:
         self.n = n
         self.lu = a
         self.perm = perm
+        self.det = det
 
     def solve(self, rhs):
         n = self.n

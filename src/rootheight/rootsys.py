@@ -126,36 +126,44 @@ class RootSystem:
         return f"RootSystem({self.id}, h={self.h})"
 
 
-def _sparse_rows(cartan):
-    """The nonzero (j, c) pairs of each Cartan row (at most four per row)."""
-    return [tuple((j, c) for j, c in enumerate(row) if c) for row in cartan]
-
-
-def _reflect(v, i, rows):
-    """s_i on the list v in place (only v[i] changes); returns <v, alpha_i^vee>."""
-    c = sum(k * v[j] for j, k in rows[i])
-    v[i] -= c
-    return c
+def _columns(cartan):
+    """The nonzero (j, a_ji) of each column i of a Cartan matrix (at most four:
+    the diagonal and the neighbours of i)."""
+    n = len(cartan)
+    return [[(j, cartan[j][i]) for j in range(n) if cartan[j][i]] for i in range(n)]
 
 
 def _close_positive_roots(cartan):
     """The positive roots by height, each level sorted: the simple roots closed
     under the s_i with <beta, alpha_i^vee> < 0, which raise the height and keep
-    the root positive (Humphreys, Reflection Groups and Coxeter Groups, 1.6)."""
-    rows = _sparse_rows(cartan)
+    the root positive (Humphreys, Reflection Groups and Coxeter Groups, 1.6).
+
+    Each root of a live level carries its pairings p_j = <beta, alpha_j^vee>.
+    For p_i = c < 0 the new root is beta - c alpha_i, with pairings p minus c
+    times column i of the Cartan matrix.  A root rises at most three levels
+    (G2), so only levels k..k+3 hold pairings."""
     n = len(cartan)
-    levels = {1: {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}}
+    cols = _columns(cartan)
+    levels = {1: {tuple(1 if j == i else 0 for j in range(n)): [row[i] for row in cartan]
+                  for i in range(n)}}
+    out = []
     k = 1
     while k in levels:
-        for beta in levels[k]:
-            v = list(beta)
-            for i in range(n):
-                c = _reflect(v, i, rows)
+        for beta, p in levels[k].items():
+            for i, c in enumerate(p):
                 if c < 0:
-                    levels.setdefault(k - c, set()).add(tuple(v))
-                v[i] = beta[i]
+                    root = list(beta)
+                    root[i] -= c
+                    root = tuple(root)
+                    level = levels.setdefault(k - c, {})
+                    if root not in level:
+                        q = list(p)
+                        for j, a in cols[i]:
+                            q[j] -= c * a
+                        level[root] = q
+        out.append(sorted(levels.pop(k)))
         k += 1
-    return [sorted(levels[j]) for j in range(1, k)]
+    return out
 
 
 def build(rsid, *, check=True):
@@ -252,22 +260,29 @@ def mat_identity(n):
 
 def coxeter_element(rs):
     """c = s_0 s_1 ... s_{n-1}, the traces of c**0 .. c**(h-1) and the exact
-    characteristic polynomial, with every basis column carried through the
-    sparse reflections.  Cached on the root system."""
+    characteristic polynomial.  The rows of c**t are carried from step to
+    step: s_i on the left changes row i only, to -row_i - sum_{j != i} a_ij
+    row_j, applied for i = n-1 .. 0.  Cached on the root system."""
     if rs._coxeter is not None:
         return rs._coxeter
     n, h = rs.id.rank, rs.h
-    rows = _sparse_rows(rs.cartan)
-    cols = [list(col) for col in mat_identity(n)]
+    # The off-diagonal (j, a_ij) of each Cartan row; a rank-one row has none
+    # and gets (i, 0), which adds nothing.
+    nbrs = [[(j, a) for j, a in enumerate(row) if a and j != i] or [(i, 0)]
+            for i, row in enumerate(rs.cartan)]
+    rows = [list(row) for row in mat_identity(n)]
     traces = []
     for t in range(h):
-        traces.append(sum(col[j] for j, col in enumerate(cols)))
-        for col in cols:
-            for i in range(n - 1, -1, -1):
-                _reflect(col, i, rows)
+        traces.append(sum(row[j] for j, row in enumerate(rows)))
+        for i in range(n - 1, -1, -1):
+            (j, a), *rest = nbrs[i]
+            new = [-x - a * y for x, y in zip(rows[i], rows[j])]
+            for j, a in rest:
+                new = [x - a * y for x, y in zip(new, rows[j])]
+            rows[i] = new
         if t == 0:
-            matrix = tuple(zip(*cols))
-    if tuple(map(tuple, cols)) != mat_identity(n):
+            matrix = tuple(map(tuple, rows))
+    if tuple(map(tuple, rows)) != mat_identity(n):
         raise MethodMismatch(f"{rs.id}: Coxeter element order is not h")
     charpoly = charpoly_int(traces)
 
@@ -340,23 +355,31 @@ def weyl_order(rs):
 
 def weyl_length_gf_bruteforce(rs, cap=DEFAULT_BFS_CAP):
     """Length generating function by walking the orbit of 2*rho (the sum of
-    the positive roots; trivial stabilizer) one length at a time: for
-    v = w(2*rho), s_i w is one longer than w exactly when <v, alpha_i^vee> > 0."""
+    the positive roots; trivial stabilizer) one length at a time, in
+    fundamental-weight coordinates lambda_i = <w(2 rho), alpha_i^vee>: s_i w
+    is one longer than w exactly when lambda_i > 0, and s_i sends lambda_i to
+    -lambda_i and lambda_j to lambda_j - lambda_i a_ji.  The start must be
+    <2 rho, alpha_i^vee> = 2 for every i."""
     order = weyl_order(rs)
     if order > cap:
         raise GroupTooLarge(f"|W({rs.id})| = {order} exceeds cap {cap}")
-    rows = _sparse_rows(rs.cartan)
-    level = {tuple(map(sum, zip(*rs.positive_roots)))}
+    two_rho = [sum(col) for col in zip(*rs.positive_roots)]
+    start = tuple(sum(a * x for a, x in zip(row, two_rho)) for row in rs.cartan)
+    if any(x != 2 for x in start):
+        raise MethodMismatch(f"{rs.id}: the positive roots do not sum to 2*rho")
+    cols = _columns(rs.cartan)
+    level = {start}
     counts = []
     while level:
         counts.append(len(level))
         nxt = set()
-        for x in level:
-            v = list(x)
-            for i in range(len(rows)):
-                if _reflect(v, i, rows) > 0:
+        for lam in level:
+            for i, c in enumerate(lam):
+                if c > 0:
+                    v = list(lam)
+                    for j, a in cols[i]:
+                        v[j] -= c * a
                     nxt.add(tuple(v))
-                v[i] = x[i]
         level = nxt
     if sum(counts) != order:
         raise MethodMismatch(f"{rs.id}: enumeration found {sum(counts)} of {order} elements")

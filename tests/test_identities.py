@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 
 import rootheight.identities as identities
-from rootheight.errors import DegreeTooHigh, MethodMismatch
+from rootheight.errors import DegreeTooHigh, MethodMismatch, SingularSystem
 from rootheight.exactalg import CycNum, Polynomial, _context, cyc_eval
 from rootheight.identities import (_gram_lu, _lvec_interpolated,
                                    available_checks,
@@ -19,7 +19,7 @@ from rootheight.identities import (_gram_lu, _lvec_interpolated,
                                    exponent_poly, lagrange_all_roots,
                                    lagrange_primitive_roots, mirimanoff_check,
                                    munagi_decompose, pole_sum_witness,
-                                   primitive_residues, run_suite,
+                                   run_suite,
                                    singularity_check, singularity_data)
 from rootheight.linalg import FractionLU, det
 from rootheight.numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly,
@@ -95,7 +95,7 @@ def conjugates(v, h):
     """The values sigma_k(v) at the primitive residues k: the coordinate
     polynomial of v evaluated at z**k."""
     coeffs = v.coeffs if isinstance(v, CycNum) else (v,)
-    return [cyc_eval(Polynomial(coeffs), h, k) for k in primitive_residues(h)]
+    return [cyc_eval(Polynomial(coeffs), h, k) for k in _context(h).residues]
 
 
 def bordered_det_minors(vec, mat):
@@ -263,11 +263,11 @@ class TestInterpolation:
 
     def test_primitive_residues_tuple(self):
         for h in range(1, 40):
-            res = primitive_residues(h)
+            res = _context(h).residues
             assert isinstance(res, tuple)
             assert res == tuple(k for k in range(1, max(h, 2)) if gcd(k, h) == 1)
         with pytest.raises(AttributeError):
-            primitive_residues(12).append(13)
+            _context(12).residues.append(13)
 
     def test_gram_solve_matches_bordered_minors(self):
         # The Gram-system form is the paper's bordered determinant over the
@@ -281,6 +281,22 @@ class TestInterpolation:
                 vec[rng.randrange(phi)] = 0
                 assert Polynomial(_gram_lu(h).solve(vec)) == \
                     bordered_det_minors(vec, gram) * (-1 / cyclotomic_discriminant(h)), h
+
+    def test_pivot_determinant_matches_elimination(self):
+        # _gram_lu reads det G off the FractionLU pivots; linalg.det eliminates
+        # again.  Both must give disc(Phi_h), and a singular matrix has no
+        # factorisation.
+        for h in range(3, 61):
+            row = _context(h).ramanujan_row()
+            phi = totient(h)
+            gram = [[row[(i + j) % h] for j in range(phi)] for i in range(phi)]
+            assert FractionLU(gram).det == det(gram) == cyclotomic_discriminant(h), h
+        assert FractionLU([[0, 1, 0], [0, 0, 2], [3, 0, 0]]).det == det(
+            [[0, 1, 0], [0, 0, 2], [3, 0, 0]]) == 6
+        singular = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+        assert det(singular) == 0
+        with pytest.raises(SingularSystem):
+            FractionLU(singular)
 
     def test_gram_factored_once_per_order(self, catalog):
         _gram_lu.cache_clear()
@@ -309,7 +325,7 @@ class TestInterpolation:
         # Every entry up to h = 12, then the first two and the last: each
         # lagrange_primitive_roots call costs an O(phi**3) determinant.
         for h in range(1, 31):
-            nodes = primitive_residues(h)
+            nodes = _context(h).residues
             dphi = cyclotomic_poly(h).derivative()
             one = CycNum.rational(h, 1)
             got = _lvec_interpolated(h)

@@ -19,7 +19,61 @@ from rootheight.rootsys import (RootSystem, RootSystemId, _close_positive_roots,
                                 weyl_length_gf_product, weyl_order)
 
 
-# -- dense reference routes, replaced in the library by sparse reflections ----
+# -- reference routes: dense matrices and the per-vector sparse reflection ---
+
+
+def sparse_rows(cartan):
+    """The nonzero (j, a_ij) pairs of each Cartan row."""
+    return [tuple((j, c) for j, c in enumerate(row) if c) for row in cartan]
+
+
+def reflect(v, i, rows):
+    """s_i on the list v in place (only v[i] changes); returns <v, alpha_i^vee>."""
+    c = sum(k * v[j] for j, k in rows[i])
+    v[i] -= c
+    return c
+
+
+def column_coxeter(rs):
+    """The matrix of c = s_0 ... s_{n-1} and the traces of c**0 .. c**(h-1),
+    with every basis column carried through s_{n-1}, ..., s_0 at each step."""
+    n, rows = rs.id.rank, sparse_rows(rs.cartan)
+    cols = [list(col) for col in mat_identity(n)]
+    traces = []
+    for t in range(rs.h):
+        traces.append(sum(col[j] for j, col in enumerate(cols)))
+        for col in cols:
+            for i in range(n - 1, -1, -1):
+                reflect(col, i, rows)
+        if t == 0:
+            matrix = tuple(zip(*cols))
+    assert tuple(map(tuple, cols)) == mat_identity(n)
+    return matrix, tuple(traces)
+
+
+def root_walk(rs):
+    """Length counts of the orbit of 2 rho walked in simple-root coordinates:
+    s_i w is longer than w exactly when <w(2 rho), alpha_i^vee> > 0."""
+    rows = sparse_rows(rs.cartan)
+    level = {tuple(map(sum, zip(*rs.positive_roots)))}
+    counts = []
+    while level:
+        counts.append(len(level))
+        nxt = set()
+        for x in level:
+            v = list(x)
+            for i in range(len(rows)):
+                if reflect(v, i, rows) > 0:
+                    nxt.add(tuple(v))
+                v[i] = x[i]
+        level = nxt
+    return Polynomial(counts)
+
+
+def with_roots(rs, roots):
+    """``rs`` rebuilt by the constructor with another positive-root list."""
+    return RootSystem(rs.id, rs.cartan, roots, rs.heights, rs.h, rs.exponents,
+                      rs.b, rs.m, rs.e_of_d, rs.p)
 
 
 def reflection_matrix(cartan, i):
@@ -235,6 +289,13 @@ class TestCoxeterElement:
                 power = mat_mul(power, cox.matrix)
             assert cox.traces == tuple(traces), rs.id
 
+    def test_rows_match_column_oracle(self, catalog):
+        large = [build(RootSystemId(fam, n))
+                 for fam, n in (("A", 60), ("C", 48), ("B", 20), ("D", 20))]
+        for rs in list(catalog.values()) + large:
+            cox = coxeter_element(rs)
+            assert (cox.matrix, cox.traces) == column_coxeter(rs), rs.id
+
     def test_newton_matches_faddeev_leverrier(self, catalog):
         for rs in catalog.values():
             cox = coxeter_element(rs)
@@ -281,6 +342,30 @@ class TestWeylOracle:
         assert len(small) == 14
         for rs in small:
             assert weyl_length_gf_bruteforce(rs) == matrix_bfs(rs), rs.id
+
+    def test_weight_walk_matches_root_walk(self, catalog):
+        small = [rs for rs in catalog.values() if weyl_order(rs) <= 23040]
+        assert len(small) == 19
+        for rs in small:
+            assert weyl_length_gf_bruteforce(rs, cap=23040) == root_walk(rs), rs.id
+
+    def test_dropped_simple_root_raises(self, catalog):
+        for name in ("A4", "B3", "D5", "F4", "G2"):
+            rs = catalog[name]
+            for k in range(rs.id.rank):
+                roots = [r for r in rs.positive_roots if r != rs.positive_roots[k]]
+                with pytest.raises(MethodMismatch, match="2\\*rho"):
+                    weyl_length_gf_bruteforce(with_roots(rs, roots), cap=1920)
+
+    def test_dropped_highest_root_raises(self, catalog):
+        # Without the highest root the start is still regular, so the root
+        # coordinate walk counts |W| all the same; only the start guard sees it.
+        for name in ("A4", "B3", "D5", "F4", "G2"):
+            rs = catalog[name]
+            broken = with_roots(rs, rs.positive_roots[:-1])
+            assert root_walk(broken) == weyl_length_gf_bruteforce(rs, cap=1920), rs.id
+            with pytest.raises(MethodMismatch, match="2\\*rho"):
+                weyl_length_gf_bruteforce(broken, cap=1920)
 
     def test_products_match_enumeration(self, catalog):
         for name in ("A2", "A3", "B2", "B3", "C3", "G2", "D4"):
