@@ -79,7 +79,7 @@ def _info_doc(rs):
         "family": rs.id.family,
         "rank": rs.id.rank,
         "h": rs.h,
-        "num_positive_roots": len(rs.positive_roots),
+        "num_positive_roots": sum(rs.b),
         "weyl_order": weyl_order(rs),
         "exponents": list(rs.exponents),
         "b": list(rs.b),

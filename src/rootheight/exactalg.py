@@ -232,9 +232,6 @@ class Polynomial:
             return self.coeffs == other.coeffs
         return self.coeffs == self._wrap(other).coeffs
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -592,10 +589,6 @@ class CycNum:
             return NotImplemented
         return all(a == b for a, b in zip(self.coeffs, o.coeffs))
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.order, tuple(Fraction(c) for c in self.coeffs)))
 
@@ -676,9 +669,6 @@ class RationalFunction:
     def __eq__(self, other):
         o = self._wrap(other)
         return self.num * o.den == o.num * self.den
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __bool__(self):
         return not self.num.is_zero

@@ -73,11 +73,6 @@ def _ramanujan_exp_sum(h, j):
     return acc[0]
 
 
-def _ramanujan_divisor_sum(h, j):
-    g = gcd(j, h)
-    return sum(d * mobius(h // d) for d in divisors(g))
-
-
 def _ramanujan_closed_form(h, j):
     g = gcd(j, h)
     num = totient(h) * mobius(h // g)
@@ -88,25 +83,17 @@ def _ramanujan_closed_form(h, j):
     return q
 
 
-_RAMANUJAN_METHODS = {
-    "exp_sum": _ramanujan_exp_sum,
-    "divisor_sum": _ramanujan_divisor_sum,
-    "closed_form": _ramanujan_closed_form,
-}
-
-
-def ramanujan_sum(h, j, method="divisor_sum"):
-    """The Ramanujan sum c_h(j) by the requested method."""
-    try:
-        fn = _RAMANUJAN_METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    return fn(h, j)
+def ramanujan_sum(h, j):
+    """The Ramanujan sum c_h(j), by the divisor sum over d | gcd(j, h)."""
+    return sum(d * mobius(h // d) for d in divisors(gcd(j, h)))
 
 
 def ramanujan_sum_checked(h, j):
-    """c_h(j) with all three methods cross-checked against each other."""
-    vals = {name: fn(h, j) for name, fn in _RAMANUJAN_METHODS.items()}
+    """c_h(j) by the divisor sum, cross-checked against the exponential sum
+    and the closed form."""
+    vals = {"exp_sum": _ramanujan_exp_sum(h, j),
+            "divisor_sum": ramanujan_sum(h, j),
+            "closed_form": _ramanujan_closed_form(h, j)}
     if len(set(vals.values())) != 1:
         raise MethodMismatch(f"c_{h}({j}) methods disagree: {vals}")
     return vals["divisor_sum"]

@@ -1,5 +1,5 @@
-"""Root-system engine: Cartan matrices, positive-root enumeration with
-heights, exponents, the Coxeter element and its characteristic polynomial,
+"""Root-system engine: Cartan matrices, the positive roots counted by
+height, exponents, the Coxeter element and its characteristic polynomial,
 the derived arithmetic functions, and a brute-force Weyl-group oracle.
 
 Built instances are immutable and freely shareable across workers; building
@@ -97,26 +97,25 @@ def cartan_matrix(rsid):
 class RootSystem:
     """A built irreducible root system with all derived invariants.
 
-    Fields follow the engine contract: ``positive_roots`` in simple-root
-    coordinates ordered by height, ``h`` the Coxeter number, ``exponents``
-    ascending, ``b[k-1]`` the number of positive roots of height k,
-    ``m[k]`` the multiplicity of the k-th eigenvalue of the Coxeter element,
-    ``e_of_d`` the cyclic factorization exponents, and ``p[k]`` the power
-    sums of the Coxeter eigenvalues.
+    Fields follow the engine contract: ``h`` the Coxeter number,
+    ``exponents`` ascending, ``b[k-1]`` the number of positive roots of
+    height k, ``two_rho`` the sum of the positive roots in simple-root
+    coordinates, ``m[k]`` the multiplicity of the k-th eigenvalue of the
+    Coxeter element, ``e_of_d`` the cyclic factorization exponents, and
+    ``p[k]`` the power sums of the Coxeter eigenvalues.  The roots themselves
+    are not kept; ``positive_roots(rs)`` enumerates them again.
     """
 
-    __slots__ = ("id", "cartan", "positive_roots", "heights", "h",
-                 "exponents", "b", "m", "e_of_d", "p", "_coxeter")
+    __slots__ = ("id", "cartan", "h", "exponents", "b", "two_rho", "m",
+                 "e_of_d", "p", "_coxeter")
 
-    def __init__(self, rsid, cartan, positive_roots, heights, h, exponents,
-                 b, m, e_of_d, p):
+    def __init__(self, rsid, cartan, h, exponents, b, two_rho, m, e_of_d, p):
         self.id = rsid
         self.cartan = cartan
-        self.positive_roots = positive_roots
-        self.heights = heights
         self.h = h
         self.exponents = exponents
         self.b = b
+        self.two_rho = two_rho
         self.m = m
         self.e_of_d = e_of_d
         self.p = p
@@ -134,19 +133,19 @@ def _columns(cartan):
 
 
 def _close_positive_roots(cartan):
-    """The positive roots by height, each level sorted: the simple roots closed
-    under the s_i with <beta, alpha_i^vee> < 0, which raise the height and keep
-    the root positive (Humphreys, Reflection Groups and Coxeter Groups, 1.6).
+    """Yield the positive roots one height level at a time, each level a list
+    in no set order: the simple roots closed under the s_i with
+    <beta, alpha_i^vee> < 0, which raise the height and keep the root
+    positive (Humphreys, Reflection Groups and Coxeter Groups, 1.6).
 
     Each root of a live level carries its pairings p_j = <beta, alpha_j^vee>.
     For p_i = c < 0 the new root is beta - c alpha_i, with pairings p minus c
     times column i of the Cartan matrix.  A root rises at most three levels
-    (G2), so only levels k..k+3 hold pairings."""
+    (G2), so only levels k..k+3 are held."""
     n = len(cartan)
     cols = _columns(cartan)
     levels = {1: {tuple(1 if j == i else 0 for j in range(n)): [row[i] for row in cartan]
                   for i in range(n)}}
-    out = []
     k = 1
     while k in levels:
         for beta, p in levels[k].items():
@@ -161,24 +160,29 @@ def _close_positive_roots(cartan):
                         for j, a in cols[i]:
                             q[j] -= c * a
                         level[root] = q
-        out.append(sorted(levels.pop(k)))
+        yield list(levels.pop(k))
         k += 1
-    return out
 
 
-def build(rsid, *, check=True):
-    """Construct the root system and derive every stored invariant."""
+def positive_roots(rs):
+    """The positive roots of ``rs`` in simple-root coordinates, by height and
+    sorted within each height, from the closure run again on ``rs.cartan``."""
+    return [root for level in _close_positive_roots(rs.cartan) for root in sorted(level)]
+
+
+def build(rsid):
+    """Construct the root system, derive every stored invariant and check
+    them.  The closure's levels are folded into the height counts ``b`` and
+    the column sums ``two_rho`` as they come; no root is kept."""
     validate_id(rsid)
     n = rsid.rank
     cartan = cartan_matrix(rsid)
-    levels = _close_positive_roots(cartan)
-    b = [len(level) for level in levels]
+    b = []
+    two_rho = (0,) * n
+    for level in _close_positive_roots(cartan):
+        b.append(len(level))
+        two_rho = tuple(map(sum, zip(two_rho, *level)))
     h = len(b) + 1
-    roots = []
-    heights = []
-    for k, level in enumerate(levels, start=1):
-        roots.extend(level)
-        heights.extend([k] * len(level))
 
     # Exponents are the conjugate of the height-count partition.
     if any(b[i] < b[i + 1] for i in range(len(b) - 1)):
@@ -192,9 +196,8 @@ def build(rsid, *, check=True):
 
     p = [sum(d * e_of_d[d] for d in divisors(gcd(k, h))) for k in range(h)]
 
-    rs = RootSystem(rsid, cartan, roots, heights, h, exponents, b, m, e_of_d, p)
-    if check:
-        _check_invariants(rs)
+    rs = RootSystem(rsid, cartan, h, exponents, b, two_rho, m, e_of_d, p)
+    _check_invariants(rs)
     return rs
 
 
@@ -213,7 +216,7 @@ def _check_invariants(rs):
 
     invariants = (
         (b[0] == n, "rank-many simple roots expected at height 1"),
-        (len(rs.positive_roots) == n * h // 2, "n*h/2 positive roots expected"),
+        (sum(b) == n * h // 2, "n*h/2 positive roots expected"),
         (b[-1] == 1, "unique root of maximal height"),
         (h < 3 or b[1] == n - 1, "n-1 roots expected at height 2"),
         (all(b_at(k) + b_at(h + 1 - k) == n for k in range(1, h + 1)),
@@ -363,8 +366,7 @@ def weyl_length_gf_bruteforce(rs, cap=DEFAULT_BFS_CAP):
     order = weyl_order(rs)
     if order > cap:
         raise GroupTooLarge(f"|W({rs.id})| = {order} exceeds cap {cap}")
-    two_rho = [sum(col) for col in zip(*rs.positive_roots)]
-    start = tuple(sum(a * x for a, x in zip(row, two_rho)) for row in rs.cartan)
+    start = tuple(sum(a * x for a, x in zip(row, rs.two_rho)) for row in rs.cartan)
     if any(x != 2 for x in start):
         raise MethodMismatch(f"{rs.id}: the positive roots do not sum to 2*rho")
     cols = _columns(rs.cartan)

@@ -51,8 +51,8 @@ def corrupted(rs, kind):
         exponents[-1] -= 1
     else:
         raise ValueError(f"unknown corruption {kind!r}")
-    return RootSystem(rs.id, rs.cartan, rs.positive_roots, rs.heights, rs.h,
-                      exponents, b, m, e_of_d, p)
+    return RootSystem(rs.id, rs.cartan, rs.h, exponents, b, rs.two_rho, m,
+                      e_of_d, p)
 
 
 def differential_reports():

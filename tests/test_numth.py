@@ -9,10 +9,10 @@ import pytest
 from rootheight.errors import MethodMismatch, UnsupportedOrder
 from rootheight.exactalg import Polynomial, cyc_eval
 from rootheight.linalg import det
-from rootheight.numth import (ArithSeq, cyclotomic_discriminant,
-                              cyclotomic_poly, divisors, gcd_count, is_cohen,
-                              mobius, psi_poly, ramanujan_sum,
-                              ramanujan_sum_checked, totient)
+from rootheight.numth import (ArithSeq, _ramanujan_exp_sum,
+                              cyclotomic_discriminant, cyclotomic_poly,
+                              divisors, gcd_count, is_cohen, mobius, psi_poly,
+                              ramanujan_sum, ramanujan_sum_checked, totient)
 
 
 def qm1(d):
@@ -77,10 +77,6 @@ class TestRamanujan:
         for h in range(1, 31):
             for j in range(h + 1):
                 ramanujan_sum_checked(h, j)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            ramanujan_sum(6, 1, method="guess")
 
 
 class TestCyclotomic:
@@ -199,7 +195,7 @@ def test_exp_sum_rationality_guard():
     # The exponential-sum route must reduce to a plain integer.
     for h in (7, 9, 16):
         for j in range(h + 1):
-            v = ramanujan_sum(h, j, method="exp_sum")
+            v = _ramanujan_exp_sum(h, j)
             assert isinstance(v, int)
 
 

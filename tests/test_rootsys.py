@@ -3,6 +3,7 @@ Weyl-group oracle."""
 
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from rootheight.numth import divisors
 from rootheight.rootsys import (RootSystem, RootSystemId, _close_positive_roots,
                                 build, cartan_matrix, coxeter_element,
                                 factor_exponents, mat_identity, mat_mul,
-                                multiplicities, power_sums,
+                                multiplicities, positive_roots, power_sums,
                                 weyl_length_gf_bruteforce,
                                 weyl_length_gf_product, weyl_order)
 
@@ -55,7 +56,7 @@ def root_walk(rs):
     """Length counts of the orbit of 2 rho walked in simple-root coordinates:
     s_i w is longer than w exactly when <w(2 rho), alpha_i^vee> > 0."""
     rows = sparse_rows(rs.cartan)
-    level = {tuple(map(sum, zip(*rs.positive_roots)))}
+    level = {rs.two_rho}
     counts = []
     while level:
         counts.append(len(level))
@@ -71,9 +72,11 @@ def root_walk(rs):
 
 
 def with_roots(rs, roots):
-    """``rs`` rebuilt by the constructor with another positive-root list."""
-    return RootSystem(rs.id, rs.cartan, roots, rs.heights, rs.h, rs.exponents,
-                      rs.b, rs.m, rs.e_of_d, rs.p)
+    """``rs`` rebuilt by the constructor with 2 rho summed from another
+    positive-root list."""
+    two_rho = tuple(map(sum, zip(*roots)))
+    return RootSystem(rs.id, rs.cartan, rs.h, rs.exponents, rs.b, two_rho,
+                      rs.m, rs.e_of_d, rs.p)
 
 
 def reflection_matrix(cartan, i):
@@ -177,13 +180,13 @@ class TestBuild:
 
     def test_rank2_simply_laced(self, catalog):
         rs = catalog["A2"]
-        assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1)}
+        assert set(positive_roots(rs)) == {(1, 0), (0, 1), (1, 1)}
         assert rs.b == [2, 1]
         assert rs.exponents == [1, 2]
 
     def test_largest_exceptional(self, catalog):
         rs = catalog["E8"]
-        assert len(rs.positive_roots) == 120
+        assert len(positive_roots(rs)) == 120
         assert rs.h == 30
         assert rs.exponents == [1, 7, 11, 13, 17, 19, 23, 29]
 
@@ -192,7 +195,20 @@ class TestBuild:
             fam, n = rs.id.family, rs.id.rank
             assert rs.exponents == golden_exponents(fam, n)
             assert rs.b == conjugate_partition(rs.exponents, rs.h)
-            assert len(rs.positive_roots) == n * rs.h // 2
+            assert len(positive_roots(rs)) == n * rs.h // 2
+
+    def test_build_keeps_no_root_table(self):
+        # build folds each closure level into b and 2 rho and drops it.  The
+        # bound lies between that fold's 0.34 MiB peak and the 4.3 MiB that a
+        # kept table of the 6,320 roots of 80 coordinates costs.
+        tracemalloc.start()
+        try:
+            rs = build(RootSystemId("D", 80))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(rs.b) == 80 * 158 // 2
+        assert peak < 2**20, f"build(D80) peaked at {peak / 2**20:.2f} MiB"
 
     def test_invariant_guard_survives_optimize(self):
         # A closure that loses the top height level must fail the build
@@ -202,7 +218,7 @@ class TestBuild:
             "from rootheight.errors import RootHeightError\n"
             "assert False, 'asserts are on'\n"
             "close = rootsys._close_positive_roots\n"
-            "rootsys._close_positive_roots = lambda cartan: close(cartan)[:-1]\n"
+            "rootsys._close_positive_roots = lambda cartan: list(close(cartan))[:-1]\n"
             "try:\n"
             "    rootsys.build(rootsys.RootSystemId('A', 3))\n"
             "except RootHeightError as exc:\n"
@@ -214,15 +230,16 @@ class TestBuild:
     def test_closure_matches_root_strings(self):
         for rsid in small_ids(20):
             cartan = cartan_matrix(rsid)
-            assert _close_positive_roots(cartan) == string_closure(cartan), rsid
+            levels = [sorted(level) for level in _close_positive_roots(cartan)]
+            assert levels == string_closure(cartan), rsid
 
     def test_catalog_invariants(self, catalog):
         for rs in catalog.values():
             n, h = rs.id.rank, rs.h
             assert rs.b[0] == n
             assert rs.b[-1] == 1
-            heights = [sum(r) for r in rs.positive_roots]
-            assert heights == rs.heights
+            heights = [sum(r) for r in positive_roots(rs)]
+            assert heights == [k for k, bk in enumerate(rs.b, start=1) for _ in range(bk)]
             assert max(heights) == h - 1
             assert heights.count(h - 1) == 1
             assert heights.count(1) == n
@@ -309,8 +326,8 @@ class TestCoxeterElement:
 
     def test_wrong_order_raises(self, catalog):
         a4 = catalog["A4"]
-        wrong = RootSystem(a4.id, a4.cartan, a4.positive_roots, a4.heights, 6,
-                           a4.exponents, a4.b, a4.m + [0], a4.e_of_d, a4.p)
+        wrong = RootSystem(a4.id, a4.cartan, 6, a4.exponents, a4.b, a4.two_rho,
+                           a4.m + [0], a4.e_of_d, a4.p)
         with pytest.raises(MethodMismatch, match="order is not h"):
             coxeter_element(wrong)
 
@@ -352,8 +369,9 @@ class TestWeylOracle:
     def test_dropped_simple_root_raises(self, catalog):
         for name in ("A4", "B3", "D5", "F4", "G2"):
             rs = catalog[name]
+            full = positive_roots(rs)
             for k in range(rs.id.rank):
-                roots = [r for r in rs.positive_roots if r != rs.positive_roots[k]]
+                roots = [r for r in full if r != full[k]]
                 with pytest.raises(MethodMismatch, match="2\\*rho"):
                     weyl_length_gf_bruteforce(with_roots(rs, roots), cap=1920)
 
@@ -362,7 +380,7 @@ class TestWeylOracle:
         # coordinate walk counts |W| all the same; only the start guard sees it.
         for name in ("A4", "B3", "D5", "F4", "G2"):
             rs = catalog[name]
-            broken = with_roots(rs, rs.positive_roots[:-1])
+            broken = with_roots(rs, positive_roots(rs)[:-1])
             assert root_walk(broken) == weyl_length_gf_bruteforce(rs, cap=1920), rs.id
             with pytest.raises(MethodMismatch, match="2\\*rho"):
                 weyl_length_gf_bruteforce(broken, cap=1920)
