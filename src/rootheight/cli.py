@@ -138,8 +138,10 @@ def cmd_verify(systems, props, bfs_cap, jobs, fmt, out):
             ids = [p for p in props if p in available_checks(rs)]
         tasks.append((rs, ids, bfs_cap))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # At most one worker per system: the pool forks all of its workers up front.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_worker, tasks))
     else:
         results = [_verify_worker(t) for t in tasks]
@@ -262,10 +264,12 @@ def main(argv=None):
         if args.command == "verify":
             systems = _parse_selector(args.selector)
             props = None
-            if args.props and args.all_props:
+            if args.props is not None and args.all_props:
                 raise UsageError("--props and --all are mutually exclusive")
-            if args.props:
+            if args.props is not None:
                 props = [p.strip() for p in args.props.split(",") if p.strip()]
+                if not props:
+                    raise UsageError(f"--props {args.props!r} names no check id")
             cap = args.bfs_cap
             if cap is None:
                 raw = os.environ.get("ROOTHEIGHT_BFS_CAP", str(DEFAULT_BFS_CAP))

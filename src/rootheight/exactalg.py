@@ -167,9 +167,6 @@ class Polynomial:
                     rem[i + j] = rem[i + j] - t * bc
         return Polynomial(quot), Polynomial(rem[: dd - 1])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -543,32 +540,6 @@ class CycNum:
         coeffs = list(inv.coeffs) + [0] * (ctx.phi - len(inv.coeffs))
         return CycNum._raw(self.order, coeffs)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(_coeff_inv(other))
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = CycNum.rational(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- queries -------------------------------------------------------------
 
     @property
@@ -588,9 +559,6 @@ class CycNum:
         if o is None:
             return NotImplemented
         return all(a == b for a, b in zip(self.coeffs, o.coeffs))
-
-    def __hash__(self):
-        return hash((self.order, tuple(Fraction(c) for c in self.coeffs)))
 
     def __repr__(self):
         return f"CycNum({self.order}, {list(self.coeffs)!r})"
@@ -657,15 +625,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._wrap(other)
-        if o.num.is_zero:
-            raise DivisionByZero("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
-
     def __eq__(self, other):
         o = self._wrap(other)
         return self.num * o.den == o.num * self.den
@@ -683,18 +642,9 @@ class RationalFunction:
         inv = _coeff_inv(den.leading)
         return RationalFunction(num * inv, den * inv)
 
-    @property
-    def is_polynomial(self):
-        return (self.num % self.den).is_zero
-
     def as_polynomial(self):
         """Exact quotient; raises NotDivisible when not a polynomial."""
         return self.num.divexact(self.den)
-
-    def subst_recip(self):
-        """Substitute q -> 1/q, returned again as a rational function."""
-        m = max(self.num.degree, self.den.degree)
-        return RationalFunction(self.num.reversed_to(m), self.den.reversed_to(m))
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"

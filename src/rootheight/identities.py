@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Optional
 
-from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound,
+from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, NotDivisible,
                      ReconstructionMismatch, RootHeightError)
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
                        _cyclotomic_int, _int_divmod, cyc_eval)
@@ -424,15 +424,10 @@ def _cohen_tail_members(h, avals):
 
 def _periodic_members(h, a):
     """Expansions of A(q)/(1-q**h) for the h-periodic sequence a(0..h-1):
-    eigenvalue poles, transform numerator, double Ramanujan numerator, and
-    the Cohen tail members."""
+    eigenvalue poles (numerator: the transform of a, negated over q**h - 1),
+    double Ramanujan numerator, and the Cohen tail members."""
     weights = [CycNum.zeta_pow(h, k) * (-a[k]) for k in range(h)]
     members = [("eigenvalue poles", _sum_over_roots(weights, h) * Fraction(1, h))]
-
-    ctx = _context(h)
-    coeffs = [ctx.root_sum(((h - i) * k, a[i]) for i in range(h)) for k in range(h)]
-    members.append(("transform numerator",
-                    RationalFunction(Polynomial(coeffs), _one_minus(h)) * Fraction(1, h)))
 
     coeffs = [sum(a[(h // d) % h] * ramanujan_sum(d, k) for d in divisors(h))
               for k in range(h)]
@@ -477,7 +472,8 @@ def prop6_check(h, system=None):
 
 def prop7_check(rs):
     """Tail expansions of E(q)/(1-q**h) through the totient q-analogue at
-    power substitutions."""
+    power substitutions.  The split constant term is the plain Moebius
+    expansion minus a(0) for every a, so it also checks that expansion."""
     h = rs.h
     a = lambda k: rs.m[k % h]
     lhs_full = RationalFunction(exponent_poly(rs), _one_minus(h))
@@ -500,11 +496,7 @@ def prop7_check(rs):
          _rf_sum([a(0) * RationalFunction(Polynomial.monomial(h), _one_minus(h))]
                  + [a(h // d) * plain(d) for d in divs if d != 1])),
     ]
-    witness = _chain_check(members)
-    if witness is None:
-        witness = _chain_check([("E/(1-q^h)", lhs_full),
-                                ("Moebius plain", _rf_sum(a(h // d) * plain(d) for d in divs))])
-    return _report("prop7", _sys(rs), witness)
+    return _report("prop7", _sys(rs), _chain_check(members))
 
 
 def prop8_check(rs):
@@ -853,10 +845,11 @@ def eq5_check(rs, bfs_cap=DEFAULT_BFS_CAP):
                             ("exponent product", by_exponents)])
     gf = None
     if witness is None:
-        if not by_exponents.is_polynomial:
+        try:
+            gf = by_exponents.as_polynomial()
+        except NotDivisible:
             witness = "product form is not polynomial"
         else:
-            gf = by_exponents.normalize().as_polynomial()
             order = weyl_order(rs)
             if gf(1) != order:
                 witness = f"value at 1 is {gf(1)}, group order is {order}"

@@ -1,49 +1,21 @@
-"""Small exact linear-algebra helpers: determinants over any exact field,
-an LU solver over the rationals, and characteristic polynomials from traces."""
+"""Small exact linear-algebra helpers: an LU solver over the rationals, whose
+pivots give determinants, and characteristic polynomials from traces."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .errors import MethodMismatch, SingularSystem
-from .exactalg import Polynomial, _coeff_inv
+from .exactalg import Polynomial
 
 
 def det(rows):
-    """Determinant by Gaussian elimination over an exact field.
-
-    Entries may be ints, Fractions, or CycNum values of one order.
-    """
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    acc = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pv = a[col][col]
-        acc = acc * pv
-        inv = _coeff_inv(pv)
-        prow = a[col]
-        for r in range(col + 1, n):
-            f = a[r][col]
-            if not f:
-                continue
-            f = f * inv
-            arow = a[r]
-            for c2 in range(col + 1, n):
-                if prow[c2]:
-                    arow[c2] = arow[c2] - f * prow[c2]
-            arow[col] = 0
-    return sign * acc if sign == 1 else -acc
+    """Determinant over the rationals, read off the pivots of ``FractionLU``;
+    0 for a singular matrix."""
+    try:
+        return FractionLU(rows).det
+    except SingularSystem:
+        return 0
 
 
 class FractionLU:

@@ -189,16 +189,24 @@ def build(rsid):
         raise MethodMismatch(f"{rsid}: height counts are not non-increasing")
     exponents = [sum(1 for bk in b if bk >= j) for j in range(n, 0, -1)]
 
-    m = [0] * h
-    for e in exponents:
-        m[e % h] += 1
+    m = _multiplicities(exponents, h)
     e_of_d = _moebius_exponents(m, h)
-
-    p = [sum(d * e_of_d[d] for d in divisors(gcd(k, h))) for k in range(h)]
+    p = _divisor_power_sums(e_of_d, h)
 
     rs = RootSystem(rsid, cartan, h, exponents, b, two_rho, m, e_of_d, p)
     _check_invariants(rs)
     return rs
+
+
+def _multiplicities(exponents, h):
+    """m(k) for k = 0..h-1: how many exponents are k modulo h."""
+    count = Counter(e % h for e in exponents)
+    return [count[k] for k in range(h)]
+
+
+def _divisor_power_sums(e_of_d, h):
+    """p(k) for k = 0..h-1: the sum of d e(d) over the divisors d of gcd(k, h)."""
+    return [sum(d * e_of_d[d] for d in divisors(gcd(k, h))) for k in range(h)]
 
 
 def _moebius_exponents(m, h):
@@ -235,10 +243,7 @@ def _check_invariants(rs):
 def multiplicities(rs):
     """Eigenvalue multiplicities m(k) of the Coxeter element, from the
     exponents (each exponent lies in 1..h-1)."""
-    m = [0] * rs.h
-    for e in rs.exponents:
-        m[e % rs.h] += 1
-    return m
+    return _multiplicities(rs.exponents, rs.h)
 
 
 # -- Coxeter element ---------------------------------------------------------
@@ -331,7 +336,7 @@ def power_sums(rs):
     sum over e(d) and cross-checked against the direct root-of-unity sum and
     the Ramanujan-sum transform of m."""
     h = rs.h
-    out = [sum(d * rs.e_of_d[d] for d in divisors(gcd(k, h))) for k in range(h)]
+    out = _divisor_power_sums(rs.e_of_d, h)
 
     ctx = _context(h)
     for k in range(h):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import rootheight.cli as cli
 import rootheight.identities as identities
 from rootheight.cli import MAX_DENOMINATOR_BITS, MAX_PERIOD, main
 from rootheight.exactalg import Polynomial
@@ -122,6 +123,42 @@ class TestVerify:
             args = ["verify", "all", "--props", "prop1,eq12,cohen", "--format", fmt]
             serial = run_cli(capsys, *args)
             assert run_cli(capsys, *args, "--jobs", "2") == serial
+
+    def test_jobs_pool_at_most_one_worker_per_system(self, capsys, monkeypatch):
+        # The pool starts all of its workers at once; a fake one records how
+        # many it was asked for and maps in-process.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        for selector, expected in ((["G", "2"], []), (["all"], [34])):
+            args = ["verify", *selector, "--props", "prop8", "--format", "json"]
+            serial = run_cli(capsys, *args)
+            assert run_cli(capsys, *args, "--jobs", "100000") == serial
+            assert sizes == expected
+            sizes.clear()
+
+    def test_props_naming_no_check_usage_error(self, capsys):
+        for props in (",", " ", ""):
+            assert main(["verify", "G", "2", "--props", props]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("rootheight: error:"), props
+        # A known check that does not apply to G2 still runs nothing.
+        assert run_cli(capsys, "verify", "G", "2", "--props", "eq19") == (
+            0, "0/0 checks passed on 1 systems\n")
 
     def test_bfs_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOTHEIGHT_BFS_CAP", "1")

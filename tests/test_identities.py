@@ -12,7 +12,7 @@ import pytest
 
 import rootheight.identities as identities
 from rootheight.errors import DegreeTooHigh, MethodMismatch, SingularSystem
-from rootheight.exactalg import CycNum, Polynomial, _context, cyc_eval
+from rootheight.exactalg import CycNum, Polynomial, RationalFunction, _context, cyc_eval
 from rootheight.identities import (_gram_lu, _lvec_interpolated,
                                    available_checks,
                                    b_from_exponents, b_poly, dynkin_check,
@@ -282,17 +282,15 @@ class TestInterpolation:
                 assert Polynomial(_gram_lu(h).solve(vec)) == \
                     bordered_det_minors(vec, gram) * (-1 / cyclotomic_discriminant(h)), h
 
-    def test_pivot_determinant_matches_elimination(self):
-        # _gram_lu reads det G off the FractionLU pivots; linalg.det eliminates
-        # again.  Both must give disc(Phi_h), and a singular matrix has no
-        # factorisation.
+    def test_pivot_determinant_matches_closed_forms(self):
+        # det reads the FractionLU pivots; the oracles are the closed-form
+        # disc(Phi_h), the permutation matrix's 6 and a singular matrix's 0.
         for h in range(3, 61):
             row = _context(h).ramanujan_row()
             phi = totient(h)
             gram = [[row[(i + j) % h] for j in range(phi)] for i in range(phi)]
-            assert FractionLU(gram).det == det(gram) == cyclotomic_discriminant(h), h
-        assert FractionLU([[0, 1, 0], [0, 0, 2], [3, 0, 0]]).det == det(
-            [[0, 1, 0], [0, 0, 2], [3, 0, 0]]) == 6
+            assert det(gram) == cyclotomic_discriminant(h), h
+        assert det([[0, 1, 0], [0, 0, 2], [3, 0, 0]]) == 6
         singular = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
         assert det(singular) == 0
         with pytest.raises(SingularSystem):
@@ -435,6 +433,18 @@ class TestCrossChecksFail:
         monkeypatch.setattr(ctx_type, "inv_one_minus", lambda self, k: real(self, k) + 1)
         rep = run_suite(catalog["E6"], ["prop15"])[0]
         assert (rep.verdict, rep.witness) == ("fail", "pole sum at m=1 is not -11/2")
+
+    def test_eq5_product_form_witnesses(self, catalog, monkeypatch):
+        # eq5 is outside the corruption differential; substituted product
+        # forms reach both of its witnesses.
+        for form, witness in (
+                (RationalFunction(P(1), P(1, -1)), "product form is not polynomial"),
+                (RationalFunction(P(1, 0, -1), P(1, -1)),
+                 "value at 1 is 2, group order is 6")):
+            monkeypatch.setattr(identities, "weyl_length_gf_product",
+                                lambda rs, f=form: (f, f))
+            rep = run_suite(catalog["A2"], ["eq5"])[0]
+            assert (rep.verdict, rep.witness) == ("fail", witness)
 
 
 class TestSingularity:

@@ -249,10 +249,13 @@ class TestDerivedFunctions:
     def test_multiplicities(self, catalog):
         assert multiplicities(catalog["G2"]) == [0, 1, 0, 0, 0, 1]
         assert multiplicities(catalog["A3"]) == [0, 1, 1, 1]
+        # Independent route: m(k) counts the exponents equal to k, and the
+        # height counts b are their conjugate partition, so m(k) = b_k - b_(k+1).
+        assert len(catalog) == 34
         for rs in catalog.values():
-            m = multiplicities(rs)
-            assert m == rs.m
-            assert m[0] == 0 and sum(m) == rs.id.rank
+            b = list(rs.b) + [0]
+            expected = [0] + [b[k - 1] - b[k] for k in range(1, rs.h)]
+            assert multiplicities(rs) == rs.m == expected, rs.id
 
     def test_factor_exponents_fixtures(self, catalog):
         assert factor_exponents(catalog["G2"]) == {1: 1, 2: -1, 3: -1, 6: 1}
