@@ -26,11 +26,11 @@ from .rootsys import (DEFAULT_BFS_CAP, RootSystemId, build, coxeter_element,
 
 MAX_RANK = 500
 # Largest munagi period: a dense numerator decomposes within 1 s for every
-# h <= 2000 (slowest measured: h = 1980, 0.64 s; h = 2310 took 1.03 s;
-# 2-core Xeon, CPython 3.11).
+# h <= 2000 (slowest measured: h = 2000, 0.26 s, and h = 1980, 0.21 s; h = 2310
+# took 0.32 s; in-process main, 2-core Xeon, CPython 3.11).
 MAX_PERIOD = 2000
 # Largest munagi common denominator in bits: at h = 1980 a dense numerator took
-# 0.76 s over 2048 bits, 1.03 s over 4096 (14,000-bit numerators alone: 0.35 s).
+# 0.27 s over 2048 bits, 0.38 s over 4096 (one 14,000-bit numerator: 0.13 s).
 MAX_DENOMINATOR_BITS = 2048
 
 
@@ -127,14 +127,39 @@ def _verify_worker(task):
             "checks": sorted((r.as_dict() for r in reports), key=lambda c: c["id"])}
 
 
+def _verify_options(args):
+    """The check ids (None for all) and the Weyl enumeration cap of a verify
+    call, validated before any system is built."""
+    if args.props is not None and args.all_props:
+        raise UsageError("--props and --all are mutually exclusive")
+    props = None
+    if args.props is not None:
+        props = [p.strip() for p in args.props.split(",") if p.strip()]
+        if not props:
+            raise UsageError(f"--props {args.props!r} names no check id")
+        unknown = [p for p in props if p not in CHECK_IDS]
+        if unknown:
+            raise UsageError(f"unknown checks: {','.join(unknown)}")
+    cap = args.bfs_cap
+    if cap is None:
+        raw = os.environ.get("ROOTHEIGHT_BFS_CAP", str(DEFAULT_BFS_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise UsageError(f"ROOTHEIGHT_BFS_CAP must be an integer, "
+                             f"got {raw!r}") from None
+    if cap < 0:
+        raise UsageError(f"Weyl enumeration cap must be non-negative, got {cap}")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be positive")
+    return props, cap
+
+
 def cmd_verify(systems, props, bfs_cap, jobs, fmt, out):
     tasks = []
     for rs in systems:
         ids = None
         if props is not None:
-            unknown = [p for p in props if p not in CHECK_IDS]
-            if unknown:
-                raise UsageError(f"unknown checks: {','.join(unknown)}")
             ids = [p for p in props if p in available_checks(rs)]
         tasks.append((rs, ids, bfs_cap))
 
@@ -262,27 +287,9 @@ def main(argv=None):
         if args.command == "info":
             return cmd_info(_parse_system(args.family, args.rank), args.format, out)
         if args.command == "verify":
-            systems = _parse_selector(args.selector)
-            props = None
-            if args.props is not None and args.all_props:
-                raise UsageError("--props and --all are mutually exclusive")
-            if args.props is not None:
-                props = [p.strip() for p in args.props.split(",") if p.strip()]
-                if not props:
-                    raise UsageError(f"--props {args.props!r} names no check id")
-            cap = args.bfs_cap
-            if cap is None:
-                raw = os.environ.get("ROOTHEIGHT_BFS_CAP", str(DEFAULT_BFS_CAP))
-                try:
-                    cap = int(raw)
-                except ValueError:
-                    raise UsageError(f"ROOTHEIGHT_BFS_CAP must be an integer, "
-                                     f"got {raw!r}") from None
-            if cap < 0:
-                raise UsageError(f"Weyl enumeration cap must be non-negative, got {cap}")
-            if args.jobs < 1:
-                raise UsageError("--jobs must be positive")
-            return cmd_verify(systems, props, cap, args.jobs, args.format, out)
+            props, cap = _verify_options(args)
+            return cmd_verify(_parse_selector(args.selector), props, cap,
+                              args.jobs, args.format, out)
         if args.command == "munagi":
             try:
                 coeffs = [Fraction(tok.strip()) for tok in args.coeffs.split(",")]

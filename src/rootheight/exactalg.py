@@ -8,6 +8,12 @@ be used freely from concurrent workers.
 Polynomial coefficients may be Python ints, ``Fraction`` values, or ``CycNum``
 elements of one fixed order; the three kinds interoperate through the usual
 arithmetic operators (ints and Fractions embed as constants of the field).
+Integers stay integers: a polynomial holds an integral coefficient as an
+``int``, never as ``Fraction(k, 1)``, and the units 1 and -1 invert to
+themselves.  So ``monic``, ``divmod`` by a divisor with leading coefficient
++-1, ``poly_gcd``, rational-function sums and ``normalize`` keep integer
+inputs in ``int`` arithmetic, which is several times cheaper than
+``Fraction`` arithmetic for the same values.
 
 Each cyclotomic order has one field context, built once by the cached
 ``_context(h)``: the modulus, the reduced powers of the root, the primitive
@@ -28,12 +34,15 @@ from .errors import DivisionByZero, NotDivisible
 
 
 def _coeff_inv(c):
-    """Multiplicative inverse of a coefficient, staying exact."""
+    """Multiplicative inverse of a coefficient, staying exact; the units 1
+    and -1 (as ints or as Fractions) invert to themselves as ints."""
     if not c:
         raise DivisionByZero("inverse of zero coefficient")
     if isinstance(c, int):
-        return Fraction(1, c)
+        return c if c in (1, -1) else Fraction(1, c)
     if isinstance(c, Fraction):
+        if c.denominator == 1 and c.numerator in (1, -1):
+            return c.numerator
         return Fraction(c.denominator, c.numerator)
     return c.inverse()
 
@@ -42,13 +51,15 @@ class Polynomial:
     """Dense univariate polynomial; index i holds the coefficient of q**i.
 
     The zero polynomial is the empty coefficient tuple; otherwise the last
-    coefficient is nonzero and ``degree`` equals ``len(coeffs) - 1``.
+    coefficient is nonzero and ``degree`` equals ``len(coeffs) - 1``.  An
+    integral ``Fraction`` coefficient is stored as its ``int`` numerator.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
+        cs = [c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+              for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -295,7 +306,7 @@ def poly_gcd(a, b):
 
 def _int_divmod(num, den):
     """Quotient and remainder of integer coefficient lists, for a monic
-    divisor no longer than the dividend."""
+    divisor; a dividend shorter than the divisor is its own remainder."""
     num = list(num)
     dd = len(den)
     quot = [0] * (len(num) - dd + 1)

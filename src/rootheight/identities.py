@@ -25,7 +25,7 @@ from typing import Optional
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, NotDivisible,
                      ReconstructionMismatch, RootHeightError)
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
-                       _cyclotomic_int, _int_divmod, cyc_eval)
+                       _cyclotomic_int, _int_divmod, cyc_eval, poly_str)
 from .linalg import FractionLU, det
 from .numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly, divisors,
                     factorize, gcd_count, is_cohen, mobius, psi_poly,
@@ -77,13 +77,24 @@ def _sys(rs):
 # -- comparison helpers -------------------------------------------------------
 
 
+def _render(x):
+    """A witness value by value, not by Python type: a rational as p/q (an
+    integer as k), a polynomial in q and a CycNum as a polynomial in z, with
+    their coefficients rendered the same way."""
+    if isinstance(x, Polynomial):
+        return poly_str(x)
+    if isinstance(x, CycNum):
+        return poly_str(Polynomial(x.coeffs), "z")
+    return str(Fraction(x))
+
+
 def _poly_mismatch(la, pa, lb, pb):
     d = pa - pb
     if d.is_zero:
         return None
     i = next(i for i, c in enumerate(d.coeffs) if c)
     return (f"'{la}' != '{lb}': first difference at q^{i} "
-            f"({pa.coeff(i)!r} vs {pb.coeff(i)!r})")
+            f"({_render(pa.coeff(i))} vs {_render(pb.coeff(i))})")
 
 
 def _rf_mismatch(la, fa, lb, fb):
@@ -92,7 +103,7 @@ def _rf_mismatch(la, fa, lb, fb):
         return None
     i = next(i for i, c in enumerate(d.coeffs) if c)
     return (f"'{la}' != '{lb}': cross-difference has q^{i} "
-            f"coefficient {d.coeffs[i]!r}")
+            f"coefficient {_render(d.coeffs[i])}")
 
 
 def _chain_check(members):
@@ -108,7 +119,7 @@ def _chain_check(members):
 def _scalar_mismatch(label, got, expected):
     if got == expected:
         return None
-    return f"{label}: got {got!r}, expected {expected!r}"
+    return f"{label}: got {_render(got)}, expected {_render(expected)}"
 
 
 def _rf_sum(terms):
@@ -288,21 +299,25 @@ def munagi_decompose(numer, h):
 
     Modulo Phi_d, (1-q**h)/(1-q**d) is h/d, and every other divisor whose
     part survives modulo Phi_d is a multiple of d, already subtracted from
-    the rest; so H_d = (d/h) * (rest mod Phi_d).  The rest is carried as
-    integers over the common denominator h * lcm(denominators of numer).
+    the rest; so H_d = (d/h) * (rest mod Phi_d).  Phi_d divides q**d - 1,
+    so the rest is first folded modulo q**d - 1 (each residue class mod d
+    summed) and only those d coefficients are divided by Phi_d: O(h + d
+    phi(d)) per divisor.  The rest is carried as integers over the common
+    denominator h * lcm(denominators of numer).
     The division by h is exact on every unit numerator q**i for h <= 120
     (tested), hence on every numerator of those periods; the round trip
     guards every period.
     """
     if numer.degree >= h:
         raise DegreeTooHigh(f"degree {numer.degree} not below period {h}")
-    coeffs = [Fraction(c) for c in numer.coeffs]
+    coeffs = numer.coeffs
     scale = h * lcm(1, *(c.denominator for c in coeffs))
     rest = [c.numerator * (scale // c.denominator) for c in coeffs]
     rest += [0] * (h - len(rest))
     parts = dict.fromkeys(divisors(h))
     for d in reversed(parts):
-        top = [d * c // h for c in _int_divmod(rest, _cyclotomic_int(d))[1]]
+        folded = [sum(rest[r::d]) for r in range(d)]
+        top = [d * c // h for c in _int_divmod(folded, _cyclotomic_int(d))[1]]
         parts[d] = Polynomial([Fraction(c, scale) for c in top])
         # rest -= H_d * (1 + q**d + ... + q**(h-d))
         for shift in range(0, h, d):
@@ -569,7 +584,7 @@ def prop11_check(rs):
     for d in divisors(h):
         expected = Polynomial((rs.e_of_d[h // d],))
         if dec.parts[d] != expected:
-            witness = f"m-sequence part at d={d} is {dec.parts[d]!r}"
+            witness = f"m-sequence part at d={d} is {_render(dec.parts[d])}"
             break
 
     if witness is None:
@@ -577,7 +592,7 @@ def prop11_check(rs):
         for d in divisors(h):
             expected = Polynomial((d * rs.e_of_d[d],))
             if dec.parts[d] != expected:
-                witness = f"p-sequence part at d={d} is {dec.parts[d]!r}"
+                witness = f"p-sequence part at d={d} is {_render(dec.parts[d])}"
                 break
 
     if witness is None and h >= 3:
@@ -617,7 +632,7 @@ def prop13_check(rs):
         _scalar_mismatch("sum of constant terms", sum(parts[d].coeff(0) for d in parts), n),
         _scalar_mismatch("sum of linear terms", sum(parts[d].coeff(1) for d in parts), n - 1),
         _scalar_mismatch("prime top coefficients", top, 1),
-        None if parts[1].is_zero else f"part at d=1 is {parts[1]!r}",
+        None if parts[1].is_zero else f"part at d=1 is {_render(parts[1])}",
     ]
     witness = next((c for c in checks if c), None)
     return _report("prop13", _sys(rs), witness)
@@ -704,7 +719,7 @@ def prop17_check(rs):
     b_const = parts[2].coeff(0) if h % 2 == 0 else 0
     second = sum(parts[d].coeff(2) for d in divisors(h) if d > 2)
     checks = [
-        None if parts[1] == ONE else f"part at d=1 is {parts[1]!r}",
+        None if parts[1] == ONE else f"part at d=1 is {_render(parts[1])}",
         _scalar_mismatch("sum of constant terms",
                          sum(parts[d].coeff(0) for d in parts), 0),
         _scalar_mismatch("linear terms", 1 + sum(parts[d].coeff(1) for d in parts), n),
@@ -823,9 +838,10 @@ def singularity_check(rs):
         if s * s != disc:
             witness = f"quadratic discriminant {disc} is not a square"
         else:
-            roots = {Fraction(h + 2 - s, 4), Fraction(h + 2 + s, 4)}
-            if roots != {a, b}:
-                witness = f"quadratic roots {roots} do not match ({a}, {b})"
+            lo, hi = Fraction(h + 2 - s, 4), Fraction(h + 2 + s, 4)
+            if {lo, hi} != {a, b}:
+                witness = (f"quadratic roots {_render(lo)}, {_render(hi)} "
+                           f"do not match ({a}, {b})")
 
     if witness is None and data.branch_lengths is not None:
         al, be, ga = data.branch_lengths

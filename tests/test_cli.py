@@ -175,6 +175,30 @@ class TestVerify:
         assert main(["verify", "G", "2", "--bfs-cap", "-5"]) == 2
         assert capsys.readouterr().err.startswith("rootheight: error:")
 
+    def test_options_rejected_before_building(self, capsys, monkeypatch):
+        # A usage error in the options must not pay for the construction of
+        # the selected systems (D500 takes tens of seconds to build).
+        def no_build(rsid):
+            raise AssertionError(f"built {rsid} before validating the options")
+
+        monkeypatch.setattr(cli, "build", no_build)
+        cases = [({}, ["--jobs", "0"]), ({}, ["--bfs-cap", "-1"]),
+                 ({"ROOTHEIGHT_BFS_CAP": "abc"}, []),
+                 ({"ROOTHEIGHT_BFS_CAP": "-1"}, []),
+                 ({}, ["--props", "prop1", "--all"]), ({}, ["--props", ","]),
+                 ({}, ["--props", "prop1,prop99"])]
+        for env, opts in cases:
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
+            for selector in (["D", "500"], ["all"]):
+                assert main(["verify", *selector, *opts]) == 2, (env, opts)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("rootheight: error:"), (env, opts)
+                assert "Traceback" not in captured.err
+            for key in env:
+                monkeypatch.delenv(key)
+
 
 class TestMunagi:
     def test_cohen_constants(self, capsys):

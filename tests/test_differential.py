@@ -28,7 +28,7 @@ TABLE_BEGIN = "<!-- sensitivity table: rendered by tests/test_differential.py --
 TABLE_END = "<!-- end of sensitivity table -->"
 
 VERDICTS_SHA256 = "c77851ec0490b1d368590fb20cdb21332c95e9d499fe7e9253f0039d6d2a732c"
-REPORTS_SHA256 = "4c36bacea7155b9ad7ab18a98d0b347a521779e50cec57bbbb2549562d14cf61"
+REPORTS_SHA256 = "c88aff198d1b57df4fb014b3142abd1e5d08e98324cc466519a96c5b9db3a927"
 
 
 def corrupted(rs, kind):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,8 @@ from rootheight.errors import DivisionByZero, NotDivisible
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction,
                                  _context, _CycContext, cyc_eval, poly_arith,
                                  poly_gcd, poly_str, ratfun_normalize)
-from rootheight.numth import cyclotomic_poly, ramanujan_sum_checked, totient
+from rootheight.linalg import FractionLU
+from rootheight.numth import cyclotomic_poly, factorize, ramanujan_sum_checked, totient
 
 
 def P(*coeffs):
@@ -256,3 +258,137 @@ class TestRationalFunction:
     def test_gcd_examples(self):
         assert poly_gcd(qm1(6), qm1(4)) == qm1(2)
         assert poly_gcd(Polynomial(()), P(0, 2)).monic() == P(0, 1)
+
+
+# Plain Fraction arithmetic on coefficient lists (lowest degree first): the
+# route every coefficient took before integral values stayed ints.
+
+
+def _frac(p):
+    return [Fraction(c) for c in p.coeffs]
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    return _trim([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, inv = list(a), 1 / b[-1]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(quot))):
+        t = quot[i] = rem[i + len(b) - 1] * inv
+        for j, c in enumerate(b):
+            rem[i + j] -= t * c
+    return _trim(quot), _trim(rem[:len(b) - 1])
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _ref_ratfun_add(na, da, nb, db):
+    g = _ref_gcd(da, db)
+    if len(g) < 2:
+        return _ref_add(_ref_mul(na, db), _ref_mul(nb, da)), _ref_mul(da, db)
+    da_g, db_g = _ref_divmod(da, g)[0], _ref_divmod(db, g)[0]
+    return _ref_add(_ref_mul(na, db_g), _ref_mul(nb, da_g)), _ref_mul(da, db_g)
+
+
+def _ref_normalize(num, den):
+    if not num:
+        return [], [Fraction(1)]
+    g = _ref_gcd(num, den)
+    num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    inv = 1 / den[-1]
+    return [c * inv for c in num], [c * inv for c in den]
+
+
+class TestIntegerFastPath:
+    """Integer inputs take int arithmetic and give the values of plain
+    Fraction arithmetic; an integral coefficient is never a Fraction, and a
+    divisor with leading coefficient +-1 keeps every result an int."""
+
+    @staticmethod
+    def _poly(rng, length, lead):
+        if not length:
+            return Polynomial(())
+        return Polynomial([rng.randint(-6, 6) for _ in range(length - 1)] + [lead])
+
+    @staticmethod
+    def _cases(seed):
+        rng = random.Random(seed)
+        for unit in (True, False):
+            for _ in range(150):
+                leads = (1, -1) if unit else (2, -2, 3, -3, 5)
+                yield unit, tuple(TestIntegerFastPath._poly(
+                    rng, rng.randint(lo, hi), rng.choice(leads))
+                    for lo, hi in ((0, 8), (1, 5), (0, 7), (1, 5)))
+
+    @staticmethod
+    def _typed(coeffs, unit):
+        if unit:
+            return all(type(c) is int for c in coeffs)
+        return not any(isinstance(c, Fraction) and c.denominator == 1 for c in coeffs)
+
+    def test_divmod_monic_gcd(self):
+        for unit, (a, b, _, _) in self._cases(71):
+            quot, rem = divmod(a, b)
+            assert (list(quot.coeffs), list(rem.coeffs)) == _ref_divmod(_frac(a), _frac(b))
+            monic = b.monic()
+            assert list(monic.coeffs) == [c / _frac(b)[-1] for c in _frac(b)]
+            g = poly_gcd(a, b)
+            assert list(g.coeffs) == _ref_gcd(_frac(a), _frac(b))
+            for p in (quot, rem, monic, g):
+                assert self._typed(p.coeffs, unit), (a, b, p)
+
+    def test_rational_function_add_and_normalize(self):
+        for unit, (na, da, nb, db) in self._cases(73):
+            s = RationalFunction(na, da) + RationalFunction(nb, db)
+            assert (list(s.num.coeffs), list(s.den.coeffs)) == _ref_ratfun_add(
+                _frac(na), _frac(da), _frac(nb), _frac(db))
+            f = RationalFunction(na, da).normalize()
+            assert (list(f.num.coeffs), list(f.den.coeffs)) == _ref_normalize(
+                _frac(na), _frac(da))
+            for p in (s.num, s.den, f.num, f.den):
+                assert self._typed(p.coeffs, unit), (na, da, nb, db, p)
+
+    def test_cyclotomic_inverse(self):
+        # Reference: solve x * y = 1 for the coordinates of y over the
+        # rationals, one column x * z**j per basis power.
+        rng = random.Random(79)
+        for h in (3, 4, 5, 6, 7, 8, 9, 10, 12, 15):
+            phi = totient(h)
+            for _ in range(12):
+                x = CycNum(h, [rng.randint(-4, 4) for _ in range(phi)])
+                if not x:
+                    continue
+                cols = [(x * CycNum.zeta_pow(h, j)).coeffs for j in range(phi)]
+                lu = FractionLU([[cols[j][i] for j in range(phi)] for i in range(phi)])
+                inv = x.inverse()
+                assert list(inv.coeffs) == lu.solve([1] + [0] * (phi - 1))
+                assert self._typed(inv.coeffs, False)
+            # 1 - z**k is a unit of Z[z] when h is not a prime power: its
+            # inverse stays in ints.
+            if len(factorize(h)) > 1:
+                for k in range(1, h):
+                    if gcd(k, h) == 1:
+                        inv = (1 - CycNum.zeta_pow(h, k)).inverse()
+                        assert self._typed(inv.coeffs, True), (h, k, inv)

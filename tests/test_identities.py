@@ -446,6 +446,20 @@ class TestCrossChecksFail:
             rep = run_suite(catalog["A2"], ["eq5"])[0]
             assert (rep.verdict, rep.witness) == ("fail", witness)
 
+    def test_witness_renders_values_not_types(self, catalog, monkeypatch):
+        # The product form divides by (1-q)^n, whose leading coefficient is
+        # (-1)^n: the same value 1 must read the same on even and odd ranks.
+        monkeypatch.setattr(identities, "weyl_length_gf_bruteforce",
+                            lambda rs, cap: P(7))
+        for name in ("A2", "A3"):
+            rep = run_suite(catalog[name], ["eq5"])[0]
+            assert rep.witness == ("'enumeration' != 'product form': "
+                                   "first difference at q^0 (7 vs 1)"), name
+        assert identities._render(Fraction(6, 3)) == "2"
+        assert identities._render(Fraction(-1, 5)) == "-1/5"
+        assert identities._render(P(Fraction(4, 2), 0, Fraction(-1, 2))) == "2 - 1/2*q^2"
+        assert identities._render(CycNum(5, [Fraction(5, 5), 0, -1, 0])) == "1 - z^2"
+
 
 class TestSingularity:
     def test_weights_fixtures(self, catalog):
