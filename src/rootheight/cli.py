@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import lcm
 
@@ -166,6 +165,8 @@ def cmd_verify(systems, props, bfs_cap, jobs, fmt, out):
     # At most one worker per system: the pool forks all of its workers up front.
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here: the pool's modules are most of a cold start's imports.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_worker, tasks))
     else:

@@ -8,12 +8,14 @@ be used freely from concurrent workers.
 Polynomial coefficients may be Python ints, ``Fraction`` values, or ``CycNum``
 elements of one fixed order; the three kinds interoperate through the usual
 arithmetic operators (ints and Fractions embed as constants of the field).
-Integers stay integers: a polynomial holds an integral coefficient as an
-``int``, never as ``Fraction(k, 1)``, and the units 1 and -1 invert to
-themselves.  So ``monic``, ``divmod`` by a divisor with leading coefficient
-+-1, ``poly_gcd``, rational-function sums and ``normalize`` keep integer
-inputs in ``int`` arithmetic, which is several times cheaper than
-``Fraction`` arithmetic for the same values.
+Integers stay integers: a polynomial coefficient or a ``CycNum`` coordinate
+that is integral is held as an ``int``, never as ``Fraction(k, 1)``, and the
+units 1 and -1 invert to themselves.  So ``monic``, ``divmod`` by a divisor
+with leading coefficient +-1, ``poly_gcd``, rational-function sums and
+``normalize`` keep integer inputs in ``int`` arithmetic, which is several
+times cheaper than ``Fraction`` arithmetic for the same values.  Products
+run over the nonzero coefficients only, so multiplying by a sparse factor
+such as 1 - q**d costs O(deg), not O(deg * d).
 
 Each cyclotomic order has one field context, built once by the cached
 ``_context(h)``: the modulus, the reduced powers of the root, the primitive
@@ -47,6 +49,26 @@ def _coeff_inv(c):
     return c.inverse()
 
 
+def _int_coeffs(coeffs):
+    """The coefficients as a list, each integral Fraction as its int numerator."""
+    return [c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+            for c in coeffs]
+
+
+def _convolve(a, b):
+    """Coefficients of the product of two coefficient sequences, over the
+    nonzero entries only, with the sparser operand in the outer loop."""
+    out = [0] * (len(a) + len(b) - 1)
+    a = [(i, c) for i, c in enumerate(a) if c]
+    b = [(j, c) for j, c in enumerate(b) if c]
+    if len(a) > len(b):
+        a, b = b, a
+    for i, ai in a:
+        for j, bj in b:
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
 class Polynomial:
     """Dense univariate polynomial; index i holds the coefficient of q**i.
 
@@ -58,8 +80,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
-              for c in coeffs]
+        cs = _int_coeffs(coeffs)
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -129,14 +150,7 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return Polynomial(out)
+        return Polynomial(_convolve(a, b))
 
     def __rmul__(self, other):
         return Polynomial(tuple(other * c for c in self.coeffs))
@@ -436,7 +450,7 @@ class CycNum:
 
     def __init__(self, order, coeffs):
         ctx = _context(order)
-        cs = tuple(coeffs)
+        cs = tuple(_int_coeffs(coeffs))
         if len(cs) != ctx.phi:
             raise ValueError(f"need {ctx.phi} coordinates for order {order}")
         self.order = order
@@ -446,7 +460,7 @@ class CycNum:
     def _raw(cls, order, coeffs):
         obj = object.__new__(cls)
         obj.order = order
-        obj.coeffs = tuple(coeffs)
+        obj.coeffs = tuple(_int_coeffs(coeffs))
         return obj
 
     @classmethod
@@ -512,13 +526,7 @@ class CycNum:
             return self._scaled(b[0])
         if not any(a[1:]):
             return o._scaled(a[0])
-        conv = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] = conv[i + j] + ai * bj
+        conv = _convolve(a, b)
         ctx = _context(self.order)
         for deg in range(2 * phi - 2, phi - 1, -1):
             c = conv[deg]

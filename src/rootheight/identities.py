@@ -16,11 +16,10 @@ afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Optional
 
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, NotDivisible,
                      ReconstructionMismatch, RootHeightError)
@@ -49,12 +48,10 @@ def _qm1(k):
     return Polynomial((-1,) + (0,) * (k - 1) + (1,))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity_id: str
-    system: str
-    verdict: str
-    witness: Optional[str] = None
+class IdentityReport(namedtuple("IdentityReport",
+                                "identity_id system verdict witness",
+                                defaults=(None,))):
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -270,13 +267,11 @@ def lagrange_primitive_roots(value, h):
 # -- partial fraction decomposition --------------------------------------------
 
 
-@dataclass(frozen=True)
-class MunagiDecomposition:
+class MunagiDecomposition(namedtuple("MunagiDecomposition", "h parts")):
     """Decomposition of numer/(1-q**h) into parts H_d/(1-q**d) over the
     divisors of h, with deg H_d < phi(d); the representation is unique."""
 
-    h: int
-    parts: dict
+    __slots__ = ()
 
     def reconstruct(self):
         """The sum of H_d * (1 + q**d + ... + q**(h-d)), added in integers
@@ -732,17 +727,9 @@ def prop17_check(rs):
 # -- simply-laced singularity data ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularityData:
-    """Quasihomogeneous weight data attached to a simply-laced system."""
-
-    id: object
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    group_order: int
-    branch_lengths: Optional[tuple]
-    cartan_det: int
+# Quasihomogeneous weight data attached to a simply-laced system.
+SingularityData = namedtuple(
+    "SingularityData", "id a b c group_order branch_lengths cartan_det")
 
 
 def _binary_group_order(rsid):

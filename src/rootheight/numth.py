@@ -8,7 +8,7 @@ factorization are the stdlib ``lru_cache`` and are safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -129,16 +129,15 @@ def gcd_count(d, h, x):
     return int(Fraction(x) / d)
 
 
-@dataclass(frozen=True)
-class ArithSeq:
+class ArithSeq(namedtuple("ArithSeq", "h values")):
     """One period of an h-periodic integer-or-rational sequence a(0)..a(h-1)."""
 
-    h: int
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != self.h:
+    def __new__(cls, h, values):
+        if len(values) != h:
             raise ValueError("period length mismatch")
+        return super().__new__(cls, h, values)
 
 
 def is_cohen(seq):

@@ -8,8 +8,7 @@ itself is single-threaded per instance.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import gcd
 
 from .errors import GroupTooLarge, InvalidRank, MethodMismatch
@@ -24,10 +23,8 @@ DEFAULT_BFS_CAP = 1152
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
-@dataclass(frozen=True)
-class RootSystemId:
-    family: str
-    rank: int
+class RootSystemId(namedtuple("RootSystemId", "family rank")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -249,11 +246,7 @@ def multiplicities(rs):
 # -- Coxeter element ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoxeterElement:
-    matrix: tuple
-    charpoly: Polynomial
-    traces: tuple
+CoxeterElement = namedtuple("CoxeterElement", "matrix charpoly traces")
 
 
 def mat_mul(a, b):

@@ -1,7 +1,9 @@
 """Command-line interface tests: output shapes, exit codes, JSON canonicity."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -142,7 +144,8 @@ class TestVerify:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        # cmd_verify imports the pool class when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         for selector, expected in ((["G", "2"], []), (["all"], [34])):
             args = ["verify", *selector, "--props", "prop8", "--format", "json"]
             serial = run_cli(capsys, *args)
@@ -305,3 +308,25 @@ def test_usage_error_subprocess():
         [sys.executable, "-m", "rootheight", "info", "A"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
+
+
+def test_cli_import_skips_pool_and_dataclasses():
+    # Every CLI call is a fresh interpreter, so the modules imported with
+    # rootheight.cli are paid on each call; the process pool (multiprocessing
+    # and its dependencies) and dataclasses (inspect, ast, dis) are not needed
+    # by a serial job.
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "import rootheight.cli\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "rootheight.cli" in loaded
+    heavy = {"concurrent.futures.process", "multiprocessing", "dataclasses",
+             "inspect"}
+    assert not loaded & heavy, sorted(loaded & heavy)

@@ -10,8 +10,10 @@ from rootheight.errors import DivisionByZero, NotDivisible
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction,
                                  _context, _CycContext, cyc_eval, poly_arith,
                                  poly_gcd, poly_str, ratfun_normalize)
+from rootheight.identities import _periodic_members
 from rootheight.linalg import FractionLU
-from rootheight.numth import cyclotomic_poly, factorize, ramanujan_sum_checked, totient
+from rootheight.numth import (cyclotomic_poly, factorize, ramanujan_sum,
+                              ramanujan_sum_checked, totient)
 
 
 def P(*coeffs):
@@ -392,3 +394,80 @@ class TestIntegerFastPath:
                     if gcd(k, h) == 1:
                         inv = (1 - CycNum.zeta_pow(h, k)).inverse()
                         assert self._typed(inv.coeffs, True), (h, k, inv)
+
+
+def _schoolbook(a, b):
+    """Dense product: every pair of entries, zeros included."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+class TestSparseProduct:
+    """Products skip zero entries and put the sparser operand outside; the
+    values are those of the dense schoolbook product."""
+
+    KINDS = {
+        "int": lambda rng: rng.randint(-9, 9),
+        "Fraction": lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        "CycNum": lambda rng: CycNum(12, [rng.randint(-3, 3) for _ in range(4)]),
+    }
+
+    @staticmethod
+    def _coeffs(rng, draw, length, density):
+        out = [draw(rng) if rng.random() < density else 0 for _ in range(length)]
+        out[-1] = out[-1] or 1
+        return out
+
+    @staticmethod
+    def _no_integral_fraction(values):
+        for v in values:
+            cs = v.coeffs if isinstance(v, CycNum) else (v,)
+            assert not any(isinstance(c, Fraction) and c.denominator == 1 for c in cs)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_polynomial_product_matches_schoolbook(self, kind):
+        rng = random.Random(89)
+        draw = self.KINDS[kind]
+        for _ in range(60):
+            a, b = (self._coeffs(rng, draw, rng.randint(1, 25),
+                                 rng.choice((0.1, 0.3, 1.0))) for _ in range(2))
+            prod = Polynomial(a) * Polynomial(b)
+            assert prod == Polynomial(_schoolbook(a, b)), (a, b)
+            assert Polynomial(b) * Polynomial(a) == prod
+            self._no_integral_fraction(prod.coeffs)
+
+    def test_sparse_binomial_factor(self):
+        # 1 - q**d times a dense polynomial: d + 1 entries, two of them nonzero.
+        rng = random.Random(97)
+        dense = [rng.randint(-9, 9) for _ in range(40)] + [1]
+        for d in (1, 5, 30, 90):
+            factor = [1] + [0] * (d - 1) + [-1]
+            assert (Polynomial(dense) * Polynomial(factor)).coeffs == \
+                Polynomial(_schoolbook(dense, factor)).coeffs
+
+    @pytest.mark.parametrize("h", [5, 7, 9, 12, 15, 16])
+    def test_cyclotomic_product_matches_schoolbook(self, h):
+        rng = random.Random(101 + h)
+        phi = totient(h)
+        mod = Polynomial(_context(h).modulus)
+        for _ in range(40):
+            x, y = (CycNum(h, [rng.choice((0, 0, rng.randint(-5, 5),
+                                           Fraction(rng.randint(-5, 5), 3)))
+                               for _ in range(phi)]) for _ in range(2))
+            ref = Polynomial(_schoolbook(x.coeffs, y.coeffs)) % mod
+            ref = list(ref.coeffs) + [0] * (phi - len(ref.coeffs))
+            assert list((x * y).coeffs) == ref, (x, y)
+            self._no_integral_fraction((x * y, y * x))
+
+
+def test_cyclotomic_coordinates_integral_as_int():
+    # The eigenvalue-poles member of prop6 at h = 12 scales by 1/12; every
+    # coordinate of its numerator is an integer, held as an int.
+    name, rf = _periodic_members(12, [ramanujan_sum(12, k) for k in range(12)])[0]
+    assert name == "eigenvalue poles"
+    coords = [x for c in rf.num.coeffs for x in c.coeffs]
+    assert coords and all(type(x) is int for x in coords)
+    assert CycNum(5, [Fraction(4, 2), 0, Fraction(1, 2), 0]).coeffs == (2, 0, Fraction(1, 2), 0)
