@@ -195,6 +195,8 @@ def cmd_verify(systems, props, bfs_cap, jobs, fmt, out):
 
 
 def cmd_munagi(coeffs, h, roundtrip, fmt, out):
+    if h < 1:
+        raise UsageError(f"period must be positive, got {h}")
     if h > MAX_PERIOD:
         raise UsageError(f"period {h} above the configured limit {MAX_PERIOD}")
     if len(coeffs) > h:

@@ -12,6 +12,13 @@ a rational read off the Ramanujan sums; every other sum (props 2, 3, 6 and
 9) is one ``root_sum`` of the order's field context.  Checks are pure and
 independent; a runner may execute them concurrently and sort the reports
 afterwards.
+
+Checks share memo tables across systems: the common-denominator plan of
+each divisor-sum expansion (``_sum_plan``), the building blocks keyed on a
+divisor d (or on h and d) and the witnesses of prop6 and prop15, which read
+only h.  Sharing is sound because every memoised function is pure and
+keyed on integers or coefficient tuples, never on a root system; a report
+carries the calling system's label, added after the lookup.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from math import gcd, isqrt, lcm
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, NotDivisible,
                      ReconstructionMismatch, RootHeightError)
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
-                       _cyclotomic_int, _int_divmod, cyc_eval, poly_str)
+                       _cyclotomic_int, _int_divmod, cyc_eval, poly_gcd,
+                       poly_str)
 from .linalg import FractionLU, det
 from .numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly, divisors,
                     factorize, gcd_count, is_cohen, mobius, psi_poly,
@@ -119,9 +127,36 @@ def _scalar_mismatch(label, got, expected):
     return f"{label}: got {_render(got)}, expected {_render(expected)}"
 
 
+@lru_cache(maxsize=None)
+def _sum_plan(dens):
+    """Common denominator L of a sum whose terms have the denominators dens
+    (coefficient tuples), with one multiplier per term: the recurrence of
+    RationalFunction.__add__, adding left to right onto zero, replayed on
+    the denominators alone.  Step i cancels g = gcd(acc, D_i) into
+    da_i = acc/g and db_i = D_i/g (acc and D_i when g is constant) and sets
+    acc = acc * db_i; the sum's numerator is then the sum of n_i * M_i with
+    M_i = da_i * (db_{i+1} * ... * db_k), built from suffix products."""
+    acc, steps = ONE, []
+    for coeffs in dens:
+        den = Polynomial(coeffs)
+        g = poly_gcd(acc, den)
+        da, db = (acc, den) if g.degree < 1 else (acc.divexact(g), den.divexact(g))
+        steps.append((da, db))
+        acc = acc * db
+    mults, suffix = [], ONE
+    for da, db in reversed(steps):
+        mults.append(da * suffix)
+        suffix = db * suffix
+    return acc, tuple(reversed(mults))
+
+
 def _rf_sum(terms):
-    """Sum of rational functions, added left to right onto zero."""
-    return sum(terms, RationalFunction(ZERO, ONE))
+    """Sum of rational functions over the plan of their denominators, with
+    the same numerator and denominator coefficients as adding them left to
+    right onto zero."""
+    terms = list(terms)
+    den, mults = _sum_plan(tuple(t.den.coeffs for t in terms))
+    return RationalFunction(sum((t.num * m for t, m in zip(terms, mults)), ZERO), den)
 
 
 # -- shared building blocks ---------------------------------------------------
@@ -164,6 +199,7 @@ def _sum_over_roots(weights, h):
                                         for j in range(h)]), _qm1(h))
 
 
+@lru_cache(maxsize=None)
 def _phi_recip(d):
     """Derivative-over-value of the order-d cyclotomic polynomial at 1/q,
     divided by q, as a rational function of q."""
@@ -173,20 +209,38 @@ def _phi_recip(d):
                             phi.reversed_to(ph))
 
 
+@lru_cache(maxsize=None)
 def _c_low(d):
     """Ramanujan sums c_d(0..d-1) as polynomial coefficients."""
     return Polynomial([ramanujan_sum(d, k) for k in range(d)])
 
 
+@lru_cache(maxsize=None)
 def _c_shift(d):
     """Ramanujan sums c_d(1..d) as polynomial coefficients."""
     return Polynomial([ramanujan_sum(d, j) for j in range(1, d + 1)])
 
 
+@lru_cache(maxsize=None)
 def _psi_sum(d):
     """Sum over d'|d of mu(d')/phi(d') * Psi_{d'}(q**(d/d'))."""
     return sum((Fraction(mu, totient(dp)) * psi_poly(dp).compose_power(d // dp)
                 for dp in divisors(d) if (mu := mobius(dp))), ZERO)
+
+
+@lru_cache(maxsize=None)
+def _moebius_log_split(d):
+    """Sum over d'|d of mu(d/d') * d' q**(d'-1)/(q**d' - 1), the Moebius
+    split of the log-derivative of Phi_d."""
+    return _rf_sum(mu * RationalFunction(Polynomial.monomial(dp - 1, dp), _qm1(dp))
+                   for dp in divisors(d) if (mu := mobius(d // dp)))
+
+
+@lru_cache(maxsize=None)
+def _moebius_pole_split(d):
+    """Sum over d'|d of mu(d/d') * d'/(1 - q**d')."""
+    return _rf_sum(mu * dp * RationalFunction(ONE, _one_minus(dp))
+                   for dp in divisors(d) if (mu := mobius(d // dp)))
 
 
 def _log_derivative(p):
@@ -364,10 +418,7 @@ def prop2_check(rs):
         ("eigenvalue poles", _sum_over_roots(rs.m, h)),
         ("cyclotomic log-derivatives",
          _rf_sum(mult * _log_derivative(cyclotomic_poly(d)) for d, mult in mults)),
-        ("Moebius split",
-         _rf_sum(mult * _rf_sum(mu * RationalFunction(Polynomial.monomial(dp - 1, dp), _qm1(dp))
-                                for dp in divisors(d) if (mu := mobius(d // dp)))
-                 for d, mult in mults)),
+        ("Moebius split", _rf_sum(mult * _moebius_log_split(d) for d, mult in mults)),
         ("Ramanujan numerators",
          _rf_sum(mult * RationalFunction(_c_shift(d), _qm1(d)) for d, mult in mults)),
         ("totient q-analogue",
@@ -422,9 +473,7 @@ def _cohen_tail_members(h, avals):
         ("reciprocal log-derivative",
          _rf_sum(avals[d] * _phi_recip(d) for d in divs) * Fraction(1, h)),
         ("Moebius split",
-         _rf_sum(avals[d] * _rf_sum(mu * dp * RationalFunction(ONE, _one_minus(dp))
-                                    for dp in divisors(d) if (mu := mobius(d // dp)))
-                 for d in divs) * Fraction(1, h)),
+         _rf_sum(avals[d] * _moebius_pole_split(d) for d in divs) * Fraction(1, h)),
         ("totient q-analogue",
          _rf_sum(avals[d] * totient(d) * RationalFunction(_one_minus(d) + _psi_sum(d),
                                                           _one_minus(d))
@@ -467,7 +516,12 @@ def prop5_check(rs):
 def prop6_check(h, system=None):
     """Expansions of the totient q-analogue over 1-q**h, including the
     classical Moebius forms."""
-    system = system or f"h={h}"
+    return _report("prop6", system or f"h={h}", _prop6_witness(h))
+
+
+@lru_cache(maxsize=None)
+def _prop6_witness(h):
+    """prop6's witness, which depends on h alone."""
     members = [("Psi/(1-q^h)", RationalFunction(psi_poly(h), _one_minus(h)))]
     members += _periodic_members(h, [ramanujan_sum(h, k) for k in range(h)])
     mus = [(d, mu) for d in divisors(h) if (mu := mobius(d))]
@@ -477,7 +531,15 @@ def prop6_check(h, system=None):
     if h > 1:
         members.append(("Moebius plain",
                         _rf_sum(mu * RationalFunction(ONE, _one_minus(d)) for d, mu in mus)))
-    return _report("prop6", system, _chain_check(members))
+    return _chain_check(members)
+
+
+@lru_cache(maxsize=None)
+def _moebius_tail(h, d, shifted):
+    """Sum over d'|d of mu(d') q**(shifted * x)/(1 - q**x), x = h d'/d."""
+    return _rf_sum(mu * RationalFunction(Polynomial.monomial(h * dp // d * shifted),
+                                         _one_minus(h * dp // d))
+                   for dp in divisors(d) if (mu := mobius(dp)))
 
 
 def prop7_check(rs):
@@ -489,22 +551,15 @@ def prop7_check(rs):
     lhs_full = RationalFunction(exponent_poly(rs), _one_minus(h))
     divs = [d for d in divisors(h) if a(h // d)]
 
-    def plain(d):
-        return _rf_sum(mu * RationalFunction(ONE, _one_minus(h * dp // d))
-                       for dp in divisors(d) if (mu := mobius(dp)))
-
     num = sum((a(h // d) * psi_poly(d).compose_power(h // d) for d in divs), ZERO)
     members = [
         ("E/(1-q^h) - a(0)", lhs_full - a(0)),
         ("psi substitution", RationalFunction(num, _one_minus(h))),
         ("Moebius with shifted numerators",
-         _rf_sum(a(h // d) * _rf_sum(mu * RationalFunction(Polynomial.monomial(h * dp // d),
-                                                           _one_minus(h * dp // d))
-                                     for dp in divisors(d) if (mu := mobius(dp)))
-                 for d in divs)),
+         _rf_sum(a(h // d) * _moebius_tail(h, d, True) for d in divs)),
         ("split constant term",
          _rf_sum([a(0) * RationalFunction(Polynomial.monomial(h), _one_minus(h))]
-                 + [a(h // d) * plain(d) for d in divs if d != 1])),
+                 + [a(h // d) * _moebius_tail(h, d, False) for d in divs if d != 1])),
     ]
     return _report("prop7", _sys(rs), _chain_check(members))
 
@@ -537,6 +592,17 @@ def prop9_check(rs):
     return _report("prop9", _sys(rs), _chain_check(members))
 
 
+@lru_cache(maxsize=None)
+def _moebius_split(h, d, shifted):
+    """Sum over d'|d of mu(d') (d/d' - (1-q^h) q^(shifted * x)/(1-q^x)),
+    x = h d'/d, over 1 - q."""
+    inner = _rf_sum(mu * (RationalFunction(Polynomial((d // dp,)), ONE)
+                          - RationalFunction(_one_minus(h).shifted(h * dp // d * shifted),
+                                             _one_minus(h * dp // d)))
+                    for dp in divisors(d) if (mu := mobius(dp)))
+    return inner * RationalFunction(ONE, _one_minus(1))
+
+
 def prop10_check(rs):
     """B(q) as partial sums of the totient q-analogue at power substitutions.
 
@@ -547,14 +613,6 @@ def prop10_check(rs):
     h, n = rs.h, rs.id.rank
     mults = [(d, mult) for d in divisors(h)[1:] if (mult := rs.m[(h // d) % h])]
 
-    def moebius_split(d, shifted):
-        # sum of mu(d') (d/d' - (1-q^h) q^(shifted * x)/(1-q^x)), x = h d'/d
-        inner = _rf_sum(mu * (RationalFunction(Polynomial((d // dp,)), ONE)
-                              - RationalFunction(_one_minus(h).shifted(h * dp // d * shifted),
-                                                 _one_minus(h * dp // d)))
-                        for dp in divisors(d) if (mu := mobius(dp)))
-        return inner * RationalFunction(ONE, _one_minus(1))
-
     members = [
         ("B", RationalFunction(b_poly(rs), ONE)),
         ("(n-E)/(1-q)", RationalFunction(n - exponent_poly(rs), _one_minus(1))),
@@ -562,9 +620,9 @@ def prop10_check(rs):
          _rf_sum(mult * RationalFunction(totient(d) - psi_poly(d).compose_power(h // d),
                                          _one_minus(1)) for d, mult in mults)),
         ("Moebius plain split",
-         _rf_sum(mult * moebius_split(d, False) for d, mult in mults)),
+         _rf_sum(mult * _moebius_split(h, d, False) for d, mult in mults)),
         ("Moebius shifted split",
-         _rf_sum(mult * moebius_split(d, True) for d, mult in mults)),
+         _rf_sum(mult * _moebius_split(h, d, True) for d, mult in mults)),
     ]
     return _report("prop10", _sys(rs), _chain_check(members))
 
@@ -673,6 +731,7 @@ def _lvec_interpolated(h):
     return [ctx.trace(at_one, j) for j in range(ctx.phi)]
 
 
+@lru_cache(maxsize=None)
 def pole_sum_witness(h):
     """Verify, for m = 1..h, that the pole sums over the primitive d-th
     roots, summed across the divisors d > 1, equal m - (h+1)/2.  The pole

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import rootheight.identities as identities
 from rootheight import build, default_catalog
 from rootheight.exactalg import Polynomial
 
@@ -12,6 +13,14 @@ from rootheight.exactalg import Polynomial
 def catalog():
     """All default systems, built once and shared (instances are immutable)."""
     return {str(rsid): build(rsid) for rsid in default_catalog()}
+
+
+def clear_identity_memos():
+    """Empty every lru_cache defined in rootheight.identities, so the next
+    run computes each memoised value afresh."""
+    for value in vars(identities).values():
+        if hasattr(value, "cache_clear") and value.__module__ == identities.__name__:
+            value.cache_clear()
 
 
 def get_system(catalog, family, rank):

@@ -11,6 +11,7 @@ import pytest
 
 import rootheight.cli as cli
 import rootheight.identities as identities
+from conftest import clear_identity_memos
 from rootheight.cli import MAX_DENOMINATOR_BITS, MAX_PERIOD, main
 from rootheight.exactalg import Polynomial
 from rootheight.identities import IdentityReport, MunagiDecomposition
@@ -121,10 +122,14 @@ class TestVerify:
         assert json.loads(out)[0]["system"] == "A2"
 
     def test_jobs_output_matches_serial(self, capsys):
+        # The memo tables are emptied first, so the forked workers fill
+        # their own rather than inherit this process's.
         for fmt in ("table", "json"):
-            args = ["verify", "all", "--props", "prop1,eq12,cohen", "--format", fmt]
-            serial = run_cli(capsys, *args)
-            assert run_cli(capsys, *args, "--jobs", "2") == serial
+            args = ["verify", "all", "--props", "prop1,eq12,cohen,prop6,prop9,prop15",
+                    "--format", fmt]
+            clear_identity_memos()
+            parallel = run_cli(capsys, *args, "--jobs", "2")
+            assert run_cli(capsys, *args) == parallel
 
     def test_jobs_pool_at_most_one_worker_per_system(self, capsys, monkeypatch):
         # The pool starts all of its workers at once; a fake one records how
@@ -263,6 +268,14 @@ class TestMunagi:
         err = capsys.readouterr().err
         assert err.startswith("rootheight: error:") and str(MAX_PERIOD) in err
 
+    def test_period_must_be_positive(self, capsys):
+        # Rejected before the length check, whose message would blame the
+        # coefficients.
+        for h in ("0", "-3"):
+            assert main(["munagi", "--h", h, "--", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"rootheight: error: period must be positive, got {h}\n"
 
     def test_part_too_long_to_print(self, capsys):
         # N of 4,300 digits (Python's default int-to-str limit) parses, but

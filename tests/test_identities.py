@@ -11,9 +11,12 @@ from math import gcd
 import pytest
 
 import rootheight.identities as identities
+from conftest import clear_identity_memos
 from rootheight.errors import DegreeTooHigh, MethodMismatch, SingularSystem
 from rootheight.exactalg import CycNum, Polynomial, RationalFunction, _context, cyc_eval
-from rootheight.identities import (_gram_lu, _lvec_interpolated,
+from rootheight.cli import main
+from rootheight.identities import (ONE, ZERO, _gram_lu, _lvec_interpolated,
+                                   _rf_sum, _sum_plan,
                                    available_checks,
                                    b_from_exponents, b_poly, dynkin_check,
                                    exponent_poly, lagrange_all_roots,
@@ -389,6 +392,15 @@ class TestInterpolation:
                 assert lagrange_primitive_roots(cyc_eval(p, h, 1), h) == p
 
 
+@pytest.fixture
+def fresh_pole_sums():
+    """pole_sum_witness is memoised per h: a fault injected into the field
+    arithmetic is computed afresh, and its witness is dropped afterwards."""
+    pole_sum_witness.cache_clear()
+    yield
+    pole_sum_witness.cache_clear()
+
+
 class TestCrossChecksFail:
     """Each cross-check of the trace-route checks, broken on purpose, turns
     its check into a fail."""
@@ -427,12 +439,18 @@ class TestCrossChecksFail:
         rep = run_suite(catalog["E6"], ["prop14"])[0]
         assert (rep.verdict, rep.witness) == ("fail", "pole-sum vector entry j=1 mismatch")
 
-    def test_prop15_closed_form(self, catalog, monkeypatch):
+    def test_prop15_closed_form(self, catalog, monkeypatch, fresh_pole_sums):
         ctx_type = type(_context(12))
         real = ctx_type.inv_one_minus
         monkeypatch.setattr(ctx_type, "inv_one_minus", lambda self, k: real(self, k) + 1)
         rep = run_suite(catalog["E6"], ["prop15"])[0]
         assert (rep.verdict, rep.witness) == ("fail", "pole sum at m=1 is not -11/2")
+
+    def test_prop15_clean_after_fault_injection(self, catalog):
+        # Runs after the test above and clears nothing itself: the injected
+        # witness must not have outlived it in pole_sum_witness's memo.
+        rep = run_suite(catalog["E6"], ["prop15"])[0]
+        assert (rep.verdict, rep.witness) == ("pass", None)
 
     def test_eq5_product_form_witnesses(self, catalog, monkeypatch):
         # eq5 is outside the corruption differential; substituted product
@@ -510,6 +528,79 @@ class TestScalarChecks:
     def test_pole_sum_rational_all_orders(self):
         for h in range(2, 41):
             assert pole_sum_witness(h) is None
+
+
+def slow_rf_sum(terms):
+    """The route _rf_sum replaced: RationalFunction.__add__ left to right
+    onto zero."""
+    return sum(terms, RationalFunction(ZERO, ONE))
+
+
+def coeff_tuples(f):
+    return f.num.coeffs, f.den.coeffs
+
+
+def assert_same_sum(terms):
+    got = _rf_sum(terms)
+    assert coeff_tuples(got) == coeff_tuples(slow_rf_sum(terms))
+    return got
+
+
+class TestSumPlan:
+    """_rf_sum over a memoised common-denominator plan against the pairwise
+    sum it replaced: the same coefficient tuples, not only an equal value."""
+
+    def test_matches_pairwise_sum_during_verify_all(self, capsys, monkeypatch):
+        clear_identity_memos()
+        calls = []
+
+        def recording(terms):
+            terms = list(terms)
+            got = _rf_sum(terms)
+            calls.append((terms, got))
+            return got
+
+        monkeypatch.setattr(identities, "_rf_sum", recording)
+        assert main(["verify", "all", "--format", "json"]) == 0
+        capsys.readouterr()
+        for terms, got in calls:
+            assert coeff_tuples(got) == coeff_tuples(slow_rf_sum(terms)), terms
+        assert len(calls) > _sum_plan.cache_info().currsize > 0
+
+    def test_hand_cases(self):
+        R = RationalFunction
+        # No terms: zero over one.
+        assert coeff_tuples(assert_same_sum([])) == ((), (1,))
+        # One term keeps its own denominator.
+        assert assert_same_sum([R(P(1, 2), P(1, 0, -1))]).den == P(1, 0, -1)
+        # Coprime denominators: the constant-gcd branch multiplies them.
+        got = assert_same_sum([R(P(1), P(1, -1)), R(P(0, 1), P(1, 1)),
+                               R(P(Fraction(1, 2)), P(1, 1, 1))])
+        assert got.den == P(1, -1) * P(1, 1) * P(1, 1, 1)
+        # Shared factors, and zero and rational numerators.
+        assert_same_sum([R(P(1), P(1, 0, -1)), R(P(), P(1, -1)),
+                         R(P(Fraction(-3, 4), 1), P(1, 0, 0, -1)),
+                         R(P(2), P(1, 0, 0, 0, 0, 0, -1))])
+        # A constant denominator, as in prop10's d/d' terms.
+        assert_same_sum([R(P(3), ONE), R(P(1), P(1, 0, -1)), R(P(-2), ONE)])
+
+
+class TestHOnlyMemos:
+    H12 = ("B6", "C6", "D7", "E6", "F4")
+
+    def test_prop6_prop15_relabelled_per_system(self, catalog):
+        for cid in ("prop6", "prop15"):
+            reports = [run_suite(catalog[name], [cid])[0] for name in self.H12]
+            assert [rep.system for rep in reports] == list(self.H12)
+            assert {rep._replace(system=None) for rep in reports} == {
+                identities.IdentityReport(cid, None, "pass", None)}
+
+    def test_pole_sums_computed_once_per_order(self, catalog, capsys):
+        pole_sum_witness.cache_clear()
+        assert main(["verify", "all", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert pole_sum_witness.cache_info().misses == \
+            len({rs.h for rs in catalog.values()}) == 15
 
 
 class TestSuite:
