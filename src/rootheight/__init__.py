@@ -23,8 +23,7 @@ from .numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly,
 from .rootsys import (DEFAULT_BFS_CAP, CoxeterElement, RootSystem,
                       RootSystemId, build, cartan_matrix, coxeter_element,
                       default_catalog, factor_exponents, factorization_string,
-                      multiplicities, positive_roots, power_sums,
-                      weyl_length_gf_bruteforce, weyl_length_gf_product,
-                      weyl_order)
+                      multiplicities, power_sums, weyl_length_gf_bruteforce,
+                      weyl_length_gf_product, weyl_order)
 
 __version__ = "0.1.0"

@@ -617,14 +617,7 @@ class RationalFunction:
         return x if isinstance(x, RationalFunction) else cls(x)
 
     def __add__(self, other):
-        o = self._wrap(other)
-        g = poly_gcd(self.den, o.den)
-        if g.degree < 1:
-            return RationalFunction(self.num * o.den + o.num * self.den,
-                                    self.den * o.den)
-        da = self.den.divexact(g)
-        db = o.den.divexact(g)
-        return RationalFunction(self.num * db + o.num * da, self.den * db)
+        return _rf_sum((self, self._wrap(other)))
 
     __radd__ = __add__
 
@@ -670,6 +663,40 @@ class RationalFunction:
 
     def __str__(self):
         return f"({poly_str(self.num)})/({poly_str(self.den)})"
+
+
+@lru_cache(maxsize=None)
+def _sum_plan(dens):
+    """Common denominator L of a sum whose terms have the denominators dens
+    (coefficient tuples), with one multiplier M_i per term, so that the sum
+    is (sum of n_i * M_i) / L.  Terms are added left to right: from
+    acc = D_0, step i cancels g = gcd(acc, D_i) into da_i = acc/g and
+    db_i = D_i/g (acc and D_i when g is constant) and sets acc = acc * db_i;
+    then M_i = da_i * (db_{i+1} * ... * db_k), with da_0 = 1, from suffix
+    products.  No terms give 0/1."""
+    one = Polynomial((1,))
+    polys = [Polynomial(coeffs) for coeffs in dens] or [one]
+    acc, steps = polys[0], []
+    for den in polys[1:]:
+        g = poly_gcd(acc, den)
+        da, db = (acc, den) if g.degree < 1 else (acc.divexact(g), den.divexact(g))
+        steps.append((da, db))
+        acc = acc * db
+    mults, suffix = [], one
+    for da, db in reversed(steps):
+        mults.append(da * suffix)
+        suffix = db * suffix
+    return acc, (suffix, *reversed(mults))
+
+
+def _rf_sum(terms):
+    """Sum of rational functions over the memoised plan of their
+    denominators; ``+`` is the sum of two terms, so every addition of
+    rational functions takes this one route."""
+    terms = list(terms)
+    den, mults = _sum_plan(tuple(t.den.coeffs for t in terms))
+    num = sum((t.num * m for t, m in zip(terms, mults)), Polynomial(()))
+    return RationalFunction(num, den)
 
 
 def ratfun_normalize(num, den):

@@ -14,9 +14,9 @@ independent; a runner may execute them concurrently and sort the reports
 afterwards.
 
 Checks share memo tables across systems: the common-denominator plan of
-each divisor-sum expansion (``_sum_plan``), the building blocks keyed on a
-divisor d (or on h and d) and the witnesses of prop6 and prop15, which read
-only h.  Sharing is sound because every memoised function is pure and
+each divisor-sum expansion (``exactalg._sum_plan``), the building blocks
+keyed on a divisor d (or on h and d) and the witnesses of prop6 and prop15,
+which read only h.  Sharing is sound because every memoised function is pure and
 keyed on integers or coefficient tuples, never on a root system; a report
 carries the calling system's label, added after the lookup.
 """
@@ -31,7 +31,7 @@ from math import gcd, isqrt, lcm
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, NotDivisible,
                      ReconstructionMismatch, RootHeightError)
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
-                       _cyclotomic_int, _int_divmod, cyc_eval, poly_gcd,
+                       _cyclotomic_int, _int_divmod, _rf_sum, cyc_eval,
                        poly_str)
 from .linalg import FractionLU, det
 from .numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly, divisors,
@@ -125,38 +125,6 @@ def _scalar_mismatch(label, got, expected):
     if got == expected:
         return None
     return f"{label}: got {_render(got)}, expected {_render(expected)}"
-
-
-@lru_cache(maxsize=None)
-def _sum_plan(dens):
-    """Common denominator L of a sum whose terms have the denominators dens
-    (coefficient tuples), with one multiplier per term: the recurrence of
-    RationalFunction.__add__, adding left to right onto zero, replayed on
-    the denominators alone.  Step i cancels g = gcd(acc, D_i) into
-    da_i = acc/g and db_i = D_i/g (acc and D_i when g is constant) and sets
-    acc = acc * db_i; the sum's numerator is then the sum of n_i * M_i with
-    M_i = da_i * (db_{i+1} * ... * db_k), built from suffix products."""
-    acc, steps = ONE, []
-    for coeffs in dens:
-        den = Polynomial(coeffs)
-        g = poly_gcd(acc, den)
-        da, db = (acc, den) if g.degree < 1 else (acc.divexact(g), den.divexact(g))
-        steps.append((da, db))
-        acc = acc * db
-    mults, suffix = [], ONE
-    for da, db in reversed(steps):
-        mults.append(da * suffix)
-        suffix = db * suffix
-    return acc, tuple(reversed(mults))
-
-
-def _rf_sum(terms):
-    """Sum of rational functions over the plan of their denominators, with
-    the same numerator and denominator coefficients as adding them left to
-    right onto zero."""
-    terms = list(terms)
-    den, mults = _sum_plan(tuple(t.den.coeffs for t in terms))
-    return RationalFunction(sum((t.num * m for t, m in zip(terms, mults)), ZERO), den)
 
 
 # -- shared building blocks ---------------------------------------------------

@@ -8,7 +8,7 @@ itself is single-threaded per instance.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from math import gcd
 
 from .errors import GroupTooLarge, InvalidRank, MethodMismatch
@@ -96,23 +96,23 @@ class RootSystem:
 
     Fields follow the engine contract: ``h`` the Coxeter number,
     ``exponents`` ascending, ``b[k-1]`` the number of positive roots of
-    height k, ``two_rho`` the sum of the positive roots in simple-root
-    coordinates, ``m[k]`` the multiplicity of the k-th eigenvalue of the
-    Coxeter element, ``e_of_d`` the cyclic factorization exponents, and
-    ``p[k]`` the power sums of the Coxeter eigenvalues.  The roots themselves
-    are not kept; ``positive_roots(rs)`` enumerates them again.
+    height k, ``two_rho_pairings`` the pairings <2 rho, alpha_i^vee> of the
+    sum of the positive roots with the simple coroots (2 for every i),
+    ``m[k]`` the multiplicity of the k-th eigenvalue of the Coxeter element,
+    ``e_of_d`` the cyclic factorization exponents, and ``p[k]`` the power
+    sums of the Coxeter eigenvalues.  The roots themselves are not kept.
     """
 
-    __slots__ = ("id", "cartan", "h", "exponents", "b", "two_rho", "m",
+    __slots__ = ("id", "cartan", "h", "exponents", "b", "two_rho_pairings", "m",
                  "e_of_d", "p", "_coxeter")
 
-    def __init__(self, rsid, cartan, h, exponents, b, two_rho, m, e_of_d, p):
+    def __init__(self, rsid, cartan, h, exponents, b, two_rho_pairings, m, e_of_d, p):
         self.id = rsid
         self.cartan = cartan
         self.h = h
         self.exponents = exponents
         self.b = b
-        self.two_rho = two_rho
+        self.two_rho_pairings = two_rho_pairings
         self.m = m
         self.e_of_d = e_of_d
         self.p = p
@@ -124,61 +124,61 @@ class RootSystem:
 
 def _columns(cartan):
     """The nonzero (j, a_ji) of each column i of a Cartan matrix (at most four:
-    the diagonal and the neighbours of i)."""
+    the diagonal and the neighbours of i).  Column i holds the pairings
+    <alpha_i, alpha_j^vee> of the simple root alpha_i."""
     n = len(cartan)
     return [[(j, cartan[j][i]) for j in range(n) if cartan[j][i]] for i in range(n)]
 
 
-def _close_positive_roots(cartan):
-    """Yield the positive roots one height level at a time, each level a list
-    in no set order: the simple roots closed under the s_i with
-    <beta, alpha_i^vee> < 0, which raise the height and keep the root
-    positive (Humphreys, Reflection Groups and Coxeter Groups, 1.6).
+def _reflect(p, i, cols):
+    """s_i in pairing coordinates p_j = <beta, alpha_j^vee>, in place:
+    s_i beta = beta - p_i alpha_i, so p loses p_i times column i of the
+    Cartan matrix (and p_i flips sign).  The only construction step: the
+    root closure, the Coxeter orbits and the Weyl walk all apply it."""
+    c = p[i]
+    for j, a in cols[i]:
+        p[j] -= c * a
 
-    Each root of a live level carries its pairings p_j = <beta, alpha_j^vee>.
-    For p_i = c < 0 the new root is beta - c alpha_i, with pairings p minus c
-    times column i of the Cartan matrix.  A root rises at most three levels
-    (G2), so only levels k..k+3 are held."""
-    n = len(cartan)
+
+def _close_positive_roots(cartan):
+    """Yield the positive roots one height level at a time, each level a set
+    of roots: the simple roots closed under the s_i with
+    p_i = <beta, alpha_i^vee> < 0, which raise the height by -p_i and keep
+    the root positive (Humphreys, Reflection Groups and Coxeter Groups, 1.6).
+
+    A root is the frozenset of its nonzero pairings (j, p_j), at most about
+    four in every family; the Cartan matrix is invertible, so they determine
+    the root.  A root rises at most three levels (G2), so only levels
+    k..k+3 are held."""
     cols = _columns(cartan)
-    levels = {1: {tuple(1 if j == i else 0 for j in range(n)): [row[i] for row in cartan]
-                  for i in range(n)}}
+    levels = {1: {frozenset(col) for col in cols}}
     k = 1
     while k in levels:
-        for beta, p in levels[k].items():
-            for i, c in enumerate(p):
+        for beta in levels[k]:
+            for i, c in beta:
                 if c < 0:
-                    root = list(beta)
-                    root[i] -= c
-                    root = tuple(root)
-                    level = levels.setdefault(k - c, {})
-                    if root not in level:
-                        q = list(p)
-                        for j, a in cols[i]:
-                            q[j] -= c * a
-                        level[root] = q
-        yield list(levels.pop(k))
+                    p = defaultdict(int, beta)
+                    _reflect(p, i, cols)
+                    levels.setdefault(k - c, set()).add(
+                        frozenset(item for item in p.items() if item[1]))
+        yield levels.pop(k)
         k += 1
-
-
-def positive_roots(rs):
-    """The positive roots of ``rs`` in simple-root coordinates, by height and
-    sorted within each height, from the closure run again on ``rs.cartan``."""
-    return [root for level in _close_positive_roots(rs.cartan) for root in sorted(level)]
 
 
 def build(rsid):
     """Construct the root system, derive every stored invariant and check
     them.  The closure's levels are folded into the height counts ``b`` and
-    the column sums ``two_rho`` as they come; no root is kept."""
+    the pairing sums ``two_rho_pairings`` as they come; no root is kept."""
     validate_id(rsid)
     n = rsid.rank
     cartan = cartan_matrix(rsid)
     b = []
-    two_rho = (0,) * n
+    two_rho = [0] * n
     for level in _close_positive_roots(cartan):
         b.append(len(level))
-        two_rho = tuple(map(sum, zip(two_rho, *level)))
+        for beta in level:
+            for j, x in beta:
+                two_rho[j] += x
     h = len(b) + 1
 
     # Exponents are the conjugate of the height-count partition.
@@ -190,7 +190,7 @@ def build(rsid):
     e_of_d = _moebius_exponents(m, h)
     p = _divisor_power_sums(e_of_d, h)
 
-    rs = RootSystem(rsid, cartan, h, exponents, b, two_rho, m, e_of_d, p)
+    rs = RootSystem(rsid, cartan, h, exponents, b, tuple(two_rho), m, e_of_d, p)
     _check_invariants(rs)
     return rs
 
@@ -246,45 +246,44 @@ def multiplicities(rs):
 # -- Coxeter element ---------------------------------------------------------
 
 
-CoxeterElement = namedtuple("CoxeterElement", "matrix charpoly traces")
+CoxeterElement = namedtuple("CoxeterElement", "charpoly traces")
 
 
 def mat_mul(a, b):
+    """Dense product of two square integer matrices (tuples of rows)."""
     n = len(a)
     return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
                  for i in range(n))
 
 
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def coxeter_element(rs):
     """c = s_0 s_1 ... s_{n-1}, the traces of c**0 .. c**(h-1) and the exact
-    characteristic polynomial.  The rows of c**t are carried from step to
-    step: s_i on the left changes row i only, to -row_i - sum_{j != i} a_ij
-    row_j, applied for i = n-1 .. 0.  Cached on the root system."""
+    characteristic polynomial.  Cached on the root system.
+
+    c permutes the roots, so each simple root alpha_i is followed along its
+    c-orbit in pairing coordinates (Steinberg, "Finite reflection groups",
+    Trans. AMS 91, 1959).  One step applies s_j for j = n-1 .. 0 wherever
+    p_j != 0 (s_j fixes a root with p_j = 0).  Coordinate i of the root
+    in the simple-root basis changes only under s_i, by -p_i, and is the
+    diagonal entry (c**t)_ii, so tr(c**t) sums it over i.  c**h = I holds
+    when every alpha_i is back after h steps: the simple roots are a basis."""
     if rs._coxeter is not None:
         return rs._coxeter
     n, h = rs.id.rank, rs.h
-    # The off-diagonal (j, a_ij) of each Cartan row; a rank-one row has none
-    # and gets (i, 0), which adds nothing.
-    nbrs = [[(j, a) for j, a in enumerate(row) if a and j != i] or [(i, 0)]
-            for i, row in enumerate(rs.cartan)]
-    rows = [list(row) for row in mat_identity(n)]
-    traces = []
-    for t in range(h):
-        traces.append(sum(row[j] for j, row in enumerate(rows)))
-        for i in range(n - 1, -1, -1):
-            (j, a), *rest = nbrs[i]
-            new = [-x - a * y for x, y in zip(rows[i], rows[j])]
-            for j, a in rest:
-                new = [x - a * y for x, y in zip(new, rows[j])]
-            rows[i] = new
-        if t == 0:
-            matrix = tuple(map(tuple, rows))
-    if tuple(map(tuple, rows)) != mat_identity(n):
-        raise MethodMismatch(f"{rs.id}: Coxeter element order is not h")
+    cols = _columns(rs.cartan)
+    traces = [0] * h
+    for i in range(n):
+        start = [row[i] for row in rs.cartan]
+        p, x = list(start), 1
+        for t in range(h):
+            traces[t] += x
+            for j in range(n - 1, -1, -1):
+                if p[j]:
+                    if j == i:
+                        x -= p[j]
+                    _reflect(p, j, cols)
+        if p != start:
+            raise MethodMismatch(f"{rs.id}: Coxeter element order is not h")
     charpoly = charpoly_int(traces)
 
     expected = Polynomial((1,))
@@ -295,7 +294,7 @@ def coxeter_element(rs):
     if charpoly != expected:
         raise MethodMismatch(f"{rs.id}: charpoly does not match eigenvalue data")
 
-    cox = CoxeterElement(matrix, charpoly, tuple(traces))
+    cox = CoxeterElement(charpoly, tuple(traces))
     rs._coxeter = cox
     return cox
 
@@ -357,14 +356,13 @@ def weyl_order(rs):
 def weyl_length_gf_bruteforce(rs, cap=DEFAULT_BFS_CAP):
     """Length generating function by walking the orbit of 2*rho (the sum of
     the positive roots; trivial stabilizer) one length at a time, in
-    fundamental-weight coordinates lambda_i = <w(2 rho), alpha_i^vee>: s_i w
-    is one longer than w exactly when lambda_i > 0, and s_i sends lambda_i to
-    -lambda_i and lambda_j to lambda_j - lambda_i a_ji.  The start must be
-    <2 rho, alpha_i^vee> = 2 for every i."""
+    pairing coordinates lambda_i = <w(2 rho), alpha_i^vee>: s_i w is one
+    longer than w exactly when lambda_i > 0.  The start, the stored
+    ``two_rho_pairings``, must be 2 for every i."""
     order = weyl_order(rs)
     if order > cap:
         raise GroupTooLarge(f"|W({rs.id})| = {order} exceeds cap {cap}")
-    start = tuple(sum(a * x for a, x in zip(row, rs.two_rho)) for row in rs.cartan)
+    start = rs.two_rho_pairings
     if any(x != 2 for x in start):
         raise MethodMismatch(f"{rs.id}: the positive roots do not sum to 2*rho")
     cols = _columns(rs.cartan)
@@ -377,8 +375,7 @@ def weyl_length_gf_bruteforce(rs, cap=DEFAULT_BFS_CAP):
             for i, c in enumerate(lam):
                 if c > 0:
                     v = list(lam)
-                    for j, a in cols[i]:
-                        v[j] -= c * a
+                    _reflect(v, i, cols)
                     nxt.add(tuple(v))
         level = nxt
     if sum(counts) != order:

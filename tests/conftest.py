@@ -6,7 +6,7 @@ import pytest
 
 import rootheight.identities as identities
 from rootheight import build, default_catalog
-from rootheight.exactalg import Polynomial
+from rootheight.exactalg import Polynomial, _sum_plan
 
 
 @pytest.fixture(scope="session")
@@ -16,11 +16,46 @@ def catalog():
 
 
 def clear_identity_memos():
-    """Empty every lru_cache defined in rootheight.identities, so the next
-    run computes each memoised value afresh."""
+    """Empty every lru_cache defined in rootheight.identities and the
+    rational-function sum plans, so the next run computes each memoised
+    value afresh."""
     for value in vars(identities).values():
         if hasattr(value, "cache_clear") and value.__module__ == identities.__name__:
             value.cache_clear()
+    _sum_plan.cache_clear()
+
+
+def string_closure(cartan):
+    """Positive roots in simple-root coordinates, height by height, each
+    level sorted: closure by root strings, where alpha + alpha_i is a root
+    exactly when p - <alpha, alpha_i^vee> > 0, p counting the steps
+    alpha - alpha_i, alpha - 2 alpha_i, ... inside the set built so far."""
+    n = len(cartan)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    known = set(simple)
+    levels = [sorted(simple)]
+    current = simple
+    while current:
+        nxt = set()
+        for alpha in current:
+            for i in range(n):
+                c = sum(cartan[i][j] * alpha[j] for j in range(n))
+                p = 0
+                beta = list(alpha)
+                while True:
+                    beta[i] -= 1
+                    if beta[i] < 0 or tuple(beta) not in known:
+                        break
+                    p += 1
+                if p - c > 0:
+                    cand = list(alpha)
+                    cand[i] += 1
+                    nxt.add(tuple(cand))
+        current = sorted(nxt)
+        if current:
+            known.update(current)
+            levels.append(current)
+    return levels
 
 
 def get_system(catalog, family, rank):

@@ -11,7 +11,8 @@ from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from math import gcd, isqrt
 
-from conftest import conjugate_partition, golden_charpoly, golden_exponents
+from conftest import (conjugate_partition, golden_charpoly, golden_exponents,
+                      string_closure)
 from rootheight.cli import main
 from rootheight.exactalg import Polynomial, cyc_eval
 from rootheight.identities import (b_poly, lagrange_all_roots,
@@ -22,7 +23,7 @@ from rootheight.numth import (ArithSeq, cyclotomic_discriminant, divisors,
                               is_cohen, mobius, ramanujan_sum,
                               ramanujan_sum_checked, totient)
 from rootheight.rootsys import (build, coxeter_element, default_catalog,
-                                positive_roots, weyl_length_gf_bruteforce,
+                                weyl_length_gf_bruteforce,
                                 weyl_length_gf_product, weyl_order)
 
 
@@ -42,7 +43,7 @@ def test_criterion_1_catalog_construction():
         systems = [build(rsid) for rsid in default_catalog()]
         for rs in systems:
             n = rs.id.rank
-            assert len(positive_roots(rs)) == n * rs.h // 2
+            assert sum(map(len, string_closure(rs.cartan))) == n * rs.h // 2
             golden = golden_exponents(rs.id.family, n)
             assert rs.exponents == golden
             assert rs.b == conjugate_partition(golden, rs.h)
@@ -233,7 +234,8 @@ def test_criterion_10_e8_headline_numbers(catalog):
         assert bp(1) == 120
         assert e8.b[0] == 8
         assert e8.b[28] == 1
-        by_heights = sum(sum(root) for root in positive_roots(e8))
+        by_heights = sum(sum(root) for level in string_closure(e8.cartan)
+                         for root in level)
         by_counts = sum(k * bk for k, bk in enumerate(e8.b, start=1))
         by_exponents = sum(e * (e + 1) // 2 for e in e8.exponents)
         assert by_heights == by_counts == by_exponents

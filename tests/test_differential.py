@@ -51,7 +51,7 @@ def corrupted(rs, kind):
         exponents[-1] -= 1
     else:
         raise ValueError(f"unknown corruption {kind!r}")
-    return RootSystem(rs.id, rs.cartan, rs.h, exponents, b, rs.two_rho, m,
+    return RootSystem(rs.id, rs.cartan, rs.h, exponents, b, rs.two_rho_pairings, m,
                       e_of_d, p)
 
 

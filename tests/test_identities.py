@@ -13,10 +13,10 @@ import pytest
 import rootheight.identities as identities
 from conftest import clear_identity_memos
 from rootheight.errors import DegreeTooHigh, MethodMismatch, SingularSystem
-from rootheight.exactalg import CycNum, Polynomial, RationalFunction, _context, cyc_eval
+from rootheight.exactalg import (CycNum, Polynomial, RationalFunction, _context,
+                                 _rf_sum, _sum_plan, cyc_eval, poly_gcd)
 from rootheight.cli import main
 from rootheight.identities import (ONE, ZERO, _gram_lu, _lvec_interpolated,
-                                   _rf_sum, _sum_plan,
                                    available_checks,
                                    b_from_exponents, b_poly, dynkin_check,
                                    exponent_poly, lagrange_all_roots,
@@ -530,10 +530,24 @@ class TestScalarChecks:
             assert pole_sum_witness(h) is None
 
 
+def pairwise_add(a, b):
+    """One addition by the gcd of the two denominators: (n_a db + n_b da) /
+    (d_a db) with da = d_a/g and db = d_b/g, or the plain cross products
+    when g is constant."""
+    g = poly_gcd(a.den, b.den)
+    if g.degree < 1:
+        return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
+    da, db = a.den.divexact(g), b.den.divexact(g)
+    return RationalFunction(a.num * db + b.num * da, a.den * db)
+
+
 def slow_rf_sum(terms):
-    """The route _rf_sum replaced: RationalFunction.__add__ left to right
-    onto zero."""
-    return sum(terms, RationalFunction(ZERO, ONE))
+    """The route _rf_sum replaced: pairwise additions left to right onto
+    zero."""
+    total = RationalFunction(ZERO, ONE)
+    for t in terms:
+        total = pairwise_add(total, t)
+    return total
 
 
 def coeff_tuples(f):
@@ -547,12 +561,14 @@ def assert_same_sum(terms):
 
 
 class TestSumPlan:
-    """_rf_sum over a memoised common-denominator plan against the pairwise
-    sum it replaced: the same coefficient tuples, not only an equal value."""
+    """_rf_sum over a memoised common-denominator plan, and ``+`` as its
+    two-term case, against pairwise additions: the same coefficient tuples,
+    not only an equal value."""
 
     def test_matches_pairwise_sum_during_verify_all(self, capsys, monkeypatch):
         clear_identity_memos()
         calls = []
+        add = RationalFunction.__add__
 
         def recording(terms):
             terms = list(terms)
@@ -560,8 +576,16 @@ class TestSumPlan:
             calls.append((terms, got))
             return got
 
+        def adding(a, b):
+            got = add(a, b)
+            calls.append(([a, RationalFunction._wrap(b)], got))
+            return got
+
         monkeypatch.setattr(identities, "_rf_sum", recording)
+        monkeypatch.setattr(RationalFunction, "__add__", adding)
+        monkeypatch.setattr(RationalFunction, "__radd__", adding)
         assert main(["verify", "all", "--format", "json"]) == 0
+        assert sum(len(terms) == 2 for terms, _ in calls) > 500
         capsys.readouterr()
         for terms, got in calls:
             assert coeff_tuples(got) == coeff_tuples(slow_rf_sum(terms)), terms

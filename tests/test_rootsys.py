@@ -7,20 +7,26 @@ import tracemalloc
 
 import pytest
 
-from conftest import conjugate_partition, golden_charpoly, golden_exponents
+from conftest import (clear_identity_memos, conjugate_partition, golden_charpoly,
+                      golden_exponents, string_closure)
+import rootheight.rootsys as rootsys
 from rootheight.errors import GroupTooLarge, InvalidRank, MethodMismatch
 from rootheight.exactalg import Polynomial
+from rootheight.identities import run_suite
 from rootheight.linalg import charpoly_int
 from rootheight.numth import divisors
 from rootheight.rootsys import (RootSystem, RootSystemId, _close_positive_roots,
                                 build, cartan_matrix, coxeter_element,
-                                factor_exponents, mat_identity, mat_mul,
-                                multiplicities, positive_roots, power_sums,
-                                weyl_length_gf_bruteforce,
+                                factor_exponents, mat_mul, multiplicities,
+                                power_sums, weyl_length_gf_bruteforce,
                                 weyl_length_gf_product, weyl_order)
 
 
-# -- reference routes: dense matrices and the per-vector sparse reflection ---
+# -- reference routes: root coordinates, dense matrices and row updates ------
+
+
+def mat_identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def sparse_rows(cartan):
@@ -33,6 +39,68 @@ def reflect(v, i, rows):
     c = sum(k * v[j] for j, k in rows[i])
     v[i] -= c
     return c
+
+
+def pairings(cartan, root):
+    """A root in simple-root coordinates as the closure keys it: the
+    frozenset of its nonzero (j, <root, alpha_j^vee>)."""
+    p = (sum(a * x for a, x in zip(row, root)) for row in cartan)
+    return frozenset((j, x) for j, x in enumerate(p) if x)
+
+
+def positive_roots(cartan):
+    """The positive roots in simple-root coordinates, by height and sorted
+    within each height, from the root-string closure."""
+    return [root for level in string_closure(cartan) for root in level]
+
+
+def two_rho_pairings(cartan, roots):
+    """C times the sum of ``roots``: the pairings of their sum with the simple
+    coroots."""
+    total = [sum(col) for col in zip(*roots)]
+    return tuple(sum(a * x for a, x in zip(row, total)) for row in cartan)
+
+
+def dense_closure(cartan):
+    """The positive roots by height in simple-root coordinates, each root of
+    a live level carrying its dense pairing list: for p_i = c < 0 the root
+    beta - c alpha_i has the pairings p - c (column i of C)."""
+    n = len(cartan)
+    levels = {1: {tuple(1 if j == i else 0 for j in range(n)): [row[i] for row in cartan]
+                  for i in range(n)}}
+    k = 1
+    while k in levels:
+        for beta, p in levels[k].items():
+            for i, c in enumerate(p):
+                if c < 0:
+                    root = list(beta)
+                    root[i] -= c
+                    level = levels.setdefault(k - c, {})
+                    if tuple(root) not in level:
+                        level[tuple(root)] = [x - c * row[i] for x, row in zip(p, cartan)]
+        yield sorted(levels.pop(k))
+        k += 1
+
+
+def row_coxeter(rs):
+    """The matrix of c = s_0 ... s_{n-1} and the traces of c**0 .. c**(h-1),
+    with the rows of c**t carried from step to step: s_i on the left
+    replaces row i by -row_i - sum_{j != i} a_ij row_j, for i = n-1 .. 0."""
+    n = rs.id.rank
+    rows = [list(row) for row in mat_identity(n)]
+    traces = []
+    for t in range(rs.h):
+        traces.append(sum(row[j] for j, row in enumerate(rows)))
+        for i in range(n - 1, -1, -1):
+            new = [-x for x in rows[i]]
+            for j, a in enumerate(rs.cartan[i]):
+                if a and j != i:
+                    new = [x - a * y for x, y in zip(new, rows[j])]
+            rows[i] = new
+        if t == 0:
+            matrix = tuple(map(tuple, rows))
+    assert tuple(map(tuple, rows)) == mat_identity(n)
+    return matrix, tuple(traces)
 
 
 def column_coxeter(rs):
@@ -52,11 +120,12 @@ def column_coxeter(rs):
     return matrix, tuple(traces)
 
 
-def root_walk(rs):
-    """Length counts of the orbit of 2 rho walked in simple-root coordinates:
-    s_i w is longer than w exactly when <w(2 rho), alpha_i^vee> > 0."""
-    rows = sparse_rows(rs.cartan)
-    level = {rs.two_rho}
+def root_walk(cartan, two_rho):
+    """Length counts of the orbit of the root-coordinate vector ``two_rho``
+    walked in simple-root coordinates: s_i w is longer than w exactly when
+    <w(2 rho), alpha_i^vee> > 0."""
+    rows = sparse_rows(cartan)
+    level = {tuple(two_rho)}
     counts = []
     while level:
         counts.append(len(level))
@@ -72,11 +141,10 @@ def root_walk(rs):
 
 
 def with_roots(rs, roots):
-    """``rs`` rebuilt by the constructor with 2 rho summed from another
-    positive-root list."""
-    two_rho = tuple(map(sum, zip(*roots)))
-    return RootSystem(rs.id, rs.cartan, rs.h, rs.exponents, rs.b, two_rho,
-                      rs.m, rs.e_of_d, rs.p)
+    """``rs`` rebuilt by the constructor with the 2 rho pairings summed from
+    another positive-root list."""
+    return RootSystem(rs.id, rs.cartan, rs.h, rs.exponents, rs.b,
+                      two_rho_pairings(rs.cartan, roots), rs.m, rs.e_of_d, rs.p)
 
 
 def reflection_matrix(cartan, i):
@@ -87,36 +155,12 @@ def reflection_matrix(cartan, i):
     return tuple(rows)
 
 
-def string_closure(cartan):
-    """Height-by-height closure by root strings: alpha + alpha_i is a root
-    exactly when p - <alpha, alpha_i^vee> > 0, p counting the steps
-    alpha - alpha_i, alpha - 2 alpha_i, ... inside the set built so far."""
-    n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known = set(simple)
-    levels = [sorted(simple)]
-    current = simple
-    while current:
-        nxt = set()
-        for alpha in current:
-            for i in range(n):
-                c = sum(cartan[i][j] * alpha[j] for j in range(n))
-                p = 0
-                beta = list(alpha)
-                while True:
-                    beta[i] -= 1
-                    if beta[i] < 0 or tuple(beta) not in known:
-                        break
-                    p += 1
-                if p - c > 0:
-                    cand = list(alpha)
-                    cand[i] += 1
-                    nxt.add(tuple(cand))
-        current = sorted(nxt)
-        if current:
-            known.update(current)
-            levels.append(current)
-    return levels
+def coxeter_matrix(cartan):
+    """c = s_0 s_1 ... s_{n-1} as a product of dense reflection matrices."""
+    dense = mat_identity(len(cartan))
+    for i in range(len(cartan)):
+        dense = mat_mul(dense, reflection_matrix(cartan, i))
+    return dense
 
 
 def faddeev_leverrier(mat):
@@ -156,6 +200,11 @@ def matrix_bfs(rs):
     return Polynomial(counts)
 
 
+def large_systems():
+    return [build(RootSystemId(fam, n))
+            for fam, n in (("A", 60), ("C", 48), ("B", 25), ("D", 30))]
+
+
 def small_ids(max_rank):
     ids = [RootSystemId(fam, n) for fam, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
            for n in range(low, max_rank + 1)]
@@ -180,13 +229,16 @@ class TestBuild:
 
     def test_rank2_simply_laced(self, catalog):
         rs = catalog["A2"]
-        assert set(positive_roots(rs)) == {(1, 0), (0, 1), (1, 1)}
+        levels = list(_close_positive_roots(rs.cartan))
+        assert levels == [{frozenset({(0, 2), (1, -1)}), frozenset({(0, -1), (1, 2)})},
+                          {frozenset({(0, 1), (1, 1)})}]
+        assert rs.two_rho_pairings == (2, 2)
         assert rs.b == [2, 1]
         assert rs.exponents == [1, 2]
 
     def test_largest_exceptional(self, catalog):
         rs = catalog["E8"]
-        assert len(positive_roots(rs)) == 120
+        assert sum(map(len, _close_positive_roots(rs.cartan))) == 120
         assert rs.h == 30
         assert rs.exponents == [1, 7, 11, 13, 17, 19, 23, 29]
 
@@ -195,12 +247,12 @@ class TestBuild:
             fam, n = rs.id.family, rs.id.rank
             assert rs.exponents == golden_exponents(fam, n)
             assert rs.b == conjugate_partition(rs.exponents, rs.h)
-            assert len(positive_roots(rs)) == n * rs.h // 2
+            assert len(positive_roots(rs.cartan)) == n * rs.h // 2
 
     def test_build_keeps_no_root_table(self):
-        # build folds each closure level into b and 2 rho and drops it.  The
-        # bound lies between that fold's 0.34 MiB peak and the 4.3 MiB that a
-        # kept table of the 6,320 roots of 80 coordinates costs.
+        # build folds each closure level into b and the 2 rho pairings and
+        # drops it.  The bound lies between that fold's 0.17 MiB peak and the
+        # 4.3 MiB that a kept table of the 6,320 roots of 80 coordinates costs.
         tracemalloc.start()
         try:
             rs = build(RootSystemId("D", 80))
@@ -230,15 +282,26 @@ class TestBuild:
     def test_closure_matches_root_strings(self):
         for rsid in small_ids(20):
             cartan = cartan_matrix(rsid)
-            levels = [sorted(level) for level in _close_positive_roots(cartan)]
-            assert levels == string_closure(cartan), rsid
+            expected = [{pairings(cartan, root) for root in level}
+                        for level in string_closure(cartan)]
+            assert list(_close_positive_roots(cartan)) == expected, rsid
+
+    def test_closure_matches_dense_oracle(self, catalog):
+        # The root-coordinate closure with dense pairing lists: the same
+        # height counts, and its roots sum to the stored 2 rho pairings.
+        for rs in list(catalog.values()) + large_systems():
+            levels = list(dense_closure(rs.cartan))
+            assert [len(level) for level in levels] == rs.b, rs.id
+            roots = [root for level in levels for root in level]
+            assert two_rho_pairings(rs.cartan, roots) == rs.two_rho_pairings, rs.id
+            assert rs.two_rho_pairings == (2,) * rs.id.rank, rs.id
 
     def test_catalog_invariants(self, catalog):
         for rs in catalog.values():
             n, h = rs.id.rank, rs.h
             assert rs.b[0] == n
             assert rs.b[-1] == 1
-            heights = [sum(r) for r in positive_roots(rs)]
+            heights = [sum(r) for r in positive_roots(rs.cartan)]
             assert heights == [k for k, bk in enumerate(rs.b, start=1) for _ in range(bk)]
             assert max(heights) == h - 1
             assert heights.count(h - 1) == 1
@@ -276,7 +339,7 @@ class TestDerivedFunctions:
 class TestCoxeterElement:
     def test_rank_one(self, catalog):
         cox = coxeter_element(catalog["A1"])
-        assert cox.matrix == ((-1,),)
+        assert cox.traces == (1, -1)
         assert cox.charpoly == Polynomial((1, 1))
 
     def test_rank2_hexagonal_charpoly(self, catalog):
@@ -284,43 +347,43 @@ class TestCoxeterElement:
 
     def test_order_is_coxeter_number(self, catalog):
         for rs in catalog.values():
-            cox = coxeter_element(rs)
+            matrix = coxeter_matrix(rs.cartan)
             power = mat_identity(rs.id.rank)
             for t in range(1, rs.h + 1):
-                power = mat_mul(power, cox.matrix)
+                power = mat_mul(power, matrix)
                 if t < rs.h:
                     assert power != mat_identity(rs.id.rank)
             assert power == mat_identity(rs.id.rank)
 
     def test_matrix_is_product_of_reflections(self, catalog):
+        # The matrices of the row and column oracles below.
         for rs in catalog.values():
-            dense = mat_identity(rs.id.rank)
-            for i in range(rs.id.rank):
-                dense = mat_mul(dense, reflection_matrix(rs.cartan, i))
-            assert coxeter_element(rs).matrix == dense, rs.id
+            dense = coxeter_matrix(rs.cartan)
+            assert row_coxeter(rs)[0] == column_coxeter(rs)[0] == dense, rs.id
 
     def test_traces_match_dense_powers(self, catalog):
         for rs in catalog.values():
-            cox = coxeter_element(rs)
+            matrix = coxeter_matrix(rs.cartan)
             power = mat_identity(rs.id.rank)
             traces = []
             for _ in range(rs.h):
                 traces.append(sum(power[i][i] for i in range(rs.id.rank)))
-                power = mat_mul(power, cox.matrix)
-            assert cox.traces == tuple(traces), rs.id
+                power = mat_mul(power, matrix)
+            assert coxeter_element(rs).traces == tuple(traces), rs.id
 
     def test_rows_match_column_oracle(self, catalog):
-        large = [build(RootSystemId(fam, n))
-                 for fam, n in (("A", 60), ("C", 48), ("B", 20), ("D", 20))]
-        for rs in list(catalog.values()) + large:
-            cox = coxeter_element(rs)
-            assert (cox.matrix, cox.traces) == column_coxeter(rs), rs.id
+        # The row loop and the column walk agree, and the orbit traces of
+        # coxeter_element equal theirs.
+        for rs in list(catalog.values()) + large_systems():
+            matrix, traces = row_coxeter(rs)
+            assert (matrix, traces) == column_coxeter(rs), rs.id
+            assert coxeter_element(rs).traces == traces, rs.id
 
     def test_newton_matches_faddeev_leverrier(self, catalog):
         for rs in catalog.values():
             cox = coxeter_element(rs)
-            assert charpoly_int(cox.traces) == faddeev_leverrier(cox.matrix), rs.id
-            assert cox.charpoly == faddeev_leverrier(cox.matrix), rs.id
+            dense = faddeev_leverrier(coxeter_matrix(rs.cartan))
+            assert charpoly_int(cox.traces) == cox.charpoly == dense, rs.id
 
     def test_newton_remainder_raises(self):
         # traces (2, 0, 1) would need 2 c_2 = -1
@@ -329,10 +392,34 @@ class TestCoxeterElement:
 
     def test_wrong_order_raises(self, catalog):
         a4 = catalog["A4"]
-        wrong = RootSystem(a4.id, a4.cartan, 6, a4.exponents, a4.b, a4.two_rho,
-                           a4.m + [0], a4.e_of_d, a4.p)
+        wrong = RootSystem(a4.id, a4.cartan, 6, a4.exponents, a4.b,
+                           a4.two_rho_pairings, a4.m + [0], a4.e_of_d, a4.p)
         with pytest.raises(MethodMismatch, match="order is not h"):
             coxeter_element(wrong)
+
+    def test_charpoly_guard_raises(self, catalog):
+        # c has order 5 on A4, but m moved from exponent 1 to 2 describes
+        # other eigenvalues.
+        a4 = catalog["A4"]
+        wrong = RootSystem(a4.id, a4.cartan, a4.h, a4.exponents, a4.b,
+                           a4.two_rho_pairings, [0, 0, 2, 1, 1], a4.e_of_d, a4.p)
+        with pytest.raises(MethodMismatch, match="charpoly does not match"):
+            coxeter_element(wrong)
+
+    def test_built_once_per_system(self, monkeypatch):
+        # Every check of the suite reads the Coxeter data, which is built
+        # once and cached on the root system.
+        clear_identity_memos()
+        calls = []
+
+        def counted(traces):
+            calls.append(traces)
+            return charpoly_int(traces)
+
+        monkeypatch.setattr(rootsys, "charpoly_int", counted)
+        reports = run_suite(build(RootSystemId("A", 30)))
+        assert all(rep.verdict != "fail" for rep in reports)
+        assert len(calls) == 1
 
     def test_charpoly_equals_golden_table(self, catalog):
         for rs in catalog.values():
@@ -367,12 +454,14 @@ class TestWeylOracle:
         small = [rs for rs in catalog.values() if weyl_order(rs) <= 23040]
         assert len(small) == 19
         for rs in small:
-            assert weyl_length_gf_bruteforce(rs, cap=23040) == root_walk(rs), rs.id
+            two_rho = [sum(col) for col in zip(*positive_roots(rs.cartan))]
+            assert weyl_length_gf_bruteforce(rs, cap=23040) == \
+                root_walk(rs.cartan, two_rho), rs.id
 
     def test_dropped_simple_root_raises(self, catalog):
         for name in ("A4", "B3", "D5", "F4", "G2"):
             rs = catalog[name]
-            full = positive_roots(rs)
+            full = positive_roots(rs.cartan)
             for k in range(rs.id.rank):
                 roots = [r for r in full if r != full[k]]
                 with pytest.raises(MethodMismatch, match="2\\*rho"):
@@ -383,10 +472,21 @@ class TestWeylOracle:
         # coordinate walk counts |W| all the same; only the start guard sees it.
         for name in ("A4", "B3", "D5", "F4", "G2"):
             rs = catalog[name]
-            broken = with_roots(rs, positive_roots(rs)[:-1])
-            assert root_walk(broken) == weyl_length_gf_bruteforce(rs, cap=1920), rs.id
+            roots = positive_roots(rs.cartan)[:-1]
+            broken = with_roots(rs, roots)
+            two_rho = [sum(col) for col in zip(*roots)]
+            assert root_walk(rs.cartan, two_rho) == \
+                weyl_length_gf_bruteforce(rs, cap=1920), rs.id
             with pytest.raises(MethodMismatch, match="2\\*rho"):
                 weyl_length_gf_bruteforce(broken, cap=1920)
+
+    def test_wrong_order_count_raises(self, catalog):
+        # Exponents whose product of (e + 1) is not |W| fail the count.
+        a3 = catalog["A3"]
+        wrong = RootSystem(a3.id, a3.cartan, a3.h, [1, 2, 4], a3.b,
+                           a3.two_rho_pairings, a3.m, a3.e_of_d, a3.p)
+        with pytest.raises(MethodMismatch, match="enumeration found 24 of 30"):
+            weyl_length_gf_bruteforce(wrong)
 
     def test_products_match_enumeration(self, catalog):
         for name in ("A2", "A3", "B2", "B3", "C3", "G2", "D4"):
