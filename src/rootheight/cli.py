@@ -25,11 +25,13 @@ from .rootsys import (DEFAULT_BFS_CAP, RootSystemId, build, coxeter_element,
 
 MAX_RANK = 500
 # Largest munagi period: a dense numerator decomposes within 1 s for every
-# h <= 2000 (slowest measured: h = 2000, 0.26 s, and h = 1980, 0.21 s; h = 2310
-# took 0.32 s; in-process main, 2-core Xeon, CPython 3.11).
+# h <= 2000 (slowest measured: h = 2p with Phi_h dense, h = 1966 and 1982,
+# 0.25 s; h = 1980 0.12 s, h = 2000 0.03 s; in-process main with cold caches,
+# best of 3, 2-core Xeon, CPython 3.11).
 MAX_PERIOD = 2000
-# Largest munagi common denominator in bits: at h = 1980 a dense numerator took
-# 0.27 s over 2048 bits, 0.38 s over 4096 (one 14,000-bit numerator: 0.13 s).
+# Largest munagi common denominator in bits: at h = 1966 a dense numerator took
+# 0.35 s over 2048 bits, 0.58 s over 4096 (h = 1980: 0.16 and 0.21 s; one
+# 14,000-bit numerator: 0.07 s).
 MAX_DENOMINATOR_BITS = 2048
 
 

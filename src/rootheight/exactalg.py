@@ -17,13 +17,18 @@ times cheaper than ``Fraction`` arithmetic for the same values.  Products
 run over the nonzero coefficients only, so multiplying by a sparse factor
 such as 1 - q**d costs O(deg), not O(deg * d).
 
+There is one division, ``_divide``: a monic divisor, over its nonzero
+entries.  ``divmod`` on polynomials scales any other divisor to monic first.
+Reduction modulo the order-h cyclotomic polynomial Phi_h (``_cyc_remainder``)
+folds a coefficient sequence modulo q**h - 1 and divides; it reduces field
+products, sums of powers of the root and Munagi's partial fractions.
+
 Each cyclotomic order has one field context, built once by the cached
-``_context(h)``: the modulus, the reduced powers of the root, the primitive
-residues, ``coords`` for sums of powers, ``root_sum`` for sums of field
-elements times powers of the root, ``trace`` for the sum of the Galois
-conjugates of v * z**e (a rational, from the Ramanujan sums c_h(0..h-1),
-which the context builds on first use), and per-order memo tables of the
-inverses 1/(1 - z**k) and 1/Phi'(z**k).
+``_context(h)``: the modulus, the primitive residues, ``coords`` for sums of
+powers, ``root_sum`` for sums of field elements times powers of the root,
+``trace`` for the sum of the Galois conjugates of v * z**e (a rational, from
+the Ramanujan sums c_h(0..h-1), which the context builds on first use), and
+the inverses 1/(1 - z) and 1/Phi'(z), memoised.
 """
 
 from __future__ import annotations
@@ -67,6 +72,24 @@ def _convolve(a, b):
         for j, bj in b:
             out[i + j] = out[i + j] + ai * bj
     return out
+
+
+def _divide(num, den):
+    """Quotient and remainder of the coefficient sequence num by the monic
+    sequence den, over den's nonzero entries below the top; a dividend
+    shorter than den is its own remainder.  This is the one division of
+    the module: polynomials, cyclotomic moduli and field reduction use it."""
+    num = list(num)
+    dd = len(den) - 1
+    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
+    quot = [0] * max(len(num) - dd, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = num[i + dd]
+        if c:
+            quot[i] = c
+            for j, b in terms:
+                num[i + j] = num[i + j] - c * b
+    return quot, num[:dd]
 
 
 class Polynomial:
@@ -171,26 +194,15 @@ class Polynomial:
         other = self._wrap(other)
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        dn, dd = len(self.coeffs), len(other.coeffs)
-        if dn < dd:
+        if len(self.coeffs) < len(other.coeffs):
             return Polynomial(()), self
-        rem = list(self.coeffs)
         lc = other.coeffs[-1]
-        monic = lc == 1
-        inv_lc = None if monic else _coeff_inv(lc)
-        quot = [0] * (dn - dd + 1)
-        for i in range(dn - dd, -1, -1):
-            c = rem[i + dd - 1]
-            if not c:
-                continue
-            t = c if monic else c * inv_lc
-            quot[i] = t
-            rem[i + dd - 1] = 0
-            for j in range(dd - 1):
-                bc = other.coeffs[j]
-                if bc:
-                    rem[i + j] = rem[i + j] - t * bc
-        return Polynomial(quot), Polynomial(rem[: dd - 1])
+        if lc == 1:
+            quot, rem = _divide(self.coeffs, other.coeffs)
+            return Polynomial(quot), Polynomial(rem)
+        inv = _coeff_inv(lc)
+        quot, rem = _divide(self.coeffs, [c * inv for c in other.coeffs])
+        return Polynomial([c * inv for c in quot]), Polynomial(rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -318,22 +330,6 @@ def poly_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _int_divmod(num, den):
-    """Quotient and remainder of integer coefficient lists, for a monic
-    divisor; a dividend shorter than the divisor is its own remainder."""
-    num = list(num)
-    dd = len(den)
-    quot = [0] * (len(num) - dd + 1)
-    for i in range(len(num) - dd, -1, -1):
-        c = num[i + dd - 1]
-        if not c:
-            continue
-        quot[i] = c
-        for j in range(dd):
-            num[i + j] -= c * den[j]
-    return quot, num[: dd - 1]
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_int(h):
     """Coefficients of the order-h cyclotomic polynomial, by recursive division
@@ -341,57 +337,55 @@ def _cyclotomic_int(h):
     coeffs = [-1] + [0] * (h - 1) + [1]
     for d in range(1, h):
         if h % d == 0:
-            coeffs, rem = _int_divmod(coeffs, _cyclotomic_int(d))
+            coeffs, rem = _divide(coeffs, _cyclotomic_int(d))
             if any(rem):
                 raise NotDivisible(f"order {d} cyclotomic does not divide q**{h} - 1")
     return tuple(coeffs)
 
 
-class _CycContext:
-    """Per-order tables: modulus, the reduced powers z**0 .. z**(h-1) (which
-    also reduce products) and the primitive residues, plus the Ramanujan
-    sums and memo tables of inverses, filled on first use."""
+def _cyc_remainder(coeffs, h):
+    """Remainder of a coefficient sequence modulo the order-h cyclotomic
+    polynomial: it divides q**h - 1, so the sequence is first folded modulo
+    q**h - 1 (each residue class mod h summed), then divided."""
+    if len(coeffs) > h:
+        coeffs = [sum(coeffs[r::h]) for r in range(h)]
+    return _divide(coeffs, _cyclotomic_int(h))[1]
 
-    __slots__ = ("order", "phi", "modulus", "powers", "residues",
+
+class _CycContext:
+    """Per-order field data: the modulus Phi_h and the primitive residues,
+    plus the Ramanujan sums and the inverses 1/(1 - z) and 1/Phi_h'(z),
+    each built on first use.  Every reduction modulo Phi_h, of a sum of
+    powers or of a product, is one ``_cyc_remainder``."""
+
+    __slots__ = ("order", "phi", "modulus", "residues",
                  "_ramanujan", "_inv_one_minus", "_inv_dphi")
 
     def __init__(self, h):
         self.order = h
-        mod = _cyclotomic_int(h)
-        phi = len(mod) - 1
-        self.phi = phi
-        self.modulus = mod
-        top = tuple(-c for c in mod[:phi])
-        powers = []
-        cur = (1,) + (0,) * (phi - 1)
-        for _ in range(h):
-            powers.append(cur)
-            carry = cur[phi - 1]
-            shifted = (0,) + cur[: phi - 1]
-            cur = tuple(shifted[i] + carry * top[i] for i in range(phi)) if carry \
-                else shifted
-        self.powers = powers
+        self.modulus = _cyclotomic_int(h)
+        self.phi = len(self.modulus) - 1
         self.residues = tuple(k for k in range(1, h + 1)
                               if gcd(k, h) == 1 and (h == 1 or k < h))
         self._ramanujan = None
-        self._inv_one_minus = {}
-        self._inv_dphi = {}
+        self._inv_one_minus = None
+        self._inv_dphi = None
 
     def coords(self, terms):
         """Power-basis coordinates of the sum of c * z**e over the (e, c)
-        pairs, added in order; zero coefficients are skipped."""
-        acc = [0] * self.phi
+        pairs: each c is added into slot e mod h, zero coefficients
+        skipped, and the h slots are reduced modulo Phi_h once."""
+        h = self.order
+        acc = [0] * h
         for e, c in terms:
             if c:
-                for t, rt in enumerate(self.powers[e % self.order]):
-                    if rt:
-                        acc[t] += c * rt
-        return acc
+                acc[e % h] += c
+        return _cyc_remainder(acc, h)
 
     def root_sum(self, terms):
         """The sum of v * z**e over the (e, v) pairs, v a CycNum of this order
-        or a rational: each coordinate of v shifts along one power row, so no
-        field product is formed."""
+        or a rational: coordinate t of v adds into power e + t, so no field
+        product is formed."""
         return CycNum._raw(self.order, self.coords(
             (e + t, c) for e, v in terms
             for t, c in enumerate(v.coeffs if isinstance(v, CycNum) else (v,))))
@@ -418,20 +412,18 @@ class _CycContext:
         coeffs = v.coeffs if isinstance(v, CycNum) else (v,)
         return sum(c * row[(t + e) % h] for t, c in enumerate(coeffs) if c)
 
-    def inv_one_minus(self, k):
-        """1/(1 - z**k), memoised."""
-        k %= self.order
-        if k not in self._inv_one_minus:
-            self._inv_one_minus[k] = (1 - CycNum.zeta_pow(self.order, k)).inverse()
-        return self._inv_one_minus[k]
+    def inv_one_minus(self):
+        """1/(1 - z), memoised."""
+        if self._inv_one_minus is None:
+            self._inv_one_minus = (1 - CycNum.zeta_pow(self.order, 1)).inverse()
+        return self._inv_one_minus
 
-    def inv_dphi(self, k):
-        """1/Phi'(z**k) for the order-h cyclotomic polynomial Phi, memoised."""
-        k %= self.order
-        if k not in self._inv_dphi:
+    def inv_dphi(self):
+        """1/Phi'(z) for the order-h cyclotomic polynomial Phi, memoised."""
+        if self._inv_dphi is None:
             dphi = Polynomial(self.modulus).derivative()
-            self._inv_dphi[k] = cyc_eval(dphi, self.order, k).inverse()
-        return self._inv_dphi[k]
+            self._inv_dphi = cyc_eval(dphi, self.order, 1).inverse()
+        return self._inv_dphi
 
 
 @lru_cache(maxsize=None)
@@ -471,7 +463,7 @@ class CycNum:
     @classmethod
     def zeta_pow(cls, order, k):
         """z**k for the primitive root z of the given order."""
-        return cls._raw(order, _context(order).powers[k % order])
+        return cls._raw(order, _context(order).coords([(k, 1)]))
 
     # -- coercion ----------------------------------------------------------
 
@@ -518,25 +510,8 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        phi = len(a)
-        if phi == 1:
-            return CycNum._raw(self.order, (a[0] * b[0],))
-        if not any(b[1:]):
-            return self._scaled(b[0])
-        if not any(a[1:]):
-            return o._scaled(a[0])
-        conv = _convolve(a, b)
-        ctx = _context(self.order)
-        for deg in range(2 * phi - 2, phi - 1, -1):
-            c = conv[deg]
-            if not c:
-                continue
-            row = ctx.powers[deg % self.order]
-            for t, rt in enumerate(row):
-                if rt:
-                    conv[t] = conv[t] + c * rt
-        return CycNum._raw(self.order, conv[:phi])
+        return CycNum._raw(self.order,
+                           _cyc_remainder(_convolve(self.coeffs, o.coeffs), self.order))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -31,8 +31,7 @@ from math import gcd, isqrt, lcm
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, NotDivisible,
                      ReconstructionMismatch, RootHeightError)
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
-                       _cyclotomic_int, _int_divmod, _rf_sum, cyc_eval,
-                       poly_str)
+                       _cyc_remainder, _rf_sum, cyc_eval, poly_str)
 from .linalg import FractionLU, det
 from .numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly, divisors,
                     factorize, gcd_count, is_cohen, mobius, psi_poly,
@@ -157,12 +156,13 @@ def b_poly(rs):
     return from_heights
 
 
-def _sum_over_roots(weights, h):
-    """Sum of w_k / (q - z**k) over all h-th roots of unity, as one rational
-    function with denominator q**h - 1; (q**h - 1)/(q - z**k) is the sum of
-    z**(k(h-1-j)) q**j, so coefficient j is one root sum."""
+def _sum_over_roots(weights, h, shift=0):
+    """Sum of w_k z**(k * shift) / (q - z**k) over all h-th roots of unity
+    z**k, as one rational function with denominator q**h - 1;
+    (q**h - 1)/(q - z**k) is the sum of z**(k(h-1-j)) q**j, so coefficient j
+    is one root sum."""
     ctx = _context(h)
-    return RationalFunction(Polynomial([ctx.root_sum((k * (h - 1 - j), w)
+    return RationalFunction(Polynomial([ctx.root_sum((k * (h - 1 - j + shift), w)
                                                      for k, w in enumerate(weights))
                                         for j in range(h)]), _qm1(h))
 
@@ -272,7 +272,7 @@ def lagrange_primitive_roots(value, h):
     if isinstance(value, CycNum) and value.order != h:
         raise ValueError(f"value lies in the order-{value.order} field, not order {h}")
     sums = [ctx.trace(value, e) for e in range(min(h, 2 * phi - 1))]
-    inv = [(t, a) for t, a in enumerate(ctx.inv_dphi(1).coeffs) if a]
+    inv = [(t, a) for t, a in enumerate(ctx.inv_dphi().coeffs) if a]
     dsums = [sum(a * sums[(t + e) % h] for t, a in inv) for e in range(phi)]
     total = Polynomial([sum(c * dsums[i - 1 - j] for i, c in enumerate(ctx.modulus)
                             if i > j and c)
@@ -316,11 +316,11 @@ def munagi_decompose(numer, h):
 
     Modulo Phi_d, (1-q**h)/(1-q**d) is h/d, and every other divisor whose
     part survives modulo Phi_d is a multiple of d, already subtracted from
-    the rest; so H_d = (d/h) * (rest mod Phi_d).  Phi_d divides q**d - 1,
-    so the rest is first folded modulo q**d - 1 (each residue class mod d
-    summed) and only those d coefficients are divided by Phi_d: O(h + d
-    phi(d)) per divisor.  The rest is carried as integers over the common
-    denominator h * lcm(denominators of numer).
+    the rest; so H_d = (d/h) * (rest mod Phi_d), which ``_cyc_remainder``
+    takes by folding the rest modulo q**d - 1 (each residue class mod d
+    summed) and dividing those d coefficients by Phi_d over its nonzero
+    entries: O(h + d phi(d)) per divisor at most.  The rest is carried as
+    integers over the common denominator h * lcm(denominators of numer).
     The division by h is exact on every unit numerator q**i for h <= 120
     (tested), hence on every numerator of those periods; the round trip
     guards every period.
@@ -333,8 +333,7 @@ def munagi_decompose(numer, h):
     rest += [0] * (h - len(rest))
     parts = dict.fromkeys(divisors(h))
     for d in reversed(parts):
-        folded = [sum(rest[r::d]) for r in range(d)]
-        top = [d * c // h for c in _int_divmod(folded, _cyclotomic_int(d))[1]]
+        top = [d * c // h for c in _cyc_remainder(rest, d)]
         parts[d] = Polynomial([Fraction(c, scale) for c in top])
         # rest -= H_d * (1 + q**d + ... + q**(h-d))
         for shift in range(0, h, d):
@@ -453,8 +452,8 @@ def _periodic_members(h, a):
     """Expansions of A(q)/(1-q**h) for the h-periodic sequence a(0..h-1):
     eigenvalue poles (numerator: the transform of a, negated over q**h - 1),
     double Ramanujan numerator, and the Cohen tail members."""
-    weights = [CycNum.zeta_pow(h, k) * (-a[k]) for k in range(h)]
-    members = [("eigenvalue poles", _sum_over_roots(weights, h) * Fraction(1, h))]
+    members = [("eigenvalue poles",
+                _sum_over_roots([-c for c in a], h, shift=1) * Fraction(1, h))]
 
     coeffs = [sum(a[(h // d) % h] * ramanujan_sum(d, k) for d in divisors(h))
               for k in range(h)]
@@ -481,10 +480,10 @@ def prop5_check(rs):
     return _report("prop5", _sys(rs), _chain_check(members))
 
 
-def prop6_check(h, system=None):
+def prop6_check(rs):
     """Expansions of the totient q-analogue over 1-q**h, including the
     classical Moebius forms."""
-    return _report("prop6", system or f"h={h}", _prop6_witness(h))
+    return _report("prop6", _sys(rs), _prop6_witness(rs.h))
 
 
 @lru_cache(maxsize=None)
@@ -671,7 +670,7 @@ def top_part_check(rs, shift):
     top = munagi_decompose(b_poly(rs).shifted(shift), h).parts[h]
     scale = n - rs.e_of_d[1]
     ctx = _context(h)
-    value = ctx.root_sum([(shift, ctx.inv_one_minus(1))])
+    value = ctx.root_sum([(shift, ctx.inv_one_minus())])
     try:
         interp = lagrange_primitive_roots(value, h)
         witness = _poly_mismatch("top part", top, "scaled interpolant",
@@ -706,7 +705,7 @@ def pole_sum_witness(h):
     sum of d is the trace Tr(z_d**m/(1 - z_d)) over Q in the order-d field."""
     ctxs = [_context(d) for d in divisors(h)[1:]]
     for m in range(1, h + 1):
-        total = sum(ctx.trace(ctx.inv_one_minus(1), m) for ctx in ctxs)
+        total = sum(ctx.trace(ctx.inv_one_minus(), m) for ctx in ctxs)
         expected = Fraction(2 * m - h - 1, 2)
         if total != expected:
             return f"pole sum at m={m} is not {expected}"
@@ -1010,7 +1009,7 @@ def run_check(rs, check_id, bfs_cap=DEFAULT_BFS_CAP):
     dispatch = {
         "prop1": prop1_check, "prop2": prop2_check, "prop3": prop3_check,
         "prop4": prop4_check, "prop5": prop5_check,
-        "prop6": lambda r: prop6_check(r.h, system=_sys(r)),
+        "prop6": prop6_check,
         "prop7": prop7_check, "prop8": prop8_check, "prop9": prop9_check,
         "prop10": prop10_check, "prop11": prop11_check, "prop12": prop12_check,
         "prop13": prop13_check, "prop14": lambda r: top_part_check(r, 0),

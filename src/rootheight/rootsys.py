@@ -169,9 +169,8 @@ def build(rsid):
     """Construct the root system, derive every stored invariant and check
     them.  The closure's levels are folded into the height counts ``b`` and
     the pairing sums ``two_rho_pairings`` as they come; no root is kept."""
-    validate_id(rsid)
-    n = rsid.rank
     cartan = cartan_matrix(rsid)
+    n = rsid.rank
     b = []
     two_rho = [0] * n
     for level in _close_positive_roots(cartan):

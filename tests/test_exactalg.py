@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -22,6 +23,53 @@ def P(*coeffs):
 
 def qm1(d):
     return Polynomial((-1,) + (0,) * (d - 1) + (1,))
+
+
+# Reference field arithmetic that shares no code with the division kernel:
+# the modulus by Fraction long division, the reduced powers of the root by
+# a recurrence, and reduction by reading off those powers term by term.
+
+
+@lru_cache(maxsize=None)
+def ref_cyclotomic(h):
+    """Coefficients of Phi_h: q**h - 1 divided, by Fraction long division,
+    by Phi_d for every proper divisor d of h."""
+    num = [Fraction(c) for c in qm1(h).coeffs]
+    for d in range(1, h):
+        if h % d == 0:
+            num, rem = _ref_divmod(num, ref_cyclotomic(d))
+            assert not rem
+    return tuple(int(c) for c in num)
+
+
+@lru_cache(maxsize=None)
+def ref_powers(h):
+    """z**0 .. z**(h-1) in the power basis: multiply by z, then replace
+    z**phi by -sum mod_i z**i."""
+    mod = ref_cyclotomic(h)
+    rows, cur = [], [1] + [0] * (len(mod) - 2)
+    for _ in range(h):
+        rows.append(cur)
+        carry, cur = cur[-1], [0] + cur[:-1]
+        if carry:
+            cur = [c - carry * m for c, m in zip(cur, mod)]
+    return rows
+
+
+def ref_coords(h, terms):
+    """Coordinates of the sum of c * z**e, one power row per term."""
+    rows = ref_powers(h)
+    acc = [0] * len(rows[0])
+    for e, c in terms:
+        for t, r in enumerate(rows[e % h]):
+            acc[t] += c * r
+    return acc
+
+
+def ref_product(h, a, b):
+    """Coordinates of the field product of two coordinate lists: the dense
+    schoolbook product, each degree read off its power row."""
+    return ref_coords(h, enumerate(_schoolbook(a, b)))
 
 
 class TestPolynomial:
@@ -67,6 +115,27 @@ class TestPolynomial:
             quot, rem = divmod(a, b)
             assert quot * b + rem == a
             assert rem.degree < b.degree
+
+    @pytest.mark.parametrize("lead", [1, -1, 2, Fraction(-3, 4), "CycNum"])
+    def test_divmod_property_leading_coefficients(self, lead):
+        # n = q * d + r with deg r < deg d, for a monic divisor, one scaled
+        # to monic, and dividends shorter than the divisor.
+        rng = random.Random(103)
+        if lead == "CycNum":
+            def draw():
+                return CycNum(12, [rng.randint(-3, 3) for _ in range(4)])
+            lead = CycNum(12, [1, -2, 0, 1])
+        else:
+            def draw():
+                return rng.choice([0, rng.randint(-6, 6), Fraction(rng.randint(-6, 6), 5)])
+        for _ in range(60):
+            d = Polynomial([draw() for _ in range(rng.randint(0, 5))] + [lead])
+            n = Polynomial([draw() for _ in range(rng.randint(0, 10))])
+            quot, rem = divmod(n, d)
+            assert quot * d + rem == n, (n, d)
+            assert rem.degree < d.degree, (n, d)
+            if n.degree < d.degree:
+                assert quot.is_zero and rem == n
 
     def test_derivative_and_substitutions(self):
         p = P(1, 2, 3)
@@ -127,33 +196,56 @@ class TestCycNum:
     def test_memoised_inverses(self):
         for h in range(2, 31):
             ctx = _context(h)
+            one = [1] + [0] * (ctx.phi - 1)
             dphi = cyclotomic_poly(h).derivative()
+            assert ref_product(h, ctx.inv_one_minus().coeffs,
+                               (1 - CycNum.zeta_pow(h, 1)).coeffs) == one
+            assert ctx.inv_one_minus() is ctx.inv_one_minus()
+            assert ref_product(h, ctx.inv_dphi().coeffs, cyc_eval(dphi, h, 1).coeffs) == one
+            assert ctx.inv_dphi() is ctx.inv_dphi()
+            # The other k, inverted directly.
             for k in range(1, h):
-                assert ctx.inv_one_minus(k) * (1 - CycNum.zeta_pow(h, k)) == 1
-                assert ctx.inv_one_minus(k) is ctx.inv_one_minus(k + h)
+                x = 1 - CycNum.zeta_pow(h, k)
+                assert ref_product(h, x.inverse().coeffs, x.coeffs) == one, (h, k)
             for k in ctx.residues:
-                assert ctx.inv_dphi(k) * cyc_eval(dphi, h, k) == 1
-                assert ctx.inv_dphi(k) is ctx.inv_dphi(k)
+                x = cyc_eval(dphi, h, k)
+                assert ref_product(h, x.inverse().coeffs, x.coeffs) == one, (h, k)
+
+    @staticmethod
+    def _coefficient(rng):
+        return rng.choice([0, rng.randint(-5, 5),
+                           Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+
+    def test_modulus_and_powers_match_reference(self):
+        for h in range(1, 61):
+            assert _context(h).modulus == ref_cyclotomic(h), h
+            rows = ref_powers(h)
+            for e in range(-2 * h, 2 * h + 1):
+                assert list(CycNum.zeta_pow(h, e).coeffs) == rows[e % h], (h, e)
 
     def test_coords_matches_naive_sum(self):
         rng = random.Random(8)
-        for h in (1, 2, 5, 6, 12, 15, 30):
-            for _ in range(10):
-                terms = [(rng.randint(-2 * h, 2 * h),
-                          rng.choice([0, rng.randint(-5, 5),
-                                      Fraction(rng.randint(-5, 5), rng.randint(1, 4))]))
+        for h in range(1, 61):
+            for _ in range(10 if h in (1, 2, 5, 6, 12, 15, 30, 42, 60) else 2):
+                terms = [(rng.randint(-2 * h, 2 * h), self._coefficient(rng))
                          for _ in range(rng.randint(0, 12))]
-                naive = CycNum.rational(h, 0)
+                naive = ref_coords(h, terms)
+                assert CycNum(h, _context(h).coords(terms)) == CycNum(h, naive)
+                assert _context(h).coords(terms) == naive, (h, terms)
+                # the same sum as a polynomial evaluated at z**k
+                k = rng.randint(-2 * h, 2 * h)
+                p = [0] * (4 * h + 1)
                 for e, c in terms:
-                    naive = naive + CycNum.zeta_pow(h, e) * c
-                assert CycNum(h, _context(h).coords(terms)) == naive
+                    p[e + 2 * h] += c
+                assert list(cyc_eval(Polynomial(p), h, k).coeffs) == ref_coords(
+                    h, [(i * k, c) for i, c in enumerate(p)]), (h, k, p)
         # integer inputs stay integers, so reprs of reduced sums do not change
         assert all(type(c) is int
                    for c in _context(12).coords([(1, 3), (5, 0), (7, -2)]))
 
     def test_root_sum_matches_products(self):
         # root_sum against the dense route it replaces: each value times
-        # zeta_pow(h, e) as a field product, added up.
+        # the reference power row of z**e as a field product, added up.
         rng = random.Random(13)
 
         def value(h):
@@ -162,21 +254,21 @@ class TestCycNum:
                 return CycNum.rational(h, 0)
             if kind < 0.35:
                 return rng.choice([0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3)])
-            return CycNum(h, [rng.choice([0, rng.randint(-5, 5),
-                                          Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
-                              for _ in range(totient(h))])
+            return CycNum(h, [self._coefficient(rng) for _ in range(totient(h))])
 
-        for h in range(1, 31):
+        for h in range(1, 61):
             ctx = _context(h)
-            for _ in range(4):
+            rows = ref_powers(h)
+            for _ in range(4 if h <= 30 else 2):
                 terms = [(rng.randint(-2 * h, 2 * h), value(h))
                          for _ in range(rng.randint(0, 10))]
-                naive = CycNum.rational(h, 0)
+                naive = [0] * ctx.phi
                 for e, v in terms:
-                    naive = naive + CycNum.zeta_pow(h, e) * v
+                    coeffs = v.coeffs if isinstance(v, CycNum) else (v,)
+                    naive = [a + b for a, b in zip(naive, ref_product(h, rows[e % h], coeffs))]
                 got = ctx.root_sum(terms)
                 assert isinstance(got, CycNum) and got.order == h
-                assert got == naive, (h, terms)
+                assert list(got.coeffs) == naive, (h, terms)
 
     def test_trace_matches_conjugate_root_sum(self):
         # trace(v, e) against the conjugate route it replaces: the root sum
@@ -448,17 +540,16 @@ class TestSparseProduct:
             assert (Polynomial(dense) * Polynomial(factor)).coeffs == \
                 Polynomial(_schoolbook(dense, factor)).coeffs
 
-    @pytest.mark.parametrize("h", [5, 7, 9, 12, 15, 16])
+    @pytest.mark.parametrize("h", [5, 7, 9, 12, 15, 16, 1, 2, 27, 30, 42, 59, 60])
     def test_cyclotomic_product_matches_schoolbook(self, h):
+        # Reduced by the reference power rows, not by the kernel under test.
         rng = random.Random(101 + h)
         phi = totient(h)
-        mod = Polynomial(_context(h).modulus)
         for _ in range(40):
             x, y = (CycNum(h, [rng.choice((0, 0, rng.randint(-5, 5),
                                            Fraction(rng.randint(-5, 5), 3)))
                                for _ in range(phi)]) for _ in range(2))
-            ref = Polynomial(_schoolbook(x.coeffs, y.coeffs)) % mod
-            ref = list(ref.coeffs) + [0] * (phi - len(ref.coeffs))
+            ref = ref_product(h, x.coeffs, y.coeffs)
             assert list((x * y).coeffs) == ref, (x, y)
             self._no_integral_fraction((x * y, y * x))
 

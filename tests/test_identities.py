@@ -86,7 +86,7 @@ def conjugate_lagrange_primitive_roots(values, h):
     phi = ctx.phi
     sums = [ctx.root_sum((k * e, v) for k, v in zip(ctx.residues, values))
             for e in range(min(h, 2 * phi - 1))]
-    inv = [(t, a) for t, a in enumerate(ctx.inv_dphi(1).coeffs) if a]
+    inv = [(t, a) for t, a in enumerate(ctx.inv_dphi().coeffs) if a]
     dsums = [sum((a * sums[(t + e) % h] for t, a in inv), CycNum.rational(h, 0))
              for e in range(phi)]
     return Polynomial([sum((c * dsums[i - 1 - j] for i, c in enumerate(ctx.modulus)
@@ -350,6 +350,14 @@ class TestInterpolation:
                         num = num + div_linear(base, CycNum.zeta_pow(h, k)) * w
                 got = identities._sum_over_roots(weights, h)
                 assert (got.num, got.den) == (num, P(*base)), h
+                # shift 1 weighs root k by z**k as well
+                shifted = Polynomial(())
+                for k, w in enumerate(weights):
+                    if w:
+                        z = CycNum.zeta_pow(h, k)
+                        shifted = shifted + div_linear(base, z) * (z * w)
+                got = identities._sum_over_roots(weights, h, shift=1)
+                assert (got.num, got.den) == (shifted, P(*base)), h
 
     def test_primitive_barycentric_matches_quotient_sum(self):
         # The numerator from the traces U(e) against the quotient-times-weight
@@ -358,12 +366,14 @@ class TestInterpolation:
         rng = random.Random(59)
         for h in range(1, 31):
             ctx = _context(h)
+            dphi = Polynomial(ctx.modulus).derivative()
+            inv_dphi = [cyc_eval(dphi, h, k).inverse() for k in ctx.residues]
             for _ in range(2 if h <= 12 else 1):
                 v = random_cycnums(rng, h, 1)[0]
                 total = Polynomial(())
-                for k, vk in zip(ctx.residues, conjugates(v, h)):
+                for k, vk, inv in zip(ctx.residues, conjugates(v, h), inv_dphi):
                     quot = div_linear(ctx.modulus, CycNum.zeta_pow(h, k))
-                    total = total + quot * (vk * ctx.inv_dphi(k))
+                    total = total + quot * (vk * inv)
                 assert lagrange_primitive_roots(v, h) == total, h
 
     def test_primitive_traces_match_conjugate_route(self):
@@ -442,7 +452,7 @@ class TestCrossChecksFail:
     def test_prop15_closed_form(self, catalog, monkeypatch, fresh_pole_sums):
         ctx_type = type(_context(12))
         real = ctx_type.inv_one_minus
-        monkeypatch.setattr(ctx_type, "inv_one_minus", lambda self, k: real(self, k) + 1)
+        monkeypatch.setattr(ctx_type, "inv_one_minus", lambda self: real(self) + 1)
         rep = run_suite(catalog["E6"], ["prop15"])[0]
         assert (rep.verdict, rep.witness) == ("fail", "pole sum at m=1 is not -11/2")
 
