@@ -17,18 +17,20 @@ times cheaper than ``Fraction`` arithmetic for the same values.  Products
 run over the nonzero coefficients only, so multiplying by a sparse factor
 such as 1 - q**d costs O(deg), not O(deg * d).
 
-There is one division, ``_divide``: a monic divisor, over its nonzero
-entries.  ``divmod`` on polynomials scales any other divisor to monic first.
-Reduction modulo the order-h cyclotomic polynomial Phi_h (``_cyc_remainder``)
-folds a coefficient sequence modulo q**h - 1 and divides; it reduces field
-products, sums of powers of the root and Munagi's partial fractions.
+There is one division loop, ``_divide``: a monic divisor, over the list of
+its nonzero entries below the top.  ``divmod`` on polynomials builds that
+list on each call (``_divide_monic``), after scaling any other divisor to
+monic.  Reduction modulo the order-h cyclotomic polynomial Phi_h
+(``_cyc_remainder``) folds a coefficient sequence modulo q**h - 1 and
+divides over the list that the order's field context holds; it reduces
+field products, sums of powers of the root and Munagi's partial fractions.
 
 Each cyclotomic order has one field context, built once by the cached
-``_context(h)``: the modulus, the primitive residues, ``coords`` for sums of
-powers, ``root_sum`` for sums of field elements times powers of the root,
-``trace`` for the sum of the Galois conjugates of v * z**e (a rational, from
-the Ramanujan sums c_h(0..h-1), which the context builds on first use), and
-the inverses 1/(1 - z) and 1/Phi'(z), memoised.
+``_context(h)``: the modulus and its term list, the primitive residues,
+``coords`` for sums of powers, ``root_sum`` for sums of field elements times
+powers of the root, ``trace`` for the sum of the Galois conjugates of
+v * z**e (a rational, from the Ramanujan sums c_h(0..h-1), which the context
+builds on first use), and the inverses 1/(1 - z) and 1/Phi'(z), memoised.
 """
 
 from __future__ import annotations
@@ -74,14 +76,18 @@ def _convolve(a, b):
     return out
 
 
-def _divide(num, den):
-    """Quotient and remainder of the coefficient sequence num by the monic
-    sequence den, over den's nonzero entries below the top; a dividend
-    shorter than den is its own remainder.  This is the one division of
-    the module: polynomials, cyclotomic moduli and field reduction use it."""
+def _low_terms(den):
+    """The (j, c) pairs of the nonzero entries of den below its top."""
+    return tuple((j, c) for j, c in enumerate(den[:-1]) if c)
+
+
+def _divide(num, terms, dd):
+    """Quotient and remainder of the coefficient sequence num by a monic
+    divisor of degree dd, given by the ``_low_terms`` of its entries; a
+    dividend shorter than dd + 1 is its own remainder.  This is the one
+    division loop of the module: polynomials, cyclotomic moduli and field
+    reduction use it."""
     num = list(num)
-    dd = len(den) - 1
-    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
     quot = [0] * max(len(num) - dd, 0)
     for i in range(len(quot) - 1, -1, -1):
         c = num[i + dd]
@@ -90,6 +96,11 @@ def _divide(num, den):
             for j, b in terms:
                 num[i + j] = num[i + j] - c * b
     return quot, num[:dd]
+
+
+def _divide_monic(num, den):
+    """``_divide`` by the monic coefficient sequence den."""
+    return _divide(num, _low_terms(den), len(den) - 1)
 
 
 class Polynomial:
@@ -198,10 +209,10 @@ class Polynomial:
             return Polynomial(()), self
         lc = other.coeffs[-1]
         if lc == 1:
-            quot, rem = _divide(self.coeffs, other.coeffs)
+            quot, rem = _divide_monic(self.coeffs, other.coeffs)
             return Polynomial(quot), Polynomial(rem)
         inv = _coeff_inv(lc)
-        quot, rem = _divide(self.coeffs, [c * inv for c in other.coeffs])
+        quot, rem = _divide_monic(self.coeffs, [c * inv for c in other.coeffs])
         return Polynomial([c * inv for c in quot]), Polynomial(rem)
 
     def __mod__(self, other):
@@ -337,7 +348,7 @@ def _cyclotomic_int(h):
     coeffs = [-1] + [0] * (h - 1) + [1]
     for d in range(1, h):
         if h % d == 0:
-            coeffs, rem = _divide(coeffs, _cyclotomic_int(d))
+            coeffs, rem = _divide_monic(coeffs, _cyclotomic_int(d))
             if any(rem):
                 raise NotDivisible(f"order {d} cyclotomic does not divide q**{h} - 1")
     return tuple(coeffs)
@@ -346,25 +357,31 @@ def _cyclotomic_int(h):
 def _cyc_remainder(coeffs, h):
     """Remainder of a coefficient sequence modulo the order-h cyclotomic
     polynomial: it divides q**h - 1, so the sequence is first folded modulo
-    q**h - 1 (each residue class mod h summed), then divided."""
+    q**h - 1 (each residue class mod h summed), then divided over the
+    order's memoised term list."""
+    ctx = _context(h)
     if len(coeffs) > h:
         coeffs = [sum(coeffs[r::h]) for r in range(h)]
-    return _divide(coeffs, _cyclotomic_int(h))[1]
+    return _divide(coeffs, ctx.terms, ctx.phi)[1]
 
 
 class _CycContext:
-    """Per-order field data: the modulus Phi_h and the primitive residues,
-    plus the Ramanujan sums and the inverses 1/(1 - z) and 1/Phi_h'(z),
-    each built on first use.  Every reduction modulo Phi_h, of a sum of
-    powers or of a product, is one ``_cyc_remainder``."""
+    """Per-order field data: the modulus Phi_h, the nonzero terms of Phi_h
+    below its top (the divisor that ``_divide`` runs over) and the
+    primitive residues, plus the Ramanujan sums and the inverses 1/(1 - z)
+    and 1/Phi_h'(z), each built on first use.  Every reduction modulo
+    Phi_h, of a sum of powers, a product or a Munagi part, is one
+    ``_cyc_remainder`` over ``terms``, so the term list of an order is
+    built once per process, with its context."""
 
-    __slots__ = ("order", "phi", "modulus", "residues",
+    __slots__ = ("order", "phi", "modulus", "terms", "residues",
                  "_ramanujan", "_inv_one_minus", "_inv_dphi")
 
     def __init__(self, h):
         self.order = h
         self.modulus = _cyclotomic_int(h)
         self.phi = len(self.modulus) - 1
+        self.terms = _low_terms(self.modulus)
         self.residues = tuple(k for k in range(1, h + 1)
                               if gcd(k, h) == 1 and (h == 1 or k < h))
         self._ramanujan = None
@@ -380,7 +397,7 @@ class _CycContext:
         for e, c in terms:
             if c:
                 acc[e % h] += c
-        return _cyc_remainder(acc, h)
+        return _divide(acc, self.terms, self.phi)[1]
 
     def root_sum(self, terms):
         """The sum of v * z**e over the (e, v) pairs, v a CycNum of this order

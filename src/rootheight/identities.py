@@ -297,16 +297,20 @@ class MunagiDecomposition(namedtuple("MunagiDecomposition", "h parts")):
 
     def reconstruct(self):
         """The sum of H_d * (1 + q**d + ... + q**(h-d)), added in integers
-        over the common denominator of the parts."""
+        over the common denominator den of the parts.  A coefficient that
+        den divides comes out as an ``int``, any other as a ``Fraction``;
+        so the sum for an integer numerator holds only ints and compares
+        with it as tuples of ints."""
         coeffs = [part.coeffs for part in self.parts.values()]
         den = lcm(1, *(c.denominator for cs in coeffs for c in cs))
         total = [0] * (self.h + max(map(len, coeffs), default=0))
         for d, cs in zip(self.parts, coeffs):
-            nums = [c.numerator * (den // c.denominator) for c in cs]
+            nums = [(i, c.numerator * (den // c.denominator))
+                    for i, c in enumerate(cs) if c]
             for shift in range(0, self.h - d + 1, d):
-                for i, c in enumerate(nums):
+                for i, c in nums:
                     total[shift + i] += c
-        return Polynomial([Fraction(c, den) for c in total])
+        return Polynomial([Fraction(c, den) if c % den else c // den for c in total])
 
 
 def munagi_decompose(numer, h):
@@ -318,13 +322,20 @@ def munagi_decompose(numer, h):
     part survives modulo Phi_d is a multiple of d, already subtracted from
     the rest; so H_d = (d/h) * (rest mod Phi_d), which ``_cyc_remainder``
     takes by folding the rest modulo q**d - 1 (each residue class mod d
-    summed) and dividing those d coefficients by Phi_d over its nonzero
-    entries: O(h + d phi(d)) per divisor at most.  The rest is carried as
-    integers over the common denominator h * lcm(denominators of numer).
-    The division by h is exact on every unit numerator q**i for h <= 120
-    (tested), hence on every numerator of those periods; the round trip
-    guards every period.
+    summed) and dividing those d coefficients by Phi_d over the nonzero
+    terms that the order's field context holds: O(h + d phi(d)) per
+    divisor at most.  The rest is carried as integers over the common
+    denominator scale = h * lcm(denominators of numer), and H_d is
+    subtracted over its nonzero terms.  A part coefficient that scale
+    divides is made an ``int``, any other a ``Fraction``, and
+    ``reconstruct`` does the same, so an integer numerator is rebuilt and
+    compared in ints.  The division by h is exact on every unit numerator
+    q**i for h <= 120 (tested), hence on every numerator of those periods;
+    the round trip guards every period.  A period below 1 raises
+    ``ValueError`` before any work.
     """
+    if h < 1:
+        raise ValueError(f"period must be positive, got {h}")
     if numer.degree >= h:
         raise DegreeTooHigh(f"degree {numer.degree} not below period {h}")
     coeffs = numer.coeffs
@@ -334,10 +345,12 @@ def munagi_decompose(numer, h):
     parts = dict.fromkeys(divisors(h))
     for d in reversed(parts):
         top = [d * c // h for c in _cyc_remainder(rest, d)]
-        parts[d] = Polynomial([Fraction(c, scale) for c in top])
-        # rest -= H_d * (1 + q**d + ... + q**(h-d))
+        parts[d] = Polynomial([Fraction(c, scale) if c % scale else c // scale
+                               for c in top])
+        # rest -= H_d * (1 + q**d + ... + q**(h-d)), over H_d's nonzero terms
+        top = [(i, c) for i, c in enumerate(top) if c]
         for shift in range(0, h, d):
-            for i, c in enumerate(top):
+            for i, c in top:
                 rest[shift + i] -= c
     dec = MunagiDecomposition(h, parts)
     if dec.reconstruct() != numer:

@@ -14,7 +14,7 @@ import rootheight.cli as cli
 import rootheight.identities as identities
 from conftest import clear_identity_memos
 from rootheight.cli import MAX_DENOMINATOR_BITS, MAX_PERIOD, main
-from rootheight.exactalg import Polynomial
+from rootheight.exactalg import Polynomial, _context
 from rootheight.identities import IdentityReport, MunagiDecomposition
 
 
@@ -252,6 +252,19 @@ class TestMunagi:
         monkeypatch.setattr(MunagiDecomposition, "reconstruct",
                             lambda self: Polynomial((42,)))
         assert main(["munagi", "1,2,3", "--h", "6", "--roundtrip"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rootheight: error: ReconstructionMismatch")
+        assert "Traceback" not in captured.err
+
+    def test_corrupt_term_table_exits_1(self, capsys, monkeypatch):
+        # A wrong entry in the memoised term list of Phi_6 reaches the
+        # round-trip guard: exit 1 (a failed internal cross-check), the
+        # error on stderr and nothing on stdout.
+        ctx = _context(6)
+        (j, c), *others = ctx.terms
+        monkeypatch.setattr(ctx, "terms", ((j, c + 1), *others))
+        assert main(["munagi", "1,2,3", "--h", "6"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("rootheight: error: ReconstructionMismatch")

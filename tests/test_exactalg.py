@@ -9,7 +9,8 @@ import pytest
 
 from rootheight.errors import DivisionByZero, NotDivisible
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction,
-                                 _context, _CycContext, cyc_eval, poly_arith,
+                                 _context, _CycContext, _cyc_remainder,
+                                 _cyclotomic_int, cyc_eval, poly_arith,
                                  poly_gcd, poly_str, ratfun_normalize)
 from rootheight.identities import _periodic_members
 from rootheight.linalg import FractionLU
@@ -222,6 +223,27 @@ class TestCycNum:
             rows = ref_powers(h)
             for e in range(-2 * h, 2 * h + 1):
                 assert list(CycNum.zeta_pow(h, e).coeffs) == rows[e % h], (h, e)
+
+    @pytest.mark.parametrize("orders", [range(1, 301), (1966, 1982, 1980, 2000)],
+                             ids=["1-300", "large"])
+    def test_cyc_remainder_matches_divmod(self, orders):
+        # The fast route (fold modulo q**h - 1, then divide over the
+        # context's memoised term list) against polynomial division by
+        # Phi_h, on int sequences shorter and longer than h.  Fraction
+        # sequences run the same loop; they are added where the slow route
+        # over Fractions stays cheap (h <= 150, and h = 2000, whose modulus
+        # has five terms): at h = 1966 it took over 4 s.
+        rng = random.Random(17)
+        for h in orders:
+            modulus = Polynomial(_cyclotomic_int(h))
+            lengths = (rng.randint(0, h - 1), rng.randint(h + 1, 2 * h))
+            seqs = [[rng.randint(-99, 99) for _ in range(n)] for n in lengths]
+            if h <= 150 or h == 2000:
+                seqs += [[Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                          for _ in range(n)] for n in lengths]
+            for seq in seqs:
+                slow = divmod(Polynomial(seq), modulus)[1]
+                assert Polynomial(_cyc_remainder(seq, h)) == slow, (h, len(seq))
 
     def test_coords_matches_naive_sum(self):
         rng = random.Random(8)

@@ -12,7 +12,8 @@ import pytest
 
 import rootheight.identities as identities
 from conftest import clear_identity_memos
-from rootheight.errors import DegreeTooHigh, MethodMismatch, SingularSystem
+from rootheight.errors import (DegreeTooHigh, MethodMismatch, ReconstructionMismatch,
+                               SingularSystem)
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction, _context,
                                  _rf_sum, _sum_plan, cyc_eval, poly_gcd)
 from rootheight.cli import main
@@ -160,6 +161,25 @@ class TestMunagi:
         with pytest.raises(DegreeTooHigh):
             munagi_decompose(P(1, 1, 1), 2)
 
+    def test_period_must_be_positive(self):
+        # Rejected before any work: h = 0 used to return empty parts, and
+        # h = -3 raised DegreeTooHigh for the zero numerator of degree -1.
+        for numer in (Polynomial(()), P(1)):
+            for h in (0, -3):
+                with pytest.raises(ValueError, match=f"period must be positive, got {h}"):
+                    munagi_decompose(numer, h)
+
+    def test_guard_fails_through_term_table(self, monkeypatch):
+        # One wrong entry in the memoised term list of Phi_6 gives a wrong
+        # H_6; the parts are unique, so the round trip must catch it.
+        ctx = _context(6)
+        (j, c), *others = ctx.terms
+        monkeypatch.setattr(ctx, "terms", ((j, c + 1), *others))
+        with pytest.raises(ReconstructionMismatch):
+            munagi_decompose(P(1, 2, 3), 6)
+        monkeypatch.undo()
+        assert munagi_decompose(P(1, 2, 3), 6).reconstruct() == P(1, 2, 3)
+
     def test_roundtrip_random(self):
         rng = random.Random(11)
         for h in range(2, 25):
@@ -178,7 +198,17 @@ class TestMunagi:
             rational = Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 12))
                                    for _ in range(rng.randint(1, h))])
             for numer in (integer, rational):
-                assert munagi_decompose(numer, h).parts == dense_munagi_parts(numer, h)
+                dec = munagi_decompose(numer, h)
+                assert dec.parts == dense_munagi_parts(numer, h)
+                # Integers stay integers: no part and no round trip holds an
+                # integral Fraction, and an integer numerator is rebuilt
+                # from ints only.
+                rebuilt = dec.reconstruct().coeffs
+                for cs in (*(p.coeffs for p in dec.parts.values()), rebuilt):
+                    assert not any(isinstance(c, Fraction) and c.denominator == 1
+                                   for c in cs), (h, cs)
+                if numer is integer:
+                    assert all(type(c) is int for c in rebuilt), h
 
     def test_reconstruct_matches_product_form(self):
         rng = random.Random(37)
