@@ -232,7 +232,7 @@ class TestCycNum:
         # Phi_h, on int sequences shorter and longer than h.  Fraction
         # sequences run the same loop; they are added where the slow route
         # over Fractions stays cheap (h <= 150, and h = 2000, whose modulus
-        # has five terms): at h = 1966 it took over 4 s.
+        # has five terms); at h = 1966 it took over 4 s on a 2-core Xeon.
         rng = random.Random(17)
         for h in orders:
             modulus = Polynomial(_cyclotomic_int(h))

@@ -162,8 +162,8 @@ class TestMunagi:
             munagi_decompose(P(1, 1, 1), 2)
 
     def test_period_must_be_positive(self):
-        # Rejected before any work: h = 0 used to return empty parts, and
-        # h = -3 raised DegreeTooHigh for the zero numerator of degree -1.
+        # Rejected before any work, so h = 0 cannot yield empty parts and
+        # h = -3 does not blame the degree (-1) of the zero numerator.
         for numer in (Polynomial(()), P(1)):
             for h in (0, -3):
                 with pytest.raises(ValueError, match=f"period must be positive, got {h}"):
