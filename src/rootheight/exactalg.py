@@ -157,8 +157,15 @@ class Polynomial:
     def _wrap(x):
         return x if isinstance(x, Polynomial) else Polynomial((x,))
 
+    # A rational function operand is not a coefficient: +, * and == return
+    # NotImplemented for it, so Python calls RationalFunction's reflected
+    # method, which wraps this polynomial instead; - adds the negation.
+
     def __add__(self, other):
-        other = self._wrap(other)
+        if not isinstance(other, Polynomial):
+            if isinstance(other, RationalFunction):
+                return NotImplemented
+            other = Polynomial((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -173,13 +180,15 @@ class Polynomial:
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._wrap(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return self._wrap(other) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
+            if isinstance(other, RationalFunction):
+                return NotImplemented
             return Polynomial(tuple(c * other for c in self.coeffs))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -275,6 +284,8 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
+        if isinstance(other, RationalFunction):
+            return NotImplemented
         return self.coeffs == self._wrap(other).coeffs
 
     def __bool__(self):

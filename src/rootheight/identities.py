@@ -19,13 +19,18 @@ keyed on a divisor d (or on h and d) and the witnesses of prop6 and prop15,
 which read only h.  Sharing is sound because every memoised function is pure and
 keyed on integers or coefficient tuples, never on a root system; a report
 carries the calling system's label, added after the lookup.
+
+Each divisor-sum expansion is built once.  prop2's four expansions of
+Phi_d'/Phi_d form one table per divisor d (``_phi_log_forms``); the Cohen
+tails of props 5, 6 and 9 are that table at 1/q, f -> q**-1 f(1/q)
+(``_reciprocal``); and props 6 and 10 reuse prop7's Moebius tail.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, isqrt, lcm
 
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, NotDivisible,
@@ -167,53 +172,42 @@ def _sum_over_roots(weights, h, shift=0):
                                         for j in range(h)]), _qm1(h))
 
 
-@lru_cache(maxsize=None)
-def _phi_recip(d):
-    """Derivative-over-value of the order-d cyclotomic polynomial at 1/q,
-    divided by q, as a rational function of q."""
-    phi = cyclotomic_poly(d)
-    ph = totient(d)
-    return RationalFunction(phi.derivative().reversed_to(ph - 1),
-                            phi.reversed_to(ph))
-
-
-@lru_cache(maxsize=None)
-def _c_low(d):
-    """Ramanujan sums c_d(0..d-1) as polynomial coefficients."""
-    return Polynomial([ramanujan_sum(d, k) for k in range(d)])
-
-
-@lru_cache(maxsize=None)
-def _c_shift(d):
-    """Ramanujan sums c_d(1..d) as polynomial coefficients."""
-    return Polynomial([ramanujan_sum(d, j) for j in range(1, d + 1)])
-
-
-@lru_cache(maxsize=None)
 def _psi_sum(d):
     """Sum over d'|d of mu(d')/phi(d') * Psi_{d'}(q**(d/d'))."""
     return sum((Fraction(mu, totient(dp)) * psi_poly(dp).compose_power(d // dp)
                 for dp in divisors(d) if (mu := mobius(dp))), ZERO)
 
 
-@lru_cache(maxsize=None)
-def _moebius_log_split(d):
-    """Sum over d'|d of mu(d/d') * d' q**(d'-1)/(q**d' - 1), the Moebius
-    split of the log-derivative of Phi_d."""
-    return _rf_sum(mu * RationalFunction(Polynomial.monomial(dp - 1, dp), _qm1(dp))
-                   for dp in divisors(d) if (mu := mobius(d // dp)))
-
-
-@lru_cache(maxsize=None)
-def _moebius_pole_split(d):
-    """Sum over d'|d of mu(d/d') * d'/(1 - q**d')."""
-    return _rf_sum(mu * dp * RationalFunction(ONE, _one_minus(dp))
-                   for dp in divisors(d) if (mu := mobius(d // dp)))
-
-
 def _log_derivative(p):
     """p'/p as a rational function."""
     return RationalFunction(p.derivative(), p)
+
+
+@lru_cache(maxsize=None)
+def _phi_log_forms(d):
+    """Four expansions of Phi_d'/Phi_d, keyed by prop2's member labels: the
+    quotient itself; its Moebius split, the sum over d'|d of
+    mu(d/d') * d' q**(d'-1)/(q**d' - 1); the Ramanujan sums c_d(1..d) as
+    numerator coefficients over q**d - 1; and the totient q-analogue,
+    phi(d) * _psi_sum(d) over q(q**d - 1).  prop2 reads them at q and the
+    Cohen tails at 1/q."""
+    return {
+        "cyclotomic log-derivatives": _log_derivative(cyclotomic_poly(d)),
+        "Moebius split": _rf_sum(mu * RationalFunction(Polynomial.monomial(dp - 1, dp),
+                                                       _qm1(dp))
+                                 for dp in divisors(d) if (mu := mobius(d // dp))),
+        "Ramanujan numerators": RationalFunction(
+            Polynomial([ramanujan_sum(d, j) for j in range(1, d + 1)]), _qm1(d)),
+        "totient q-analogue": totient(d) * RationalFunction(_psi_sum(d),
+                                                            _qm1(d).shifted(1)),
+    }
+
+
+def _reciprocal(f):
+    """q**-1 * f(1/q) for f = num/den with deg num < deg den = L: num
+    reversed to length L - 1 over den reversed to length L."""
+    top = f.den.degree
+    return RationalFunction(f.num.reversed_to(top - 1), f.den.reversed_to(top))
 
 
 # -- interpolation at roots of unity ------------------------------------------
@@ -396,15 +390,10 @@ def prop2_check(rs):
          _rf_sum(e * RationalFunction(Polynomial.monomial(d - 1, d), _qm1(d))
                  for d in divs if (e := rs.e_of_d[d]))),
         ("eigenvalue poles", _sum_over_roots(rs.m, h)),
-        ("cyclotomic log-derivatives",
-         _rf_sum(mult * _log_derivative(cyclotomic_poly(d)) for d, mult in mults)),
-        ("Moebius split", _rf_sum(mult * _moebius_log_split(d) for d, mult in mults)),
-        ("Ramanujan numerators",
-         _rf_sum(mult * RationalFunction(_c_shift(d), _qm1(d)) for d, mult in mults)),
-        ("totient q-analogue",
-         _rf_sum(mult * totient(d) * RationalFunction(_psi_sum(d), _qm1(d).shifted(1))
-                 for d, mult in mults)),
     ]
+    members += [(label, _rf_sum(mult * _phi_log_forms(d)[label] for d, mult in mults))
+                for label in ("cyclotomic log-derivatives", "Moebius split",
+                              "Ramanujan numerators", "totient q-analogue")]
     return _report("prop2", _sys(rs), _chain_check(members))
 
 
@@ -444,21 +433,21 @@ def prop4_check(rs):
 def _cohen_tail_members(h, avals):
     """The four divisor expansions of A(q)/(1-q**h) shared by every
     gcd-determined coefficient sequence A; avals maps each divisor d to the
-    value of A at the (h/d)-th power node."""
+    value of A at the (h/d)-th power node.
+
+    Each is prop2's table at 1/q: the sum over the h-th roots z of
+    1/(1 - z q), weighted by the transform of A, groups by the order d of
+    z into avals[d] times the sum over the primitive d-th roots, which is
+    q**-1 * (Phi_d'/Phi_d)(1/q); so every member is 1/h times the sum of
+    avals[d] * ``_reciprocal`` of one ``_phi_log_forms(d)`` entry."""
     divs = [d for d in divisors(h) if avals[d]]
-    return [
-        ("Ramanujan numerators",
-         _rf_sum(avals[d] * RationalFunction(_c_low(d), _one_minus(d)) for d in divs)
-         * Fraction(1, h)),
-        ("reciprocal log-derivative",
-         _rf_sum(avals[d] * _phi_recip(d) for d in divs) * Fraction(1, h)),
-        ("Moebius split",
-         _rf_sum(avals[d] * _moebius_pole_split(d) for d in divs) * Fraction(1, h)),
-        ("totient q-analogue",
-         _rf_sum(avals[d] * totient(d) * RationalFunction(_one_minus(d) + _psi_sum(d),
-                                                          _one_minus(d))
-                 for d in divs) * Fraction(1, h)),
-    ]
+    forms = {d: _phi_log_forms(d) for d in divs}
+    return [(label, _rf_sum(avals[d] * _reciprocal(forms[d][key]) for d in divs)
+             * Fraction(1, h))
+            for label, key in (("Ramanujan numerators", "Ramanujan numerators"),
+                               ("reciprocal log-derivative", "cyclotomic log-derivatives"),
+                               ("Moebius split", "Moebius split"),
+                               ("totient q-analogue", "totient q-analogue"))]
 
 
 def _periodic_members(h, a):
@@ -504,19 +493,16 @@ def _prop6_witness(h):
     """prop6's witness, which depends on h alone."""
     members = [("Psi/(1-q^h)", RationalFunction(psi_poly(h), _one_minus(h)))]
     members += _periodic_members(h, [ramanujan_sum(h, k) for k in range(h)])
-    mus = [(d, mu) for d in divisors(h) if (mu := mobius(d))]
-    members.append(("Moebius with shifted numerators",
-                    _rf_sum(mu * RationalFunction(Polynomial.monomial(d), _one_minus(d))
-                            for d, mu in mus)))
+    members.append(("Moebius with shifted numerators", _moebius_tail(h, h, True)))
     if h > 1:
-        members.append(("Moebius plain",
-                        _rf_sum(mu * RationalFunction(ONE, _one_minus(d)) for d, mu in mus)))
+        members.append(("Moebius plain", _moebius_tail(h, h, False)))
     return _chain_check(members)
 
 
 @lru_cache(maxsize=None)
 def _moebius_tail(h, d, shifted):
-    """Sum over d'|d of mu(d') q**(shifted * x)/(1 - q**x), x = h d'/d."""
+    """Sum over d'|d of mu(d') q**(shifted * x)/(1 - q**x), x = h d'/d;
+    prop7 weights it over d, prop6 reads d = h and prop10 its splits."""
     return _rf_sum(mu * RationalFunction(Polynomial.monomial(h * dp // d * shifted),
                                          _one_minus(h * dp // d))
                    for dp in divisors(d) if (mu := mobius(dp)))
@@ -572,15 +558,12 @@ def prop9_check(rs):
     return _report("prop9", _sys(rs), _chain_check(members))
 
 
-@lru_cache(maxsize=None)
-def _moebius_split(h, d, shifted):
+def _split_from_tail(h, d, shifted):
     """Sum over d'|d of mu(d') (d/d' - (1-q^h) q^(shifted * x)/(1-q^x)),
-    x = h d'/d, over 1 - q."""
-    inner = _rf_sum(mu * (RationalFunction(Polynomial((d // dp,)), ONE)
-                          - RationalFunction(_one_minus(h).shifted(h * dp // d * shifted),
-                                             _one_minus(h * dp // d)))
-                    for dp in divisors(d) if (mu := mobius(dp)))
-    return inner * RationalFunction(ONE, _one_minus(1))
+    x = h d'/d, over 1 - q: the mu(d') d/d' add up to phi(d), and the rest
+    is (1-q^h) times prop7's Moebius tail."""
+    return ((totient(d) - _moebius_tail(h, d, shifted) * _one_minus(h))
+            * RationalFunction(ONE, _one_minus(1)))
 
 
 def prop10_check(rs):
@@ -600,9 +583,9 @@ def prop10_check(rs):
          _rf_sum(mult * RationalFunction(totient(d) - psi_poly(d).compose_power(h // d),
                                          _one_minus(1)) for d, mult in mults)),
         ("Moebius plain split",
-         _rf_sum(mult * _moebius_split(h, d, False) for d, mult in mults)),
+         _rf_sum(mult * _split_from_tail(h, d, False) for d, mult in mults)),
         ("Moebius shifted split",
-         _rf_sum(mult * _moebius_split(h, d, True) for d, mult in mults)),
+         _rf_sum(mult * _split_from_tail(h, d, True) for d, mult in mults)),
     ]
     return _report("prop10", _sys(rs), _chain_check(members))
 
@@ -1005,8 +988,21 @@ def cohen_check(rs):
 # -- suite runner -----------------------------------------------------------------
 
 
-CHECK_IDS = tuple(f"prop{i}" for i in range(1, 20)) + (
-    "eq5", "eq12", "eq13", "eq19", "eq20", "mirimanoff", "cohen")
+# Check id -> check, in catalog order; eq5 alone also takes the BFS cap.
+_CHECKS = {
+    "prop1": prop1_check, "prop2": prop2_check, "prop3": prop3_check,
+    "prop4": prop4_check, "prop5": prop5_check, "prop6": prop6_check,
+    "prop7": prop7_check, "prop8": prop8_check, "prop9": prop9_check,
+    "prop10": prop10_check, "prop11": prop11_check, "prop12": prop12_check,
+    "prop13": prop13_check, "prop14": partial(top_part_check, shift=0),
+    "prop15": prop15_check, "prop16": partial(paired_parts_check, shift=0),
+    "prop17": prop17_check, "prop18": partial(top_part_check, shift=1),
+    "prop19": partial(paired_parts_check, shift=1),
+    "eq5": eq5_check, "eq12": eq12_check, "eq13": eq13_check,
+    "eq19": singularity_check, "eq20": dynkin_check,
+    "mirimanoff": _mirimanoff_suite, "cohen": cohen_check,
+}
+CHECK_IDS = tuple(_CHECKS)
 
 
 def available_checks(rs):
@@ -1019,25 +1015,11 @@ def available_checks(rs):
 
 def run_check(rs, check_id, bfs_cap=DEFAULT_BFS_CAP):
     """Run one check defensively: any raised error becomes a fail report."""
-    dispatch = {
-        "prop1": prop1_check, "prop2": prop2_check, "prop3": prop3_check,
-        "prop4": prop4_check, "prop5": prop5_check,
-        "prop6": prop6_check,
-        "prop7": prop7_check, "prop8": prop8_check, "prop9": prop9_check,
-        "prop10": prop10_check, "prop11": prop11_check, "prop12": prop12_check,
-        "prop13": prop13_check, "prop14": lambda r: top_part_check(r, 0),
-        "prop15": prop15_check, "prop16": lambda r: paired_parts_check(r, 0),
-        "prop17": prop17_check, "prop18": lambda r: top_part_check(r, 1),
-        "prop19": lambda r: paired_parts_check(r, 1),
-        "eq5": lambda r: eq5_check(r, bfs_cap=bfs_cap),
-        "eq12": eq12_check, "eq13": eq13_check,
-        "eq19": singularity_check, "eq20": dynkin_check,
-        "mirimanoff": _mirimanoff_suite, "cohen": cohen_check,
-    }
-    if check_id not in dispatch:
+    if check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
+    check = _CHECKS[check_id]
     try:
-        return dispatch[check_id](rs)
+        return check(rs, bfs_cap=bfs_cap) if check_id == "eq5" else check(rs)
     except RootHeightError as exc:
         return IdentityReport(check_id, _sys(rs), "fail",
                               f"{type(exc).__name__}: {exc}")

@@ -103,7 +103,7 @@ class TestVerify:
         def broken(rs):
             return IdentityReport("cohen", str(rs.id), "fail", "forced")
 
-        monkeypatch.setattr(identities, "cohen_check", broken)
+        monkeypatch.setitem(identities._CHECKS, "cohen", broken)
         code, out = run_cli(capsys, "verify", "A", "1", "--props", "cohen",
                             "--format", "json")
         assert code == 1

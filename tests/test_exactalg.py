@@ -371,6 +371,28 @@ class TestRationalFunction:
         assert half * 2 == RationalFunction(P(1), P(0, 1))
         assert half * RationalFunction(P(0, 2)) == RationalFunction(P(1), P(1))
 
+    def test_polynomial_defers_to_rational_function(self):
+        # p = q and f = 1/(1-q), in both operand orders: a rational function
+        # is never taken for a coefficient of the polynomial.
+        p, f = P(0, 1), RationalFunction(P(1), P(1, -1))
+        R = lambda *num: RationalFunction(P(*num), P(1, -1))
+        cases = {"p + f": (p + f, R(1, 1, -1)), "f + p": (f + p, R(1, 1, -1)),
+                 "p - f": (p - f, R(-1, 1, -1)), "f - p": (f - p, R(1, -1, 1)),
+                 "p * f": (p * f, R(0, 1)), "f * p": (f * p, R(0, 1))}
+        for name, (got, want) in cases.items():
+            assert isinstance(got, RationalFunction), name
+            assert got == want, name
+            assert not any(isinstance(c, RationalFunction)
+                           for c in got.num.coeffs + got.den.coeffs), name
+
+    def test_polynomial_equality_defers_to_rational_function(self):
+        p, f = P(0, 1), RationalFunction(P(1), P(1, -1))
+        same = RationalFunction(P(0, 1, -1), P(1, -1))
+        assert p == same and same == p
+        assert not p != same and not same != p
+        assert p != f and f != p
+        assert not p == f and not f == p
+
     def test_gcd_examples(self):
         assert poly_gcd(qm1(6), qm1(4)) == qm1(2)
         assert poly_gcd(Polynomial(()), P(0, 2)).monic() == P(0, 1)

@@ -27,7 +27,7 @@ from rootheight.identities import (ONE, ZERO, _gram_lu, _lvec_interpolated,
                                    singularity_check, singularity_data)
 from rootheight.linalg import FractionLU, det
 from rootheight.numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly,
-                              divisors, is_cohen, ramanujan_sum, totient)
+                              divisors, is_cohen, mobius, ramanujan_sum, totient)
 from rootheight.rootsys import RootSystemId, build
 
 
@@ -667,6 +667,97 @@ class TestHOnlyMemos:
             len({rs.h for rs in catalog.values()}) == 15
 
 
+# The builders that prop2's per-divisor table replaced, kept as oracles: the
+# Cohen tail expansions of Phi_d'/Phi_d at 1/q, prop10's Moebius split and
+# prop6's inline Moebius sums.
+
+
+def one_minus(k):
+    return Polynomial((1,) + (0,) * (k - 1) + (-1,))
+
+
+def old_phi_recip(d):
+    """Derivative-over-value of Phi_d at 1/q, divided by q."""
+    phi, ph = cyclotomic_poly(d), totient(d)
+    return RationalFunction(phi.derivative().reversed_to(ph - 1), phi.reversed_to(ph))
+
+
+def old_ramanujan_tail(d):
+    """Ramanujan sums c_d(0..d-1) as numerator coefficients over 1 - q**d."""
+    return RationalFunction(Polynomial([ramanujan_sum(d, k) for k in range(d)]),
+                            one_minus(d))
+
+
+def old_moebius_pole_split(d):
+    """Sum over d'|d of mu(d/d') * d'/(1 - q**d')."""
+    return _rf_sum(mu * dp * RationalFunction(ONE, one_minus(dp))
+                   for dp in divisors(d) if (mu := mobius(d // dp)))
+
+
+def old_totient_tail(d):
+    """phi(d) * (1 - q**d + _psi_sum(d)) over 1 - q**d."""
+    return totient(d) * RationalFunction(one_minus(d) + identities._psi_sum(d),
+                                         one_minus(d))
+
+
+def old_moebius_split(h, d, shifted):
+    """Sum over d'|d of mu(d') (d/d' - (1-q^h) q^(shifted * x)/(1-q^x)),
+    x = h d'/d, over 1 - q."""
+    inner = _rf_sum(mu * (RationalFunction(Polynomial((d // dp,)), ONE)
+                          - RationalFunction(one_minus(h).shifted(h * dp // d * shifted),
+                                             one_minus(h * dp // d)))
+                    for dp in divisors(d) if (mu := mobius(dp)))
+    return inner * RationalFunction(ONE, one_minus(1))
+
+
+def old_prop6_moebius(h, shifted):
+    """prop6's inline sum over d|h of mu(d) q**(shifted * d)/(1 - q**d)."""
+    return _rf_sum(mu * RationalFunction(Polynomial.monomial(d * shifted), one_minus(d))
+                   for d in divisors(h) if (mu := mobius(d)))
+
+
+class TestDivisorForms:
+    """prop2's per-divisor table of Phi_d'/Phi_d, read at 1/q by the Cohen
+    tails, and the Moebius tail behind props 6, 7 and 10, against the
+    builders they replaced."""
+
+    def test_reversed_table_matches_tail_builders(self):
+        for d in range(1, 81):
+            forms = {key: identities._reciprocal(f)
+                     for key, f in identities._phi_log_forms(d).items()}
+            # The same coefficient tuples, not only an equal value.
+            for key, old in (("cyclotomic log-derivatives", old_phi_recip(d)),
+                             ("Ramanujan numerators", old_ramanujan_tail(d)),
+                             ("totient q-analogue", old_totient_tail(d))):
+                assert coeff_tuples(forms[key]) == coeff_tuples(old), (d, key)
+            # Reversal of a sum over its common denominator: equal in value.
+            assert forms["Moebius split"] == old_moebius_pole_split(d), d
+
+    def test_tail_forms_match_inline_sums(self):
+        cases = 0
+        for h in range(1, 61):
+            for shifted in (True, False):
+                assert coeff_tuples(identities._moebius_tail(h, h, shifted)) == \
+                    coeff_tuples(old_prop6_moebius(h, shifted)), (h, shifted)
+                for d in divisors(h):
+                    assert coeff_tuples(identities._split_from_tail(h, d, shifted)) == \
+                        coeff_tuples(old_moebius_split(h, d, shifted)), (h, d, shifted)
+                    cases += 1
+        assert cases == 522
+
+    def test_shared_table_entry_reaches_prop2_and_prop5(self, catalog, monkeypatch):
+        # E6 (h = 12) weights d = 12 in both chains: m(1) = 1 and p(1) = -1.
+        forms = identities._phi_log_forms(12)
+        monkeypatch.setitem(forms, "Moebius split", forms["Moebius split"] * 2)
+        witnesses = [run_suite(catalog["E6"], [cid])[0].witness
+                     for cid in ("prop2", "prop5")]
+        assert witnesses[0].startswith("'C'/C' != 'Moebius split'")
+        assert witnesses[1].startswith("'E/(1-q^h)' != 'Moebius split'")
+        monkeypatch.undo()
+        for rep in run_suite(catalog["E6"], ["prop2", "prop5"]):
+            assert (rep.verdict, rep.witness) == ("pass", None), rep.identity_id
+
+
 class TestSuite:
     @pytest.mark.parametrize("family,rank", [
         ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4),
@@ -676,6 +767,21 @@ class TestSuite:
         rs = catalog[f"{family}{rank}"]
         for rep in run_suite(rs):
             assert rep.passed, f"{rep.identity_id}: {rep.witness}"
+
+    def test_unknown_check_id_raises(self, catalog):
+        with pytest.raises(ValueError, match="unknown check 'prop20'"):
+            identities.run_check(catalog["A2"], "prop20")
+
+    def test_eq5_takes_the_bfs_cap(self, catalog, monkeypatch):
+        # A2's Weyl group has order 6: a cap of 5 skips the enumeration, a cap
+        # of 6 runs it under that cap.
+        caps = []
+        real = identities.weyl_length_gf_bruteforce
+        monkeypatch.setattr(identities, "weyl_length_gf_bruteforce",
+                            lambda rs, cap: caps.append(cap) or real(rs, cap))
+        for cap in (5, 6):
+            assert run_suite(catalog["A2"], ["eq5"], bfs_cap=cap)[0].passed
+        assert caps == [6]
 
     def test_weight_check_only_simply_laced(self, catalog):
         assert "eq19" in available_checks(catalog["A2"])
