@@ -17,10 +17,11 @@ times cheaper than ``Fraction`` arithmetic for the same values.  Products
 run over the nonzero coefficients only, so multiplying by a sparse factor
 such as 1 - q**d costs O(deg), not O(deg * d).
 
-There is one division loop, ``_divide``: a monic divisor, over the list of
-its nonzero entries below the top.  ``divmod`` on polynomials builds that
-list on each call (``_divide_monic``), after scaling any other divisor to
-monic.  Reduction modulo the order-h cyclotomic polynomial Phi_h
+There is one division loop, ``_divide``: a divisor given by the list of its
+nonzero entries below the top and, unless it is monic, the inverse of its
+leading coefficient, which scales each quotient term.  ``divmod`` on
+polynomials builds that list on each call.  Reduction modulo the order-h
+cyclotomic polynomial Phi_h
 (``_cyc_remainder``) folds a coefficient sequence modulo q**h - 1 and
 divides over the list that the order's field context holds; it reduces
 field products, sums of powers of the root and Munagi's partial fractions.
@@ -81,26 +82,24 @@ def _low_terms(den):
     return tuple((j, c) for j, c in enumerate(den[:-1]) if c)
 
 
-def _divide(num, terms, dd):
-    """Quotient and remainder of the coefficient sequence num by a monic
-    divisor of degree dd, given by the ``_low_terms`` of its entries; a
-    dividend shorter than dd + 1 is its own remainder.  This is the one
-    division loop of the module: polynomials, cyclotomic moduli and field
-    reduction use it."""
+def _divide(num, terms, dd, inv=None):
+    """Quotient and remainder of the coefficient sequence num by a divisor
+    of degree dd, given by the ``_low_terms`` of its entries and, unless it
+    is monic, the inverse inv of its leading coefficient, by which each
+    quotient term is scaled; a dividend shorter than dd + 1 is its own
+    remainder.  This is the one division loop of the module: polynomials,
+    cyclotomic moduli and field reduction use it."""
     num = list(num)
     quot = [0] * max(len(num) - dd, 0)
     for i in range(len(quot) - 1, -1, -1):
         c = num[i + dd]
         if c:
+            if inv is not None:
+                c = c * inv
             quot[i] = c
             for j, b in terms:
                 num[i + j] = num[i + j] - c * b
     return quot, num[:dd]
-
-
-def _divide_monic(num, den):
-    """``_divide`` by the monic coefficient sequence den."""
-    return _divide(num, _low_terms(den), len(den) - 1)
 
 
 class Polynomial:
@@ -155,11 +154,16 @@ class Polynomial:
 
     @staticmethod
     def _wrap(x):
-        return x if isinstance(x, Polynomial) else Polynomial((x,))
+        if isinstance(x, Polynomial):
+            return x
+        if isinstance(x, RationalFunction):
+            raise TypeError("a rational function is not a polynomial coefficient")
+        return Polynomial((x,))
 
     # A rational function operand is not a coefficient: +, * and == return
     # NotImplemented for it, so Python calls RationalFunction's reflected
-    # method, which wraps this polynomial instead; - adds the negation.
+    # method, which wraps this polynomial instead; - adds the negation, and
+    # divmod and the RationalFunction constructor raise TypeError (_wrap).
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -216,13 +220,10 @@ class Polynomial:
             raise DivisionByZero("polynomial division by zero")
         if len(self.coeffs) < len(other.coeffs):
             return Polynomial(()), self
-        lc = other.coeffs[-1]
-        if lc == 1:
-            quot, rem = _divide_monic(self.coeffs, other.coeffs)
-            return Polynomial(quot), Polynomial(rem)
-        inv = _coeff_inv(lc)
-        quot, rem = _divide_monic(self.coeffs, [c * inv for c in other.coeffs])
-        return Polynomial([c * inv for c in quot]), Polynomial(rem)
+        den = other.coeffs
+        inv = None if den[-1] == 1 else _coeff_inv(den[-1])
+        quot, rem = _divide(self.coeffs, _low_terms(den), len(den) - 1, inv)
+        return Polynomial(quot), Polynomial(rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -359,7 +360,8 @@ def _cyclotomic_int(h):
     coeffs = [-1] + [0] * (h - 1) + [1]
     for d in range(1, h):
         if h % d == 0:
-            coeffs, rem = _divide_monic(coeffs, _cyclotomic_int(d))
+            phi_d = _cyclotomic_int(d)
+            coeffs, rem = _divide(coeffs, _low_terms(phi_d), len(phi_d) - 1)
             if any(rem):
                 raise NotDivisible(f"order {d} cyclotomic does not divide q**{h} - 1")
     return tuple(coeffs)
@@ -692,14 +694,34 @@ def _sum_plan(dens):
     return acc, (suffix, *reversed(mults))
 
 
-def _rf_sum(terms):
+@lru_cache(maxsize=None)
+def _lift(num, mult):
+    """The nonzero (i, c) terms of the product of two rational coefficient
+    tuples: a term's numerator lifted by its plan multiplier, memoised by
+    content."""
+    return tuple((i, c) for i, c in enumerate((Polynomial(num) * Polynomial(mult)).coeffs)
+                 if c)
+
+
+def _rf_sum(terms, weights=None):
     """Sum of rational functions over the memoised plan of their
     denominators; ``+`` is the sum of two terms, so every addition of
-    rational functions takes this one route."""
+    rational functions takes this one route.  With weights, the sum of
+    w_i * t_i over rational terms is the weighted sum of their memoised
+    ``_lift``s, additions in place of products: the same num and den
+    coefficients as the plain sum of the scaled terms."""
     terms = list(terms)
     den, mults = _sum_plan(tuple(t.den.coeffs for t in terms))
-    num = sum((t.num * m for t, m in zip(terms, mults)), Polynomial(()))
-    return RationalFunction(num, den)
+    if weights is None:
+        num = sum((t.num * m for t, m in zip(terms, mults)), Polynomial(()))
+        return RationalFunction(num, den)
+    lifts = [(w, _lift(t.num.coeffs, m.coeffs)) for t, m, w in zip(terms, mults, weights)
+             if w]
+    out = [0] * max((lift[-1][0] + 1 for _, lift in lifts if lift), default=0)
+    for w, lift in lifts:
+        for i, c in lift:
+            out[i] += w * c
+    return RationalFunction(Polynomial(out), den)
 
 
 def ratfun_normalize(num, den):

@@ -14,16 +14,21 @@ independent; a runner may execute them concurrently and sort the reports
 afterwards.
 
 Checks share memo tables across systems: the common-denominator plan of
-each divisor-sum expansion (``exactalg._sum_plan``), the building blocks
-keyed on a divisor d (or on h and d) and the witnesses of prop6 and prop15,
-which read only h.  Sharing is sound because every memoised function is pure and
-keyed on integers or coefficient tuples, never on a root system; a report
-carries the calling system's label, added after the lookup.
+each divisor-sum expansion and each term's numerator lifted to it
+(``exactalg._sum_plan`` and ``exactalg._lift``), the building blocks keyed
+on a divisor d (or on h and d), the interpolants of props 14 and 18 and the
+witnesses of prop6 and prop15, which read only h.  Sharing is sound because
+every memoised function is pure and keyed on integers or coefficient tuples,
+never on a root system; a report carries the calling system's label, added
+after the lookup.  What a system's own fields determine, B(q) and the
+Munagi parts of B(q) and qB(q), is built once per system and kept on it.
 
 Each divisor-sum expansion is built once.  prop2's four expansions of
 Phi_d'/Phi_d form one table per divisor d (``_phi_log_forms``); the Cohen
 tails of props 5, 6 and 9 are that table at 1/q, f -> q**-1 f(1/q)
-(``_reciprocal``); and props 6 and 10 reuse prop7's Moebius tail.
+(``_reciprocal``); and props 6 and 10 reuse prop7's Moebius tail.  A
+member is a weighted sum of such terms (``_weighted_sum``), so a system
+adds memoised lifts where it would multiply polynomials.
 """
 
 from __future__ import annotations
@@ -107,6 +112,11 @@ def _poly_mismatch(la, pa, lb, pb):
 
 
 def _rf_mismatch(la, fa, lb, fb):
+    """None when fa = fb; over equal or negated denominators that is
+    equality of the numerators, and the cross-difference is formed only to
+    render a failing witness."""
+    if fa.den == fb.den and fa.num == fb.num or fa.den == -fb.den and fa.num == -fb.num:
+        return None
     d = fa.num * fb.den - fb.num * fa.den
     if d.is_zero:
         return None
@@ -152,13 +162,26 @@ def b_from_exponents(exponents):
 
 def b_poly(rs):
     """Height distribution polynomial, coefficient of q**(k-1) counting the
-    positive roots of height k; computed three independent ways."""
-    from_heights = Polynomial(rs.b)
-    from_exps = b_from_exponents(rs.exponents)
-    ratio = (exponent_poly(rs) - rs.id.rank).divexact(Q - 1)
-    if not (from_heights == from_exps == ratio):
-        raise MethodMismatch(f"{rs.id}: height polynomial routes disagree")
-    return from_heights
+    positive roots of height k; computed three independent ways, once per
+    system (kept in its ``_bq`` slot)."""
+    memo = rs._bq
+    if "b" not in memo:
+        from_heights = Polynomial(rs.b)
+        from_exps = b_from_exponents(rs.exponents)
+        ratio = (exponent_poly(rs) - rs.id.rank).divexact(Q - 1)
+        if not (from_heights == from_exps == ratio):
+            raise MethodMismatch(f"{rs.id}: height polynomial routes disagree")
+        memo["b"] = from_heights
+    return memo["b"]
+
+
+def _b_parts(rs, shift):
+    """Munagi parts of q**shift * B(q) for shift 0 or 1, which props 13, 14
+    and 16-19 read; decomposed once per system and shift (``_bq`` slot)."""
+    memo = rs._bq
+    if shift not in memo:
+        memo[shift] = munagi_decompose(b_poly(rs).shifted(shift), rs.h).parts
+    return memo[shift]
 
 
 def _sum_over_roots(weights, h, shift=0):
@@ -176,6 +199,13 @@ def _psi_sum(d):
     """Sum over d'|d of mu(d')/phi(d') * Psi_{d'}(q**(d/d'))."""
     return sum((Fraction(mu, totient(dp)) * psi_poly(dp).compose_power(d // dp)
                 for dp in divisors(d) if (mu := mobius(dp))), ZERO)
+
+
+def _weighted_sum(pairs):
+    """The sum of w * F over the (w, F) pairs, from the memoised lifts of
+    the terms F (``_rf_sum`` with weights)."""
+    pairs = list(pairs)
+    return _rf_sum([f for _, f in pairs], [w for w, _ in pairs])
 
 
 def _log_derivative(p):
@@ -387,11 +417,11 @@ def prop2_check(rs):
     members = [
         ("C'/C", _log_derivative(coxeter_element(rs).charpoly)),
         ("binomial exponents",
-         _rf_sum(e * RationalFunction(Polynomial.monomial(d - 1, d), _qm1(d))
-                 for d in divs if (e := rs.e_of_d[d]))),
+         _weighted_sum((e, RationalFunction(Polynomial.monomial(d - 1, d), _qm1(d)))
+                       for d in divs if (e := rs.e_of_d[d]))),
         ("eigenvalue poles", _sum_over_roots(rs.m, h)),
     ]
-    members += [(label, _rf_sum(mult * _phi_log_forms(d)[label] for d, mult in mults))
+    members += [(label, _weighted_sum((mult, _phi_log_forms(d)[label]) for d, mult in mults))
                 for label in ("cyclotomic log-derivatives", "Moebius split",
                               "Ramanujan numerators", "totient q-analogue")]
     return _report("prop2", _sys(rs), _chain_check(members))
@@ -442,7 +472,7 @@ def _cohen_tail_members(h, avals):
     avals[d] * ``_reciprocal`` of one ``_phi_log_forms(d)`` entry."""
     divs = [d for d in divisors(h) if avals[d]]
     forms = {d: _phi_log_forms(d) for d in divs}
-    return [(label, _rf_sum(avals[d] * _reciprocal(forms[d][key]) for d in divs)
+    return [(label, _weighted_sum((avals[d], _reciprocal(forms[d][key])) for d in divs)
              * Fraction(1, h))
             for label, key in (("Ramanujan numerators", "Ramanujan numerators"),
                                ("reciprocal log-derivative", "cyclotomic log-derivatives"),
@@ -522,10 +552,10 @@ def prop7_check(rs):
         ("E/(1-q^h) - a(0)", lhs_full - a(0)),
         ("psi substitution", RationalFunction(num, _one_minus(h))),
         ("Moebius with shifted numerators",
-         _rf_sum(a(h // d) * _moebius_tail(h, d, True) for d in divs)),
+         _weighted_sum((a(h // d), _moebius_tail(h, d, True)) for d in divs)),
         ("split constant term",
-         _rf_sum([a(0) * RationalFunction(Polynomial.monomial(h), _one_minus(h))]
-                 + [a(h // d) * _moebius_tail(h, d, False) for d in divs if d != 1])),
+         _weighted_sum([(a(0), RationalFunction(Polynomial.monomial(h), _one_minus(h)))]
+                       + [(a(h // d), _moebius_tail(h, d, False)) for d in divs if d != 1])),
     ]
     return _report("prop7", _sys(rs), _chain_check(members))
 
@@ -558,6 +588,7 @@ def prop9_check(rs):
     return _report("prop9", _sys(rs), _chain_check(members))
 
 
+@lru_cache(maxsize=None)
 def _split_from_tail(h, d, shifted):
     """Sum over d'|d of mu(d') (d/d' - (1-q^h) q^(shifted * x)/(1-q^x)),
     x = h d'/d, over 1 - q: the mu(d') d/d' add up to phi(d), and the rest
@@ -580,12 +611,12 @@ def prop10_check(rs):
         ("B", RationalFunction(b_poly(rs), ONE)),
         ("(n-E)/(1-q)", RationalFunction(n - exponent_poly(rs), _one_minus(1))),
         ("psi deficit",
-         _rf_sum(mult * RationalFunction(totient(d) - psi_poly(d).compose_power(h // d),
-                                         _one_minus(1)) for d, mult in mults)),
+         _weighted_sum((mult, RationalFunction(totient(d) - psi_poly(d).compose_power(h // d),
+                                               _one_minus(1))) for d, mult in mults)),
         ("Moebius plain split",
-         _rf_sum(mult * _split_from_tail(h, d, False) for d, mult in mults)),
+         _weighted_sum((mult, _split_from_tail(h, d, False)) for d, mult in mults)),
         ("Moebius shifted split",
-         _rf_sum(mult * _split_from_tail(h, d, True) for d, mult in mults)),
+         _weighted_sum((mult, _split_from_tail(h, d, True)) for d, mult in mults)),
     ]
     return _report("prop10", _sys(rs), _chain_check(members))
 
@@ -629,8 +660,8 @@ def prop12_check(rs):
     """B(q) from the constant-part decomposition of the eigenvalue
     multiplicities."""
     h, n = rs.h, rs.id.rank
-    tail = _rf_sum(e * RationalFunction(ONE, _one_minus(d))
-                   for d in divisors(h) if (e := rs.e_of_d[h // d]))
+    tail = _weighted_sum((e, RationalFunction(ONE, _one_minus(d)))
+                         for d in divisors(h) if (e := rs.e_of_d[h // d]))
     rhs = RationalFunction(Polynomial((n,)), _one_minus(1)) - \
         RationalFunction(_one_minus(h), _one_minus(1)) * tail
     witness = _chain_check([("B", RationalFunction(b_poly(rs), ONE)),
@@ -641,7 +672,7 @@ def prop12_check(rs):
 def prop13_check(rs):
     """Boundary coefficients of the decomposition parts of B(q)."""
     h, n = rs.h, rs.id.rank
-    parts = munagi_decompose(b_poly(rs), h).parts
+    parts = _b_parts(rs, 0)
     top = sum(parts[d].coeff(totient(d) - 1) for d in divisors(h)
               if len(factorize(d)) == 1 and factorize(d)[0][1] == 1)
     checks = [
@@ -663,12 +694,11 @@ def top_part_check(rs, shift):
     h, n = rs.h, rs.id.rank
     if h < 2:
         return _report(check_id, _sys(rs), None)
-    top = munagi_decompose(b_poly(rs).shifted(shift), h).parts[h]
+    top = _b_parts(rs, shift)[h]
     scale = n - rs.e_of_d[1]
     ctx = _context(h)
-    value = ctx.root_sum([(shift, ctx.inv_one_minus())])
     try:
-        interp = lagrange_primitive_roots(value, h)
+        value, interp = _pole_interpolant(h, shift)
         witness = _poly_mismatch("top part", top, "scaled interpolant",
                                  scale * interp)
     except MethodMismatch as exc:
@@ -683,6 +713,15 @@ def top_part_check(rs, shift):
                 witness = f"pole-sum vector entry j={j} mismatch"
                 break
     return _report(check_id, _sys(rs), witness)
+
+
+@lru_cache(maxsize=None)
+def _pole_interpolant(h, shift):
+    """z**shift/(1 - z) in the order-h field and its interpolant at the
+    primitive roots, which props 14 and 18 scale; one per order and shift."""
+    ctx = _context(h)
+    value = ctx.root_sum([(shift, ctx.inv_one_minus())])
+    return value, lagrange_primitive_roots(value, h)
 
 
 def _lvec_interpolated(h):
@@ -720,7 +759,7 @@ def paired_parts_check(rs, shift):
     the sum of (H_d / q**shift + q**(d-1+shift) H_d(1/q)) / (1-q**d) is
     n/(1-q) (prop16 for shift 0, prop19 for shift 1)."""
     h, n = rs.h, rs.id.rank
-    parts = munagi_decompose(b_poly(rs).shifted(shift), h).parts
+    parts = _b_parts(rs, shift)
     total = _rf_sum((RationalFunction(parts[d], Polynomial.monomial(shift))
                      + RationalFunction(parts[d].reversed_to(d - 1 + shift), ONE))
                     * RationalFunction(ONE, _one_minus(d)) for d in divisors(h))
@@ -732,7 +771,7 @@ def paired_parts_check(rs, shift):
 def prop17_check(rs):
     """Boundary coefficients of the decomposition parts of qB(q)."""
     h, n = rs.h, rs.id.rank
-    parts = munagi_decompose(b_poly(rs).shifted(1), h).parts
+    parts = _b_parts(rs, 1)
     b_const = parts[2].coeff(0) if h % 2 == 0 else 0
     second = sum(parts[d].coeff(2) for d in divisors(h) if d > 2)
     checks = [

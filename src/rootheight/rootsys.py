@@ -101,10 +101,13 @@ class RootSystem:
     ``m[k]`` the multiplicity of the k-th eigenvalue of the Coxeter element,
     ``e_of_d`` the cyclic factorization exponents, and ``p[k]`` the power
     sums of the Coxeter eigenvalues.  The roots themselves are not kept.
+    Two slots cache data derived on first use: ``_coxeter`` the Coxeter
+    element, ``_bq`` the height polynomial B(q) and the Munagi parts of
+    q**s B(q) (filled by the identity checks).
     """
 
     __slots__ = ("id", "cartan", "h", "exponents", "b", "two_rho_pairings", "m",
-                 "e_of_d", "p", "_coxeter")
+                 "e_of_d", "p", "_coxeter", "_bq")
 
     def __init__(self, rsid, cartan, h, exponents, b, two_rho_pairings, m, e_of_d, p):
         self.id = rsid
@@ -117,6 +120,7 @@ class RootSystem:
         self.e_of_d = e_of_d
         self.p = p
         self._coxeter = None
+        self._bq = {}
 
     def __repr__(self):
         return f"RootSystem({self.id}, h={self.h})"
@@ -356,26 +360,36 @@ def weyl_length_gf_bruteforce(rs, cap=DEFAULT_BFS_CAP):
     """Length generating function by walking the orbit of 2*rho (the sum of
     the positive roots; trivial stabilizer) one length at a time, in
     pairing coordinates lambda_i = <w(2 rho), alpha_i^vee>: s_i w is one
-    longer than w exactly when lambda_i > 0.  The start, the stored
-    ``two_rho_pairings``, must be 2 for every i."""
+    longer than w exactly when lambda_i > 0, and then i is a descent of
+    s_i w (its coordinate i is negative).  Every element but 1 has a least
+    descent, so s_i w is taken from w only when i is the least descent of
+    s_i w, and each element is reached once, with no set of seen ones.
+    Coordinate j != i of s_i w is lambda_j - lambda_i a_ji with a_ji <= 0,
+    so only a negative lambda_j with j < i can make j a smaller descent.
+    The start, the stored ``two_rho_pairings``, must be 2 for every i."""
     order = weyl_order(rs)
     if order > cap:
         raise GroupTooLarge(f"|W({rs.id})| = {order} exceeds cap {cap}")
     start = rs.two_rho_pairings
     if any(x != 2 for x in start):
         raise MethodMismatch(f"{rs.id}: the positive roots do not sum to 2*rho")
-    cols = _columns(rs.cartan)
-    level = {start}
+    cartan, cols = rs.cartan, _columns(rs.cartan)
+    level = [list(start)]
     counts = []
     while level:
         counts.append(len(level))
-        nxt = set()
+        nxt = []
         for lam in level:
+            negative = [j for j, x in enumerate(lam) if x < 0]
             for i, c in enumerate(lam):
                 if c > 0:
-                    v = list(lam)
-                    _reflect(v, i, cols)
-                    nxt.add(tuple(v))
+                    for j in negative:
+                        if j < i and lam[j] <= c * cartan[j][i]:
+                            break
+                    else:
+                        v = lam[:]
+                        _reflect(v, i, cols)
+                        nxt.append(v)
         level = nxt
     if sum(counts) != order:
         raise MethodMismatch(f"{rs.id}: enumeration found {sum(counts)} of {order} elements")

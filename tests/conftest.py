@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import rootheight.exactalg as exactalg
 import rootheight.identities as identities
 from rootheight import build, default_catalog
-from rootheight.exactalg import Polynomial, _sum_plan
+from rootheight.exactalg import Polynomial
 
 
 @pytest.fixture(scope="session")
@@ -15,14 +16,19 @@ def catalog():
     return {str(rsid): build(rsid) for rsid in default_catalog()}
 
 
+MEMO_MODULES = (identities, exactalg)
+
+
 def clear_identity_memos():
-    """Empty every lru_cache defined in rootheight.identities and the
-    rational-function sum plans, so the next run computes each memoised
-    value afresh."""
-    for value in vars(identities).values():
-        if hasattr(value, "cache_clear") and value.__module__ == identities.__name__:
-            value.cache_clear()
-    _sum_plan.cache_clear()
+    """Empty every lru_cache defined in rootheight.identities and
+    rootheight.exactalg (among them the field contexts, the sum plans and
+    the lifted numerators), so the next run computes each memoised value
+    afresh.  The per-system slots of a RootSystem are not global; a fresh
+    build starts them empty."""
+    for module in MEMO_MODULES:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                value.cache_clear()
 
 
 def string_closure(cartan):

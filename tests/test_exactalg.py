@@ -9,9 +9,9 @@ import pytest
 
 from rootheight.errors import DivisionByZero, NotDivisible
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction,
-                                 _context, _CycContext, _cyc_remainder,
-                                 _cyclotomic_int, cyc_eval, poly_arith,
-                                 poly_gcd, poly_str, ratfun_normalize)
+                                 _coeff_inv, _context, _CycContext, _cyc_remainder,
+                                 _cyclotomic_int, _divide, _low_terms, cyc_eval,
+                                 poly_arith, poly_gcd, poly_str, ratfun_normalize)
 from rootheight.identities import _periodic_members
 from rootheight.linalg import FractionLU
 from rootheight.numth import (cyclotomic_poly, factorize, ramanujan_sum,
@@ -116,6 +116,39 @@ class TestPolynomial:
             quot, rem = divmod(a, b)
             assert quot * b + rem == a
             assert rem.degree < b.degree
+
+    @pytest.mark.parametrize("kind", ["int", "Fraction", "CycNum"])
+    def test_non_monic_divmod_matches_scaled_divisor(self, kind):
+        # The route divmod replaced for a divisor with leading coefficient
+        # other than 1: the divisor scaled to monic, divided, and the
+        # quotient scaled back; the same quotient and remainder tuples.
+        rng = random.Random(107)
+        if kind == "CycNum":
+            def draw():
+                return CycNum(12, [rng.randint(-3, 3) for _ in range(4)])
+        elif kind == "int":
+            def draw():
+                return rng.choice([0, rng.randint(-6, 6)])
+        else:
+            def draw():
+                return rng.choice([0, rng.randint(-6, 6), Fraction(rng.randint(-6, 6), 5)])
+        checked = 0
+        for _ in range(300):
+            d = Polynomial([draw() for _ in range(rng.randint(1, 6))])
+            n = Polynomial([draw() for _ in range(rng.randint(0, 12))])
+            if d.is_zero or d.leading == 1 or n.degree < d.degree:
+                continue
+            inv = _coeff_inv(d.leading)
+            den = [c * inv for c in d.coeffs]
+            quot, rem = _divide(n.coeffs, _low_terms(den), len(den) - 1)
+            want = (Polynomial([c * inv for c in quot]), Polynomial(rem))
+            got = divmod(n, d)
+            assert (got[0].coeffs, got[1].coeffs) == (want[0].coeffs, want[1].coeffs), (n, d)
+            if kind != "CycNum":
+                assert [type(c) for c in got[0].coeffs + got[1].coeffs] == \
+                    [type(c) for c in want[0].coeffs + want[1].coeffs], (n, d)
+            checked += 1
+        assert checked > 100
 
     @pytest.mark.parametrize("lead", [1, -1, 2, Fraction(-3, 4), "CycNum"])
     def test_divmod_property_leading_coefficients(self, lead):
@@ -384,6 +417,18 @@ class TestRationalFunction:
             assert got == want, name
             assert not any(isinstance(c, RationalFunction)
                            for c in got.num.coeffs + got.den.coeffs), name
+
+    def test_rational_function_is_no_coefficient(self):
+        # Neither a numerator, a denominator nor a divisor may be a rational
+        # function: each would make it a constant coefficient.
+        q, f = P(0, 1), RationalFunction(P(1), P(1, -1))
+        with pytest.raises(TypeError, match="not a polynomial coefficient"):
+            RationalFunction(f)
+        with pytest.raises(TypeError, match="not a polynomial coefficient"):
+            RationalFunction(q, f)
+        with pytest.raises(TypeError, match="not a polynomial coefficient"):
+            divmod(q, f)
+        assert RationalFunction._wrap(f) is f
 
     def test_polynomial_equality_defers_to_rational_function(self):
         p, f = P(0, 1), RationalFunction(P(1), P(1, -1))

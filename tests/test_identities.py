@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 
 import rootheight.identities as identities
-from conftest import clear_identity_memos
+from conftest import MEMO_MODULES, clear_identity_memos
 from rootheight.errors import (DegreeTooHigh, MethodMismatch, ReconstructionMismatch,
                                SingularSystem)
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction, _context,
@@ -27,8 +27,9 @@ from rootheight.identities import (ONE, ZERO, _gram_lu, _lvec_interpolated,
                                    singularity_check, singularity_data)
 from rootheight.linalg import FractionLU, det
 from rootheight.numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly,
-                              divisors, is_cohen, mobius, ramanujan_sum, totient)
-from rootheight.rootsys import RootSystemId, build
+                              divisors, is_cohen, mobius, psi_poly, ramanujan_sum,
+                              totient)
+from rootheight.rootsys import RootSystem, RootSystemId, build
 
 
 def P(*coeffs):
@@ -446,6 +447,9 @@ class TestCrossChecksFail:
     its check into a fail."""
 
     def test_primitive_determinant_route(self, catalog, monkeypatch):
+        # Props 14 and 18 memoise their interpolant per order: emptied, so
+        # that they interpolate again under the patch below.
+        clear_identity_memos()
         h = 13
         value = cyc_eval(P(1, 2), h, 1)
         assert lagrange_primitive_roots(value, h) == P(1, 2)
@@ -610,9 +614,12 @@ class TestSumPlan:
         calls = []
         add = RationalFunction.__add__
 
-        def recording(terms):
+        def recording(terms, weights=None):
+            # A weighted sum is compared with the plain sum of its scaled terms.
             terms = list(terms)
-            got = _rf_sum(terms)
+            got = _rf_sum(terms, weights)
+            if weights is not None:
+                terms = [w * t for w, t in zip(weights, terms)]
             calls.append((terms, got))
             return got
 
@@ -647,6 +654,134 @@ class TestSumPlan:
                          R(P(2), P(1, 0, 0, 0, 0, 0, -1))])
         # A constant denominator, as in prop10's d/d' terms.
         assert_same_sum([R(P(3), ONE), R(P(1), P(1, 0, -1)), R(P(-2), ONE)])
+
+
+def typed(f):
+    """num and den of f as (type, value) pairs, so that an int and an
+    integral Fraction differ."""
+    return tuple(tuple((type(c), c) for c in p.coeffs) for p in (f.num, f.den))
+
+
+class TestWeightedSums:
+    """A divisor expansion summed as weights times memoised lifts against
+    the plain sum of its pre-scaled terms: identical num and den tuples."""
+
+    def test_members_match_prescaled_sums_on_catalog(self, catalog, monkeypatch):
+        clear_identity_memos()
+        seen = []
+
+        def checked(terms, weights=None):
+            got = _rf_sum(terms, weights)
+            if weights is not None:
+                want = _rf_sum([w * t for w, t in zip(weights, terms)])
+                assert typed(got) == typed(want), (terms, weights)
+                seen.append(len(terms))
+            return got
+
+        monkeypatch.setattr(identities, "_rf_sum", checked)
+        for rs in catalog.values():
+            for rep in run_suite(rs, ["prop2", "prop5", "prop6", "prop7", "prop9",
+                                      "prop10", "prop12"]):
+                assert rep.passed, (rs.id, rep)
+        # prop2 5, prop5 4, prop7 2, prop9 4, prop10 3 and prop12 1 weighted
+        # sums per system, and prop6's 4 per Coxeter number (15 of them).
+        assert len(seen) == 34 * 19 + 15 * 4
+
+    def test_random_weights_match_prescaled_sums(self):
+        rng = random.Random(181)
+
+        def weight():
+            return rng.choice([0, 0, 1, -1, rng.randint(-9, 9),
+                               Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+
+        sums = 0
+        for h in range(1, 61):
+            divs = divisors(h)
+            families = [
+                [identities._phi_log_forms(d)[key] for d in divs
+                 for key in identities._phi_log_forms(d)],
+                [identities._reciprocal(f) for d in divs
+                 for f in identities._phi_log_forms(d).values()],
+                [identities._moebius_tail(h, d, s) for d in divs for s in (True, False)],
+                [identities._split_from_tail(h, d, s) for d in divs for s in (True, False)],
+                [RationalFunction(Polynomial.monomial(d - 1, d), identities._qm1(d))
+                 for d in divs],
+                [RationalFunction(totient(d) - psi_poly(d).compose_power(h // d),
+                                  one_minus(1)) for d in divs],
+                [RationalFunction(ONE, one_minus(d)) for d in divs],
+            ]
+            for terms in families:
+                terms = rng.sample(terms, rng.randint(1, len(terms)))
+                weights = [weight() for _ in terms]
+                got = _rf_sum(terms, weights)
+                want = _rf_sum([w * t for w, t in zip(weights, terms)])
+                assert typed(got) == typed(want), (h, terms, weights)
+                sums += 1
+        assert sums == 420
+
+    def test_mismatch_over_equal_and_negated_denominators(self):
+        # Numerators decide over equal or negated denominators; a witness
+        # is still the cross-difference.
+        R = RationalFunction
+        f = R(P(1), P(1, -1))
+        assert identities._rf_mismatch("f", f, "g", R(P(1), P(1, -1))) is None
+        assert identities._rf_mismatch("f", f, "g", R(P(-1), P(-1, 1))) is None
+        assert identities._rf_mismatch("f", f, "g", R(P(1), P(-1, 1))) == \
+            "'f' != 'g': cross-difference has q^0 coefficient -2"
+        assert identities._rf_mismatch("f", f, "g", R(P(2), P(1, -1))) == \
+            "'f' != 'g': cross-difference has q^0 coefficient -1"
+        assert identities._rf_mismatch("f", f, "g", R(P(2), P(2, -2))) is None
+
+
+class TestPerSystemData:
+    """B(q) and the Munagi parts of B(q) and qB(q) are derived once per
+    system and kept on it, never shared between systems."""
+
+    def test_b_built_once_per_system(self, monkeypatch):
+        clear_identity_memos()
+        rs = build(RootSystemId("E", 6))
+        b, qb = Polynomial(rs.b), Polynomial(rs.b).shifted(1)
+        routes, decomposed = [], []
+        real_routes, real_decompose = identities.b_from_exponents, munagi_decompose
+        monkeypatch.setattr(identities, "b_from_exponents",
+                            lambda exps: routes.append(exps) or real_routes(exps))
+        monkeypatch.setattr(identities, "munagi_decompose",
+                            lambda numer, h: decomposed.append(numer) or
+                            real_decompose(numer, h))
+        for _ in range(2):
+            assert all(rep.passed for rep in run_suite(rs))
+        assert len(routes) == 1
+        assert decomposed.count(b) == decomposed.count(qb) == 1
+
+    def test_corrupted_copy_does_not_read_the_cache(self, catalog):
+        e6 = catalog["E6"]
+        assert all(rep.passed for rep in run_suite(e6))
+        b = list(e6.b)
+        b[len(b) // 2] += 1
+        bad = RootSystem(e6.id, e6.cartan, e6.h, e6.exponents, b, e6.two_rho_pairings,
+                         e6.m, e6.e_of_d, e6.p)
+        for rep in run_suite(bad, ["prop9", "prop13", "prop14"]):
+            assert (rep.verdict, rep.witness) == (
+                "fail", "MethodMismatch: E6: height polynomial routes disagree"), rep
+
+
+def test_clear_identity_memos_empties_every_table(catalog):
+    # Every lru_cache and module-level dict of the two modules, filled by
+    # the suites, is empty afterwards; _CHECKS is the check table, no memo.
+    for rs in catalog.values():
+        run_suite(rs)
+    tables = {f"{module.__name__}.{name}": value
+              for module in MEMO_MODULES for name, value in vars(module).items()
+              if isinstance(value, dict) and not name.startswith("__")
+              or hasattr(value, "cache_clear") and value.__module__ == module.__name__}
+    del tables["rootheight.identities._CHECKS"]
+    size = lambda t: len(t) if isinstance(t, dict) else t.cache_info().currsize
+    assert {"rootheight.exactalg._lift", "rootheight.exactalg._sum_plan",
+            "rootheight.exactalg._context", "rootheight.identities._pole_interpolant",
+            "rootheight.identities._split_from_tail"} <= set(tables)
+    assert all(size(t) for t in tables.values()), tables
+    clear_identity_memos()
+    assert {name: size(t) for name, t in tables.items() if size(t)} == {}
 
 
 class TestHOnlyMemos:
@@ -799,7 +934,7 @@ class TestSuite:
         script = (
             "import json\n"
             "from rootheight.identities import run_suite\n"
-            "from rootheight.rootsys import RootSystemId, build\n"
+            "from rootheight.rootsys import RootSystem, RootSystemId, build\n"
             "assert False, 'asserts are on'\n"
             "print(json.dumps([[r.as_dict() for r in run_suite(build(RootSystemId(f, n)))]\n"
             "                  for f, n in (('G', 2), ('F', 4))]))\n")

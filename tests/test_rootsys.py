@@ -140,6 +140,25 @@ def root_walk(cartan, two_rho):
     return Polynomial(counts)
 
 
+def set_walk(rs):
+    """The pairing-coordinate walk that weyl_length_gf_bruteforce replaced:
+    every longer s_i w of a level, deduplicated in a set."""
+    cols = rootsys._columns(rs.cartan)
+    level = {rs.two_rho_pairings}
+    counts = []
+    while level:
+        counts.append(len(level))
+        nxt = set()
+        for lam in level:
+            for i, c in enumerate(lam):
+                if c > 0:
+                    v = list(lam)
+                    rootsys._reflect(v, i, cols)
+                    nxt.add(tuple(v))
+        level = nxt
+    return Polynomial(counts)
+
+
 def with_roots(rs, roots):
     """``rs`` rebuilt by the constructor with the 2 rho pairings summed from
     another positive-root list."""
@@ -449,6 +468,14 @@ class TestWeylOracle:
         assert len(small) == 14
         for rs in small:
             assert weyl_length_gf_bruteforce(rs) == matrix_bfs(rs), rs.id
+
+    def test_least_descent_walk_matches_set_walk(self, catalog):
+        # Each element is reached once, from its least descent; the set walk
+        # reaches it once per descent and deduplicates.
+        systems = [rs for rs in catalog.values() if weyl_order(rs) <= 1152]
+        assert len(systems) == 14
+        for rs in systems + [catalog["D6"], catalog["E6"]]:
+            assert weyl_length_gf_bruteforce(rs, cap=weyl_order(rs)) == set_walk(rs), rs.id
 
     def test_weight_walk_matches_root_walk(self, catalog):
         small = [rs for rs in catalog.values() if weyl_order(rs) <= 23040]
