@@ -8,10 +8,12 @@ appear), so a "pass" verdict means exact coefficient equality, never a
 numerical tolerance.  Every sum over roots of unity is formed without a
 loop of field products: where the summands are the Galois conjugates of one
 field element (props 4, 14, 15 and 18), the sum is that element's ``trace``,
-a rational read off the Ramanujan sums; every other sum (props 2, 3, 6 and
-9) is one ``root_sum`` of the order's field context.  Checks are pure and
-independent; a runner may execute them concurrently and sort the reports
-afterwards.
+a rational read off the Ramanujan sums; where the weights depend only on
+gcd(k, h) (prop2's eigenvalue poles and prop3), the sum over all h-th roots
+groups into Ramanujan sums of the divisor orders (``_class_sums``); every
+other sum (props 6 and 9) is one ``root_sum`` of the order's field context.
+Checks are pure and independent; a runner may execute them concurrently and
+sort the reports afterwards.
 
 Checks share memo tables across systems: the common-denominator plan of
 each divisor-sum expansion and each term's numerator lifted to it
@@ -195,6 +197,28 @@ def _sum_over_roots(weights, h, shift=0):
                                         for j in range(h)]), _qm1(h))
 
 
+def _class_sums(values, h):
+    """The transform s_j = sum_k values[k] z**(kj), j = 0..h-1, over the
+    h-th roots of unity z**k, for values that depend only on gcd(k, h)
+    (E. Cohen, "Representations of even functions (mod r), I", Duke Math.
+    J. 25, 1958).  The roots of order d are the primitive d-th roots, whose
+    j-th power sum is the Ramanujan sum c_d(j), so s_j is the sum over d|h
+    of values[h/d] * c_d(j), with c_d the order-d field context's
+    ``ramanujan_row``: O(h d(h)) rational operations.  The sums are
+    gcd-determined as well, so the inverse transform at node i, sum_j s_j
+    z**(-ij), is again one class sum; it is compared with h * values[i] at
+    every node, from all the given values, and the first node it misses is
+    returned with the sums (None when it misses none)."""
+    rows = [(d, _context(d).ramanujan_row()) for d in divisors(h)]
+    weighted = [(w, d, row) for d, row in rows if (w := values[(h // d) % h])]
+    sums = [sum(w * row[j % d] for w, d, row in weighted) for j in range(h)]
+    back = [(s, d, row) for d, row in rows if (s := sums[(h // d) % h])]
+    for i, v in enumerate(values):
+        if sum(s * row[i % d] for s, d, row in back) != h * v:
+            return sums, i
+    return sums, None
+
+
 def _psi_sum(d):
     """Sum over d'|d of mu(d')/phi(d') * Psi_{d'}(q**(d/d'))."""
     return sum((Fraction(mu, totient(dp)) * psi_poly(dp).compose_power(d // dp)
@@ -250,6 +274,8 @@ def lagrange_all_roots(values, h):
     The coefficients are the inverse transform c_j = s_j/h, where
     s_j = sum_i v_i z**(-ij) is one root sum; the sums are then re-evaluated
     at every node, sum_j s_j z**(ij) = h v_i, as one root sum per node.
+    It takes any field values, O(h**2 phi(h)); prop3, whose node values
+    are gcd-determined, sums over gcd classes instead (``_class_sums``).
     """
     if len(values) != h:
         raise ValueError("need one value per root of unity")
@@ -419,7 +445,7 @@ def prop2_check(rs):
         ("binomial exponents",
          _weighted_sum((e, RationalFunction(Polynomial.monomial(d - 1, d), _qm1(d)))
                        for d in divs if (e := rs.e_of_d[d]))),
-        ("eigenvalue poles", _sum_over_roots(rs.m, h)),
+        ("eigenvalue poles", _eigenvalue_poles(rs.m, h)),
     ]
     members += [(label, _weighted_sum((mult, _phi_log_forms(d)[label]) for d, mult in mults))
                 for label in ("cyclotomic log-derivatives", "Moebius split",
@@ -427,18 +453,31 @@ def prop2_check(rs):
     return _report("prop2", _sys(rs), _chain_check(members))
 
 
+def _eigenvalue_poles(m, h):
+    """The sum of m(k)/(q - z**k) over the h-th roots of unity z**k as one
+    numerator over q**h - 1, whose coefficient j is the class sum
+    s_(h-1-j) of m (``_sum_over_roots`` with gcd-determined weights); the
+    Ramanujan sums come from Newton's identities on Phi_d, not from the
+    divisor formula of prop2's "Ramanujan numerators" member.  m must be
+    gcd-determined at every node, or ``MethodMismatch`` is raised."""
+    sums, missed = _class_sums(m, h)
+    if missed is not None:
+        raise MethodMismatch(f"eigenvalue poles: class transform misses m({missed})")
+    return RationalFunction(Polynomial(sums[::-1]), _qm1(h))
+
+
 def prop3_check(rs):
-    """Interpolation at all Coxeter-order roots of unity projects the
-    exponent polynomial onto itself, with route cross-checks."""
+    """Interpolation at all Coxeter-order roots of unity of the stored node
+    values p(k) = E(z**k) gives back the exponent polynomial E: the
+    interpolant's coefficients are the class sums of p over h, which are
+    re-evaluated at every node against p (``_class_sums``)."""
     h = rs.h
-    epoly = exponent_poly(rs)
-    values = [cyc_eval(epoly, h, i) for i in range(h)]
-    witness = None
-    try:
-        interp = lagrange_all_roots(values, h)
-        witness = _poly_mismatch("interpolant", interp, "input", epoly)
-    except MethodMismatch as exc:
-        witness = str(exc)
+    sums, missed = _class_sums(rs.p, h)
+    if missed is not None:
+        witness = f"interpolation routes disagree: interpolant misses node {missed}"
+    else:
+        witness = _poly_mismatch("interpolant", Polynomial([Fraction(s, h) for s in sums]),
+                                 "input", exponent_poly(rs))
     return _report("prop3", _sys(rs), witness)
 
 
@@ -757,12 +796,15 @@ def prop15_check(rs):
 def paired_parts_check(rs, shift):
     """Palindromic pairing of the decomposition parts H_d of q**shift * B(q):
     the sum of (H_d / q**shift + q**(d-1+shift) H_d(1/q)) / (1-q**d) is
-    n/(1-q) (prop16 for shift 0, prop19 for shift 1)."""
+    n/(1-q) (prop16 for shift 0, prop19 for shift 1).  Each divisor adds
+    one term (H_d + q**(d-1+2 shift) H_d(1/q)) / (q**shift (1-q**d)) to a
+    weighted sum over memoised lifts."""
     h, n = rs.h, rs.id.rank
     parts = _b_parts(rs, shift)
-    total = _rf_sum((RationalFunction(parts[d], Polynomial.monomial(shift))
-                     + RationalFunction(parts[d].reversed_to(d - 1 + shift), ONE))
-                    * RationalFunction(ONE, _one_minus(d)) for d in divisors(h))
+    total = _weighted_sum(
+        (1, RationalFunction(parts[d] + parts[d].reversed_to(d - 1 + shift).shifted(shift),
+                             _one_minus(d).shifted(shift)))
+        for d in divisors(h))
     witness = _chain_check([("n/(1-q)", RationalFunction(Polynomial((n,)), _one_minus(1))),
                             ("paired parts", total)])
     return _report("prop19" if shift else "prop16", _sys(rs), witness)
@@ -812,21 +854,34 @@ def _branch_lengths(rsid):
     return {6: (2, 3, 3), 7: (2, 3, 4), 8: (2, 3, 5)}[rsid.rank]
 
 
+def _sparse_mul(f, g):
+    """Product of a polynomial held as {exponent: nonzero coefficient} and
+    one given by (exponent, coefficient) pairs, as such a dict."""
+    out = {}
+    for i, a in f.items():
+        for j, b in g:
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
 def _weights_identity_holds(rs, a, b, c):
-    # All checks run after the substitution q -> t**2, clearing half-integer
-    # exponents.
+    """E(q) = q**-h * prod over x in (a, b, c) of (q**h - q**x)/(q**x - 1),
+    decided after the substitution q -> t**2, which clears half-integer
+    exponents, as E(t**2) t**(2h) prod (t**(2x) - 1) = prod (t**(2h) -
+    t**(2x)) on term dicts: at most 8n terms on the left and 8 on the
+    right."""
     h2 = 2 * rs.h
-    lhs = RationalFunction(exponent_poly(rs).compose_power(2), ONE)
-    num = ONE
-    den = Polynomial.monomial(h2)
+    lhs, rhs = {}, {0: 1}
+    for e in rs.exponents:
+        lhs[2 * e + h2] = lhs.get(2 * e + h2, 0) + 1
     for x in (a, b, c):
         e = 2 * x
         if e.denominator != 1:
             raise MethodMismatch(f"{rs.id}: weight {x} is not a half-integer")
         e = int(e)
-        num = num * (Polynomial.monomial(h2) - Polynomial.monomial(e))
-        den = den * (Polynomial.monomial(e) - 1)
-    return lhs == RationalFunction(num, den)
+        lhs = _sparse_mul(lhs, ((e, 1), (0, -1)))
+        rhs = _sparse_mul(rhs, ((h2, 1), (e, -1)))
+    return lhs == rhs
 
 
 def singularity_data(rs):

@@ -27,8 +27,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 TABLE_BEGIN = "<!-- sensitivity table: rendered by tests/test_differential.py -->"
 TABLE_END = "<!-- end of sensitivity table -->"
 
-VERDICTS_SHA256 = "c77851ec0490b1d368590fb20cdb21332c95e9d499fe7e9253f0039d6d2a732c"
-REPORTS_SHA256 = "c88aff198d1b57df4fb014b3142abd1e5d08e98324cc466519a96c5b9db3a927"
+VERDICTS_SHA256 = "1ed26f622bcb65013e2b69e2074bce3c6e6902e5448565d088bf3c3e01ac2206"
+REPORTS_SHA256 = "04b204fb6c55326851cc4e5713ad275d64121cecd6f3f5417ec32379b584c939"
 
 
 def corrupted(rs, kind):

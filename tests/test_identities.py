@@ -893,6 +893,160 @@ class TestDivisorForms:
             assert (rep.verdict, rep.witness) == ("pass", None), rep.identity_id
 
 
+def corrupted_copy(rs, m=None, p=None, exponents=None):
+    """rs rebuilt through the constructor with the given fields replaced."""
+    return RootSystem(rs.id, rs.cartan, rs.h, exponents or rs.exponents, rs.b,
+                      rs.two_rho_pairings, m or rs.m, rs.e_of_d, p or rs.p)
+
+
+class TestClassSums:
+    """The all-roots sums of prop2's eigenvalue poles and of prop3 over gcd
+    classes, against the field routes they replaced, and fault injection
+    into the new routes."""
+
+    def test_prop3_interpolant_matches_field_route(self, catalog):
+        systems = list(catalog.values()) + [build(RootSystemId("A", 90)),
+                                            build(RootSystemId("D", 40))]
+        for rs in systems:
+            h = rs.h
+            epoly = exponent_poly(rs)
+            sums, missed = identities._class_sums(rs.p, h)
+            assert missed is None, rs.id
+            oracle = lagrange_all_roots([cyc_eval(epoly, h, i) for i in range(h)], h)
+            assert Polynomial([Fraction(s, h) for s in sums]) == oracle == epoly, rs.id
+        assert {rs.h for rs in systems} >= {91, 78}
+
+    def test_prop2_poles_match_field_route(self, catalog):
+        rng = random.Random(191)
+        cases = [(rs.m, rs.h) for rs in catalog.values()]
+        for h in range(1, 61):
+            w = {g: rng.choice([0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), 4)])
+                 for g in divisors(h)}
+            cases.append(([w[gcd(k, h)] for k in range(h)], h))
+        for m, h in cases:
+            got = identities._eigenvalue_poles(m, h)
+            oracle = identities._sum_over_roots(m, h)
+            assert got.den == oracle.den, h
+            assert all(a == b for a, b in zip(got.num.coeffs, oracle.num.coeffs)), h
+            assert len(got.num.coeffs) == len(oracle.num.coeffs), h
+
+    def test_prop3_patched_ramanujan_row(self, catalog, monkeypatch):
+        # One entry of the order-8 row, c_8(3) = 0, patched to 1.
+        rs = catalog["A7"]
+        ctx = _context(8)
+        row = list(ctx.ramanujan_row())
+        row[3] += 1
+        monkeypatch.setattr(ctx, "_ramanujan", tuple(row))
+        rep = run_suite(rs, ["prop3"])[0]
+        assert (rep.verdict, rep.witness) == (
+            "fail", "interpolation routes disagree: interpolant misses node 3")
+        monkeypatch.undo()
+        assert run_suite(rs, ["prop3"])[0].passed
+
+    def test_prop3_p_off_the_divisors(self, catalog):
+        # k = 3 is no h/d for h = 8: only the re-evaluation reads p(3).
+        rs = catalog["A7"]
+        p = list(rs.p)
+        p[3] += 1
+        rep = run_suite(corrupted_copy(rs, p=p), ["prop3"])[0]
+        assert (rep.verdict, rep.witness) == (
+            "fail", "interpolation routes disagree: interpolant misses node 3")
+
+    def test_prop3_largest_exponent_lowered(self, catalog):
+        rs = catalog["E6"]
+        exponents = list(rs.exponents)
+        exponents[-1] -= 1
+        rep = run_suite(corrupted_copy(rs, exponents=exponents), ["prop3"])[0]
+        assert (rep.verdict, rep.witness) == (
+            "fail", "'interpolant' != 'input': first difference at q^10 (0 vs 1)")
+
+    def test_prop2_m_not_gcd_determined(self, catalog):
+        # m(3) of A7 is off the divisors, so the characteristic polynomial
+        # (built from m at the h/d) still matches; the poles member does not.
+        rs = catalog["A7"]
+        m = list(rs.m)
+        m[3] += 1
+        rep = run_suite(corrupted_copy(rs, m=m), ["prop2"])[0]
+        assert (rep.verdict, rep.witness) == (
+            "fail", "MethodMismatch: eigenvalue poles: class transform misses m(3)")
+
+
+def dense_weights_identity_holds(rs, a, b, c):
+    """The dense route the term-dict comparison replaced: E(t**2) against
+    prod (t**(2h) - t**(2x)) / (t**(2h) prod (t**(2x) - 1)), cross-multiplied."""
+    h2 = 2 * rs.h
+    lhs = RationalFunction(exponent_poly(rs).compose_power(2), ONE)
+    num, den = ONE, Polynomial.monomial(h2)
+    for x in (a, b, c):
+        e = int(2 * x)
+        num = num * (Polynomial.monomial(h2) - Polynomial.monomial(e))
+        den = den * (Polynomial.monomial(e) - 1)
+    return lhs == RationalFunction(num, den)
+
+
+def old_paired_total(parts, h, shift):
+    """The route paired_parts_check replaced: per divisor, a sum of two
+    rational functions times 1/(1 - q**d), added by _rf_sum."""
+    return _rf_sum((RationalFunction(parts[d], Polynomial.monomial(shift))
+                    + RationalFunction(parts[d].reversed_to(d - 1 + shift), ONE))
+                   * RationalFunction(ONE, one_minus(d)) for d in divisors(h))
+
+
+class TestSparseRoutes:
+    """eq19's weight identity on term dicts and the one-numerator terms of
+    props 16 and 19, against the dense builders they replaced."""
+
+    def test_weight_identity_matches_dense(self, catalog):
+        systems = [rs for rs in catalog.values() if rs.id.family in "ADE"]
+        systems += [build(RootSystemId("A", 30)), build(RootSystemId("D", 20))]
+        held = 0
+        for rs in systems:
+            c = Fraction(rs.h, 2)
+            for t in range(2, rs.h + 2):
+                a = Fraction(t, 2)
+                args = (rs, a, c + 1 - a, c)
+                got = identities._weights_identity_holds(*args)
+                assert got == dense_weights_identity_holds(*args), (rs.id, t)
+                held += got
+        assert held >= len(systems)
+
+    def test_weight_identity_guards(self, catalog, monkeypatch):
+        with pytest.raises(MethodMismatch, match="weight 1/3 is not a half-integer"):
+            identities._weights_identity_holds(catalog["E6"], Fraction(1, 3), 3, 6)
+        # E6 has six candidates a = 1, 3/2, ..., 7/2; exactly one must hold.
+        for holds, count in ((True, 6), (False, 0)):
+            monkeypatch.setattr(identities, "_weights_identity_holds",
+                                lambda *args, holds=holds: holds)
+            rep = run_suite(catalog["E6"], ["eq19"])[0]
+            assert (rep.verdict, rep.witness) == ("fail", f"E6: {count} admissible triples")
+
+    def test_paired_parts_match_old_builder(self, catalog, monkeypatch):
+        clear_identity_memos()
+        totals = []
+        real = identities._weighted_sum
+        monkeypatch.setattr(identities, "_weighted_sum",
+                            lambda pairs: totals.append(real(pairs)) or totals[-1])
+        for rs in catalog.values():
+            for shift, cid in ((0, "prop16"), (1, "prop19")):
+                rep = run_suite(rs, [cid])[0]
+                assert (rep.verdict, rep.witness) == ("pass", None), (rs.id, cid)
+                old = old_paired_total(identities._b_parts(rs, shift), rs.h, shift)
+                assert typed(totals.pop()) == typed(old), (rs.id, cid)
+
+    def test_corrupted_part_fails(self, catalog, monkeypatch):
+        real = identities._b_parts
+
+        def corrupted(rs, shift):
+            parts = dict(real(rs, shift))
+            parts[rs.h] = parts[rs.h] + Polynomial.monomial(1)
+            return parts
+
+        monkeypatch.setattr(identities, "_b_parts", corrupted)
+        for cid in ("prop16", "prop19"):
+            rep = run_suite(catalog["E6"], [cid])[0]
+            assert rep.verdict == "fail" and "'paired parts'" in rep.witness, rep
+
+
 class TestSuite:
     @pytest.mark.parametrize("family,rank", [
         ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4),
