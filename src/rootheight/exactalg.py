@@ -11,9 +11,10 @@ arithmetic operators (ints and Fractions embed as constants of the field).
 Integers stay integers: a polynomial coefficient or a ``CycNum`` coordinate
 that is integral is held as an ``int``, never as ``Fraction(k, 1)``, and the
 units 1 and -1 invert to themselves.  So ``monic``, ``divmod`` by a divisor
-with leading coefficient +-1, ``poly_gcd``, rational-function sums and
-``normalize`` keep integer inputs in ``int`` arithmetic, which is several
-times cheaper than ``Fraction`` arithmetic for the same values.  Products
+with leading coefficient +-1, rational-function sums and ``normalize`` keep
+integer inputs in ``int`` arithmetic, several times cheaper than ``Fraction``
+arithmetic for the same values; ``poly_gcd`` runs in ints for any rational
+operands, made primitive integer polynomials.  Products
 run over the nonzero coefficients only, so multiplying by a sparse factor
 such as 1 - q**d costs O(deg), not O(deg * d).
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DivisionByZero, NotDivisible
 
@@ -341,11 +342,34 @@ def poly_arith(a, b, op):
     raise ValueError(f"unknown op {op!r}")
 
 
+def _primitive(coeffs):
+    """Nonzero rational coefficients scaled to content-1 ints, top positive."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return [c // content for c in ints]
+
+
 def poly_gcd(a, b):
-    """Monic gcd via the Euclidean algorithm over the coefficient field."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd over Q (0 when both are 0) by primitive pseudo-remainders
+    in ints (Collins, J. ACM 14, 1967): each step scales the dividend by the
+    divisor's top coefficient unless it is 1; ``monic`` ends it."""
+    if a.is_zero or b.is_zero:
+        return (a if b.is_zero else b).monic()
+    a, b = sorted((_primitive(a.coeffs), _primitive(b.coeffs)), key=len, reverse=True)
+    while len(b) > 1:
+        lead, terms, db = b[-1], _low_terms(b), len(b) - 1
+        for top in range(len(a) - 1, db - 1, -1):
+            c = a.pop()
+            if c:
+                a = a if lead == 1 else [lead * x for x in a]
+                for j, t in terms:
+                    a[top - db + j] -= c * t
+        rem = Polynomial(a).coeffs
+        if not rem:
+            return Polynomial(b).monic()
+        a, b = b, _primitive(rem)
+    return Polynomial((1,))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ Phi_d'/Phi_d form one table per divisor d (``_phi_log_forms``); the Cohen
 tails of props 5, 6 and 9 are that table at 1/q, f -> q**-1 f(1/q)
 (``_reciprocal``); and props 6 and 10 reuse prop7's Moebius tail.  A
 member is a weighted sum of such terms (``_weighted_sum``), so a system
-adds memoised lifts where it would multiply polynomials.
+adds memoised lifts where it would multiply polynomials.  Props 5, 6 and 9
+compare at h times their value, in integers; a failing chain's witness
+comes from the 1/h forms (``_h_scale_check``).
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ def _phi_log_forms(d):
                                                        _qm1(dp))
                                  for dp in divisors(d) if (mu := mobius(d // dp))),
         "Ramanujan numerators": RationalFunction(
-            Polynomial([ramanujan_sum(d, j) for j in range(1, d + 1)]), _qm1(d)),
+            Polynomial(_ramanujan_sums(d)[1:] + _ramanujan_sums(d)[:1]), _qm1(d)),
         "totient q-analogue": totient(d) * RationalFunction(_psi_sum(d),
                                                             _qm1(d).shifted(1)),
     }
@@ -259,9 +261,22 @@ def _phi_log_forms(d):
 
 def _reciprocal(f):
     """q**-1 * f(1/q) for f = num/den with deg num < deg den = L: num
-    reversed to length L - 1 over den reversed to length L."""
-    top = f.den.degree
-    return RationalFunction(f.num.reversed_to(top - 1), f.den.reversed_to(top))
+    reversed to length L - 1 over den reversed to length L, memoised by
+    content."""
+    return _reversed_pair(f.num.coeffs, f.den.coeffs)
+
+
+@lru_cache(maxsize=None)
+def _reversed_pair(num, den):
+    return RationalFunction(Polynomial(num).reversed_to(len(den) - 2),
+                            Polynomial(den).reversed_to(len(den) - 1))
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(d):
+    """c_d(0..d-1) by the divisor formula, once per order (the field
+    context's ``ramanujan_row`` takes them from Newton's identities)."""
+    return tuple(ramanujan_sum(d, k) for k in range(d))
 
 
 # -- interpolation at roots of unity ------------------------------------------
@@ -500,19 +515,18 @@ def prop4_check(rs):
 
 
 def _cohen_tail_members(h, avals):
-    """The four divisor expansions of A(q)/(1-q**h) shared by every
+    """The four divisor expansions of h * A(q)/(1-q**h) shared by every
     gcd-determined coefficient sequence A; avals maps each divisor d to the
     value of A at the (h/d)-th power node.
 
     Each is prop2's table at 1/q: the sum over the h-th roots z of
     1/(1 - z q), weighted by the transform of A, groups by the order d of
     z into avals[d] times the sum over the primitive d-th roots, which is
-    q**-1 * (Phi_d'/Phi_d)(1/q); so every member is 1/h times the sum of
-    avals[d] * ``_reciprocal`` of one ``_phi_log_forms(d)`` entry."""
+    q**-1 * (Phi_d'/Phi_d)(1/q); so every member is the sum of avals[d] *
+    ``_reciprocal`` of one ``_phi_log_forms(d)`` entry, integers for integer A."""
     divs = [d for d in divisors(h) if avals[d]]
     forms = {d: _phi_log_forms(d) for d in divs}
-    return [(label, _weighted_sum((avals[d], _reciprocal(forms[d][key])) for d in divs)
-             * Fraction(1, h))
+    return [(label, _weighted_sum((avals[d], _reciprocal(forms[d][key])) for d in divs))
             for label, key in (("Ramanujan numerators", "Ramanujan numerators"),
                                ("reciprocal log-derivative", "cyclotomic log-derivatives"),
                                ("Moebius split", "Moebius split"),
@@ -520,17 +534,29 @@ def _cohen_tail_members(h, avals):
 
 
 def _periodic_members(h, a):
-    """Expansions of A(q)/(1-q**h) for the h-periodic sequence a(0..h-1):
+    """Expansions of h * A(q)/(1-q**h) for the h-periodic sequence a(0..h-1):
     eigenvalue poles (numerator: the transform of a, negated over q**h - 1),
     double Ramanujan numerator, and the Cohen tail members."""
-    members = [("eigenvalue poles",
-                _sum_over_roots([-c for c in a], h, shift=1) * Fraction(1, h))]
+    rows = [(a[(h // d) % h], d, _ramanujan_sums(d)) for d in divisors(h)]
+    num = [sum(w * row[k % d] for w, d, row in rows if w) for k in range(h)]
+    return [("eigenvalue poles", _sum_over_roots([-c for c in a], h, shift=1)),
+            ("double Ramanujan numerator", RationalFunction(Polynomial(num), _one_minus(h))),
+            *_cohen_tail_members(h, {d: a[(h // d) % h] for d in divisors(h)})]
 
-    coeffs = [sum(a[(h // d) % h] * ramanujan_sum(d, k) for d in divisors(h))
-              for k in range(h)]
-    members.append(("double Ramanujan numerator",
-                    RationalFunction(Polynomial(coeffs), _one_minus(h)) * Fraction(1, h)))
-    return members + _cohen_tail_members(h, {d: a[(h // d) % h] for d in divisors(h)})
+
+_TIMES_H = frozenset(("eigenvalue poles", "double Ramanujan numerator", "Ramanujan numerators",
+                      "reciprocal log-derivative", "Moebius split", "totient q-analogue"))
+
+
+def _h_scale_check(h, members):
+    """``_chain_check`` of expansions of A(q)/(1-q**h) whose members
+    labelled in ``_TIMES_H`` are h times theirs: h times every other member
+    is compared with them, in integers.  Only a failing chain is compared
+    again with them at 1/h, so its witness is the expansions' own."""
+    if _chain_check([(lb, f if lb in _TIMES_H else f * h) for lb, f in members]):
+        return _chain_check([(lb, f * Fraction(1, h) if lb in _TIMES_H else f)
+                             for lb, f in members])
+    return None
 
 
 def prop5_check(rs):
@@ -548,7 +574,7 @@ def prop5_check(rs):
         avals[d] = expected
     lhs = RationalFunction(epoly, _one_minus(h))
     members = [("E/(1-q^h)", lhs)] + _cohen_tail_members(h, avals)
-    return _report("prop5", _sys(rs), _chain_check(members))
+    return _report("prop5", _sys(rs), _h_scale_check(h, members))
 
 
 def prop6_check(rs):
@@ -561,11 +587,11 @@ def prop6_check(rs):
 def _prop6_witness(h):
     """prop6's witness, which depends on h alone."""
     members = [("Psi/(1-q^h)", RationalFunction(psi_poly(h), _one_minus(h)))]
-    members += _periodic_members(h, [ramanujan_sum(h, k) for k in range(h)])
+    members += _periodic_members(h, _ramanujan_sums(h))
     members.append(("Moebius with shifted numerators", _moebius_tail(h, h, True)))
     if h > 1:
         members.append(("Moebius plain", _moebius_tail(h, h, False)))
-    return _chain_check(members)
+    return _h_scale_check(h, members)
 
 
 @lru_cache(maxsize=None)
@@ -624,7 +650,7 @@ def prop9_check(rs):
                ("(n-E)/(1-q^h)",
                 RationalFunction(n - exponent_poly(rs), _one_minus(h)))]
     members += _periodic_members(h, [rs.p[0] - rs.p[k] for k in range(h)])
-    return _report("prop9", _sys(rs), _chain_check(members))
+    return _report("prop9", _sys(rs), _h_scale_check(h, members))
 
 
 @lru_cache(maxsize=None)

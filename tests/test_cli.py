@@ -167,6 +167,22 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "A", "2", "--props", "eq5")
         assert code == 0  # cap of 1 skips enumeration; products still checked
 
+    def test_bfs_cap_option_reaches_the_enumeration(self, capsys, monkeypatch):
+        # D6's Weyl group has order 23,040: --bfs-cap 23040 enumerates it,
+        # --bfs-cap 1 checks the product forms only.
+        monkeypatch.delenv("ROOTHEIGHT_BFS_CAP", raising=False)
+        caps = []
+        real = identities.weyl_length_gf_bruteforce
+        monkeypatch.setattr(identities, "weyl_length_gf_bruteforce",
+                            lambda rs, cap: caps.append(cap) or real(rs, cap))
+        for cap in ("1", "23040"):
+            code, out = run_cli(capsys, "verify", "D", "6", "--props", "eq5",
+                                "--bfs-cap", cap, "--format", "json")
+            assert code == 0
+            assert json.loads(out)[0]["checks"] == [
+                {"id": "eq5", "verdict": "pass", "witness": None}]
+        assert caps == [23040]
+
     def test_bfs_cap_env_not_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOTHEIGHT_BFS_CAP", "abc")
         assert main(["verify", "G", "2"]) == 2

@@ -1,5 +1,6 @@
 """Kernel tests: polynomials, cyclotomic numbers, rational functions."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -542,6 +543,38 @@ class TestIntegerFastPath:
             for p in (quot, rem, monic, g):
                 assert self._typed(p.coeffs, unit), (a, b, p)
 
+    def test_gcd_shapes(self):
+        # Plan denominators: products of cyclotomic polynomials (leading
+        # coefficient 1) with a power of q and a sign.
+        rng = random.Random(83)
+        cyc = [cyclotomic_poly(d) for d in range(1, 31)]
+        for _ in range(300):
+            a, b = (rng.choice((1, -1)) * P(1).shifted(rng.randint(0, 3))
+                    * math.prod(rng.sample(cyc, rng.randint(0, 4)), start=P(1))
+                    for _ in range(2))
+            g = poly_gcd(a, b)
+            assert list(g.coeffs) == _ref_gcd(_frac(a), _frac(b)), (a, b)
+            assert all(type(c) is int for c in g.coeffs), (a, b, g)
+        # A zero operand on either side, and constants.
+        small = (P(), P(3), P(-2), P(Fraction(1, 2)), qm1(6), P(0, 2, 4), P(Fraction(1, 3), 1))
+        for a in small:
+            for b in small:
+                g = poly_gcd(a, b)
+                if a.is_zero and b.is_zero:
+                    assert g.is_zero
+                else:
+                    assert list(g.coeffs) == _ref_gcd(_frac(a), _frac(b)), (a, b)
+                    assert self._typed(g.coeffs, False), (a, b, g)
+        # Rational operands with non-unit content and a non-integral gcd.
+        for _ in range(200):
+            common = P(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(1, 4))
+            a, b = (common * P(*[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                 for _ in range(rng.randint(1, 4))] + [rng.randint(1, 5)])
+                    * Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(2))
+            g = poly_gcd(a, b)
+            assert list(g.coeffs) == _ref_gcd(_frac(a), _frac(b)), (a, b)
+            assert g.degree >= 1 and self._typed(g.coeffs, False), (a, b, g)
+
     def test_rational_function_add_and_normalize(self):
         for unit, (na, da, nb, db) in self._cases(73):
             s = RationalFunction(na, da) + RationalFunction(nb, db)
@@ -644,10 +677,11 @@ class TestSparseProduct:
 
 
 def test_cyclotomic_coordinates_integral_as_int():
-    # The eigenvalue-poles member of prop6 at h = 12 scales by 1/12; every
-    # coordinate of its numerator is an integer, held as an int.
+    # The eigenvalue-poles member of prop6 at h = 12, scaled by 1/12 as a
+    # failing chain's witness scales it: every coordinate of its numerator
+    # is an integer, held as an int, not as Fraction(k, 1).
     name, rf = _periodic_members(12, [ramanujan_sum(12, k) for k in range(12)])[0]
     assert name == "eigenvalue poles"
-    coords = [x for c in rf.num.coeffs for x in c.coeffs]
+    coords = [x for c in (rf * Fraction(1, 12)).num.coeffs for x in c.coeffs]
     assert coords and all(type(x) is int for x in coords)
     assert CycNum(5, [Fraction(4, 2), 0, Fraction(1, 2), 0]).coeffs == (2, 0, Fraction(1, 2), 0)

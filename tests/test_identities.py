@@ -881,16 +881,90 @@ class TestDivisorForms:
         assert cases == 522
 
     def test_shared_table_entry_reaches_prop2_and_prop5(self, catalog, monkeypatch):
-        # E6 (h = 12) weights d = 12 in both chains: m(1) = 1 and p(1) = -1.
+        # E6 (h = 12) weights d = 12 in the chains of props 2, 5 and 9:
+        # m(1) = 1, p(1) = -1 and p(0) - p(1) = 7.  The suite runs first, so
+        # every memo is warm: the reciprocal of the patched entry is found by
+        # its content, not by the table it sits in, and prop9's witness is
+        # that of its 1/h-scaled members.
+        assert all(rep.passed for rep in run_suite(catalog["E6"]))
         forms = identities._phi_log_forms(12)
         monkeypatch.setitem(forms, "Moebius split", forms["Moebius split"] * 2)
         witnesses = [run_suite(catalog["E6"], [cid])[0].witness
-                     for cid in ("prop2", "prop5")]
+                     for cid in ("prop2", "prop5", "prop9")]
         assert witnesses[0].startswith("'C'/C' != 'Moebius split'")
         assert witnesses[1].startswith("'E/(1-q^h)' != 'Moebius split'")
+        assert witnesses[2] == ("'(1-q)B/(1-q^h)' != 'Moebius split': "
+                                "cross-difference has q^0 coefficient -7/3")
         monkeypatch.undo()
-        for rep in run_suite(catalog["E6"], ["prop2", "prop5"]):
+        for rep in run_suite(catalog["E6"], ["prop2", "prop5", "prop9"]):
             assert (rep.verdict, rep.witness) == ("pass", None), rep.identity_id
+
+
+def old_periodic_members(h, a):
+    """The 1/h-scaled members of props 6 and 9 as they were built before
+    the chains compared at h times their value: every member times
+    Fraction(1, h), each reciprocal reversed afresh and each Ramanujan sum
+    of the double numerator computed afresh."""
+    def recip(f):
+        top = f.den.degree
+        return RationalFunction(f.num.reversed_to(top - 1), f.den.reversed_to(top))
+
+    members = [("eigenvalue poles", identities._sum_over_roots([-c for c in a], h, shift=1)
+                * Fraction(1, h))]
+    coeffs = [sum(a[(h // d) % h] * ramanujan_sum(d, k) for d in divisors(h))
+              for k in range(h)]
+    members.append(("double Ramanujan numerator",
+                    RationalFunction(Polynomial(coeffs), identities._one_minus(h))
+                    * Fraction(1, h)))
+    divs = [d for d in divisors(h) if a[(h // d) % h]]
+    for label, key in (("Ramanujan numerators", "Ramanujan numerators"),
+                       ("reciprocal log-derivative", "cyclotomic log-derivatives"),
+                       ("Moebius split", "Moebius split"),
+                       ("totient q-analogue", "totient q-analogue")):
+        total = identities._weighted_sum((a[(h // d) % h],
+                                          recip(identities._phi_log_forms(d)[key]))
+                                         for d in divs)
+        members.append((label, total * Fraction(1, h)))
+    return members
+
+
+class TestHScaleChains:
+    """Props 5, 6 and 9 compare h times their head members with the other
+    members unscaled, in integers; the 1/h-scaled members they replaced are
+    rebuilt only for a failing chain's witness."""
+
+    @staticmethod
+    def _sequences():
+        rng = random.Random(2003)
+        for h in range(1, 49):
+            by_class = {g: rng.randint(-9, 9) for g in divisors(h)}
+            yield h, [by_class[gcd(k, h)] for k in range(h)]
+            yield h, [ramanujan_sum(h, k) for k in range(h)]
+
+    def test_members_are_h_times_the_old_members(self):
+        for h, a in self._sequences():
+            new = identities._periodic_members(h, a)
+            old = old_periodic_members(h, a)
+            assert [label for label, _ in new] == [label for label, _ in old]
+            for (label, f), (_, g) in zip(new, old):
+                # The same coefficient tuples, so a witness renders the same.
+                scaled = f * Fraction(1, h)
+                assert (scaled.num.coeffs, scaled.den.coeffs) == (g.num.coeffs, g.den.coeffs), \
+                    (h, label)
+                if label != "eigenvalue poles":
+                    assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs), (h, label)
+
+    def test_passing_chain_is_compared_once(self, catalog, monkeypatch):
+        # A passing chain is decided at h scale: no member is rebuilt at 1/h.
+        calls = []
+        real = identities._chain_check
+        monkeypatch.setattr(identities, "_chain_check",
+                            lambda members: calls.append(members) or real(members))
+        for rs in catalog.values():
+            calls.clear()
+            assert identities.prop5_check(rs).passed and identities.prop9_check(rs).passed
+            assert identities._prop6_witness.__wrapped__(rs.h) is None
+            assert len(calls) == 3, rs.id
 
 
 def corrupted_copy(rs, m=None, p=None, exponents=None):
