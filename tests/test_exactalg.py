@@ -542,10 +542,8 @@ class TestIntegerFastPath:
             assert list(g.coeffs) == _ref_gcd(_frac(a), _frac(b))
             for p in (quot, rem, monic, g):
                 assert self._typed(p.coeffs, unit), (a, b, p)
-
-    def test_gcd_shapes(self):
-        # Plan denominators: products of cyclotomic polynomials (leading
-        # coefficient 1) with a power of q and a sign.
+        # poly_gcd on plan denominators: products of cyclotomic polynomials
+        # (leading coefficient 1) with a power of q and a sign.
         rng = random.Random(83)
         cyc = [cyclotomic_poly(d) for d in range(1, 31)]
         for _ in range(300):
