@@ -196,6 +196,18 @@ def cmd_verify(systems, props, bfs_cap, jobs, fmt, out):
 # -- munagi ---------------------------------------------------------------------
 
 
+def _parse_coefficient(tok):
+    """A munagi coefficient as a Fraction, refused before Fraction expands
+    its exponent if that moves it more digits from 1 than its mantissa has
+    plus the int-to-str limit: its denominator would exceed the bit limit,
+    or a part be too long to print (each coefficient sums at most 40)."""
+    m = re.fullmatch(r"\s*[-+]?(\d*)(?:\.(\d*))?[eE]([-+]?\d+)\s*", tok)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if m and abs(int(m[3]) - len(m[2] or "")) > len(m[1] + (m[2] or "")) + limit:
+        raise UsageError(f"coefficient exponent {m[3]} beyond the {limit}-digit limit")
+    return Fraction(tok)
+
+
 def cmd_munagi(coeffs, h, roundtrip, fmt, out):
     if h < 1:
         raise UsageError(f"period must be positive, got {h}")
@@ -297,7 +309,7 @@ def main(argv=None):
                               args.jobs, args.format, out)
         if args.command == "munagi":
             try:
-                coeffs = [Fraction(tok.strip()) for tok in args.coeffs.split(",")]
+                coeffs = [_parse_coefficient(tok.strip()) for tok in args.coeffs.split(",")]
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"bad coefficient list: {exc}") from None
             return cmd_munagi(coeffs, args.h, args.roundtrip, args.format, out)

@@ -8,10 +8,9 @@ appear), so a "pass" verdict means exact coefficient equality, never a
 numerical tolerance.  Every sum over roots of unity is formed without a
 loop of field products: where the summands are the Galois conjugates of one
 field element (props 4, 14, 15 and 18), the sum is that element's ``trace``,
-a rational read off the Ramanujan sums; where the weights depend only on
-gcd(k, h) (prop2's eigenvalue poles and prop3), the sum over all h-th roots
-groups into Ramanujan sums of the divisor orders (``_class_sums``); every
-other sum (props 6 and 9) is one ``root_sum`` of the order's field context.
+a rational read off the Ramanujan sums; every sum over all h-th roots (in
+props 1, 2, 3, 6 and 9) has weights that depend only on gcd(k, h) and
+groups into Ramanujan sums of the divisor orders (``_class_sums``).
 Checks are pure and independent; a runner may execute them concurrently and
 sort the reports afterwards.
 
@@ -49,7 +48,7 @@ from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
 from .linalg import FractionLU, det
 from .numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly, divisors,
                     factorize, gcd_count, is_cohen, mobius, psi_poly,
-                    ramanujan_sum, totient)
+                    ramanujan_sums, totient)
 from .rootsys import (DEFAULT_BFS_CAP, coxeter_element, factor_exponents,
                       power_sums, weyl_length_gf_bruteforce,
                       weyl_length_gf_product, weyl_order)
@@ -188,17 +187,6 @@ def _b_parts(rs, shift):
     return memo[shift]
 
 
-def _sum_over_roots(weights, h, shift=0):
-    """Sum of w_k z**(k * shift) / (q - z**k) over all h-th roots of unity
-    z**k, as one rational function with denominator q**h - 1;
-    (q**h - 1)/(q - z**k) is the sum of z**(k(h-1-j)) q**j, so coefficient j
-    is one root sum."""
-    ctx = _context(h)
-    return RationalFunction(Polynomial([ctx.root_sum((k * (h - 1 - j + shift), w)
-                                                     for k, w in enumerate(weights))
-                                        for j in range(h)]), _qm1(h))
-
-
 def _class_sums(values, h):
     """The transform s_j = sum_k values[k] z**(kj), j = 0..h-1, over the
     h-th roots of unity z**k, for values that depend only on gcd(k, h)
@@ -206,11 +194,12 @@ def _class_sums(values, h):
     J. 25, 1958).  The roots of order d are the primitive d-th roots, whose
     j-th power sum is the Ramanujan sum c_d(j), so s_j is the sum over d|h
     of values[h/d] * c_d(j), with c_d the order-d field context's
-    ``ramanujan_row``: O(h d(h)) rational operations.  The sums are
-    gcd-determined as well, so the inverse transform at node i, sum_j s_j
-    z**(-ij), is again one class sum; it is compared with h * values[i] at
-    every node, from all the given values, and the first node it misses is
-    returned with the sums (None when it misses none)."""
+    ``ramanujan_row``: O(h d(h)) rational operations, no reduction modulo
+    Phi_h.  The sums are gcd-determined and s_j = s_(-j), so the inverse
+    transform at node i, sum_j s_j z**(-ij), is again one class sum; it is
+    compared with h * values[i] at every node, from all the given values,
+    and the first node it misses is returned with the sums (None when it
+    misses none)."""
     rows = [(d, _context(d).ramanujan_row()) for d in divisors(h)]
     weighted = [(w, d, row) for d, row in rows if (w := values[(h // d) % h])]
     sums = [sum(w * row[j % d] for w, d, row in weighted) for j in range(h)]
@@ -253,7 +242,7 @@ def _phi_log_forms(d):
                                                        _qm1(dp))
                                  for dp in divisors(d) if (mu := mobius(d // dp))),
         "Ramanujan numerators": RationalFunction(
-            Polynomial(_ramanujan_sums(d)[1:] + _ramanujan_sums(d)[:1]), _qm1(d)),
+            Polynomial(ramanujan_sums(d)[1:] + ramanujan_sums(d)[:1]), _qm1(d)),
         "totient q-analogue": totient(d) * RationalFunction(_psi_sum(d),
                                                             _qm1(d).shifted(1)),
     }
@@ -270,13 +259,6 @@ def _reciprocal(f):
 def _reversed_pair(num, den):
     return RationalFunction(Polynomial(num).reversed_to(len(den) - 2),
                             Polynomial(den).reversed_to(len(den) - 1))
-
-
-@lru_cache(maxsize=None)
-def _ramanujan_sums(d):
-    """c_d(0..d-1) by the divisor formula, once per order (the field
-    context's ``ramanujan_row`` takes them from Newton's identities)."""
-    return tuple(ramanujan_sum(d, k) for k in range(d))
 
 
 # -- interpolation at roots of unity ------------------------------------------
@@ -428,22 +410,20 @@ def munagi_decompose(numer, h):
 
 def prop1_check(rs):
     """Multiplicities recovered from Coxeter power traces (the induced
-    character pairing), and heights as their partial-sum complements."""
+    character pairing, the class sums of the traces), and heights as their
+    partial-sum complements."""
     h, n = rs.h, rs.id.rank
-    traces = coxeter_element(rs).traces
-    ctx = _context(h)
-    witness = None
-    for k in range(h):
-        acc = ctx.coords((-k * t, tr) for t, tr in enumerate(traces))
-        if any(acc[1:]) or acc[0] != h * rs.m[k]:
-            witness = f"trace pairing at k={k} does not give m({k})"
-            break
+    sums, missed = _class_sums(coxeter_element(rs).traces, h)
+    if missed is not None:
+        return _report("prop1", _sys(rs),
+                       f"trace pairing: class transform misses trace({missed})")
+    witness = next((f"trace pairing at k={k} does not give m({k})"
+                    for k in range(h) if sums[k] != h * rs.m[k]), None)
     if witness is None:
         running = 0
         for k in range(1, h + 1):
             running += rs.m[k - 1]
-            expected = rs.b[k - 1] if k <= h - 1 else 0
-            if n - running != expected:
+            if n - running != (rs.b[k - 1] if k < h else 0):
                 witness = f"partial-sum complement fails at k={k}"
                 break
     return _report("prop1", _sys(rs), witness)
@@ -460,7 +440,8 @@ def prop2_check(rs):
         ("binomial exponents",
          _weighted_sum((e, RationalFunction(Polynomial.monomial(d - 1, d), _qm1(d)))
                        for d in divs if (e := rs.e_of_d[d]))),
-        ("eigenvalue poles", _eigenvalue_poles(rs.m, h)),
+        ("eigenvalue poles", RationalFunction(Polynomial(_pole_sums(rs.m, h, "m")[::-1]),
+                                              _qm1(h))),
     ]
     members += [(label, _weighted_sum((mult, _phi_log_forms(d)[label]) for d, mult in mults))
                 for label in ("cyclotomic log-derivatives", "Moebius split",
@@ -468,17 +449,15 @@ def prop2_check(rs):
     return _report("prop2", _sys(rs), _chain_check(members))
 
 
-def _eigenvalue_poles(m, h):
-    """The sum of m(k)/(q - z**k) over the h-th roots of unity z**k as one
-    numerator over q**h - 1, whose coefficient j is the class sum
-    s_(h-1-j) of m (``_sum_over_roots`` with gcd-determined weights); the
-    Ramanujan sums come from Newton's identities on Phi_d, not from the
-    divisor formula of prop2's "Ramanujan numerators" member.  m must be
-    gcd-determined at every node, or ``MethodMismatch`` is raised."""
-    sums, missed = _class_sums(m, h)
+def _pole_sums(a, h, name):
+    """The class sums s_j of a, or ``MethodMismatch`` naming the node missed:
+    as (q**h - 1)/(q - w) = sum_j w**(h-1-j) q**j for w**h = 1, the poles
+    sum_k a(k)/(q - z**k) (prop2) are s_(h-1-j) over q**h - 1, and
+    sum_k -a(k) z**k/(q - z**k) (props 6 and 9) is s_j over 1 - q**h."""
+    sums, missed = _class_sums(a, h)
     if missed is not None:
-        raise MethodMismatch(f"eigenvalue poles: class transform misses m({missed})")
-    return RationalFunction(Polynomial(sums[::-1]), _qm1(h))
+        raise MethodMismatch(f"eigenvalue poles: class transform misses {name}({missed})")
+    return sums
 
 
 def prop3_check(rs):
@@ -534,12 +513,13 @@ def _cohen_tail_members(h, avals):
 
 
 def _periodic_members(h, a):
-    """Expansions of h * A(q)/(1-q**h) for the h-periodic sequence a(0..h-1):
-    eigenvalue poles (numerator: the transform of a, negated over q**h - 1),
-    double Ramanujan numerator, and the Cohen tail members."""
-    rows = [(a[(h // d) % h], d, _ramanujan_sums(d)) for d in divisors(h)]
+    """Expansions of h * A(q)/(1-q**h) for the gcd-determined a(0..h-1):
+    eigenvalue poles (``_pole_sums``), double Ramanujan numerator (the same
+    transform from the divisor formula), and the Cohen tail members."""
+    rows = [(a[(h // d) % h], d, ramanujan_sums(d)) for d in divisors(h)]
     num = [sum(w * row[k % d] for w, d, row in rows if w) for k in range(h)]
-    return [("eigenvalue poles", _sum_over_roots([-c for c in a], h, shift=1)),
+    return [("eigenvalue poles", RationalFunction(Polynomial(_pole_sums(a, h, "a")),
+                                                  _one_minus(h))),
             ("double Ramanujan numerator", RationalFunction(Polynomial(num), _one_minus(h))),
             *_cohen_tail_members(h, {d: a[(h // d) % h] for d in divisors(h)})]
 
@@ -587,7 +567,7 @@ def prop6_check(rs):
 def _prop6_witness(h):
     """prop6's witness, which depends on h alone."""
     members = [("Psi/(1-q^h)", RationalFunction(psi_poly(h), _one_minus(h)))]
-    members += _periodic_members(h, _ramanujan_sums(h))
+    members += _periodic_members(h, ramanujan_sums(h))
     members.append(("Moebius with shifted numerators", _moebius_tail(h, h, True)))
     if h > 1:
         members.append(("Moebius plain", _moebius_tail(h, h, False)))
@@ -784,8 +764,7 @@ def top_part_check(rs, shift):
 def _pole_interpolant(h, shift):
     """z**shift/(1 - z) in the order-h field and its interpolant at the
     primitive roots, which props 14 and 18 scale; one per order and shift."""
-    ctx = _context(h)
-    value = ctx.root_sum([(shift, ctx.inv_one_minus())])
+    value = _context(h).inv_one_minus() - shift  # z/(1 - z) = 1/(1 - z) - 1
     return value, lagrange_primitive_roots(value, h)
 
 

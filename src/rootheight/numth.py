@@ -2,8 +2,8 @@
 cyclotomic polynomials, the totient q-analogue, gcd-counting, Cohen-function
 detection, and the cyclotomic discriminant.
 
-All functions are pure; the memo tables behind ``cyclotomic_poly`` and
-factorization are the stdlib ``lru_cache`` and are safe for concurrent use.
+All functions are pure; the memo tables behind ``cyclotomic_poly``, factorize
+and ``ramanujan_sums`` are ``lru_cache``s and are safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -86,6 +86,13 @@ def _ramanujan_closed_form(h, j):
 def ramanujan_sum(h, j):
     """The Ramanujan sum c_h(j), by the divisor sum over d | gcd(j, h)."""
     return sum(d * mobius(h // d) for d in divisors(gcd(j, h)))
+
+
+@lru_cache(maxsize=None)
+def ramanujan_sums(h):
+    """c_h(0..h-1) by the divisor formula, once per order (the field
+    context's ``ramanujan_row`` takes them from Newton's identities)."""
+    return tuple(ramanujan_sum(h, j) for j in range(h))
 
 
 def ramanujan_sum_checked(h, j):

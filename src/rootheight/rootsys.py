@@ -14,7 +14,7 @@ from math import gcd
 from .errors import GroupTooLarge, InvalidRank, MethodMismatch
 from .exactalg import Polynomial, RationalFunction, _context
 from .linalg import charpoly_int
-from .numth import cyclotomic_poly, divisors, mobius, ramanujan_sum
+from .numth import cyclotomic_poly, divisors, mobius, ramanujan_sums
 
 FAMILIES = "ABCDEFG"
 
@@ -339,9 +339,9 @@ def power_sums(rs):
         if any(acc[1:]) or acc[0] != out[k]:
             raise MethodMismatch(f"{rs.id}: p({k}) disagrees with eigenvalue sum")
 
+    rows = [(w, d, ramanujan_sums(d)) for d in divisors(h) if (w := rs.m[(h // d) % h])]
     for k in range(h):
-        dft = sum(rs.m[(h // d) % h] * ramanujan_sum(d, k) for d in divisors(h))
-        if dft != out[k]:
+        if sum(w * row[k % d] for w, d, row in rows) != out[k]:
             raise MethodMismatch(f"{rs.id}: p({k}) disagrees with transform of m")
     return out
 

@@ -6,6 +6,7 @@ import pytest
 
 import rootheight.exactalg as exactalg
 import rootheight.identities as identities
+import rootheight.numth as numth
 from rootheight import build, default_catalog
 from rootheight.exactalg import Polynomial
 
@@ -16,15 +17,15 @@ def catalog():
     return {str(rsid): build(rsid) for rsid in default_catalog()}
 
 
-MEMO_MODULES = (identities, exactalg)
+MEMO_MODULES = (identities, exactalg, numth)
 
 
 def clear_identity_memos():
-    """Empty every lru_cache defined in rootheight.identities and
-    rootheight.exactalg (among them the field contexts, the sum plans and
-    the lifted numerators), so the next run computes each memoised value
-    afresh.  The per-system slots of a RootSystem are not global; a fresh
-    build starts them empty."""
+    """Empty every lru_cache defined in rootheight.identities,
+    rootheight.exactalg and rootheight.numth (among them the field contexts,
+    the sum plans, the lifted numerators and the Ramanujan-sum rows), so the
+    next run computes each memoised value afresh.  The per-system slots of
+    a RootSystem are not global; a fresh build starts them empty."""
     for module in MEMO_MODULES:
         for value in vars(module).values():
             if hasattr(value, "cache_clear") and value.__module__ == module.__name__:

@@ -331,6 +331,41 @@ class TestMunagi:
         assert str(MAX_DENOMINATOR_BITS) in captured.err
 
 
+def test_huge_exponent_exits_fast_subprocess():
+    # Fraction expands a decimal exponent into a power of ten before the
+    # denominator and print limits are checked: 1e100000000 and its inverse
+    # did not finish in 60 s, 1e10000000 took 9 s.  They exit 2 at once, and
+    # so does a zero mantissa, which would be expanded all the same.
+    for tok in ("1e100000000", "1e-100000000", "1e10000000", "0e100000000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootheight", "munagi", tok, "--h", "2"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2, tok
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("rootheight: error: coefficient exponent"), tok
+
+
+def test_exponent_limit_in_process(capsys):
+    # Beyond the limit only by the mantissa's digits plus the int-to-str
+    # limit; nearer tokens still reach the denominator and print checks.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for tok, code, err in (("1e4302", 2, "coefficient exponent 4302 beyond"),
+                               ("1e4301", 2, "a part is too long to print"),
+                               ("12.5e-4303", 2, "coefficient exponent -4303 beyond"),
+                               ("12.5e-4302", 2, "common denominator of"),
+                               ("25e-3", 0, None)):
+            assert main(["munagi", tok, "--h", "2"]) == code, tok
+            captured = capsys.readouterr()
+            if err:
+                assert captured.err.startswith(f"rootheight: error: {err}"), tok
+        assert main(["munagi", "25e-3", "--h", "1"]) == 0
+        assert capsys.readouterr().out == "H_1 = 1/40\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "rootheight", "info", "A", "1", "--format",

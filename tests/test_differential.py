@@ -28,7 +28,7 @@ TABLE_BEGIN = "<!-- sensitivity table: rendered by tests/test_differential.py --
 TABLE_END = "<!-- end of sensitivity table -->"
 
 VERDICTS_SHA256 = "1ed26f622bcb65013e2b69e2074bce3c6e6902e5448565d088bf3c3e01ac2206"
-REPORTS_SHA256 = "04b204fb6c55326851cc4e5713ad275d64121cecd6f3f5417ec32379b584c939"
+REPORTS_SHA256 = "8f8bb4b9aa075631f4318366c4f4d68954a80cdb5b511a1715a826b08de20fe7"
 
 
 def corrupted(rs, kind):

@@ -675,11 +675,20 @@ class TestSparseProduct:
 
 
 def test_cyclotomic_coordinates_integral_as_int():
-    # The eigenvalue-poles member of prop6 at h = 12, scaled by 1/12 as a
-    # failing chain's witness scales it: every coordinate of its numerator
-    # is an integer, held as an int, not as Fraction(k, 1).
-    name, rf = _periodic_members(12, [ramanujan_sum(12, k) for k in range(12)])[0]
-    assert name == "eigenvalue poles"
-    coords = [x for c in (rf * Fraction(1, 12)).num.coeffs for x in c.coeffs]
+    # A root_sum numerator: prop6's eigenvalue poles at h = 12 as the field
+    # route built them, coefficient j the sum of -c_12(k) z**(k(12-j)),
+    # scaled by 1/12 as a failing chain's witness scaled them.  Every
+    # coordinate is an integer, held as an int, not as Fraction(k, 1); the
+    # member itself is that numerator negated over 1 - q**12.
+    h = 12
+    a = [ramanujan_sum(h, k) for k in range(h)]
+    ctx = _context(h)
+    num = [ctx.root_sum((k * (h - j), -c) for k, c in enumerate(a)) * Fraction(1, h)
+           for j in range(h)]
+    coords = [x for c in num for x in c.coeffs]
     assert coords and all(type(x) is int for x in coords)
+    name, rf = _periodic_members(h, a)[0]
+    assert name == "eigenvalue poles"
+    assert rf * Fraction(1, h) == RationalFunction(Polynomial(num),
+                                                   Polynomial((-1,) + (0,) * (h - 1) + (1,)))
     assert CycNum(5, [Fraction(4, 2), 0, Fraction(1, 2), 0]).coeffs == (2, 0, Fraction(1, 2), 0)

@@ -29,7 +29,7 @@ from rootheight.linalg import FractionLU, det
 from rootheight.numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly,
                               divisors, is_cohen, mobius, psi_poly, ramanujan_sum,
                               totient)
-from rootheight.rootsys import RootSystem, RootSystemId, build
+from rootheight.rootsys import CoxeterElement, RootSystem, RootSystemId, build, coxeter_element
 
 
 def P(*coeffs):
@@ -70,6 +70,27 @@ def div_linear(coeffs, z):
         acc = coeffs[i] + z * acc
     assert not acc, f"q - {z!r} leaves remainder {acc!r}"
     return Polynomial(out)
+
+
+def sum_over_roots(weights, h, shift=0):
+    """The field route the class sums replaced: the sum of
+    w_k z**(k * shift) / (q - z**k) over all h-th roots of unity z**k, as
+    one rational function over q**h - 1; (q**h - 1)/(q - z**k) is the sum of
+    z**(k(h-1-j)) q**j, so coefficient j is one root sum (h reductions
+    modulo Phi_h)."""
+    ctx = _context(h)
+    return RationalFunction(Polynomial([ctx.root_sum((k * (h - 1 - j + shift), w)
+                                                     for k, w in enumerate(weights))
+                                        for j in range(h)]), P(-1, *[0] * (h - 1), 1))
+
+
+def trace_pairings(rs):
+    """The field route prop1's class sums replaced: the pairing at k,
+    sum_t Tr(c**t) z**(-kt), as the power-basis coordinates of one
+    reduction modulo Phi_h per k."""
+    ctx = _context(rs.h)
+    traces = coxeter_element(rs).traces
+    return [ctx.coords((-k * t, tr) for t, tr in enumerate(traces)) for k in range(rs.h)]
 
 
 def random_cycnums(rng, h, count):
@@ -379,7 +400,7 @@ class TestInterpolation:
                 for k, w in enumerate(weights):
                     if w:
                         num = num + div_linear(base, CycNum.zeta_pow(h, k)) * w
-                got = identities._sum_over_roots(weights, h)
+                got = sum_over_roots(weights, h)
                 assert (got.num, got.den) == (num, P(*base)), h
                 # shift 1 weighs root k by z**k as well
                 shifted = Polynomial(())
@@ -387,7 +408,7 @@ class TestInterpolation:
                     if w:
                         z = CycNum.zeta_pow(h, k)
                         shifted = shifted + div_linear(base, z) * (z * w)
-                got = identities._sum_over_roots(weights, h, shift=1)
+                got = sum_over_roots(weights, h, shift=1)
                 assert (got.num, got.den) == (shifted, P(*base)), h
 
     def test_primitive_barycentric_matches_quotient_sum(self):
@@ -766,7 +787,7 @@ class TestPerSystemData:
 
 
 def test_clear_identity_memos_empties_every_table(catalog):
-    # Every lru_cache and module-level dict of the two modules, filled by
+    # Every lru_cache and module-level dict of the memo modules, filled by
     # the suites, is empty afterwards; _CHECKS is the check table, no memo.
     for rs in catalog.values():
         run_suite(rs)
@@ -778,7 +799,8 @@ def test_clear_identity_memos_empties_every_table(catalog):
     size = lambda t: len(t) if isinstance(t, dict) else t.cache_info().currsize
     assert {"rootheight.exactalg._lift", "rootheight.exactalg._sum_plan",
             "rootheight.exactalg._context", "rootheight.identities._pole_interpolant",
-            "rootheight.identities._split_from_tail"} <= set(tables)
+            "rootheight.identities._split_from_tail",
+            "rootheight.numth.ramanujan_sums"} <= set(tables)
     assert all(size(t) for t in tables.values()), tables
     clear_identity_memos()
     assert {name: size(t) for name, t in tables.items() if size(t)} == {}
@@ -909,7 +931,7 @@ def old_periodic_members(h, a):
         top = f.den.degree
         return RationalFunction(f.num.reversed_to(top - 1), f.den.reversed_to(top))
 
-    members = [("eigenvalue poles", identities._sum_over_roots([-c for c in a], h, shift=1)
+    members = [("eigenvalue poles", sum_over_roots([-c for c in a], h, shift=1)
                 * Fraction(1, h))]
     coeffs = [sum(a[(h // d) % h] * ramanujan_sum(d, k) for d in divisors(h))
               for k in range(h)]
@@ -947,12 +969,17 @@ class TestHScaleChains:
             old = old_periodic_members(h, a)
             assert [label for label, _ in new] == [label for label, _ in old]
             for (label, f), (_, g) in zip(new, old):
-                # The same coefficient tuples, so a witness renders the same.
+                # The same coefficient tuples, so a witness renders the same;
+                # the eigenvalue poles, once CycNums over q**h - 1, are now
+                # their rational values negated over 1 - q**h.
                 scaled = f * Fraction(1, h)
+                if label == "eigenvalue poles":
+                    assert all(c.is_rational for c in g.num.coeffs), h
+                    g = RationalFunction(Polynomial([-c.as_rational() for c in g.num.coeffs]),
+                                         -g.den)
                 assert (scaled.num.coeffs, scaled.den.coeffs) == (g.num.coeffs, g.den.coeffs), \
                     (h, label)
-                if label != "eigenvalue poles":
-                    assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs), (h, label)
+                assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs), (h, label)
 
     def test_passing_chain_is_compared_once(self, catalog, monkeypatch):
         # A passing chain is decided at h scale: no member is rebuilt at 1/h.
@@ -974,9 +1001,76 @@ def corrupted_copy(rs, m=None, p=None, exponents=None):
 
 
 class TestClassSums:
-    """The all-roots sums of prop2's eigenvalue poles and of prop3 over gcd
-    classes, against the field routes they replaced, and fault injection
-    into the new routes."""
+    """The all-roots sums over gcd classes (prop1's trace pairing, the
+    eigenvalue poles of props 2, 6 and 9, and prop3) against the field
+    routes they replaced, and fault injection into the new routes."""
+
+    def test_prop1_matches_trace_pairing(self, catalog):
+        # D84 has h = 166 = 2 * 83, where Phi_h is dense.
+        systems = list(catalog.values()) + [build(RootSystemId("A", 60)),
+                                            build(RootSystemId("D", 84))]
+        for rs in systems:
+            sums, missed = identities._class_sums(coxeter_element(rs).traces, rs.h)
+            assert missed is None, rs.id
+            for k, acc in enumerate(trace_pairings(rs)):
+                assert acc[0] == sums[k] and not any(acc[1:]), (rs.id, k)
+            assert sums == [rs.h * m for m in rs.m], rs.id
+            assert identities.prop1_check(rs).passed, rs.id
+        assert {rs.h for rs in systems} >= {61, 166}
+
+    def test_periodic_poles_match_field_route(self):
+        # The poles member of props 6 and 9, the sum of -a(k) z**k/(q - z**k),
+        # against the root sums it replaced, by value.
+        rng = random.Random(211)
+        for h in range(1, 61):
+            w = {g: rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 4)])
+                 for g in divisors(h)}
+            a = [w[gcd(k, h)] for k in range(h)]
+            label, got = identities._periodic_members(h, a)[0]
+            assert label == "eigenvalue poles"
+            assert got == sum_over_roots([-c for c in a], h, shift=1), h
+
+    def test_no_field_reductions_in_props_1_6_9(self, catalog, monkeypatch):
+        clear_identity_memos()
+        ctx_type, calls = type(_context(1)), []
+        for name in ("coords", "root_sum"):
+            real = getattr(ctx_type, name)
+            monkeypatch.setattr(ctx_type, name, lambda self, terms, real=real, name=name:
+                                calls.append(name) or real(self, terms))
+        for rs in catalog.values():
+            assert identities.prop1_check(rs).passed, rs.id
+            assert identities._prop6_witness(rs.h) is None, rs.id
+            assert identities.prop9_check(rs).passed, rs.id
+        assert calls == []
+        # The spy sees the checks that still reduce modulo Phi_h.
+        assert identities.prop5_check(catalog["E6"]).passed and calls
+
+    def test_prop1_traces_not_gcd_determined(self, catalog, monkeypatch):
+        # Tr(c**3) of A7 (h = 8) is off the divisors: only the re-evaluation
+        # reads it.  Tr(c**4) is alone in its class, so the transform takes
+        # it and misses m.
+        rs = catalog["A7"]
+        cox = coxeter_element(rs)
+        for k, witness in ((3, "trace pairing: class transform misses trace(3)"),
+                           (4, "trace pairing at k=0 does not give m(0)")):
+            traces = list(cox.traces)
+            traces[k] += 1
+            monkeypatch.setattr(identities, "coxeter_element",
+                                lambda rs, traces=traces: CoxeterElement(cox.charpoly,
+                                                                         tuple(traces)))
+            assert run_suite(rs, ["prop1"])[0][2:] == ("fail", witness), k
+        monkeypatch.undo()
+        assert run_suite(rs, ["prop1"])[0].passed
+
+    def test_prop9_p_off_the_divisors(self, catalog):
+        # p(3) of A7 sits in the class of p(1): a(3) = p(0) - p(3) misses
+        # the class transform, which reads a at the h/d only.
+        rs = catalog["A7"]
+        p = list(rs.p)
+        p[3] += 1
+        rep = run_suite(corrupted_copy(rs, p=p), ["prop9"])[0]
+        assert (rep.verdict, rep.witness) == (
+            "fail", "MethodMismatch: eigenvalue poles: class transform misses a(3)")
 
     def test_prop3_interpolant_matches_field_route(self, catalog):
         systems = list(catalog.values()) + [build(RootSystemId("A", 90)),
@@ -998,8 +1092,9 @@ class TestClassSums:
                  for g in divisors(h)}
             cases.append(([w[gcd(k, h)] for k in range(h)], h))
         for m, h in cases:
-            got = identities._eigenvalue_poles(m, h)
-            oracle = identities._sum_over_roots(m, h)
+            got = RationalFunction(Polynomial(identities._pole_sums(m, h, "m")[::-1]),
+                                   identities._qm1(h))
+            oracle = sum_over_roots(m, h)
             assert got.den == oracle.den, h
             assert all(a == b for a, b in zip(got.num.coeffs, oracle.num.coeffs)), h
             assert len(got.num.coeffs) == len(oracle.num.coeffs), h
