@@ -428,13 +428,13 @@ class _CycContext:
     def coords(self, terms):
         """Power-basis coordinates of the sum of c * z**e over the (e, c)
         pairs: each c is added into slot e mod h, zero coefficients
-        skipped, and the h slots are reduced modulo Phi_h once."""
+        skipped, and the h slots are reduced once by ``_cyc_remainder``."""
         h = self.order
         acc = [0] * h
         for e, c in terms:
             if c:
                 acc[e % h] += c
-        return _divide(acc, self.terms, self.phi)[1]
+        return _cyc_remainder(acc, h)
 
     def root_sum(self, terms):
         """The sum of v * z**e over the (e, v) pairs, v a CycNum of this order

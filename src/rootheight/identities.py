@@ -8,9 +8,9 @@ appear), so a "pass" verdict means exact coefficient equality, never a
 numerical tolerance.  Every sum over roots of unity is formed without a
 loop of field products: where the summands are the Galois conjugates of one
 field element (props 4, 14, 15 and 18), the sum is that element's ``trace``,
-a rational read off the Ramanujan sums; every sum over all h-th roots (in
-props 1, 2, 3, 6 and 9) has weights that depend only on gcd(k, h) and
-groups into Ramanujan sums of the divisor orders (``_class_sums``).
+a rational read off the Ramanujan sums; every sum over all h-th roots in
+props 1, 2, 3, 6, 9 and eq13 has weights that depend only on gcd(k, h) and
+groups into Ramanujan sums of the divisor orders (``numth.class_sums``).
 Checks are pure and independent; a runner may execute them concurrently and
 sort the reports afterwards.
 
@@ -46,9 +46,9 @@ from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, NotDivisible,
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
                        _cyc_remainder, _rf_sum, cyc_eval, poly_str)
 from .linalg import FractionLU, det
-from .numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly, divisors,
-                    factorize, gcd_count, is_cohen, mobius, psi_poly,
-                    ramanujan_sums, totient)
+from .numth import (ArithSeq, class_sums, class_transform, cyclotomic_discriminant,
+                    cyclotomic_poly, divisors, factorize, gcd_count, is_cohen,
+                    mobius, psi_poly, ramanujan_sums, totient)
 from .rootsys import (DEFAULT_BFS_CAP, coxeter_element, factor_exponents,
                       power_sums, weyl_length_gf_bruteforce,
                       weyl_length_gf_product, weyl_order)
@@ -187,29 +187,6 @@ def _b_parts(rs, shift):
     return memo[shift]
 
 
-def _class_sums(values, h):
-    """The transform s_j = sum_k values[k] z**(kj), j = 0..h-1, over the
-    h-th roots of unity z**k, for values that depend only on gcd(k, h)
-    (E. Cohen, "Representations of even functions (mod r), I", Duke Math.
-    J. 25, 1958).  The roots of order d are the primitive d-th roots, whose
-    j-th power sum is the Ramanujan sum c_d(j), so s_j is the sum over d|h
-    of values[h/d] * c_d(j), with c_d the order-d field context's
-    ``ramanujan_row``: O(h d(h)) rational operations, no reduction modulo
-    Phi_h.  The sums are gcd-determined and s_j = s_(-j), so the inverse
-    transform at node i, sum_j s_j z**(-ij), is again one class sum; it is
-    compared with h * values[i] at every node, from all the given values,
-    and the first node it misses is returned with the sums (None when it
-    misses none)."""
-    rows = [(d, _context(d).ramanujan_row()) for d in divisors(h)]
-    weighted = [(w, d, row) for d, row in rows if (w := values[(h // d) % h])]
-    sums = [sum(w * row[j % d] for w, d, row in weighted) for j in range(h)]
-    back = [(s, d, row) for d, row in rows if (s := sums[(h // d) % h])]
-    for i, v in enumerate(values):
-        if sum(s * row[i % d] for s, d, row in back) != h * v:
-            return sums, i
-    return sums, None
-
-
 def _psi_sum(d):
     """Sum over d'|d of mu(d')/phi(d') * Psi_{d'}(q**(d/d'))."""
     return sum((Fraction(mu, totient(dp)) * psi_poly(dp).compose_power(d // dp)
@@ -272,7 +249,7 @@ def lagrange_all_roots(values, h):
     s_j = sum_i v_i z**(-ij) is one root sum; the sums are then re-evaluated
     at every node, sum_j s_j z**(ij) = h v_i, as one root sum per node.
     It takes any field values, O(h**2 phi(h)); prop3, whose node values
-    are gcd-determined, sums over gcd classes instead (``_class_sums``).
+    are gcd-determined, sums over gcd classes instead (``numth.class_sums``).
     """
     if len(values) != h:
         raise ValueError("need one value per root of unity")
@@ -413,7 +390,7 @@ def prop1_check(rs):
     character pairing, the class sums of the traces), and heights as their
     partial-sum complements."""
     h, n = rs.h, rs.id.rank
-    sums, missed = _class_sums(coxeter_element(rs).traces, h)
+    sums, missed = class_sums(coxeter_element(rs).traces, h)
     if missed is not None:
         return _report("prop1", _sys(rs),
                        f"trace pairing: class transform misses trace({missed})")
@@ -454,7 +431,7 @@ def _pole_sums(a, h, name):
     as (q**h - 1)/(q - w) = sum_j w**(h-1-j) q**j for w**h = 1, the poles
     sum_k a(k)/(q - z**k) (prop2) are s_(h-1-j) over q**h - 1, and
     sum_k -a(k) z**k/(q - z**k) (props 6 and 9) is s_j over 1 - q**h."""
-    sums, missed = _class_sums(a, h)
+    sums, missed = class_sums(a, h)
     if missed is not None:
         raise MethodMismatch(f"eigenvalue poles: class transform misses {name}({missed})")
     return sums
@@ -464,9 +441,9 @@ def prop3_check(rs):
     """Interpolation at all Coxeter-order roots of unity of the stored node
     values p(k) = E(z**k) gives back the exponent polynomial E: the
     interpolant's coefficients are the class sums of p over h, which are
-    re-evaluated at every node against p (``_class_sums``)."""
+    re-evaluated at every node against p (``numth.class_sums``)."""
     h = rs.h
-    sums, missed = _class_sums(rs.p, h)
+    sums, missed = class_sums(rs.p, h)
     if missed is not None:
         witness = f"interpolation routes disagree: interpolant misses node {missed}"
     else:
@@ -516,8 +493,7 @@ def _periodic_members(h, a):
     """Expansions of h * A(q)/(1-q**h) for the gcd-determined a(0..h-1):
     eigenvalue poles (``_pole_sums``), double Ramanujan numerator (the same
     transform from the divisor formula), and the Cohen tail members."""
-    rows = [(a[(h // d) % h], d, ramanujan_sums(d)) for d in divisors(h)]
-    num = [sum(w * row[k % d] for w, d, row in rows if w) for k in range(h)]
+    num = class_transform(a, h, ramanujan_sums)
     return [("eigenvalue poles", RationalFunction(Polynomial(_pole_sums(a, h, "a")),
                                                   _one_minus(h))),
             ("double Ramanujan numerator", RationalFunction(Polynomial(num), _one_minus(h))),
@@ -737,8 +713,6 @@ def top_part_check(rs, shift):
     shift 1)."""
     check_id = "prop18" if shift else "prop14"
     h, n = rs.h, rs.id.rank
-    if h < 2:
-        return _report(check_id, _sys(rs), None)
     top = _b_parts(rs, shift)[h]
     scale = n - rs.e_of_d[1]
     ctx = _context(h)
@@ -942,7 +916,7 @@ def singularity_check(rs):
 
     if witness is None:
         disc = (h + 2) ** 2 - 8 * data.group_order
-        s = isqrt(disc)
+        s = isqrt(max(disc, 0))
         if s * s != disc:
             witness = f"quadratic discriminant {disc} is not a square"
         else:

@@ -1,6 +1,6 @@
 """Arithmetic-function toolkit: divisors, Moebius, totient, Ramanujan sums,
-cyclotomic polynomials, the totient q-analogue, gcd-counting, Cohen-function
-detection, and the cyclotomic discriminant.
+the gcd-class transform, cyclotomic polynomials, the totient q-analogue,
+gcd-counting, Cohen-function detection, and the cyclotomic discriminant.
 
 All functions are pure; the memo tables behind ``cyclotomic_poly``, factorize
 and ``ramanujan_sums`` are ``lru_cache``s and are safe for concurrent use.
@@ -93,6 +93,29 @@ def ramanujan_sums(h):
     """c_h(0..h-1) by the divisor formula, once per order (the field
     context's ``ramanujan_row`` takes them from Newton's identities)."""
     return tuple(ramanujan_sum(h, j) for j in range(h))
+
+
+def class_transform(values, h, row):
+    """s_j = sum over d | h of values[h/d] * row(d)[j mod d], j < h.  With
+    row(d) = c_d(0..d-1), the power sums of the primitive d-th roots, this
+    is sum_k values[k] z**(kj) over the h-th roots z**k for values that
+    depend only on gcd(k, h) (E. Cohen, "Representations of even functions
+    (mod r), I", Duke Math. J. 25, 1958): O(h d(h)) rational operations,
+    no reduction modulo Phi_h.  The caller picks the row route: the field
+    context's Newton ``ramanujan_row`` or the divisor ``ramanujan_sums``."""
+    weighted = [(w, d, row(d)) for d in divisors(h) if (w := values[(h // d) % h])]
+    return [sum(w * r[j % d] for w, d, r in weighted) for j in range(h)]
+
+
+def class_sums(values, h):
+    """The class transform of values over the Newton rows, and the first
+    node it misses (None if none): the sums are gcd-determined with
+    s_j = s_(-j), so the inverse transform at node i is again a class
+    transform, compared with h * values[i] at every node."""
+    row = {d: _context(d).ramanujan_row() for d in divisors(h)}.__getitem__
+    sums = class_transform(values, h, row)
+    back = class_transform(sums, h, row)
+    return sums, next((i for i, v in enumerate(values) if back[i] != h * v), None)
 
 
 def ramanujan_sum_checked(h, j):

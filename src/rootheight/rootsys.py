@@ -12,9 +12,10 @@ from collections import Counter, defaultdict, namedtuple
 from math import gcd
 
 from .errors import GroupTooLarge, InvalidRank, MethodMismatch
-from .exactalg import Polynomial, RationalFunction, _context
+from .exactalg import Polynomial, RationalFunction
 from .linalg import charpoly_int
-from .numth import cyclotomic_poly, divisors, mobius, ramanujan_sums
+from .numth import (class_sums, class_transform, cyclotomic_poly, divisors, mobius,
+                    ramanujan_sums)
 
 FAMILIES = "ABCDEFG"
 
@@ -327,22 +328,21 @@ def factor_exponents(rs):
 
 
 def power_sums(rs):
-    """Power sums p(k) of the Coxeter eigenvalues, computed from the divisor
-    sum over e(d) and cross-checked against the direct root-of-unity sum and
-    the Ramanujan-sum transform of m."""
+    """Power sums p(k) of the Coxeter eigenvalues from the divisor sum over
+    e(d), cross-checked against the eigenvalue sums, the class sums of the
+    exponents' residue counts (which miss a node exactly when the counts
+    are not gcd-determined, that is when some p(k) is irrational), and
+    against the transform of m over the divisor-formula Ramanujan sums."""
     h = rs.h
     out = _divisor_power_sums(rs.e_of_d, h)
-
-    ctx = _context(h)
-    for k in range(h):
-        acc = ctx.coords((e * k, 1) for e in rs.exponents)
-        if any(acc[1:]) or acc[0] != out[k]:
-            raise MethodMismatch(f"{rs.id}: p({k}) disagrees with eigenvalue sum")
-
-    rows = [(w, d, ramanujan_sums(d)) for d in divisors(h) if (w := rs.m[(h // d) % h])]
-    for k in range(h):
-        if sum(w * row[k % d] for w, d, row in rows) != out[k]:
-            raise MethodMismatch(f"{rs.id}: p({k}) disagrees with transform of m")
+    sums, missed = class_sums(_multiplicities(rs.exponents, h), h)
+    if missed is not None:
+        raise MethodMismatch(f"{rs.id}: eigenvalue sum: class transform misses m({missed})")
+    for leg, got in (("eigenvalue sum", sums),
+                     ("transform of m", class_transform(rs.m, h, ramanujan_sums))):
+        k = next((k for k in range(h) if got[k] != out[k]), None)
+        if k is not None:
+            raise MethodMismatch(f"{rs.id}: p({k}) disagrees with {leg}")
     return out
 
 

@@ -109,6 +109,17 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)[0]["checks"][0]["witness"] == "forced"
 
+    def test_failure_table_shows_witness(self, capsys, monkeypatch):
+        def broken(rs):
+            return IdentityReport("cohen", str(rs.id), "fail", "forced")
+
+        monkeypatch.setitem(identities._CHECKS, "cohen", broken)
+        code, out = run_cli(capsys, "verify", "A", "1", "--props", "cohen,prop8")
+        assert code == 1
+        assert out == ("A1    cohen        fail  [forced]\n"
+                       "A1    prop8        pass\n"
+                       "1/2 checks passed on 1 systems\n")
+
     def test_jobs_flag(self, capsys):
         code, out = run_cli(capsys, "verify", "A", "2", "--props",
                             "prop8,cohen", "--jobs", "2", "--format", "json")
@@ -238,6 +249,13 @@ class TestMunagi:
         assert code == 0
         doc = json.loads(out)
         assert any(len(p["coeffs"]) > 1 for p in doc["parts"].values())
+
+    def test_roundtrip_table(self, capsys):
+        code, out = run_cli(capsys, "munagi", "0,1,0,0,0,1", "--h", "6", "--roundtrip")
+        assert code == 0
+        assert out == "H_1 = 1\nH_2 = -1\nH_3 = -1\nH_6 = 1\nroundtrip: ok\n"
+        assert run_cli(capsys, "munagi", "0,1,0,0,0,1", "--h", "6") == (
+            0, "H_1 = 1\nH_2 = -1\nH_3 = -1\nH_6 = 1\n")
 
     def test_rational_coefficients(self, capsys):
         code, out = run_cli(capsys, "munagi", "1/2,-3/4", "--h", "2",

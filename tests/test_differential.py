@@ -28,7 +28,7 @@ TABLE_BEGIN = "<!-- sensitivity table: rendered by tests/test_differential.py --
 TABLE_END = "<!-- end of sensitivity table -->"
 
 VERDICTS_SHA256 = "1ed26f622bcb65013e2b69e2074bce3c6e6902e5448565d088bf3c3e01ac2206"
-REPORTS_SHA256 = "8f8bb4b9aa075631f4318366c4f4d68954a80cdb5b511a1715a826b08de20fe7"
+REPORTS_SHA256 = "b0ecc7d3ce5a7210aa794a82b41f44bc4a8f87c1ce66294dfeb6ce872e84a10b"
 
 
 def corrupted(rs, kind):

@@ -17,8 +17,8 @@ from rootheight.errors import (DegreeTooHigh, MethodMismatch, ReconstructionMism
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction, _context,
                                  _rf_sum, _sum_plan, cyc_eval, poly_gcd)
 from rootheight.cli import main
-from rootheight.identities import (ONE, ZERO, _gram_lu, _lvec_interpolated,
-                                   available_checks,
+from rootheight.identities import (ONE, SingularityData, ZERO, _gram_lu,
+                                   _lvec_interpolated, available_checks,
                                    b_from_exponents, b_poly, dynkin_check,
                                    exponent_poly, lagrange_all_roots,
                                    lagrange_primitive_roots, mirimanoff_check,
@@ -26,9 +26,9 @@ from rootheight.identities import (ONE, ZERO, _gram_lu, _lvec_interpolated,
                                    run_suite,
                                    singularity_check, singularity_data)
 from rootheight.linalg import FractionLU, det
-from rootheight.numth import (ArithSeq, cyclotomic_discriminant, cyclotomic_poly,
-                              divisors, is_cohen, mobius, psi_poly, ramanujan_sum,
-                              totient)
+from rootheight.numth import (ArithSeq, class_sums, cyclotomic_discriminant,
+                              cyclotomic_poly, divisors, is_cohen, mobius, psi_poly,
+                              ramanujan_sum, totient)
 from rootheight.rootsys import CoxeterElement, RootSystem, RootSystemId, build, coxeter_element
 
 
@@ -544,6 +544,109 @@ class TestCrossChecksFail:
         assert identities._render(CycNum(5, [Fraction(5, 5), 0, -1, 0])) == "1 - z^2"
 
 
+class TestGuardMaskedWitnesses:
+    """Witnesses the corruption differential never produces.  There every
+    failing row of props 13, 16, 17, 19, eq20 and mirimanoff is b_poly's
+    guard ("height polynomial routes disagree"), eq19 fails only by that
+    guard or by finding no weight triple, and no corruption reaches eq12's
+    divisor-sum witness or prop11's perturbation self-checks.  Each test
+    gets past the guard by a patch, or by a field corrupted off the
+    divisors of h, and pins the text that follows."""
+
+    def test_prop13_prop17_boundary_sums(self, catalog, monkeypatch):
+        # One added to the constant term of the top part H_h of B and qB;
+        # the memoised parts themselves are left alone.
+        real = identities._b_parts
+
+        def top_plus_one(rs, shift):
+            parts = dict(real(rs, shift))
+            parts[rs.h] = parts[rs.h] + 1
+            return parts
+
+        monkeypatch.setattr(identities, "_b_parts", top_plus_one)
+        reports = run_suite(catalog["E6"], ["prop13", "prop17"])
+        assert [(r.verdict, r.witness) for r in reports] == [
+            ("fail", "sum of constant terms: got 7, expected 6"),
+            ("fail", "sum of constant terms: got 1, expected 0")]
+
+    def test_eq20_degree(self, catalog, monkeypatch):
+        # E6's largest exponent 11 -> 10, past the guard by the true B(q).
+        rs = catalog["E6"]
+        monkeypatch.setattr(identities, "b_poly", lambda _, b=b_poly(rs): b)
+        bad = corrupted_copy(rs, exponents=rs.exponents[:-1] + [10])
+        rep = run_suite(bad, ["eq20"])[0]
+        assert (rep.verdict, rep.witness) == ("fail", "degree: got 20, expected 21")
+
+    def test_mirimanoff_operator_power(self, catalog, monkeypatch):
+        # G2's height counts (2, 1, 1, 1, 1) with b_3 + 1, past the guard by
+        # the true B(q): the operator is off from the direct sum at m = 0.
+        rs = catalog["G2"]
+        monkeypatch.setattr(identities, "b_poly", lambda _, b=b_poly(rs): b)
+        bad = corrupted_copy(rs, b=[2, 1, 2, 1, 1])
+        rep = run_suite(bad, ["mirimanoff"])[0]
+        assert (rep.verdict, rep.witness) == (
+            "fail", "m=0: 'operator' != 'direct': first difference at q^3 (1 vs 2)")
+
+    def test_eq12_multiplicity_off_the_divisors(self, catalog):
+        # m(3) of A7 (h = 8) is read by neither the Coxeter polynomial nor
+        # e(d), which see m at the h/d only.
+        rs = catalog["A7"]
+        m = list(rs.m)
+        m[3] += 1
+        rep = run_suite(corrupted_copy(rs, m=m), ["eq12"])[0]
+        assert (rep.verdict, rep.witness) == ("fail", "m(3) != divisor sum 1")
+
+    def test_prop11_perturbation_self_checks(self, catalog, monkeypatch):
+        rs = catalog["A7"]
+        monkeypatch.setattr(identities, "is_cohen", lambda seq: (True, None))
+        rep = run_suite(rs, ["prop11"])[0]
+        assert (rep.verdict, rep.witness) == (
+            "fail", "perturbation at k=3 unexpectedly gcd-determined")
+        monkeypatch.undo()
+
+        # The perturbed sequence decomposed as m itself, all parts constant.
+        real, calls = identities.munagi_decompose, []
+
+        def constant_third(numer, h):
+            calls.append(numer)
+            return real(Polynomial(rs.m) if len(calls) == 3 else numer, h)
+
+        monkeypatch.setattr(identities, "munagi_decompose", constant_third)
+        rep = run_suite(rs, ["prop11"])[0]
+        assert (rep.verdict, rep.witness) == (
+            "fail", "perturbed sequence still has all-constant parts")
+        assert len(calls) == 3
+
+    def test_eq19_group_order_and_volume(self, catalog, monkeypatch):
+        rs = catalog["D5"]
+        data = singularity_data(rs)
+        for change, witness in (
+                ({"group_order": 13}, "2ab = 12 but group order is 13"),
+                ({"cartan_det": 5}, "volume relation fails against branch lengths")):
+            monkeypatch.setattr(identities, "singularity_data",
+                                lambda _, d=data._replace(**change): d)
+            rep = run_suite(rs, ["eq19"])[0]
+            assert (rep.verdict, rep.witness) == ("fail", witness)
+
+    def test_eq19_quadratic_witnesses(self, catalog, monkeypatch):
+        # A triple (a, b, h/2) off the line a + b = h/2 + 1, with the Coxeter
+        # number h and the B(q) that make its closed form hold and 2ab as
+        # the group order: only the quadratic in a and b can fail.  The
+        # discriminant (h + 2)**2 - 16ab is a non-square, a negative number
+        # (no real root), or the square of roots other than a and b.
+        for name, h, bq, a, b, witness in (
+                ("E6", 5, P(6, 5, 4, 2, 1), 1, 2, "quadratic discriminant 17 is not a square"),
+                ("A2", 6, P(2, 1, 1), 2, 3, "quadratic discriminant -32 is not a square"),
+                ("D4", 3, P(4, 3, 1), 1, 1, "quadratic roots 1/2, 2 do not match (1, 1)")):
+            rs = catalog[name]
+            data = SingularityData(rs.id, Fraction(a), Fraction(b), Fraction(h, 2),
+                                   2 * a * b, None, 1)
+            monkeypatch.setattr(identities, "b_poly", lambda _, bq=bq: bq)
+            monkeypatch.setattr(identities, "singularity_data", lambda _, d=data: d)
+            rep = run_suite(corrupted_copy(rs, h=h), ["eq19"])[0]
+            assert (rep.verdict, rep.witness) == ("fail", witness), name
+
+
 class TestSingularity:
     def test_weights_fixtures(self, catalog):
         expected = {
@@ -994,23 +1097,24 @@ class TestHScaleChains:
             assert len(calls) == 3, rs.id
 
 
-def corrupted_copy(rs, m=None, p=None, exponents=None):
+def corrupted_copy(rs, m=None, p=None, exponents=None, b=None, h=None):
     """rs rebuilt through the constructor with the given fields replaced."""
-    return RootSystem(rs.id, rs.cartan, rs.h, exponents or rs.exponents, rs.b,
+    return RootSystem(rs.id, rs.cartan, h or rs.h, exponents or rs.exponents, b or rs.b,
                       rs.two_rho_pairings, m or rs.m, rs.e_of_d, p or rs.p)
 
 
 class TestClassSums:
     """The all-roots sums over gcd classes (prop1's trace pairing, the
-    eigenvalue poles of props 2, 6 and 9, and prop3) against the field
-    routes they replaced, and fault injection into the new routes."""
+    eigenvalue poles of props 2, 6 and 9, prop3, and eq13's eigenvalue
+    sums) against the field routes they replaced, and fault injection into
+    the new routes."""
 
     def test_prop1_matches_trace_pairing(self, catalog):
         # D84 has h = 166 = 2 * 83, where Phi_h is dense.
         systems = list(catalog.values()) + [build(RootSystemId("A", 60)),
                                             build(RootSystemId("D", 84))]
         for rs in systems:
-            sums, missed = identities._class_sums(coxeter_element(rs).traces, rs.h)
+            sums, missed = class_sums(coxeter_element(rs).traces, rs.h)
             assert missed is None, rs.id
             for k, acc in enumerate(trace_pairings(rs)):
                 assert acc[0] == sums[k] and not any(acc[1:]), (rs.id, k)
@@ -1041,6 +1145,7 @@ class TestClassSums:
             assert identities.prop1_check(rs).passed, rs.id
             assert identities._prop6_witness(rs.h) is None, rs.id
             assert identities.prop9_check(rs).passed, rs.id
+            assert identities.eq13_check(rs).passed, rs.id
         assert calls == []
         # The spy sees the checks that still reduce modulo Phi_h.
         assert identities.prop5_check(catalog["E6"]).passed and calls
@@ -1078,7 +1183,7 @@ class TestClassSums:
         for rs in systems:
             h = rs.h
             epoly = exponent_poly(rs)
-            sums, missed = identities._class_sums(rs.p, h)
+            sums, missed = class_sums(rs.p, h)
             assert missed is None, rs.id
             oracle = lagrange_all_roots([cyc_eval(epoly, h, i) for i in range(h)], h)
             assert Polynomial([Fraction(s, h) for s in sums]) == oracle == epoly, rs.id

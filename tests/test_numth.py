@@ -7,12 +7,13 @@ from math import gcd
 import pytest
 
 from rootheight.errors import MethodMismatch, UnsupportedOrder
-from rootheight.exactalg import Polynomial, cyc_eval
+from rootheight.exactalg import Polynomial, _context, cyc_eval
 from rootheight.linalg import det
-from rootheight.numth import (ArithSeq, _ramanujan_exp_sum,
-                              cyclotomic_discriminant, cyclotomic_poly,
-                              divisors, gcd_count, is_cohen, mobius, psi_poly,
-                              ramanujan_sum, ramanujan_sum_checked, totient)
+from rootheight.numth import (ArithSeq, _ramanujan_exp_sum, class_sums,
+                              class_transform, cyclotomic_discriminant,
+                              cyclotomic_poly, divisors, gcd_count, is_cohen, mobius,
+                              psi_poly, ramanujan_sum, ramanujan_sum_checked,
+                              ramanujan_sums, totient)
 
 
 def qm1(d):
@@ -77,6 +78,43 @@ class TestRamanujan:
         for h in range(1, 31):
             for j in range(h + 1):
                 ramanujan_sum_checked(h, j)
+
+
+class TestClassTransform:
+    def test_rows_agree_with_root_sums(self):
+        # For gcd-determined values the transform over either Ramanujan row
+        # is sum_k values[k] z**(kj) over the h-th roots, taken here by one
+        # reduction modulo Phi_h per j; a value moved off its class is the
+        # node the inverse transform misses.
+        rng = random.Random(222)
+        for h in range(1, 41):
+            w = {g: rng.choice([0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3)])
+                 for g in divisors(h)}
+            values = [w[gcd(k, h)] for k in range(h)]
+            sums, missed = class_sums(values, h)
+            assert missed is None and sums == class_transform(values, h, ramanujan_sums), h
+            ctx = _context(h)
+            for j in range(h):
+                acc = ctx.coords((k * j, v) for k, v in enumerate(values))
+                assert acc == [sums[j]] + [0] * (ctx.phi - 1), (h, j)
+            off = [k for k in range(2, h) if h % k]
+            if off:
+                k = rng.choice(off)
+                values[k] += 1
+                assert class_sums(values, h)[1] == k == is_cohen(ArithSeq(h, values))[1], h
+
+    def test_row_is_the_callers(self):
+        # The transform reads the row it is given, at the divisors with a
+        # nonzero weight only.
+        asked = []
+
+        def row(d):
+            asked.append(d)
+            return [d] * d
+
+        # values[6/d] at d = 1, 2, 3, 6 is 0, 2, 0, 1, so s_j = 2 * 2 + 1 * 6.
+        assert class_transform([0, 1, 0, 2, 0, 1], 6, row) == [10] * 6
+        assert asked == [2, 6]
 
 
 class TestCyclotomic:

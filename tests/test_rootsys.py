@@ -1,9 +1,11 @@
 """Root-system engine tests: construction, invariants, Coxeter data, and the
 Weyl-group oracle."""
 
+import random
 import subprocess
 import sys
 import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -11,10 +13,10 @@ from conftest import (clear_identity_memos, conjugate_partition, golden_charpoly
                       golden_exponents, string_closure)
 import rootheight.rootsys as rootsys
 from rootheight.errors import GroupTooLarge, InvalidRank, MethodMismatch
-from rootheight.exactalg import Polynomial
+from rootheight.exactalg import Polynomial, _context
 from rootheight.identities import run_suite
 from rootheight.linalg import charpoly_int
-from rootheight.numth import divisors
+from rootheight.numth import ArithSeq, divisors, is_cohen, ramanujan_sums
 from rootheight.rootsys import (RootSystem, RootSystemId, _close_positive_roots,
                                 build, cartan_matrix, coxeter_element,
                                 factor_exponents, mat_mul, multiplicities,
@@ -197,6 +199,33 @@ def faddeev_leverrier(mat):
     return Polynomial(tuple(reversed(coeffs_desc)))
 
 
+def coords_power_sums(rs):
+    """The field route eq13's eigenvalue leg replaced: p(k) as the sum of
+    z**(ek) over the exponents e, one reduction modulo Phi_h per k, failing
+    at the first k whose sum is irrational or differs from the divisor sum;
+    then the transform of m over the divisor-formula Ramanujan sums."""
+    h = rs.h
+    out = rootsys._divisor_power_sums(rs.e_of_d, h)
+    ctx = _context(h)
+    for k in range(h):
+        acc = ctx.coords((e * k, 1) for e in rs.exponents)
+        if any(acc[1:]) or acc[0] != out[k]:
+            raise MethodMismatch(f"{rs.id}: p({k}) disagrees with eigenvalue sum")
+    rows = [(w, d, ramanujan_sums(d)) for d in divisors(h) if (w := rs.m[(h // d) % h])]
+    for k in range(h):
+        if sum(w * row[k % d] for w, d, row in rows) != out[k]:
+            raise MethodMismatch(f"{rs.id}: p({k}) disagrees with transform of m")
+    return out
+
+
+def power_sums_outcome(route, rs):
+    """The power sums a route returns, or the text of its MethodMismatch."""
+    try:
+        return route(rs)
+    except MethodMismatch as exc:
+        return str(exc)
+
+
 def matrix_bfs(rs):
     """Length generating function by BFS over the Cayley graph of the
     reflection matrices; BFS depth equals word length."""
@@ -353,6 +382,63 @@ class TestDerivedFunctions:
             p = power_sums(rs)
             assert p == rs.p
             assert p[0] == rs.id.rank
+
+    def test_power_sums_match_coords_route(self, catalog):
+        # D84 has h = 166 = 2 * 83, where Phi_h is dense.
+        systems = list(catalog.values()) + [build(RootSystemId("A", 60)),
+                                            build(RootSystemId("D", 84))]
+        for rs in systems:
+            assert power_sums(rs) == coords_power_sums(rs) == rs.p, rs.id
+        assert {rs.h for rs in systems} >= {61, 166}
+
+    def test_power_sums_random_exponents(self):
+        # Exponent lists whose residue counts are gcd-determined (one count
+        # per gcd class) or not (any residues), with m and e(d) sometimes
+        # off by one: the verdicts always agree with the coords route, and
+        # the witnesses too when the counts are gcd-determined.
+        rng = random.Random(221)
+        seen = {"pass": 0, "gcd-determined fail": 0, "miss": 0}
+        for h in range(1, 61):
+            for trial in range(6):
+                if trial % 2:
+                    exps = [rng.randrange(2 * h) for _ in range(rng.randint(1, 8))]
+                else:
+                    counts = {g: rng.choice([0, 0, 1, 2]) for g in divisors(h)}
+                    exps = [k for k in range(h) for _ in range(counts[gcd(k, h)])] or [0]
+                m = rootsys._multiplicities(exps, h)
+                e_of_d = rootsys._moebius_exponents(m, h)
+                stored_m = list(m)
+                if trial == 2:
+                    e_of_d[rng.choice(divisors(h))] += 1
+                elif trial == 4:
+                    stored_m[rng.choice(divisors(h)) % h] += 1
+                rs = RootSystem(RootSystemId("A", len(exps)), None, h, exps, None, None,
+                                stored_m, e_of_d, None)
+                got = power_sums_outcome(power_sums, rs)
+                want = power_sums_outcome(coords_power_sums, rs)
+                assert isinstance(got, str) == isinstance(want, str), (h, exps)
+                gcd_determined, first = is_cohen(ArithSeq(h, tuple(m)))
+                if gcd_determined:
+                    assert got == want, (h, exps)
+                else:
+                    assert got == f"{rs.id}: eigenvalue sum: class transform misses m({first})"
+                key = ("pass" if not isinstance(got, str)
+                       else "gcd-determined fail" if gcd_determined else "miss")
+                seen[key] += 1
+        assert min(seen.values()) > 20, seen
+
+    def test_power_sums_exponents_off_the_divisors(self, catalog):
+        # A7's largest exponent 7 -> 6 puts two exponents in the class of
+        # 6 and none at 7: the counts are no longer gcd-determined, and the
+        # first node the inverse transform misses is m(6).
+        rs = catalog["A7"]
+        bad = RootSystem(rs.id, rs.cartan, rs.h, rs.exponents[:-1] + [6], rs.b,
+                         rs.two_rho_pairings, rs.m, rs.e_of_d, rs.p)
+        with pytest.raises(MethodMismatch,
+                           match=r"^A7: eigenvalue sum: class transform misses m\(6\)$"):
+            power_sums(bad)
+        with pytest.raises(MethodMismatch, match=r"^A7: p\(1\) disagrees with eigenvalue sum$"):
+            coords_power_sums(bad)
 
 
 class TestCoxeterElement:
