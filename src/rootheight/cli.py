@@ -33,6 +33,8 @@ MAX_PERIOD = 2000
 # 0.35 s over 2048 bits, 0.58 s over 4096 (h = 1980: 0.16 and 0.21 s; one
 # 14,000-bit numerator: 0.07 s).
 MAX_DENOMINATOR_BITS = 2048
+# Largest --bfs-cap: admits E7 and A9 (walks of 4-5 s, 63-108 MB; README), not D8.
+MAX_BFS_CAP = 4_000_000
 
 
 class UsageError(Exception):
@@ -149,8 +151,8 @@ def _verify_options(args):
         except ValueError:
             raise UsageError(f"ROOTHEIGHT_BFS_CAP must be an integer, "
                              f"got {raw!r}") from None
-    if cap < 0:
-        raise UsageError(f"Weyl enumeration cap must be non-negative, got {cap}")
+    if not 0 <= cap <= MAX_BFS_CAP:
+        raise UsageError(f"Weyl enumeration cap must lie in 0..{MAX_BFS_CAP}, got {cap}")
     if args.jobs < 1:
         raise UsageError("--jobs must be positive")
     return props, cap
@@ -262,8 +264,8 @@ def _build_parser():
     p.add_argument("--all", action="store_true", dest="all_props",
                    help="run every applicable check (default)")
     p.add_argument("--bfs-cap", type=int, default=None,
-                   help=f"Weyl enumeration cap (default {DEFAULT_BFS_CAP}; "
-                        "env ROOTHEIGHT_BFS_CAP)")
+                   help=f"Weyl enumeration cap (default {DEFAULT_BFS_CAP}, "
+                        f"at most {MAX_BFS_CAP}; env ROOTHEIGHT_BFS_CAP)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("table", "json"), default="table")
 

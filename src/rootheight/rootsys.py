@@ -8,7 +8,7 @@ itself is single-threaded per instance.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 from math import gcd
 
 from .errors import GroupTooLarge, InvalidRank, MethodMismatch
@@ -138,35 +138,45 @@ def _columns(cartan):
 def _reflect(p, i, cols):
     """s_i in pairing coordinates p_j = <beta, alpha_j^vee>, in place:
     s_i beta = beta - p_i alpha_i, so p loses p_i times column i of the
-    Cartan matrix (and p_i flips sign).  The only construction step: the
-    root closure, the Coxeter orbits and the Weyl walk all apply it."""
+    Cartan matrix (and p_i flips sign).  The Coxeter orbits and the Weyl
+    walk apply it; the closure inlines it on sparse dicts, dropping zeros."""
     c = p[i]
     for j, a in cols[i]:
         p[j] -= c * a
 
 
 def _close_positive_roots(cartan):
-    """Yield the positive roots one height level at a time, each level a set
+    """Yield the positive roots one height level at a time, each level a list
     of roots: the simple roots closed under the s_i with
     p_i = <beta, alpha_i^vee> < 0, which raise the height by -p_i and keep
     the root positive (Humphreys, Reflection Groups and Coxeter Groups, 1.6).
 
-    A root is the frozenset of its nonzero pairings (j, p_j), at most about
-    four in every family; the Cartan matrix is invertible, so they determine
-    the root.  A root rises at most three levels (G2), so only levels
-    k..k+3 are held."""
+    A root is the dict of its nonzero pairings j: p_j, at most about four
+    in every family; the Cartan matrix is invertible, so they determine the
+    root.  A non-simple positive root gamma has a p_j(gamma) > 0, and
+    s_j gamma is then a lower positive root: the least such j names its one
+    parent, so s_i beta is kept only when i is that j, and each root comes
+    once, with no set of seen ones.  A root rises at most three levels
+    (G2), so only levels k..k+3 are held."""
     cols = _columns(cartan)
-    levels = {1: {frozenset(col) for col in cols}}
+    levels = {1: [dict(col) for col in cols]}
     k = 1
     while k in levels:
-        for beta in levels[k]:
-            for i, c in beta:
+        level = levels.pop(k)
+        for beta in level:
+            for i, c in beta.items():
                 if c < 0:
-                    p = defaultdict(int, beta)
-                    _reflect(p, i, cols)
-                    levels.setdefault(k - c, set()).add(
-                        frozenset(item for item in p.items() if item[1]))
-        yield levels.pop(k)
+                    gamma = beta.copy()
+                    for j, a in cols[i]:
+                        gamma[j] = gamma.get(j, 0) - c * a
+                        if not gamma[j]:
+                            del gamma[j]
+                    for j in gamma:
+                        if j < i and gamma[j] > 0:
+                            break
+                    else:
+                        levels.setdefault(k - c, []).append(gamma)
+        yield level
         k += 1
 
 
@@ -181,7 +191,7 @@ def build(rsid):
     for level in _close_positive_roots(cartan):
         b.append(len(level))
         for beta in level:
-            for j, x in beta:
+            for j, x in beta.items():
                 two_rho[j] += x
     h = len(b) + 1
 
@@ -366,6 +376,10 @@ def weyl_length_gf_bruteforce(rs, cap=DEFAULT_BFS_CAP):
     s_i w, and each element is reached once, with no set of seen ones.
     Coordinate j != i of s_i w is lambda_j - lambda_i a_ji with a_ji <= 0,
     so only a negative lambda_j with j < i can make j a smaller descent.
+    A level is kept as one list per least descent j0 (list n holds 1):
+    every i < j0 gives a child, and an i > j0 only if it is a neighbour of
+    j0 (at most three) that makes lambda_j0 positive and leaves no negative
+    lambda_j with j0 < j < i; no other index is tested.
     The start, the stored ``two_rho_pairings``, must be 2 for every i."""
     order = weyl_order(rs)
     if order > cap:
@@ -373,23 +387,30 @@ def weyl_length_gf_bruteforce(rs, cap=DEFAULT_BFS_CAP):
     start = rs.two_rho_pairings
     if any(x != 2 for x in start):
         raise MethodMismatch(f"{rs.id}: the positive roots do not sum to 2*rho")
-    cartan, cols = rs.cartan, _columns(rs.cartan)
-    level = [list(start)]
+    cartan, cols, n = rs.cartan, _columns(rs.cartan), rs.id.rank
+    upper = [[(i, row[i]) for i in range(j + 1, n) if row[i]] for j, row in enumerate(cartan)]
+    upper.append([])
+    level = [[] for _ in range(n)] + [[list(start)]]
     counts = []
-    while level:
-        counts.append(len(level))
-        nxt = []
-        for lam in level:
-            negative = [j for j, x in enumerate(lam) if x < 0]
-            for i, c in enumerate(lam):
-                if c > 0:
-                    for j in negative:
-                        if j < i and lam[j] <= c * cartan[j][i]:
-                            break
-                    else:
-                        v = lam[:]
-                        _reflect(v, i, cols)
-                        nxt.append(v)
+    while any(level):
+        counts.append(sum(map(len, level)))
+        nxt = [[] for _ in range(n)]
+        for j0, group in enumerate(level):
+            for lam in group:
+                for i in range(j0):
+                    v = lam[:]
+                    _reflect(v, i, cols)
+                    nxt[i].append(v)
+                for i, a in upper[j0]:
+                    c = lam[i]
+                    if c > 0 and lam[j0] > c * a:
+                        for j in range(j0 + 1, i):
+                            if lam[j] < 0 and lam[j] <= c * cartan[j][i]:
+                                break
+                        else:
+                            v = lam[:]
+                            _reflect(v, i, cols)
+                            nxt[i].append(v)
         level = nxt
     if sum(counts) != order:
         raise MethodMismatch(f"{rs.id}: enumeration found {sum(counts)} of {order} elements")

@@ -13,7 +13,7 @@ import pytest
 import rootheight.cli as cli
 import rootheight.identities as identities
 from conftest import clear_identity_memos
-from rootheight.cli import MAX_DENOMINATOR_BITS, MAX_PERIOD, main
+from rootheight.cli import MAX_BFS_CAP, MAX_DENOMINATOR_BITS, MAX_PERIOD, main
 from rootheight.exactalg import Polynomial, _context
 from rootheight.identities import IdentityReport, MunagiDecomposition
 
@@ -203,6 +203,29 @@ class TestVerify:
     def test_negative_bfs_cap(self, capsys):
         assert main(["verify", "G", "2", "--bfs-cap", "-5"]) == 2
         assert capsys.readouterr().err.startswith("rootheight: error:")
+
+    def test_bfs_cap_limit(self, capsys, monkeypatch):
+        # The limit admits README's E7 example (2,903,040 elements) and the
+        # bench's D6 cap, and refuses D8 (5,160,960) and E8 before any system
+        # is built, so no walk starts.
+        monkeypatch.delenv("ROOTHEIGHT_BFS_CAP", raising=False)
+        assert MAX_BFS_CAP == 4_000_000
+        parse = cli._build_parser().parse_args
+        for cap in (23040, 2903040, MAX_BFS_CAP):
+            assert cli._verify_options(parse(["verify", "--bfs-cap", str(cap)])) == (None, cap)
+        monkeypatch.setattr(cli, "build", lambda rsid: pytest.fail(f"built {rsid}"))
+        for env, opts, cap in (({}, ["--bfs-cap", "696729600"], 696729600),
+                               ({}, ["--bfs-cap", "5160960"], 5160960),
+                               ({"ROOTHEIGHT_BFS_CAP": "4000001"}, [], 4000001)):
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
+            assert main(["verify", "E", "8", "--props", "eq5", *opts]) == 2, cap
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("rootheight: error: Weyl enumeration cap must lie "
+                                    f"in 0..{MAX_BFS_CAP}, got {cap}\n")
+            for key in env:
+                monkeypatch.delenv(key)
 
     def test_options_rejected_before_building(self, capsys, monkeypatch):
         # A usage error in the options must not pay for the construction of

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import defaultdict
 from math import gcd
 
 import pytest
@@ -44,8 +45,8 @@ def reflect(v, i, rows):
 
 
 def pairings(cartan, root):
-    """A root in simple-root coordinates as the closure keys it: the
-    frozenset of its nonzero (j, <root, alpha_j^vee>)."""
+    """A root in simple-root coordinates as ``keyed`` holds a closure root:
+    the frozenset of its nonzero (j, <root, alpha_j^vee>)."""
     p = (sum(a * x for a, x in zip(row, root)) for row in cartan)
     return frozenset((j, x) for j, x in enumerate(p) if x)
 
@@ -54,6 +55,31 @@ def positive_roots(cartan):
     """The positive roots in simple-root coordinates, by height and sorted
     within each height, from the root-string closure."""
     return [root for level in string_closure(cartan) for root in level]
+
+
+def keyed(level):
+    """A closure level as the set of its roots, each the frozenset of its
+    (j, p_j) items."""
+    return {frozenset(beta.items()) for beta in level}
+
+
+def set_closure(cartan):
+    """The closure that _close_positive_roots replaced: every s_i beta with
+    p_i < 0 of a level, deduplicated in a set of frozensets of its nonzero
+    pairings."""
+    cols = rootsys._columns(cartan)
+    levels = {1: {frozenset(col) for col in cols}}
+    k = 1
+    while k in levels:
+        for beta in levels[k]:
+            for i, c in beta:
+                if c < 0:
+                    p = defaultdict(int, beta)
+                    rootsys._reflect(p, i, cols)
+                    levels.setdefault(k - c, set()).add(
+                        frozenset(item for item in p.items() if item[1]))
+        yield levels.pop(k)
+        k += 1
 
 
 def two_rho_pairings(cartan, roots):
@@ -157,6 +183,31 @@ def set_walk(rs):
                     v = list(lam)
                     rootsys._reflect(v, i, cols)
                     nxt.add(tuple(v))
+        level = nxt
+    return Polynomial(counts)
+
+
+def scan_walk(rs):
+    """The least-descent walk that weyl_length_gf_bruteforce replaced: every
+    positive lambda_i of an element is tested against every negative
+    lambda_j, and s_i w is kept when no j < i stays negative in it."""
+    cartan, cols = rs.cartan, rootsys._columns(rs.cartan)
+    level = [list(rs.two_rho_pairings)]
+    counts = []
+    while level:
+        counts.append(len(level))
+        nxt = []
+        for lam in level:
+            negative = [j for j, x in enumerate(lam) if x < 0]
+            for i, c in enumerate(lam):
+                if c > 0:
+                    for j in negative:
+                        if j < i and lam[j] <= c * cartan[j][i]:
+                            break
+                    else:
+                        v = lam[:]
+                        rootsys._reflect(v, i, cols)
+                        nxt.append(v)
         level = nxt
     return Polynomial(counts)
 
@@ -278,8 +329,10 @@ class TestBuild:
     def test_rank2_simply_laced(self, catalog):
         rs = catalog["A2"]
         levels = list(_close_positive_roots(rs.cartan))
-        assert levels == [{frozenset({(0, 2), (1, -1)}), frozenset({(0, -1), (1, 2)})},
-                          {frozenset({(0, 1), (1, 1)})}]
+        assert [keyed(level) for level in levels] == [
+            {frozenset({(0, 2), (1, -1)}), frozenset({(0, -1), (1, 2)})},
+            {frozenset({(0, 1), (1, 1)})}]
+        assert [len(level) for level in levels] == [2, 1]
         assert rs.two_rho_pairings == (2, 2)
         assert rs.b == [2, 1]
         assert rs.exponents == [1, 2]
@@ -332,7 +385,20 @@ class TestBuild:
             cartan = cartan_matrix(rsid)
             expected = [{pairings(cartan, root) for root in level}
                         for level in string_closure(cartan)]
-            assert list(_close_positive_roots(cartan)) == expected, rsid
+            levels = list(_close_positive_roots(cartan))
+            assert [keyed(level) for level in levels] == expected, rsid
+            assert [len(level) for level in levels] == list(map(len, expected)), rsid
+
+    def test_closure_matches_set_closure(self, catalog):
+        # Each root comes once, from its canonical parent: every level has
+        # the roots of the set closure, and no root twice.
+        extra = [cartan_matrix(RootSystemId(fam, n))
+                 for fam, n in (("A", 60), ("C", 48), ("B", 30), ("D", 40), ("E", 8))]
+        for cartan in [rs.cartan for rs in catalog.values()] + extra:
+            levels = list(_close_positive_roots(cartan))
+            expected = list(set_closure(cartan))
+            assert [keyed(level) for level in levels] == expected
+            assert [len(level) for level in levels] == list(map(len, expected))
 
     def test_closure_matches_dense_oracle(self, catalog):
         # The root-coordinate closure with dense pairing lists: the same
@@ -562,6 +628,33 @@ class TestWeylOracle:
         assert len(systems) == 14
         for rs in systems + [catalog["D6"], catalog["E6"]]:
             assert weyl_length_gf_bruteforce(rs, cap=weyl_order(rs)) == set_walk(rs), rs.id
+
+    def test_walk_matches_scan_walk(self, catalog):
+        # The walk tests only the indices below the least descent and its
+        # upper neighbours; the scan tests every positive index against
+        # every negative one.  B6, C6 and E6 run long chains and the fork.
+        systems = [rs for rs in catalog.values() if weyl_order(rs) <= 23040]
+        assert len(systems) == 19
+        for rs in systems + [catalog["E6"], catalog["B6"], catalog["C6"]]:
+            assert weyl_length_gf_bruteforce(rs, cap=weyl_order(rs)) == scan_walk(rs), rs.id
+
+    def test_each_element_produced_once(self, catalog, monkeypatch):
+        # Every child the walk makes passes through _reflect: no element is
+        # made twice, and every element but 1 is made.
+        made = []
+        real = rootsys._reflect
+
+        def spy(p, i, cols):
+            real(p, i, cols)
+            made.append(tuple(p))
+
+        monkeypatch.setattr(rootsys, "_reflect", spy)
+        for name in ("B3", "D5", "E6", "F4", "G2"):
+            rs = catalog[name]
+            made.clear()
+            weyl_length_gf_bruteforce(rs, cap=weyl_order(rs))
+            assert len(made) == len(set(made)) == weyl_order(rs) - 1, name
+            assert rs.two_rho_pairings not in made, name
 
     def test_weight_walk_matches_root_walk(self, catalog):
         small = [rs for rs in catalog.values() if weyl_order(rs) <= 23040]
