@@ -18,10 +18,12 @@ from math import lcm
 
 from .errors import RootHeightError
 from .exactalg import Polynomial, poly_str
-from .identities import (CHECK_IDS, available_checks, b_poly, dynkin_polys,
-                         munagi_decompose, run_suite)
-from .rootsys import (DEFAULT_BFS_CAP, RootSystemId, build, coxeter_element,
-                      default_catalog, factorization_string, weyl_order)
+from .rootsys import (DEFAULT_BFS_CAP, RootSystemId, b_poly, build, coxeter_element,
+                      default_catalog, dynkin_polys, factorization_string,
+                      weyl_order)
+
+# The identity suite is imported inside the verify and munagi functions: info
+# never runs a check, and compiling the suite is most of a cold start's work.
 
 MAX_RANK = 500
 # Largest munagi period: a dense numerator decomposes within 1 s for every
@@ -123,9 +125,10 @@ def cmd_info(rs, fmt, out):
 
 
 def _verify_worker(task):
+    from .identities import run_suite
+
     rs, props, bfs_cap = task
-    ids = props if props is not None else available_checks(rs)
-    reports = run_suite(rs, ids, bfs_cap=bfs_cap)
+    reports = run_suite(rs, props, bfs_cap=bfs_cap)
     return {"system": str(rs.id),
             "checks": sorted((r.as_dict() for r in reports), key=lambda c: c["id"])}
 
@@ -133,6 +136,8 @@ def _verify_worker(task):
 def _verify_options(args):
     """The check ids (None for all) and the Weyl enumeration cap of a verify
     call, validated before any system is built."""
+    from .identities import CHECK_IDS
+
     if args.props is not None and args.all_props:
         raise UsageError("--props and --all are mutually exclusive")
     props = None
@@ -159,6 +164,8 @@ def _verify_options(args):
 
 
 def cmd_verify(systems, props, bfs_cap, jobs, fmt, out):
+    from .identities import available_checks
+
     tasks = []
     for rs in systems:
         ids = None
@@ -211,6 +218,8 @@ def _parse_coefficient(tok):
 
 
 def cmd_munagi(coeffs, h, roundtrip, fmt, out):
+    from .identities import munagi_decompose
+
     if h < 1:
         raise UsageError(f"period must be positive, got {h}")
     if h > MAX_PERIOD:

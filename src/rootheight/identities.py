@@ -49,9 +49,11 @@ from .linalg import FractionLU, det
 from .numth import (ArithSeq, class_sums, class_transform, cyclotomic_discriminant,
                     cyclotomic_poly, divisors, factorize, gcd_count, is_cohen,
                     mobius, psi_poly, ramanujan_sums, totient)
-from .rootsys import (DEFAULT_BFS_CAP, coxeter_element, factor_exponents,
-                      power_sums, weyl_length_gf_bruteforce,
-                      weyl_length_gf_product, weyl_order)
+# The height polynomials live in rootsys, which info reads without the suite;
+# they are re-exported here under their old names.
+from .rootsys import (DEFAULT_BFS_CAP, b_from_exponents, b_poly, coxeter_element,
+                      dynkin_polys, exponent_poly, factor_exponents, power_sums,
+                      weyl_length_gf_bruteforce, weyl_length_gf_product, weyl_order)
 
 Q = Polynomial.monomial(1)
 ONE = Polynomial((1,))
@@ -145,37 +147,6 @@ def _scalar_mismatch(label, got, expected):
 
 
 # -- shared building blocks ---------------------------------------------------
-
-
-def exponent_poly(rs):
-    """Sum of q**e over the exponents (multiplicities included)."""
-    out = [0] * rs.h
-    for e in rs.exponents:
-        out[e] += 1
-    return Polynomial(out)
-
-
-def b_from_exponents(exponents):
-    """Height generating function rebuilt from an exponent list."""
-    total = ZERO
-    for e in exponents:
-        total = total + Polynomial.geometric(e)
-    return total
-
-
-def b_poly(rs):
-    """Height distribution polynomial, coefficient of q**(k-1) counting the
-    positive roots of height k; computed three independent ways, once per
-    system (kept in its ``_bq`` slot)."""
-    memo = rs._bq
-    if "b" not in memo:
-        from_heights = Polynomial(rs.b)
-        from_exps = b_from_exponents(rs.exponents)
-        ratio = (exponent_poly(rs) - rs.id.rank).divexact(Q - 1)
-        if not (from_heights == from_exps == ratio):
-            raise MethodMismatch(f"{rs.id}: height polynomial routes disagree")
-        memo["b"] = from_heights
-    return memo["b"]
 
 
 def _b_parts(rs, shift):
@@ -982,14 +953,6 @@ def eq13_check(rs):
     except MethodMismatch as exc:
         witness = str(exc)
     return _report("eq13", _sys(rs), witness)
-
-
-def dynkin_polys(rs):
-    """D(q) and M(q): the sum of q**(e-1) over the exponents times
-    1 + q + ... + q**(h-1) (representation variant) and times
-    1 + q + ... + q**(h-2) (antichain variant)."""
-    spoly = sum((Polynomial.monomial(e - 1) for e in rs.exponents), ZERO)
-    return Polynomial.geometric(rs.h) * spoly, Polynomial.geometric(rs.h - 1) * spoly
 
 
 def dynkin_check(rs):

@@ -103,8 +103,8 @@ class RootSystem:
     ``e_of_d`` the cyclic factorization exponents, and ``p[k]`` the power
     sums of the Coxeter eigenvalues.  The roots themselves are not kept.
     Two slots cache data derived on first use: ``_coxeter`` the Coxeter
-    element, ``_bq`` the height polynomial B(q) and the Munagi parts of
-    q**s B(q) (filled by the identity checks).
+    element, ``_bq`` the height polynomial B(q) (``b_poly``) and the Munagi
+    parts of q**s B(q) (filled by the identity checks).
     """
 
     __slots__ = ("id", "cartan", "h", "exponents", "b", "two_rho_pairings", "m",
@@ -183,12 +183,18 @@ def _close_positive_roots(cartan):
 def build(rsid):
     """Construct the root system, derive every stored invariant and check
     them.  The closure's levels are folded into the height counts ``b`` and
-    the pairing sums ``two_rho_pairings`` as they come; no root is kept."""
+    the pairing sums ``two_rho_pairings`` as they come; no root is kept.
+    A level of more than n roots is refused at once: every height count is
+    at most the rank, and a closure that repeated roots would otherwise
+    grow its levels exponentially before the invariants are checked."""
     cartan = cartan_matrix(rsid)
     n = rsid.rank
     b = []
     two_rho = [0] * n
     for level in _close_positive_roots(cartan):
+        if len(level) > n:
+            raise MethodMismatch(f"{rsid}: {len(level)} roots of height "
+                                 f"{len(b) + 1} exceed the rank")
         b.append(len(level))
         for beta in level:
             for j, x in beta.items():
@@ -255,6 +261,48 @@ def multiplicities(rs):
     """Eigenvalue multiplicities m(k) of the Coxeter element, from the
     exponents (each exponent lies in 1..h-1)."""
     return _multiplicities(rs.exponents, rs.h)
+
+
+# -- height polynomials --------------------------------------------------------
+
+
+def exponent_poly(rs):
+    """Sum of q**e over the exponents (multiplicities included)."""
+    out = [0] * rs.h
+    for e in rs.exponents:
+        out[e] += 1
+    return Polynomial(out)
+
+
+def b_from_exponents(exponents):
+    """Height generating function rebuilt from an exponent list."""
+    total = Polynomial(())
+    for e in exponents:
+        total = total + Polynomial.geometric(e)
+    return total
+
+
+def b_poly(rs):
+    """Height distribution polynomial, coefficient of q**(k-1) counting the
+    positive roots of height k; computed three independent ways, once per
+    system (kept in its ``_bq`` slot)."""
+    memo = rs._bq
+    if "b" not in memo:
+        from_heights = Polynomial(rs.b)
+        from_exps = b_from_exponents(rs.exponents)
+        ratio = (exponent_poly(rs) - rs.id.rank).divexact(Polynomial((-1, 1)))
+        if not (from_heights == from_exps == ratio):
+            raise MethodMismatch(f"{rs.id}: height polynomial routes disagree")
+        memo["b"] = from_heights
+    return memo["b"]
+
+
+def dynkin_polys(rs):
+    """D(q) and M(q): the sum of q**(e-1) over the exponents times
+    1 + q + ... + q**(h-1) (representation variant) and times
+    1 + q + ... + q**(h-2) (antichain variant)."""
+    spoly = sum((Polynomial.monomial(e - 1) for e in rs.exponents), Polynomial(()))
+    return Polynomial.geometric(rs.h) * spoly, Polynomial.geometric(rs.h - 1) * spoly
 
 
 # -- Coxeter element ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import rootheight
 import rootheight.cli as cli
 import rootheight.identities as identities
 from conftest import clear_identity_memos
@@ -422,23 +424,99 @@ def test_usage_error_subprocess():
     assert proc.returncode == 2
 
 
-def test_cli_import_skips_pool_and_dataclasses():
-    # Every CLI call is a fresh interpreter, so the modules imported with
-    # rootheight.cli are paid on each call; the process pool (multiprocessing
-    # and its dependencies) and dataclasses (inspect, ast, dis) are not needed
-    # by a serial job.
-    script = ("import json, sys\n"
-              "before = set(sys.modules)\n"
-              "import rootheight.cli\n"
-              "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+def run_fresh(script):
+    """Run a Python script in a fresh interpreter with the package on its
+    path; its stdout parsed as JSON."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_skips_pool_and_dataclasses():
+    # Every CLI call is a fresh interpreter, so the modules imported with
+    # rootheight.cli are paid on each call; the process pool (multiprocessing
+    # and its dependencies) and dataclasses (inspect, ast, dis) are not needed
+    # by a serial job.
+    loaded = set(run_fresh("import json, sys\n"
+                           "before = set(sys.modules)\n"
+                           "import rootheight.cli\n"
+                           "print(json.dumps(sorted(set(sys.modules) - before)))\n"))
     assert "rootheight.cli" in loaded
     heavy = {"concurrent.futures.process", "multiprocessing", "dataclasses",
              "inspect"}
     assert not loaded & heavy, sorted(loaded & heavy)
+
+
+def test_cli_import_skips_identity_suite():
+    # The identity suite is the largest module to compile; only verify and
+    # munagi import it.
+    loaded = run_fresh("import json, sys\n"
+                       "import rootheight.cli\n"
+                       "print(json.dumps(sorted(sys.modules)))\n")
+    assert "rootheight.cli" in loaded
+    assert "rootheight.identities" not in loaded
+
+
+@pytest.mark.parametrize("argv,suite", [
+    (["info", "A", "3", "--format", "json"], False),
+    (["verify", "A", "2", "--format", "json"], True),
+    (["munagi", "1,2", "--h", "4", "--format", "json"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_module_run_loads_suite_only_to_check(argv, suite):
+    # The package as __main__, as `python -m rootheight` runs it: info must
+    # not load rootheight.identities, and verify does, so the probe can fail.
+    code, loaded, out = run_fresh(
+        "import io, json, runpy, sys\n"
+        f"sys.argv = ['rootheight', *{argv!r}]\n"
+        "sys.stdout, real = io.StringIO(), sys.stdout\n"
+        "try:\n"
+        "    runpy.run_module('rootheight', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "out, sys.stdout = sys.stdout.getvalue(), real\n"
+        "print(json.dumps([code, 'rootheight.identities' in sys.modules, out]))\n")
+    assert code == 0
+    assert json.loads(out)
+    assert loaded is suite
+
+
+# What the package exported when every name was imported eagerly, by the
+# module it was imported from.
+PACKAGE_EXPORTS = {
+    "errors": ("DegreeTooHigh", "DivisionByZero", "GroupTooLarge", "InvalidRank",
+               "MethodMismatch", "NoTripleFound", "NotDivisible",
+               "ReconstructionMismatch", "RootHeightError", "SingularSystem",
+               "UnsupportedOrder"),
+    "exactalg": ("CycNum", "Polynomial", "RationalFunction", "cyc_eval", "poly_arith",
+                 "poly_gcd", "poly_str", "ratfun_normalize"),
+    "identities": ("IdentityReport", "MunagiDecomposition", "SingularityData",
+                   "available_checks", "b_from_exponents", "b_poly", "dynkin_check",
+                   "exponent_poly", "lagrange_all_roots", "lagrange_primitive_roots",
+                   "mirimanoff_check", "munagi_decompose", "run_check", "run_suite",
+                   "singularity_check", "singularity_data"),
+    "numth": ("ArithSeq", "cyclotomic_discriminant", "cyclotomic_poly", "divisors",
+              "gcd_count", "is_cohen", "mobius", "psi_poly", "ramanujan_sum",
+              "ramanujan_sum_checked", "totient"),
+    "rootsys": ("DEFAULT_BFS_CAP", "CoxeterElement", "RootSystem", "RootSystemId",
+                "build", "cartan_matrix", "coxeter_element", "default_catalog",
+                "factor_exponents", "factorization_string", "multiplicities",
+                "power_sums", "weyl_length_gf_bruteforce", "weyl_length_gf_product",
+                "weyl_order"),
+}
+
+
+def test_package_exports_resolve():
+    listed = dir(rootheight)
+    for module, names in PACKAGE_EXPORTS.items():
+        owner = importlib.import_module(f"rootheight.{module}")
+        for name in names:
+            assert getattr(rootheight, name) is getattr(owner, name), name
+            assert name in listed, name
+    from rootheight import run_suite
+    assert run_suite is identities.run_suite
+    with pytest.raises(AttributeError):
+        rootheight.no_such_name

@@ -11,6 +11,7 @@ from math import gcd
 import pytest
 
 import rootheight.identities as identities
+import rootheight.rootsys as rootsys
 from conftest import MEMO_MODULES, clear_identity_memos
 from rootheight.errors import (DegreeTooHigh, MethodMismatch, ReconstructionMismatch,
                                SingularSystem)
@@ -866,8 +867,8 @@ class TestPerSystemData:
         rs = build(RootSystemId("E", 6))
         b, qb = Polynomial(rs.b), Polynomial(rs.b).shifted(1)
         routes, decomposed = [], []
-        real_routes, real_decompose = identities.b_from_exponents, munagi_decompose
-        monkeypatch.setattr(identities, "b_from_exponents",
+        real_routes, real_decompose = rootsys.b_from_exponents, munagi_decompose
+        monkeypatch.setattr(rootsys, "b_from_exponents",
                             lambda exps: routes.append(exps) or real_routes(exps))
         monkeypatch.setattr(identities, "munagi_decompose",
                             lambda numer, h: decomposed.append(numer) or

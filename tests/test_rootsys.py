@@ -380,6 +380,37 @@ class TestBuild:
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "MethodMismatch\n"), proc.stderr
 
+    def test_duplicating_closure_fails_at_once(self, monkeypatch):
+        # A closure that keeps every child, not only the canonical parent's,
+        # repeats roots, and its levels grow exponentially: build must refuse
+        # the first level of more than n roots.  The mutant stops the test
+        # if build asks it for a third level.
+        yielded = []
+
+        def every_child(cartan):
+            cols = rootsys._columns(cartan)
+            levels = {1: [dict(col) for col in cols]}
+            k = 1
+            while k in levels:
+                if len(yielded) == 2:
+                    pytest.fail(f"build consumed levels of {yielded} roots")
+                level = levels.pop(k)
+                for beta in level:
+                    for i, c in beta.items():
+                        if c < 0:
+                            p = defaultdict(int, beta)
+                            rootsys._reflect(p, i, cols)
+                            levels.setdefault(k - c, []).append(
+                                {j: x for j, x in p.items() if x})
+                yielded.append(len(level))
+                yield level
+                k += 1
+
+        monkeypatch.setattr(rootsys, "_close_positive_roots", every_child)
+        with pytest.raises(MethodMismatch, match="E8: 14 roots of height 2 exceed the rank"):
+            build(RootSystemId("E", 8))
+        assert yielded == [8, 14]
+
     def test_closure_matches_root_strings(self):
         for rsid in small_ids(20):
             cartan = cartan_matrix(rsid)
