@@ -23,7 +23,7 @@ from .rootsys import (DEFAULT_BFS_CAP, RootSystemId, b_poly, build, coxeter_elem
                       weyl_order)
 
 # The identity suite is imported inside the verify and munagi functions: info
-# never runs a check, and compiling the suite is most of a cold start's work.
+# never runs a check, and the suite is the largest module a cold start compiles.
 
 MAX_RANK = 500
 # Largest munagi period: a dense numerator decomposes within 1 s for every
