@@ -1,18 +1,20 @@
 """Construction of the height generating function and exact machine
 verification of the full identity catalog.
 
-Every check returns an ``IdentityReport``; equality of rational functions is
-decided by cross-multiplication over the exact coefficient field (rationals,
-or the cyclotomic field of the system's Coxeter order where roots of unity
-appear), so a "pass" verdict means exact coefficient equality, never a
-numerical tolerance.  Every sum over roots of unity is formed without a
-loop of field products: where the summands are the Galois conjugates of one
-field element (props 4, 14, 15 and 18), the sum is that element's ``trace``,
-a rational read off the Ramanujan sums; every sum over all h-th roots in
-props 1, 2, 3, 6, 9 and eq13 has weights that depend only on gcd(k, h) and
-groups into Ramanujan sums of the divisor orders (``numth.class_sums``).
-Checks are pure and independent; a runner may execute them concurrently and
-sort the reports afterwards.
+A check maps a root system to its first witness, a ``str``, or to ``None``
+when it passes; ``run_check`` alone names the check, labels the system and
+makes the ``IdentityReport``, and turns a raised error into the witness.
+Equality of rational functions is decided by cross-multiplication over the
+exact coefficient field (rationals, or the cyclotomic field of the system's
+Coxeter order where roots of unity appear), so a "pass" verdict means exact
+coefficient equality, never a numerical tolerance.  Every sum over roots of
+unity is formed without a loop of field products: where the summands are the
+Galois conjugates of one field element (props 4, 14, 15 and 18), the sum is
+that element's ``trace``, a rational read off the Ramanujan sums; every sum
+over all h-th roots in props 1, 2, 3, 6, 9 and eq13 has weights that depend
+only on gcd(k, h) and groups into Ramanujan sums of the divisor orders
+(``numth.class_sums``).  Checks are pure and independent; a runner may
+execute them concurrently and sort the reports afterwards.
 
 Checks share memo tables across systems: the common-denominator plan of
 each divisor-sum expansion and each term's numerator lifted to it
@@ -20,9 +22,9 @@ each divisor-sum expansion and each term's numerator lifted to it
 on a divisor d (or on h and d), the interpolants of props 14 and 18 and the
 witnesses of prop6 and prop15, which read only h.  Sharing is sound because
 every memoised function is pure and keyed on integers or coefficient tuples,
-never on a root system; a report carries the calling system's label, added
-after the lookup.  What a system's own fields determine, B(q) and the
-Munagi parts of B(q) and qB(q), is built once per system and kept on it.
+never on a root system; ``run_check`` adds the calling system's label.  What
+a system's own fields determine, B(q) and the Munagi parts of B(q) and
+qB(q), is built once per system and kept on it.
 
 Each divisor-sum expansion is built once.  prop2's four expansions of
 Phi_d'/Phi_d form one table per divisor d (``_phi_log_forms``); the Cohen
@@ -82,15 +84,6 @@ class IdentityReport(namedtuple("IdentityReport",
     def as_dict(self):
         return {"id": self.identity_id, "verdict": self.verdict,
                 "witness": self.witness}
-
-
-def _report(identity_id, system, witness):
-    return IdentityReport(identity_id, system, "fail" if witness else "pass",
-                          witness)
-
-
-def _sys(rs):
-    return str(rs.id)
 
 
 # -- comparison helpers -------------------------------------------------------
@@ -363,18 +356,16 @@ def prop1_check(rs):
     h, n = rs.h, rs.id.rank
     sums, missed = class_sums(coxeter_element(rs).traces, h)
     if missed is not None:
-        return _report("prop1", _sys(rs),
-                       f"trace pairing: class transform misses trace({missed})")
-    witness = next((f"trace pairing at k={k} does not give m({k})"
-                    for k in range(h) if sums[k] != h * rs.m[k]), None)
-    if witness is None:
-        running = 0
-        for k in range(1, h + 1):
-            running += rs.m[k - 1]
-            if n - running != (rs.b[k - 1] if k < h else 0):
-                witness = f"partial-sum complement fails at k={k}"
-                break
-    return _report("prop1", _sys(rs), witness)
+        return f"trace pairing: class transform misses trace({missed})"
+    for k in range(h):
+        if sums[k] != h * rs.m[k]:
+            return f"trace pairing at k={k} does not give m({k})"
+    running = 0
+    for k in range(1, h + 1):
+        running += rs.m[k - 1]
+        if n - running != (rs.b[k - 1] if k < h else 0):
+            return f"partial-sum complement fails at k={k}"
+    return None
 
 
 def prop2_check(rs):
@@ -394,7 +385,7 @@ def prop2_check(rs):
     members += [(label, _weighted_sum((mult, _phi_log_forms(d)[label]) for d, mult in mults))
                 for label in ("cyclotomic log-derivatives", "Moebius split",
                               "Ramanujan numerators", "totient q-analogue")]
-    return _report("prop2", _sys(rs), _chain_check(members))
+    return _chain_check(members)
 
 
 def _pole_sums(a, h, name):
@@ -416,11 +407,9 @@ def prop3_check(rs):
     h = rs.h
     sums, missed = class_sums(rs.p, h)
     if missed is not None:
-        witness = f"interpolation routes disagree: interpolant misses node {missed}"
-    else:
-        witness = _poly_mismatch("interpolant", Polynomial([Fraction(s, h) for s in sums]),
-                                 "input", exponent_poly(rs))
-    return _report("prop3", _sys(rs), witness)
+        return f"interpolation routes disagree: interpolant misses node {missed}"
+    return _poly_mismatch("interpolant", Polynomial([Fraction(s, h) for s in sums]),
+                          "input", exponent_poly(rs))
 
 
 def prop4_check(rs):
@@ -431,14 +420,13 @@ def prop4_check(rs):
     primitive root exactly when it vanishes at z."""
     h = rs.h
     epoly = exponent_poly(rs)
-    witness = None
     try:
         interp = lagrange_primitive_roots(cyc_eval(epoly, h, 1), h)
         if cyc_eval(interp - epoly, h, 1):
-            witness = "interpolant misses node 1"
+            return "interpolant misses node 1"
     except MethodMismatch as exc:
-        witness = str(exc)
-    return _report("prop4", _sys(rs), witness)
+        return str(exc)
+    return None
 
 
 def _cohen_tail_members(h, avals):
@@ -496,18 +484,16 @@ def prop5_check(rs):
         v = cyc_eval(epoly, h, h // d)
         expected = rs.p[(h // d) % h]
         if not v.is_rational or v.as_rational() != expected:
-            return _report("prop5", _sys(rs),
-                           f"value at power node h/{d} is not p(h/{d})")
+            return f"value at power node h/{d} is not p(h/{d})"
         avals[d] = expected
     lhs = RationalFunction(epoly, _one_minus(h))
-    members = [("E/(1-q^h)", lhs)] + _cohen_tail_members(h, avals)
-    return _report("prop5", _sys(rs), _h_scale_check(h, members))
+    return _h_scale_check(h, [("E/(1-q^h)", lhs)] + _cohen_tail_members(h, avals))
 
 
 def prop6_check(rs):
     """Expansions of the totient q-analogue over 1-q**h, including the
     classical Moebius forms."""
-    return _report("prop6", _sys(rs), _prop6_witness(rs.h))
+    return _prop6_witness(rs.h)
 
 
 @lru_cache(maxsize=None)
@@ -549,14 +535,13 @@ def prop7_check(rs):
          _weighted_sum([(a(0), RationalFunction(Polynomial.monomial(h), _one_minus(h)))]
                        + [(a(h // d), _moebius_tail(h, d, False)) for d in divs if d != 1])),
     ]
-    return _report("prop7", _sys(rs), _chain_check(members))
+    return _chain_check(members)
 
 
 def prop8_check(rs):
     """Heights as complements of gcd-window counts against the binomial
     factorization exponents."""
     h, n = rs.h, rs.id.rank
-    witness = None
     running = 0
     for k in range(1, h):
         running += rs.m[k - 1]
@@ -564,9 +549,8 @@ def prop8_check(rs):
         counted = n - sum(gcd_count(d, h, k - 1) * rs.e_of_d[h // d]
                           for d in divisors(h))
         if rs.b[k - 1] != direct or rs.b[k - 1] != counted:
-            witness = f"height count mismatch at k={k}"
-            break
-    return _report("prop8", _sys(rs), witness)
+            return f"height count mismatch at k={k}"
+    return None
 
 
 def prop9_check(rs):
@@ -577,7 +561,7 @@ def prop9_check(rs):
                ("(n-E)/(1-q^h)",
                 RationalFunction(n - exponent_poly(rs), _one_minus(h)))]
     members += _periodic_members(h, [rs.p[0] - rs.p[k] for k in range(h)])
-    return _report("prop9", _sys(rs), _h_scale_check(h, members))
+    return _h_scale_check(h, members)
 
 
 @lru_cache(maxsize=None)
@@ -610,42 +594,32 @@ def prop10_check(rs):
         ("Moebius shifted split",
          _weighted_sum((mult, _split_from_tail(h, d, True)) for d, mult in mults)),
     ]
-    return _report("prop10", _sys(rs), _chain_check(members))
+    return _chain_check(members)
 
 
 def prop11_check(rs):
     """Gcd-determined sequences decompose with constant parts (and those
     parts are the factorization exponents); a perturbed sequence does not."""
     h = rs.h
-    witness = None
-
     dec = munagi_decompose(Polynomial(rs.m), h)
     for d in divisors(h):
-        expected = Polynomial((rs.e_of_d[h // d],))
-        if dec.parts[d] != expected:
-            witness = f"m-sequence part at d={d} is {_render(dec.parts[d])}"
-            break
-
-    if witness is None:
-        dec = munagi_decompose(Polynomial(rs.p), h)
-        for d in divisors(h):
-            expected = Polynomial((d * rs.e_of_d[d],))
-            if dec.parts[d] != expected:
-                witness = f"p-sequence part at d={d} is {_render(dec.parts[d])}"
-                break
-
-    if witness is None and h >= 3:
-        k0 = next(k for k in range(2, h) if h % k != 0)
-        perturbed = list(rs.m)
-        perturbed[k0] += 1
-        ok, _ = is_cohen(ArithSeq(h, tuple(perturbed)))
-        if ok:
-            witness = f"perturbation at k={k0} unexpectedly gcd-determined"
-        else:
-            dec = munagi_decompose(Polynomial(perturbed), h)
-            if all(part.degree <= 0 for part in dec.parts.values()):
-                witness = "perturbed sequence still has all-constant parts"
-    return _report("prop11", _sys(rs), witness)
+        if dec.parts[d] != Polynomial((rs.e_of_d[h // d],)):
+            return f"m-sequence part at d={d} is {_render(dec.parts[d])}"
+    dec = munagi_decompose(Polynomial(rs.p), h)
+    for d in divisors(h):
+        if dec.parts[d] != Polynomial((d * rs.e_of_d[d],)):
+            return f"p-sequence part at d={d} is {_render(dec.parts[d])}"
+    if h < 3:
+        return None
+    k0 = next(k for k in range(2, h) if h % k != 0)
+    perturbed = list(rs.m)
+    perturbed[k0] += 1
+    if is_cohen(ArithSeq(h, tuple(perturbed)))[0]:
+        return f"perturbation at k={k0} unexpectedly gcd-determined"
+    dec = munagi_decompose(Polynomial(perturbed), h)
+    if all(part.degree <= 0 for part in dec.parts.values()):
+        return "perturbed sequence still has all-constant parts"
+    return None
 
 
 def prop12_check(rs):
@@ -656,9 +630,8 @@ def prop12_check(rs):
                          for d in divisors(h) if (e := rs.e_of_d[h // d]))
     rhs = RationalFunction(Polynomial((n,)), _one_minus(1)) - \
         RationalFunction(_one_minus(h), _one_minus(1)) * tail
-    witness = _chain_check([("B", RationalFunction(b_poly(rs), ONE)),
-                            ("constant-part form", rhs)])
-    return _report("prop12", _sys(rs), witness)
+    return _chain_check([("B", RationalFunction(b_poly(rs), ONE)),
+                         ("constant-part form", rhs)])
 
 
 def prop13_check(rs):
@@ -673,8 +646,7 @@ def prop13_check(rs):
         _scalar_mismatch("prime top coefficients", top, 1),
         None if parts[1].is_zero else f"part at d=1 is {_render(parts[1])}",
     ]
-    witness = next((c for c in checks if c), None)
-    return _report("prop13", _sys(rs), witness)
+    return next((c for c in checks if c), None)
 
 
 def top_part_check(rs, shift):
@@ -682,27 +654,22 @@ def top_part_check(rs, shift):
     of q**shift/(1-q) at the primitive roots, whose Gram-system form
     lagrange_primitive_roots cross-checks (prop14 for shift 0, prop18 for
     shift 1)."""
-    check_id = "prop18" if shift else "prop14"
     h, n = rs.h, rs.id.rank
     top = _b_parts(rs, shift)[h]
-    scale = n - rs.e_of_d[1]
-    ctx = _context(h)
     try:
         value, interp = _pole_interpolant(h, shift)
-        witness = _poly_mismatch("top part", top, "scaled interpolant",
-                                 scale * interp)
     except MethodMismatch as exc:
-        witness = str(exc)
-
-    if witness is None and not shift:
-        # The pole-sum vector L_{h,j}, the interpolator's sums U(j-1) of
-        # 1/(1 - z), against its alternate evaluation.
-        phi_at_one = cyclotomic_poly(h)(1)
-        for j, alt in enumerate(_lvec_interpolated(h), start=1):
-            if ctx.trace(value, j - 1) * phi_at_one != alt:
-                witness = f"pole-sum vector entry j={j} mismatch"
-                break
-    return _report(check_id, _sys(rs), witness)
+        return str(exc)
+    witness = _poly_mismatch("top part", top, "scaled interpolant", (n - rs.e_of_d[1]) * interp)
+    if witness or shift:
+        return witness
+    # The pole-sum vector L_{h,j}, the interpolator's sums U(j-1) of
+    # 1/(1 - z), against its alternate evaluation.
+    ctx, phi_at_one = _context(h), cyclotomic_poly(h)(1)
+    for j, alt in enumerate(_lvec_interpolated(h), start=1):
+        if ctx.trace(value, j - 1) * phi_at_one != alt:
+            return f"pole-sum vector entry j={j} mismatch"
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -740,7 +707,7 @@ def prop15_check(rs):
     """Closed form m - (h+1)/2 of the divisor-summed pole sums.  Each pole
     sum is a trace, so its rationality is built in rather than checked; the
     closed form is what is checked."""
-    return _report("prop15", _sys(rs), pole_sum_witness(rs.h))
+    return pole_sum_witness(rs.h)
 
 
 def paired_parts_check(rs, shift):
@@ -748,16 +715,15 @@ def paired_parts_check(rs, shift):
     the sum of (H_d / q**shift + q**(d-1+shift) H_d(1/q)) / (1-q**d) is
     n/(1-q) (prop16 for shift 0, prop19 for shift 1).  Each divisor adds
     one term (H_d + q**(d-1+2 shift) H_d(1/q)) / (q**shift (1-q**d)) to a
-    weighted sum over memoised lifts."""
+    plain ``_rf_sum``: the parts are the system's own, so their products
+    with the plan multipliers are not memoised."""
     h, n = rs.h, rs.id.rank
     parts = _b_parts(rs, shift)
-    total = _weighted_sum(
-        (1, RationalFunction(parts[d] + parts[d].reversed_to(d - 1 + shift).shifted(shift),
-                             _one_minus(d).shifted(shift)))
-        for d in divisors(h))
-    witness = _chain_check([("n/(1-q)", RationalFunction(Polynomial((n,)), _one_minus(1))),
-                            ("paired parts", total)])
-    return _report("prop19" if shift else "prop16", _sys(rs), witness)
+    total = _rf_sum(RationalFunction(parts[d] + parts[d].reversed_to(d - 1 + shift).shifted(shift),
+                                     _one_minus(d).shifted(shift))
+                    for d in divisors(h))
+    return _chain_check([("n/(1-q)", RationalFunction(Polynomial((n,)), _one_minus(1))),
+                         ("paired parts", total)])
 
 
 def prop17_check(rs):
@@ -773,8 +739,7 @@ def prop17_check(rs):
         _scalar_mismatch("linear terms", 1 + sum(parts[d].coeff(1) for d in parts), n),
         _scalar_mismatch("quadratic terms", 1 + b_const + second, n - 1),
     ]
-    witness = next((c for c in checks if c), None)
-    return _report("prop17", _sys(rs), witness)
+    return next((c for c in checks if c), None)
 
 
 # -- simply-laced singularity data ----------------------------------------------
@@ -868,7 +833,7 @@ def singularity_check(rs):
     try:
         data = singularity_data(rs)
     except NoTripleFound as exc:
-        return _report("eq19", _sys(rs), str(exc))
+        return str(exc)
     h, n = rs.h, rs.id.rank
     a, b, c = data.a, data.b, data.c
 
@@ -878,29 +843,23 @@ def singularity_check(rs):
         * (Polynomial.monomial(2 * h - ib) - 1),
         (Polynomial.monomial(ia) - 1) * (Polynomial.monomial(ib) - 1)) - n
     rhs = inner * RationalFunction(ONE, Polynomial.monomial(2) - 1)
-    witness = _chain_check([("B(t^2)",
-                             RationalFunction(b_poly(rs).compose_power(2), ONE)),
-                            ("weight form", rhs)])
-
-    if witness is None and 2 * a * b != data.group_order:
-        witness = f"2ab = {2 * a * b} but group order is {data.group_order}"
-
-    if witness is None:
-        disc = (h + 2) ** 2 - 8 * data.group_order
-        s = isqrt(max(disc, 0))
-        if s * s != disc:
-            witness = f"quadratic discriminant {disc} is not a square"
-        else:
-            lo, hi = Fraction(h + 2 - s, 4), Fraction(h + 2 + s, 4)
-            if {lo, hi} != {a, b}:
-                witness = (f"quadratic roots {_render(lo)}, {_render(hi)} "
-                           f"do not match ({a}, {b})")
-
-    if witness is None and data.branch_lengths is not None:
+    if witness := _chain_check([("B(t^2)", RationalFunction(b_poly(rs).compose_power(2), ONE)),
+                                ("weight form", rhs)]):
+        return witness
+    if 2 * a * b != data.group_order:
+        return f"2ab = {2 * a * b} but group order is {data.group_order}"
+    disc = (h + 2) ** 2 - 8 * data.group_order
+    s = isqrt(max(disc, 0))
+    if s * s != disc:
+        return f"quadratic discriminant {disc} is not a square"
+    lo, hi = Fraction(h + 2 - s, 4), Fraction(h + 2 + s, 4)
+    if {lo, hi} != {a, b}:
+        return f"quadratic roots {_render(lo)}, {_render(hi)} do not match ({a}, {b})"
+    if data.branch_lengths is not None:
         al, be, ga = data.branch_lengths
         if Fraction(h) / (a * b * c) != Fraction(data.cartan_det, al * be * ga):
-            witness = "volume relation fails against branch lengths"
-    return _report("eq19", _sys(rs), witness)
+            return "volume relation fails against branch lengths"
+    return None
 
 
 # -- remaining checks ------------------------------------------------------------
@@ -910,22 +869,20 @@ def eq5_check(rs, bfs_cap=DEFAULT_BFS_CAP):
     """Both product forms of the length generating function agree, are
     polynomial, and (within the cap) match the Cayley-graph enumeration."""
     by_heights, by_exponents = weyl_length_gf_product(rs)
-    witness = _chain_check([("height product", by_heights),
-                            ("exponent product", by_exponents)])
-    gf = None
-    if witness is None:
-        try:
-            gf = by_exponents.as_polynomial()
-        except NotDivisible:
-            witness = "product form is not polynomial"
-        else:
-            order = weyl_order(rs)
-            if gf(1) != order:
-                witness = f"value at 1 is {gf(1)}, group order is {order}"
-    if witness is None and weyl_order(rs) <= bfs_cap:
-        bfs = weyl_length_gf_bruteforce(rs, bfs_cap)
-        witness = _poly_mismatch("enumeration", bfs, "product form", gf)
-    return _report("eq5", _sys(rs), witness)
+    if witness := _chain_check([("height product", by_heights),
+                                ("exponent product", by_exponents)]):
+        return witness
+    try:
+        gf = by_exponents.as_polynomial()
+    except NotDivisible:
+        return "product form is not polynomial"
+    order = weyl_order(rs)
+    if gf(1) != order:
+        return f"value at 1 is {gf(1)}, group order is {order}"
+    if order <= bfs_cap:
+        return _poly_mismatch("enumeration", weyl_length_gf_bruteforce(rs, bfs_cap),
+                              "product form", gf)
+    return None
 
 
 def eq12_check(rs):
@@ -933,26 +890,22 @@ def eq12_check(rs):
     the exponents themselves re-derived from the multiplicities once the
     Coxeter characteristic polynomial has been matched against them."""
     h = rs.h
-    witness = None
     if factor_exponents(rs) != rs.e_of_d:
-        witness = "re-derived factorization exponents differ"
+        return "re-derived factorization exponents differ"
     for k in range(h):
-        if witness:
-            break
         val = sum(rs.e_of_d[h // d] for d in divisors(gcd(k, h)))
         if val != rs.m[k]:
-            witness = f"m({k}) != divisor sum {val}"
-    return _report("eq12", _sys(rs), witness)
+            return f"m({k}) != divisor sum {val}"
+    return None
 
 
 def eq13_check(rs):
     """Power sums by three routes (divisor sum, eigenvalue sum, transform)."""
     try:
         vals = power_sums(rs)
-        witness = None if vals == rs.p else "stored power sums differ"
     except MethodMismatch as exc:
-        witness = str(exc)
-    return _report("eq13", _sys(rs), witness)
+        return str(exc)
+    return None if vals == rs.p else "stored power sums differ"
 
 
 def dynkin_check(rs):
@@ -967,18 +920,15 @@ def dynkin_check(rs):
         _scalar_mismatch("value at 1", dpoly(1), n * h),
         _scalar_mismatch("antichain value at 1", mpoly(1), n * (h - 1)),
     ]
-    witness = next((c for c in checks if c), None)
-    if witness is None:
-        rel = RationalFunction(dpoly.shifted(1), _qm1(h)) - \
+    if witness := next((c for c in checks if c), None):
+        return witness
+    for label, poly, period in (("quotient relation", dpoly, h),
+                                ("antichain relation", mpoly, h - 1)):
+        rel = RationalFunction(poly.shifted(1), _qm1(period)) - \
             RationalFunction(Polynomial((n,)), Q - 1)
-        witness = _chain_check([("B", RationalFunction(bpoly, ONE)),
-                                ("quotient relation", rel)])
-    if witness is None:
-        rel = RationalFunction(mpoly.shifted(1), _qm1(h - 1)) - \
-            RationalFunction(Polynomial((n,)), Q - 1)
-        witness = _chain_check([("B", RationalFunction(bpoly, ONE)),
-                                ("antichain relation", rel)])
-    return _report("eq20", _sys(rs), witness)
+        if witness := _chain_check([("B", RationalFunction(bpoly, ONE)), (label, rel)]):
+            return witness
+    return None
 
 
 def mirimanoff_check(rs, m):
@@ -997,18 +947,15 @@ def mirimanoff_check(rs, m):
     for e in rs.exponents:
         tails = tails + Polynomial([0] + [i ** m for i in range(1, e + 1)])
 
-    witness = (_poly_mismatch("operator", via_operator, "direct", direct)
-               or _poly_mismatch("operator", via_operator, "tails", tails))
-    return _report("mirimanoff", _sys(rs), witness)
+    return (_poly_mismatch("operator", via_operator, "direct", direct)
+            or _poly_mismatch("operator", via_operator, "tails", tails))
 
 
 def _mirimanoff_suite(rs):
     for m in range(5):
-        rep = mirimanoff_check(rs, m)
-        if not rep.passed:
-            return IdentityReport("mirimanoff", rep.system, "fail",
-                                  f"m={m}: {rep.witness}")
-    return _report("mirimanoff", _sys(rs), None)
+        if witness := mirimanoff_check(rs, m):
+            return f"m={m}: {witness}"
+    return None
 
 
 def cohen_check(rs):
@@ -1016,9 +963,8 @@ def cohen_check(rs):
     for name, seq in (("m", rs.m), ("p", rs.p)):
         ok, k = is_cohen(ArithSeq(rs.h, tuple(seq)))
         if not ok:
-            return _report("cohen", _sys(rs),
-                           f"{name}-sequence violates gcd-determination at k={k}")
-    return _report("cohen", _sys(rs), None)
+            return f"{name}-sequence violates gcd-determination at k={k}"
+    return None
 
 
 # -- suite runner -----------------------------------------------------------------
@@ -1050,18 +996,22 @@ def available_checks(rs):
 
 
 def run_check(rs, check_id, bfs_cap=DEFAULT_BFS_CAP):
-    """Run one check defensively: any raised error becomes a fail report."""
+    """The report of one check on rs, the one place a report is made: the
+    check's first witness fails it, and any error it raises becomes the
+    witness.  A check id that is unknown, or that ``available_checks(rs)``
+    excludes, raises ``ValueError``."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
+    if check_id not in available_checks(rs):
+        raise ValueError(f"check {check_id!r} does not apply to {rs.id}")
     check = _CHECKS[check_id]
     try:
-        return check(rs, bfs_cap=bfs_cap) if check_id == "eq5" else check(rs)
+        witness = check(rs, bfs_cap=bfs_cap) if check_id == "eq5" else check(rs)
     except RootHeightError as exc:
-        return IdentityReport(check_id, _sys(rs), "fail",
-                              f"{type(exc).__name__}: {exc}")
+        witness = f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # a crash must surface as a failed check
-        return IdentityReport(check_id, _sys(rs), "fail",
-                              f"internal {type(exc).__name__}: {exc}")
+        witness = f"internal {type(exc).__name__}: {exc}"
+    return IdentityReport(check_id, str(rs.id), "fail" if witness else "pass", witness)
 
 
 def run_suite(rs, check_ids=None, bfs_cap=DEFAULT_BFS_CAP):

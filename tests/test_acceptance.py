@@ -223,8 +223,8 @@ def test_criterion_9_pole_sum_scalars(catalog):
             if rs.h in seen:
                 continue
             seen.add(rs.h)
-            rep = prop15_check(rs)
-            assert rep.passed, rep.witness
+            witness = prop15_check(rs)
+            assert witness is None, witness
 
 
 def test_criterion_10_e8_headline_numbers(catalog):

@@ -17,7 +17,7 @@ import rootheight.identities as identities
 from conftest import clear_identity_memos
 from rootheight.cli import MAX_BFS_CAP, MAX_DENOMINATOR_BITS, MAX_PERIOD, main
 from rootheight.exactalg import Polynomial, _context
-from rootheight.identities import IdentityReport, MunagiDecomposition
+from rootheight.identities import MunagiDecomposition
 
 
 def run_cli(capsys, *args):
@@ -103,7 +103,7 @@ class TestVerify:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         def broken(rs):
-            return IdentityReport("cohen", str(rs.id), "fail", "forced")
+            return "forced"
 
         monkeypatch.setitem(identities._CHECKS, "cohen", broken)
         code, out = run_cli(capsys, "verify", "A", "1", "--props", "cohen",
@@ -113,7 +113,7 @@ class TestVerify:
 
     def test_failure_table_shows_witness(self, capsys, monkeypatch):
         def broken(rs):
-            return IdentityReport("cohen", str(rs.id), "fail", "forced")
+            return "forced"
 
         monkeypatch.setitem(identities._CHECKS, "cohen", broken)
         code, out = run_cli(capsys, "verify", "A", "1", "--props", "cohen,prop8")

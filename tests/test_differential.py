@@ -16,8 +16,9 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from rootheight.identities import available_checks, run_check
-from rootheight.rootsys import RootSystem, RootSystemId, build
+from rootheight.errors import RootHeightError
+from rootheight.identities import _CHECKS, IdentityReport, available_checks, run_check
+from rootheight.rootsys import DEFAULT_BFS_CAP, RootSystem, RootSystemId, build
 
 SYSTEMS = (("A", 4), ("A", 7), ("B", 3), ("C", 4), ("D", 5), ("E", 6), ("F", 4),
            ("G", 2))
@@ -101,6 +102,34 @@ def test_corruption_differential_goldens():
     block = readme[readme.index(TABLE_BEGIN) + len(TABLE_BEGIN):readme.index(TABLE_END)]
     table = sensitivity_table(rows)
     assert block.strip() == table, f"README sensitivity table is stale; expected:\n{table}"
+
+
+def test_checks_return_their_witness(catalog):
+    # A check maps a system to its first witness: None on every applicable
+    # catalog system, None or a str under every corruption above (eq5
+    # included).  run_check alone makes the report; an error the check
+    # raises becomes its witness.
+    cases = [(rs, cid) for rs in catalog.values() for cid in available_checks(rs)]
+    for rs, cid in cases:
+        args = {"bfs_cap": DEFAULT_BFS_CAP} if cid == "eq5" else {}
+        assert _CHECKS[cid](rs, **args) is None, (rs.id, cid)
+    for family, rank in SYSTEMS:
+        for kind in CORRUPTIONS:
+            bad = corrupted(build(RootSystemId(family, rank)), kind)
+            cases += [(bad, cid) for cid in available_checks(bad)]
+    raised = 0
+    for rs, cid in cases:
+        try:
+            witness = _CHECKS[cid](rs)
+        except RootHeightError as exc:
+            witness, raised = f"{type(exc).__name__}: {exc}", raised + 1
+        except Exception as exc:
+            witness, raised = f"internal {type(exc).__name__}: {exc}", raised + 1
+        else:
+            assert witness is None or type(witness) is str, (rs.id, cid, witness)
+        assert run_check(rs, cid) == IdentityReport(
+            cid, str(rs.id), "fail" if witness else "pass", witness), (rs.id, cid)
+    assert raised
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+import rootheight.exactalg as exactalg
 import rootheight.identities as identities
 import rootheight.rootsys as rootsys
 from conftest import MEMO_MODULES, clear_identity_memos
@@ -670,24 +671,23 @@ class TestSingularity:
 
     def test_reports_pass(self, catalog):
         for name in ("A1", "A2", "A5", "D4", "D7", "E6", "E7", "E8"):
-            rep = singularity_check(catalog[name])
-            assert rep.passed, rep.witness
+            witness = singularity_check(catalog[name])
+            assert witness is None, witness
 
 
 class TestScalarChecks:
     def test_dynkin_rank_one(self, catalog):
-        assert dynkin_check(catalog["A1"]).passed
+        assert dynkin_check(catalog["A1"]) is None
 
     def test_mirimanoff_examples(self, catalog):
         g2 = catalog["G2"]
-        assert mirimanoff_check(g2, 0).passed
-        rep = mirimanoff_check(g2, 1)
-        assert rep.passed
+        assert mirimanoff_check(g2, 0) is None
+        assert mirimanoff_check(g2, 1) is None
         # direct coefficients b_k * k
         direct = Polynomial([0, 2, 2, 3, 4, 5])
         via = b_poly(g2).shifted(1).derivative().shifted(1)
         assert via == direct
-        assert mirimanoff_check(catalog["A1"], 3).passed
+        assert mirimanoff_check(catalog["A1"], 3) is None
 
     def test_pole_sum_toy_value(self):
         # single primitive square root of unity: z/(1-z) = -1/2 at z = -1
@@ -888,6 +888,14 @@ class TestPerSystemData:
         for rep in run_suite(bad, ["prop9", "prop13", "prop14"]):
             assert (rep.verdict, rep.witness) == (
                 "fail", "MethodMismatch: E6: height polynomial routes disagree"), rep
+
+    def test_paired_parts_leave_no_lifts(self, catalog):
+        # Props 16 and 19 sum each system's own parts, which no other system
+        # shares: none of their products enters the memo of lifts.
+        clear_identity_memos()
+        for rs in catalog.values():
+            assert all(rep.passed for rep in run_suite(rs, ["prop16", "prop19"])), rs.id
+        assert exactalg._lift.cache_info().currsize == 0
 
 
 def test_clear_identity_memos_empties_every_table(catalog):
@@ -1093,7 +1101,7 @@ class TestHScaleChains:
                             lambda members: calls.append(members) or real(members))
         for rs in catalog.values():
             calls.clear()
-            assert identities.prop5_check(rs).passed and identities.prop9_check(rs).passed
+            assert identities.prop5_check(rs) is None and identities.prop9_check(rs) is None
             assert identities._prop6_witness.__wrapped__(rs.h) is None
             assert len(calls) == 3, rs.id
 
@@ -1120,7 +1128,7 @@ class TestClassSums:
             for k, acc in enumerate(trace_pairings(rs)):
                 assert acc[0] == sums[k] and not any(acc[1:]), (rs.id, k)
             assert sums == [rs.h * m for m in rs.m], rs.id
-            assert identities.prop1_check(rs).passed, rs.id
+            assert identities.prop1_check(rs) is None, rs.id
         assert {rs.h for rs in systems} >= {61, 166}
 
     def test_periodic_poles_match_field_route(self):
@@ -1143,13 +1151,13 @@ class TestClassSums:
             monkeypatch.setattr(ctx_type, name, lambda self, terms, real=real, name=name:
                                 calls.append(name) or real(self, terms))
         for rs in catalog.values():
-            assert identities.prop1_check(rs).passed, rs.id
+            assert identities.prop1_check(rs) is None, rs.id
             assert identities._prop6_witness(rs.h) is None, rs.id
-            assert identities.prop9_check(rs).passed, rs.id
-            assert identities.eq13_check(rs).passed, rs.id
+            assert identities.prop9_check(rs) is None, rs.id
+            assert identities.eq13_check(rs) is None, rs.id
         assert calls == []
         # The spy sees the checks that still reduce modulo Phi_h.
-        assert identities.prop5_check(catalog["E6"]).passed and calls
+        assert identities.prop5_check(catalog["E6"]) is None and calls
 
     def test_prop1_traces_not_gcd_determined(self, catalog, monkeypatch):
         # Tr(c**3) of A7 (h = 8) is off the divisors: only the re-evaluation
@@ -1298,9 +1306,9 @@ class TestSparseRoutes:
     def test_paired_parts_match_old_builder(self, catalog, monkeypatch):
         clear_identity_memos()
         totals = []
-        real = identities._weighted_sum
-        monkeypatch.setattr(identities, "_weighted_sum",
-                            lambda pairs: totals.append(real(pairs)) or totals[-1])
+        real = identities._rf_sum
+        monkeypatch.setattr(identities, "_rf_sum",
+                            lambda terms: totals.append(real(terms)) or totals[-1])
         for rs in catalog.values():
             for shift, cid in ((0, "prop16"), (1, "prop19")):
                 rep = run_suite(rs, [cid])[0]
@@ -1335,6 +1343,16 @@ class TestSuite:
     def test_unknown_check_id_raises(self, catalog):
         with pytest.raises(ValueError, match="unknown check 'prop20'"):
             identities.run_check(catalog["A2"], "prop20")
+
+    @pytest.mark.parametrize("name", ["B3", "G2"])
+    def test_inapplicable_check_is_refused(self, catalog, name):
+        # eq19's weight data exists for simply-laced systems only: asking
+        # for it elsewhere is an error of the caller, not a failed identity.
+        rs = catalog[name]
+        with pytest.raises(ValueError, match=f"check 'eq19' does not apply to {name}"):
+            identities.run_check(rs, "eq19")
+        with pytest.raises(ValueError, match=f"check 'eq19' does not apply to {name}"):
+            run_suite(rs, ["prop1", "eq19"])
 
     def test_eq5_takes_the_bfs_cap(self, catalog, monkeypatch):
         # A2's Weyl group has order 6: a cap of 5 skips the enumeration, a cap
