@@ -28,7 +28,9 @@ divides over the list that the order's field context holds; it reduces
 field products, sums of powers of the root and Munagi's partial fractions.
 
 Each cyclotomic order has one field context, built once by the cached
-``_context(h)``: the modulus and its term list, the primitive residues,
+``_context(h)``: the modulus Phi_h, q**h - 1 divided by the moduli of its
+proper divisors' contexts (``numth.cyclotomic_poly`` returns it), and its
+term list, the primitive residues,
 ``coords`` for sums of powers, ``root_sum`` for sums of field elements times
 powers of the root, ``trace`` for the sum of the Galois conjugates of
 v * z**e (a rational, from the Ramanujan sums c_h(0..h-1), which the context
@@ -377,20 +379,6 @@ def poly_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_int(h):
-    """Coefficients of the order-h cyclotomic polynomial, by recursive division
-    of q**h - 1 by the lower-order cyclotomics."""
-    coeffs = [-1] + [0] * (h - 1) + [1]
-    for d in range(1, h):
-        if h % d == 0:
-            phi_d = _cyclotomic_int(d)
-            coeffs, rem = _divide(coeffs, _low_terms(phi_d), len(phi_d) - 1)
-            if any(rem):
-                raise NotDivisible(f"order {d} cyclotomic does not divide q**{h} - 1")
-    return tuple(coeffs)
-
-
 def _cyc_remainder(coeffs, h):
     """Remainder of a coefficient sequence modulo the order-h cyclotomic
     polynomial: it divides q**h - 1, so the sequence is first folded modulo
@@ -403,20 +391,28 @@ def _cyc_remainder(coeffs, h):
 
 
 class _CycContext:
-    """Per-order field data: the modulus Phi_h, the nonzero terms of Phi_h
-    below its top (the divisor that ``_divide`` runs over) and the
-    primitive residues, plus the Ramanujan sums and the inverses 1/(1 - z)
-    and 1/Phi_h'(z), each built on first use.  Every reduction modulo
-    Phi_h, of a sum of powers, a product or a Munagi part, is one
-    ``_cyc_remainder`` over ``terms``, so the term list of an order is
-    built once per process, with its context."""
+    """Per-order field data: the modulus Phi_h, q**h - 1 divided by the
+    moduli of the contexts of its proper divisors (``NotDivisible`` if one
+    leaves a remainder), the nonzero terms of Phi_h below its top (the
+    divisor that ``_divide`` runs over) and the primitive residues, plus
+    the Ramanujan sums and the inverses 1/(1 - z) and 1/Phi_h'(z), each
+    built on first use.  Every reduction modulo Phi_h, of a sum of powers, a
+    product or a Munagi part, is one ``_cyc_remainder`` over ``terms``, so
+    the term list of an order is built once per process, with its context."""
 
     __slots__ = ("order", "phi", "modulus", "terms", "residues",
                  "_ramanujan", "_inv_one_minus", "_inv_dphi")
 
     def __init__(self, h):
+        coeffs = [-1] + [0] * (h - 1) + [1]
+        for d in range(1, h):
+            if h % d == 0:
+                sub = _context(d)
+                coeffs, rem = _divide(coeffs, sub.terms, sub.phi)
+                if any(rem):
+                    raise NotDivisible(f"order {d} cyclotomic does not divide q**{h} - 1")
         self.order = h
-        self.modulus = _cyclotomic_int(h)
+        self.modulus = tuple(coeffs)
         self.phi = len(self.modulus) - 1
         self.terms = _low_terms(self.modulus)
         self.residues = tuple(k for k in range(1, h + 1)

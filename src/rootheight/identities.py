@@ -19,21 +19,23 @@ execute them concurrently and sort the reports afterwards.
 Checks share memo tables across systems: the common-denominator plan of
 each divisor-sum expansion and each term's numerator lifted to it
 (``exactalg._sum_plan`` and ``exactalg._lift``), the building blocks keyed
-on a divisor d (or on h and d), the interpolants of props 14 and 18 and the
-witnesses of prop6 and prop15, which read only h.  Sharing is sound because
-every memoised function is pure and keyed on integers or coefficient tuples,
-never on a root system; ``run_check`` adds the calling system's label.  What
-a system's own fields determine, B(q) and the Munagi parts of B(q) and
-qB(q), is built once per system and kept on it.
+on a divisor d (or on h and d), the interpolants of props 14 and 18 (with
+prop14's pole-sum vector check) and the witnesses of prop6 and prop15,
+which read only h.  Sharing is sound because every memoised function is
+pure and keyed on integers or coefficient tuples, never on a root system;
+``run_check`` adds the calling system's label.  What a system's own fields
+determine, B(q) and the Munagi parts of B(q) and qB(q), is built once per
+system and kept on it.
 
 Each divisor-sum expansion is built once.  prop2's four expansions of
-Phi_d'/Phi_d form one table per divisor d (``_phi_log_forms``); the Cohen
-tails of props 5, 6 and 9 are that table at 1/q, f -> q**-1 f(1/q)
-(``_reciprocal``); and props 6 and 10 reuse prop7's Moebius tail.  A
-member is a weighted sum of such terms (``_weighted_sum``), so a system
-adds memoised lifts where it would multiply polynomials.  Props 5, 6 and 9
-compare at h times their value, in integers; a failing chain's witness
-comes from the 1/h forms (``_h_scale_check``).
+Phi_d'/Phi_d form one table per divisor d (``_phi_log_forms``), which
+keeps each at q and at 1/q, f -> q**-1 f(1/q): prop2 reads the first, the
+Cohen tails of props 5, 6 and 9 the second; and props 6 and 10 reuse
+prop7's Moebius tail.  A member is a weighted sum of such terms
+(``_weighted_sum``), so a system adds memoised lifts where it would
+multiply polynomials.  Props 5, 6 and 9 build every member at h times its
+value and compare in integers; a failing chain's witness comes from the
+members at 1/h (``_h_scale_check``).
 """
 
 from __future__ import annotations
@@ -175,9 +177,10 @@ def _phi_log_forms(d):
     quotient itself; its Moebius split, the sum over d'|d of
     mu(d/d') * d' q**(d'-1)/(q**d' - 1); the Ramanujan sums c_d(1..d) as
     numerator coefficients over q**d - 1; and the totient q-analogue,
-    phi(d) * _psi_sum(d) over q(q**d - 1).  prop2 reads them at q and the
-    Cohen tails at 1/q."""
-    return {
+    phi(d) * _psi_sum(d) over q(q**d - 1).  Each is kept as a pair: f, which
+    prop2 reads, and q**-1 f(1/q), which the Cohen tails read, f's num and
+    den reversed to lengths L - 1 and L for L = deg den."""
+    forms = {
         "cyclotomic log-derivatives": _log_derivative(cyclotomic_poly(d)),
         "Moebius split": _rf_sum(mu * RationalFunction(Polynomial.monomial(dp - 1, dp),
                                                        _qm1(dp))
@@ -187,19 +190,9 @@ def _phi_log_forms(d):
         "totient q-analogue": totient(d) * RationalFunction(_psi_sum(d),
                                                             _qm1(d).shifted(1)),
     }
-
-
-def _reciprocal(f):
-    """q**-1 * f(1/q) for f = num/den with deg num < deg den = L: num
-    reversed to length L - 1 over den reversed to length L, memoised by
-    content."""
-    return _reversed_pair(f.num.coeffs, f.den.coeffs)
-
-
-@lru_cache(maxsize=None)
-def _reversed_pair(num, den):
-    return RationalFunction(Polynomial(num).reversed_to(len(den) - 2),
-                            Polynomial(den).reversed_to(len(den) - 1))
+    return {key: (f, RationalFunction(f.num.reversed_to(f.den.degree - 1),
+                                      f.den.reversed_to(f.den.degree)))
+            for key, f in forms.items()}
 
 
 # -- interpolation at roots of unity ------------------------------------------
@@ -382,7 +375,7 @@ def prop2_check(rs):
         ("eigenvalue poles", RationalFunction(Polynomial(_pole_sums(rs.m, h, "m")[::-1]),
                                               _qm1(h))),
     ]
-    members += [(label, _weighted_sum((mult, _phi_log_forms(d)[label]) for d, mult in mults))
+    members += [(label, _weighted_sum((mult, _phi_log_forms(d)[label][0]) for d, mult in mults))
                 for label in ("cyclotomic log-derivatives", "Moebius split",
                               "Ramanujan numerators", "totient q-analogue")]
     return _chain_check(members)
@@ -437,11 +430,10 @@ def _cohen_tail_members(h, avals):
     Each is prop2's table at 1/q: the sum over the h-th roots z of
     1/(1 - z q), weighted by the transform of A, groups by the order d of
     z into avals[d] times the sum over the primitive d-th roots, which is
-    q**-1 * (Phi_d'/Phi_d)(1/q); so every member is the sum of avals[d] *
-    ``_reciprocal`` of one ``_phi_log_forms(d)`` entry, integers for integer A."""
+    q**-1 * (Phi_d'/Phi_d)(1/q); so every member is the sum of avals[d] times
+    the 1/q form of one ``_phi_log_forms(d)`` entry, integers for integer A."""
     divs = [d for d in divisors(h) if avals[d]]
-    forms = {d: _phi_log_forms(d) for d in divs}
-    return [(label, _weighted_sum((avals[d], _reciprocal(forms[d][key])) for d in divs))
+    return [(label, _weighted_sum((avals[d], _phi_log_forms(d)[key][1]) for d in divs))
             for label, key in (("Ramanujan numerators", "Ramanujan numerators"),
                                ("reciprocal log-derivative", "cyclotomic log-derivatives"),
                                ("Moebius split", "Moebius split"),
@@ -459,18 +451,12 @@ def _periodic_members(h, a):
             *_cohen_tail_members(h, {d: a[(h // d) % h] for d in divisors(h)})]
 
 
-_TIMES_H = frozenset(("eigenvalue poles", "double Ramanujan numerator", "Ramanujan numerators",
-                      "reciprocal log-derivative", "Moebius split", "totient q-analogue"))
-
-
 def _h_scale_check(h, members):
-    """``_chain_check`` of expansions of A(q)/(1-q**h) whose members
-    labelled in ``_TIMES_H`` are h times theirs: h times every other member
-    is compared with them, in integers.  Only a failing chain is compared
-    again with them at 1/h, so its witness is the expansions' own."""
-    if _chain_check([(lb, f if lb in _TIMES_H else f * h) for lb, f in members]):
-        return _chain_check([(lb, f * Fraction(1, h) if lb in _TIMES_H else f)
-                             for lb, f in members])
+    """``_chain_check`` of expansions of A(q)/(1-q**h), each given at h times
+    its value, so compared in integers.  Only a failing chain is compared
+    again at 1/h, so its witness is the expansions' own."""
+    if _chain_check(members):
+        return _chain_check([(lb, f * Fraction(1, h)) for lb, f in members])
     return None
 
 
@@ -486,7 +472,7 @@ def prop5_check(rs):
         if not v.is_rational or v.as_rational() != expected:
             return f"value at power node h/{d} is not p(h/{d})"
         avals[d] = expected
-    lhs = RationalFunction(epoly, _one_minus(h))
+    lhs = RationalFunction(h * epoly, _one_minus(h))
     return _h_scale_check(h, [("E/(1-q^h)", lhs)] + _cohen_tail_members(h, avals))
 
 
@@ -499,11 +485,11 @@ def prop6_check(rs):
 @lru_cache(maxsize=None)
 def _prop6_witness(h):
     """prop6's witness, which depends on h alone."""
-    members = [("Psi/(1-q^h)", RationalFunction(psi_poly(h), _one_minus(h)))]
+    members = [("Psi/(1-q^h)", RationalFunction(h * psi_poly(h), _one_minus(h)))]
     members += _periodic_members(h, ramanujan_sums(h))
-    members.append(("Moebius with shifted numerators", _moebius_tail(h, h, True)))
+    members.append(("Moebius with shifted numerators", _moebius_tail(h, h, True) * h))
     if h > 1:
-        members.append(("Moebius plain", _moebius_tail(h, h, False)))
+        members.append(("Moebius plain", _moebius_tail(h, h, False) * h))
     return _h_scale_check(h, members)
 
 
@@ -557,9 +543,9 @@ def prop9_check(rs):
     """Divisor expansions of (n - E(q))/(1-q**h) = (1-q)B(q)/(1-q**h)."""
     h, n = rs.h, rs.id.rank
     members = [("(1-q)B/(1-q^h)",
-                RationalFunction(b_poly(rs) * _one_minus(1), _one_minus(h))),
+                RationalFunction(h * b_poly(rs) * _one_minus(1), _one_minus(h))),
                ("(n-E)/(1-q^h)",
-                RationalFunction(n - exponent_poly(rs), _one_minus(h)))]
+                RationalFunction(h * (n - exponent_poly(rs)), _one_minus(h)))]
     members += _periodic_members(h, [rs.p[0] - rs.p[k] for k in range(h)])
     return _h_scale_check(h, members)
 
@@ -651,33 +637,33 @@ def prop13_check(rs):
 
 def top_part_check(rs, shift):
     """Top decomposition part of q**shift * B(q) as a scaled interpolation
-    of q**shift/(1-q) at the primitive roots, whose Gram-system form
-    lagrange_primitive_roots cross-checks (prop14 for shift 0, prop18 for
-    shift 1)."""
+    of q**shift/(1-q) at the primitive roots (prop14 for shift 0, prop18 for
+    shift 1); ``_pole_interpolant`` checks the interpolant and, for prop14,
+    the pole-sum vector once per order."""
     h, n = rs.h, rs.id.rank
     top = _b_parts(rs, shift)[h]
     try:
-        value, interp = _pole_interpolant(h, shift)
+        interp = _pole_interpolant(h, shift)
     except MethodMismatch as exc:
         return str(exc)
-    witness = _poly_mismatch("top part", top, "scaled interpolant", (n - rs.e_of_d[1]) * interp)
-    if witness or shift:
-        return witness
-    # The pole-sum vector L_{h,j}, the interpolator's sums U(j-1) of
-    # 1/(1 - z), against its alternate evaluation.
-    ctx, phi_at_one = _context(h), cyclotomic_poly(h)(1)
-    for j, alt in enumerate(_lvec_interpolated(h), start=1):
-        if ctx.trace(value, j - 1) * phi_at_one != alt:
-            return f"pole-sum vector entry j={j} mismatch"
-    return None
+    return _poly_mismatch("top part", top, "scaled interpolant", (n - rs.e_of_d[1]) * interp)
 
 
 @lru_cache(maxsize=None)
 def _pole_interpolant(h, shift):
-    """z**shift/(1 - z) in the order-h field and its interpolant at the
-    primitive roots, which props 14 and 18 scale; one per order and shift."""
-    value = _context(h).inv_one_minus() - shift  # z/(1 - z) = 1/(1 - z) - 1
-    return value, lagrange_primitive_roots(value, h)
+    """The interpolant of z**shift/(1 - z) at the primitive roots of order
+    h, which props 14 and 18 scale; one per order and shift.  For shift 0
+    the pole-sum vector L_{h,j}, the interpolator's sums U(j-1) of
+    1/(1 - z), is checked against its alternate evaluation, once per order."""
+    ctx = _context(h)
+    value = ctx.inv_one_minus() - shift  # z/(1 - z) = 1/(1 - z) - 1
+    interp = lagrange_primitive_roots(value, h)
+    if not shift:
+        phi_at_one = cyclotomic_poly(h)(1)
+        for j, alt in enumerate(_lvec_interpolated(h), start=1):
+            if ctx.trace(value, j - 1) * phi_at_one != alt:
+                raise MethodMismatch(f"pole-sum vector entry j={j} mismatch")
+    return interp
 
 
 def _lvec_interpolated(h):

@@ -2,8 +2,9 @@
 the gcd-class transform, cyclotomic polynomials, the totient q-analogue,
 gcd-counting, Cohen-function detection, and the cyclotomic discriminant.
 
-All functions are pure; the memo tables behind ``cyclotomic_poly``, factorize
-and ``ramanujan_sums`` are ``lru_cache``s and are safe for concurrent use.
+All functions are pure; the memo tables behind factorize, ``ramanujan_sums``
+and ``cyclotomic_poly`` (the modulus of the kernel's field context) are
+``lru_cache``s and are safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import MethodMismatch, UnsupportedOrder
-from .exactalg import Polynomial, _context, _cyclotomic_int
+from .exactalg import Polynomial, _context
 
 
 def divisors(n):
@@ -130,8 +131,8 @@ def ramanujan_sum_checked(h, j):
 
 
 def cyclotomic_poly(h):
-    """The order-h cyclotomic polynomial (the kernel's cached coefficients)."""
-    return Polynomial(_cyclotomic_int(h))
+    """The order-h cyclotomic polynomial, the modulus of its field context."""
+    return Polynomial(_context(h).modulus)
 
 
 def psi_poly(h):

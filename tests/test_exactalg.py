@@ -11,8 +11,8 @@ import pytest
 from rootheight.errors import DivisionByZero, NotDivisible
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction,
                                  _coeff_inv, _context, _CycContext, _cyc_remainder,
-                                 _cyclotomic_int, _divide, _low_terms, cyc_eval,
-                                 poly_arith, poly_gcd, poly_str, ratfun_normalize)
+                                 _divide, _low_terms, cyc_eval, poly_arith, poly_gcd,
+                                 poly_str, ratfun_normalize)
 from rootheight.identities import _periodic_members
 from rootheight.linalg import FractionLU
 from rootheight.numth import (cyclotomic_poly, factorize, ramanujan_sum,
@@ -258,6 +258,17 @@ class TestCycNum:
             for e in range(-2 * h, 2 * h + 1):
                 assert list(CycNum.zeta_pow(h, e).coeffs) == rows[e % h], (h, e)
 
+    def test_modulus_guard_raises_and_caches_nothing(self, monkeypatch):
+        # q**2 + 2 in place of Phi_4 leaves a remainder in q**12 - 1, so the
+        # order-12 context is not built; once the fault is undone, the true
+        # Phi_12 is.
+        _context.cache_clear()
+        monkeypatch.setattr(_context(4), "terms", ((0, 2),))
+        with pytest.raises(NotDivisible, match=r"order 4 cyclotomic does not divide q\*\*12 - 1"):
+            _context(12)
+        monkeypatch.undo()
+        assert _context(12).modulus == ref_cyclotomic(12)
+
     @pytest.mark.parametrize("orders", [range(1, 301), (1966, 1982, 1980, 2000)],
                              ids=["1-300", "large"])
     def test_cyc_remainder_matches_divmod(self, orders):
@@ -269,7 +280,7 @@ class TestCycNum:
         # has five terms); at h = 1966 it took over 4 s on a 2-core Xeon.
         rng = random.Random(17)
         for h in orders:
-            modulus = Polynomial(_cyclotomic_int(h))
+            modulus = Polynomial(_context(h).modulus)
             lengths = (rng.randint(0, h - 1), rng.randint(h + 1, 2 * h))
             seqs = [[rng.randint(-99, 99) for _ in range(n)] for n in lengths]
             if h <= 150 or h == 2000:

@@ -500,6 +500,9 @@ class TestCrossChecksFail:
         assert (rep.verdict, rep.witness) == ("fail", "interpolant misses node 1")
 
     def test_prop14_pole_sum_vector(self, catalog, monkeypatch):
+        # The vector is checked once per order, in prop14's memoised
+        # interpolant: emptied, so that it is checked again under the patch.
+        clear_identity_memos()
         real = identities._lvec_interpolated
         monkeypatch.setattr(identities, "_lvec_interpolated",
                             lambda h: [real(h)[0] + 1] + real(h)[1:])
@@ -823,10 +826,8 @@ class TestWeightedSums:
         for h in range(1, 61):
             divs = divisors(h)
             families = [
-                [identities._phi_log_forms(d)[key] for d in divs
-                 for key in identities._phi_log_forms(d)],
-                [identities._reciprocal(f) for d in divs
-                 for f in identities._phi_log_forms(d).values()],
+                [f for d in divs for f, _ in identities._phi_log_forms(d).values()],
+                [r for d in divs for _, r in identities._phi_log_forms(d).values()],
                 [identities._moebius_tail(h, d, s) for d in divs for s in (True, False)],
                 [identities._split_from_tail(h, d, s) for d in divs for s in (True, False)],
                 [RationalFunction(Polynomial.monomial(d - 1, d), identities._qm1(d))
@@ -935,6 +936,17 @@ class TestHOnlyMemos:
         assert pole_sum_witness.cache_info().misses == \
             len({rs.h for rs in catalog.values()}) == 15
 
+    def test_pole_sum_vector_evaluated_once_per_order(self, catalog, capsys, monkeypatch):
+        clear_identity_memos()
+        calls = []
+        real = identities._lvec_interpolated
+        monkeypatch.setattr(identities, "_lvec_interpolated",
+                            lambda h: calls.append(h) or real(h))
+        assert main(["verify", "all", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == sorted({rs.h for rs in catalog.values()})
+        assert len(calls) == 15
+
 
 # The builders that prop2's per-divisor table replaced, kept as oracles: the
 # Cohen tail expansions of Phi_d'/Phi_d at 1/q, prop10's Moebius split and
@@ -992,8 +1004,7 @@ class TestDivisorForms:
 
     def test_reversed_table_matches_tail_builders(self):
         for d in range(1, 81):
-            forms = {key: identities._reciprocal(f)
-                     for key, f in identities._phi_log_forms(d).items()}
+            forms = {key: pair[1] for key, pair in identities._phi_log_forms(d).items()}
             # The same coefficient tuples, not only an equal value.
             for key, old in (("cyclotomic log-derivatives", old_phi_recip(d)),
                              ("Ramanujan numerators", old_ramanujan_tail(d)),
@@ -1017,12 +1028,12 @@ class TestDivisorForms:
     def test_shared_table_entry_reaches_prop2_and_prop5(self, catalog, monkeypatch):
         # E6 (h = 12) weights d = 12 in the chains of props 2, 5 and 9:
         # m(1) = 1, p(1) = -1 and p(0) - p(1) = 7.  The suite runs first, so
-        # every memo is warm: the reciprocal of the patched entry is found by
-        # its content, not by the table it sits in, and prop9's witness is
-        # that of its 1/h-scaled members.
+        # every memo is warm: the table keeps the entry at q and at 1/q, so
+        # both readings are patched, and prop9's witness is that of its
+        # 1/h-scaled members.
         assert all(rep.passed for rep in run_suite(catalog["E6"]))
         forms = identities._phi_log_forms(12)
-        monkeypatch.setitem(forms, "Moebius split", forms["Moebius split"] * 2)
+        monkeypatch.setitem(forms, "Moebius split", tuple(f * 2 for f in forms["Moebius split"]))
         witnesses = [run_suite(catalog["E6"], [cid])[0].witness
                      for cid in ("prop2", "prop5", "prop9")]
         assert witnesses[0].startswith("'C'/C' != 'Moebius split'")
@@ -1056,7 +1067,7 @@ def old_periodic_members(h, a):
                        ("Moebius split", "Moebius split"),
                        ("totient q-analogue", "totient q-analogue")):
         total = identities._weighted_sum((a[(h // d) % h],
-                                          recip(identities._phi_log_forms(d)[key]))
+                                          recip(identities._phi_log_forms(d)[key][0]))
                                          for d in divs)
         members.append((label, total * Fraction(1, h)))
     return members
