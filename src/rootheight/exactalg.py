@@ -40,7 +40,7 @@ builds on first use), and the inverses 1/(1 - z) and 1/Phi'(z), memoised.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import DivisionByZero, NotDivisible
@@ -395,13 +395,11 @@ class _CycContext:
     moduli of the contexts of its proper divisors (``NotDivisible`` if one
     leaves a remainder), the nonzero terms of Phi_h below its top (the
     divisor that ``_divide`` runs over) and the primitive residues, plus
-    the Ramanujan sums and the inverses 1/(1 - z) and 1/Phi_h'(z), each
-    built on first use.  Every reduction modulo Phi_h, of a sum of powers, a
-    product or a Munagi part, is one ``_cyc_remainder`` over ``terms``, so
-    the term list of an order is built once per process, with its context."""
-
-    __slots__ = ("order", "phi", "modulus", "terms", "residues",
-                 "_ramanujan", "_inv_one_minus", "_inv_dphi")
+    the Ramanujan sums and the inverses 1/(1 - z) and 1/Phi_h'(z), each a
+    ``cached_property`` built on first use.  Every reduction modulo Phi_h,
+    of a sum of powers, a product or a Munagi part, is one
+    ``_cyc_remainder`` over ``terms``, so the term list of an order is
+    built once per process, with its context."""
 
     def __init__(self, h):
         coeffs = [-1] + [0] * (h - 1) + [1]
@@ -417,9 +415,6 @@ class _CycContext:
         self.terms = _low_terms(self.modulus)
         self.residues = tuple(k for k in range(1, h + 1)
                               if gcd(k, h) == 1 and (h == 1 or k < h))
-        self._ramanujan = None
-        self._inv_one_minus = None
-        self._inv_dphi = None
 
     def coords(self, terms):
         """Power-basis coordinates of the sum of c * z**e over the (e, c)
@@ -440,40 +435,36 @@ class _CycContext:
             (e + t, c) for e, v in terms
             for t, c in enumerate(v.coeffs if isinstance(v, CycNum) else (v,))))
 
+    @cached_property
     def ramanujan_row(self):
         """The Ramanujan sums c_h(0..h-1), the power sums of the primitive
-        h-th roots: Newton's identities on the modulus, built on first use."""
-        if self._ramanujan is None:
-            mod, phi = self.modulus, self.phi
-            row = [phi]
-            for k in range(1, self.order):
-                acc = k * mod[phi - k] if k <= phi else 0
-                for i in range(1, min(k, phi + 1)):
-                    acc += mod[phi - i] * row[k - i]
-                row.append(-acc)
-            self._ramanujan = tuple(row)
-        return self._ramanujan
+        h-th roots: Newton's identities on the modulus."""
+        mod, phi = self.modulus, self.phi
+        row = [phi]
+        for k in range(1, self.order):
+            acc = k * mod[phi - k] if k <= phi else 0
+            for i in range(1, min(k, phi + 1)):
+                acc += mod[phi - i] * row[k - i]
+            row.append(-acc)
+        return tuple(row)
 
     def trace(self, v, e=0):
         """Tr(v * z**e) over Q, the sum of its Galois conjugates: the sum of
         v_t c_h(t + e) over the coordinates v_t of v (a CycNum of this order
         or a rational), a rational number formed without field products."""
-        row, h = self.ramanujan_row(), self.order
+        row, h = self.ramanujan_row, self.order
         coeffs = v.coeffs if isinstance(v, CycNum) else (v,)
         return sum(c * row[(t + e) % h] for t, c in enumerate(coeffs) if c)
 
+    @cached_property
     def inv_one_minus(self):
-        """1/(1 - z), memoised."""
-        if self._inv_one_minus is None:
-            self._inv_one_minus = (1 - CycNum.zeta_pow(self.order, 1)).inverse()
-        return self._inv_one_minus
+        """1/(1 - z)."""
+        return (1 - CycNum.zeta_pow(self.order, 1)).inverse()
 
+    @cached_property
     def inv_dphi(self):
-        """1/Phi'(z) for the order-h cyclotomic polynomial Phi, memoised."""
-        if self._inv_dphi is None:
-            dphi = Polynomial(self.modulus).derivative()
-            self._inv_dphi = cyc_eval(dphi, self.order, 1).inverse()
-        return self._inv_dphi
+        """1/Phi'(z) for the order-h cyclotomic polynomial Phi."""
+        return cyc_eval(Polynomial(self.modulus).derivative(), self.order, 1).inverse()
 
 
 @lru_cache(maxsize=None)

@@ -113,7 +113,7 @@ def class_sums(values, h):
     node it misses (None if none): the sums are gcd-determined with
     s_j = s_(-j), so the inverse transform at node i is again a class
     transform, compared with h * values[i] at every node."""
-    row = {d: _context(d).ramanujan_row() for d in divisors(h)}.__getitem__
+    row = {d: _context(d).ramanujan_row for d in divisors(h)}.__getitem__
     sums = class_transform(values, h, row)
     back = class_transform(sums, h, row)
     return sums, next((i for i, v in enumerate(values) if back[i] != h * v), None)

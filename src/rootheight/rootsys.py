@@ -12,7 +12,7 @@ from collections import Counter, namedtuple
 from math import gcd
 
 from .errors import GroupTooLarge, InvalidRank, MethodMismatch
-from .exactalg import Polynomial, RationalFunction
+from .exactalg import Polynomial
 from .linalg import charpoly_int
 from .numth import (class_sums, class_transform, cyclotomic_poly, divisors, mobius,
                     ramanujan_sums)
@@ -361,20 +361,6 @@ def coxeter_element(rs):
     return cox
 
 
-def _binomial_product(exps):
-    """Numerator and denominator of the product of (1 - q**d)**e over the
-    (d, e) pairs: e > 0 goes to the numerator, e < 0 to the denominator."""
-    num = den = Polynomial((1,))
-    for d, e in exps:
-        if e:
-            factor = Polynomial((1,) + (0,) * (d - 1) + (-1,)) ** abs(e)
-            if e > 0:
-                num = num * factor
-            else:
-                den = den * factor
-    return num, den
-
-
 def factor_exponents(rs):
     """Exponents e(d) of the factorization of the Coxeter characteristic
     polynomial into binomials q**d - 1, by Moebius inversion over the
@@ -466,17 +452,20 @@ def weyl_length_gf_bruteforce(rs, cap=DEFAULT_BFS_CAP):
 
 
 def weyl_length_gf_product(rs):
-    """The two product forms of the length generating function, as exact
-    rational functions: over positive roots in terms of heights, and over
-    the exponents."""
-    counts = Counter()
+    """The two product forms of the length generating function, each as the
+    exponents x(d) of its binomials: the dict d -> x(d) of the product of
+    (1 - q**d)**x(d), sorted by d, zeros dropped.  Over the positive roots,
+    each of the b_k roots of height k gives (1 - q**(k+1))/(1 - q**k); over
+    the exponents, each e gives (1 - q**(e+1)), and (1 - q)**-rank closes
+    the product."""
+    by_heights, by_exponents = Counter(), Counter({1: -rs.id.rank})
     for k, bk in enumerate(rs.b, start=1):
-        counts[k + 1] += bk
-        counts[k] -= bk
-    by_heights = RationalFunction(*_binomial_product(sorted(counts.items())))
-    by_exponents = RationalFunction(*_binomial_product(
-        [(e + 1, 1) for e in rs.exponents] + [(1, -rs.id.rank)]))
-    return by_heights, by_exponents
+        by_heights[k + 1] += bk
+        by_heights[k] -= bk
+    for e in rs.exponents:
+        by_exponents[e + 1] += 1
+    return tuple({d: x for d, x in sorted(form.items()) if x}
+                 for form in (by_heights, by_exponents))
 
 
 # -- catalog -------------------------------------------------------------------

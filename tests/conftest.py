@@ -8,7 +8,7 @@ import rootheight.exactalg as exactalg
 import rootheight.identities as identities
 import rootheight.numth as numth
 from rootheight import build, default_catalog
-from rootheight.exactalg import Polynomial
+from rootheight.exactalg import Polynomial, RationalFunction
 
 
 @pytest.fixture(scope="session")
@@ -118,3 +118,24 @@ def golden_charpoly(family, rank):
 def conjugate_partition(exponents, h):
     """Height counts b_1..b_{h-1} from an exponent list."""
     return [sum(1 for e in exponents if e >= k) for k in range(1, h)]
+
+
+def binomial_product(x):
+    """The product of (1 - q**d)**x(d) over a dict of binomial exponents as
+    a dense rational function: x(d) > 0 multiplies into the numerator,
+    x(d) < 0 into the denominator."""
+    num = den = Polynomial((1,))
+    for d, e in x.items():
+        factor = Polynomial((1,) + (0,) * (d - 1) + (-1,)) ** abs(e)
+        if e > 0:
+            num = num * factor
+        elif e < 0:
+            den = den * factor
+    return RationalFunction(num, den)
+
+
+def expand_binomials(x):
+    """The dense route to a product of binomials: its numerator divided
+    exactly by its denominator (``NotDivisible`` when it is no
+    polynomial)."""
+    return binomial_product(x).as_polynomial()

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the parsing of bench/run.py results and their
 aggregation into BENCH_<pr>.json summaries, on synthetic result lines and on
-the runs stored in BENCH_20.json.  No bench run is started."""
+the runs stored in BENCH_20.json, and the checkouts that `main` makes.  No
+process is started."""
 
 import importlib.util
 import json
@@ -86,3 +87,40 @@ def test_aggregate_reproduces_bench_20():
         assert list(got) == list(workload["metrics"]), name
         for metric, want in workload["metrics"].items():
             assert flat(got[metric]) == pytest.approx(flat(want)), (name, metric)
+
+
+def test_main_clones_both_commits(monkeypatch, tmp_path):
+    # git and the bench runs are replaced: main resolves both revisions,
+    # clones the repository once per side into its temporary directory,
+    # checks each commit out detached there and never makes a worktree.
+    calls, ran = [], set()
+    shas = {"p0^{commit}": "a" * 40, "c1^{commit}": "b" * 40}
+
+    def git(*args):
+        calls.append(args)
+        return shas[args[-1]] if args[0] == "rev-parse" else ""
+
+    def bench_run(checkout, workload, seed, seconds):
+        ran.add(checkout)
+        return bench_pairs.parse_run(result_lines(0.5, 2.0))
+
+    spec = {"run_seconds": 30, "workloads": [{"name": "catalog"}], "end_to_end": END_TO_END}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "bench_run", bench_run)
+    assert bench_pairs.main(["p0", "c1", "--pr", "27"]) == 0
+
+    assert not any("worktree" in args for args in calls)
+    assert calls[:2] == [("rev-parse", "--verify", "p0^{commit}"),
+                         ("rev-parse", "--verify", "c1^{commit}")]
+    clones = [Path(args[-1]) for args in calls if args[0] == "clone"]
+    assert calls[2::2] == [("clone", "--quiet", "--no-checkout", str(tmp_path), str(clone))
+                           for clone in clones]
+    assert calls[3::2] == [("-C", str(clone), "checkout", "--quiet", "--detach", sha)
+                           for clone, sha in zip(clones, ("a" * 40, "b" * 40))]
+    assert [clone.name for clone in clones] == ["parent", "change"]
+    assert ran == set(clones) and clones[0].parent.name.startswith("bench_pairs_")
+    doc = json.loads((tmp_path / "BENCH_27.json").read_text())
+    assert doc["commits"] == {"parent": "a" * 40, "change": "b" * 40}
+    assert len(doc["workloads"]["catalog"]["runs"]) == bench_pairs.PAIRS

@@ -233,11 +233,11 @@ class TestCycNum:
             ctx = _context(h)
             one = [1] + [0] * (ctx.phi - 1)
             dphi = cyclotomic_poly(h).derivative()
-            assert ref_product(h, ctx.inv_one_minus().coeffs,
+            assert ref_product(h, ctx.inv_one_minus.coeffs,
                                (1 - CycNum.zeta_pow(h, 1)).coeffs) == one
-            assert ctx.inv_one_minus() is ctx.inv_one_minus()
-            assert ref_product(h, ctx.inv_dphi().coeffs, cyc_eval(dphi, h, 1).coeffs) == one
-            assert ctx.inv_dphi() is ctx.inv_dphi()
+            assert ctx.inv_one_minus is ctx.inv_one_minus
+            assert ref_product(h, ctx.inv_dphi.coeffs, cyc_eval(dphi, h, 1).coeffs) == one
+            assert ctx.inv_dphi is ctx.inv_dphi
             # The other k, inverted directly.
             for k in range(1, h):
                 x = 1 - CycNum.zeta_pow(h, k)
@@ -358,15 +358,15 @@ class TestCycNum:
 
     def test_ramanujan_row_matches_numth(self):
         for h in range(1, 61):
-            assert _context(h).ramanujan_row() == tuple(
+            assert _context(h).ramanujan_row == tuple(
                 ramanujan_sum_checked(h, j) for j in range(h)), h
 
     def test_ramanujan_row_built_on_first_use(self):
         ctx = _CycContext(35)
-        assert ctx._ramanujan is None
+        assert "ramanujan_row" not in vars(ctx)
         ctx.trace(CycNum.zeta_pow(35, 1))
-        assert ctx._ramanujan is not None
-        assert ctx.ramanujan_row() is ctx.ramanujan_row()
+        assert "ramanujan_row" in vars(ctx)
+        assert ctx.ramanujan_row is ctx.ramanujan_row
 
     def test_arith_mixes_with_rationals(self):
         z = CycNum.zeta_pow(12, 1)

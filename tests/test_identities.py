@@ -6,14 +6,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 import rootheight.exactalg as exactalg
 import rootheight.identities as identities
 import rootheight.rootsys as rootsys
-from conftest import MEMO_MODULES, clear_identity_memos
+from conftest import MEMO_MODULES, binomial_product, clear_identity_memos, expand_binomials
 from rootheight.errors import (DegreeTooHigh, MethodMismatch, ReconstructionMismatch,
                                SingularSystem)
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction, _context,
@@ -31,7 +31,9 @@ from rootheight.linalg import FractionLU, det
 from rootheight.numth import (ArithSeq, class_sums, cyclotomic_discriminant,
                               cyclotomic_poly, divisors, is_cohen, mobius, psi_poly,
                               ramanujan_sum, totient)
-from rootheight.rootsys import CoxeterElement, RootSystem, RootSystemId, build, coxeter_element
+from rootheight.rootsys import (CoxeterElement, RootSystem, RootSystemId, build,
+                                coxeter_element, weyl_length_gf_product, weyl_order)
+from test_differential import CORRUPTIONS, SYSTEMS, corrupted
 
 
 def P(*coeffs):
@@ -111,7 +113,7 @@ def conjugate_lagrange_primitive_roots(values, h):
     phi = ctx.phi
     sums = [ctx.root_sum((k * e, v) for k, v in zip(ctx.residues, values))
             for e in range(min(h, 2 * phi - 1))]
-    inv = [(t, a) for t, a in enumerate(ctx.inv_dphi().coeffs) if a]
+    inv = [(t, a) for t, a in enumerate(ctx.inv_dphi.coeffs) if a]
     dsums = [sum((a * sums[(t + e) % h] for t, a in inv), CycNum.rational(h, 0))
              for e in range(phi)]
     return Polynomial([sum((c * dsums[i - 1 - j] for i, c in enumerate(ctx.modulus)
@@ -343,7 +345,7 @@ class TestInterpolation:
         # det reads the FractionLU pivots; the oracles are the closed-form
         # disc(Phi_h), the permutation matrix's 6 and a singular matrix's 0.
         for h in range(3, 61):
-            row = _context(h).ramanujan_row()
+            row = _context(h).ramanujan_row
             phi = totient(h)
             gram = [[row[(i + j) % h] for j in range(phi)] for i in range(phi)]
             assert det(gram) == cyclotomic_discriminant(h), h
@@ -511,8 +513,8 @@ class TestCrossChecksFail:
 
     def test_prop15_closed_form(self, catalog, monkeypatch, fresh_pole_sums):
         ctx_type = type(_context(12))
-        real = ctx_type.inv_one_minus
-        monkeypatch.setattr(ctx_type, "inv_one_minus", lambda self: real(self) + 1)
+        real = ctx_type.inv_one_minus.func
+        monkeypatch.setattr(ctx_type, "inv_one_minus", property(lambda self: real(self) + 1))
         rep = run_suite(catalog["E6"], ["prop15"])[0]
         assert (rep.verdict, rep.witness) == ("fail", "pole sum at m=1 is not -11/2")
 
@@ -522,21 +524,10 @@ class TestCrossChecksFail:
         rep = run_suite(catalog["E6"], ["prop15"])[0]
         assert (rep.verdict, rep.witness) == ("pass", None)
 
-    def test_eq5_product_form_witnesses(self, catalog, monkeypatch):
-        # eq5 is outside the corruption differential; substituted product
-        # forms reach both of its witnesses.
-        for form, witness in (
-                (RationalFunction(P(1), P(1, -1)), "product form is not polynomial"),
-                (RationalFunction(P(1, 0, -1), P(1, -1)),
-                 "value at 1 is 2, group order is 6")):
-            monkeypatch.setattr(identities, "weyl_length_gf_product",
-                                lambda rs, f=form: (f, f))
-            rep = run_suite(catalog["A2"], ["eq5"])[0]
-            assert (rep.verdict, rep.witness) == ("fail", witness)
-
     def test_witness_renders_values_not_types(self, catalog, monkeypatch):
-        # The product form divides by (1-q)^n, whose leading coefficient is
-        # (-1)^n: the same value 1 must read the same on even and odd ranks.
+        # A witness renders each coefficient by its value, not its type: the
+        # product form's 1 reads the same on even and odd ranks, and an int
+        # and an equal Fraction read alike.
         monkeypatch.setattr(identities, "weyl_length_gf_bruteforce",
                             lambda rs, cap: P(7))
         for name in ("A2", "A3"):
@@ -547,6 +538,88 @@ class TestCrossChecksFail:
         assert identities._render(Fraction(-1, 5)) == "-1/5"
         assert identities._render(P(Fraction(4, 2), 0, Fraction(-1, 2))) == "2 - 1/2*q^2"
         assert identities._render(CycNum(5, [Fraction(5, 5), 0, -1, 0])) == "1 - z^2"
+
+
+def eq5_cases(rs):
+    """(kind, system) for rs under each corruption of the differential and
+    with its rank raised by one."""
+    yield from ((kind, corrupted(rs, kind)) for kind in CORRUPTIONS)
+    yield "rank", RootSystem(RootSystemId(rs.id.family, rs.id.rank + 1), rs.cartan, rs.h,
+                             rs.exponents, rs.b, rs.two_rho_pairings, rs.m, rs.e_of_d, rs.p)
+
+
+class TestEq5:
+    """eq5 compares the binomial exponents of its two product forms."""
+
+    def test_exponent_dicts_decide_equality(self):
+        # Random products of (1 - q^d)^x(d), d <= 12, x in -2..2, against a
+        # copy, a copy with one exponent moved by one, and an independent
+        # draw: the dicts agree exactly when the rational functions do.
+        rng = random.Random(27)
+
+        def draw():
+            x = {d: rng.randint(-2, 2) for d in rng.sample(range(1, 13), rng.randint(0, 5))}
+            return {d: e for d, e in sorted(x.items()) if e}
+
+        outcomes = set()
+        for _ in range(150):
+            x = draw()
+            moved = dict(x)
+            d = rng.randint(1, 12)
+            moved[d] = moved.get(d, 0) + rng.choice((-1, 1))
+            moved = {d: e for d, e in sorted(moved.items()) if e}
+            for y in (dict(x), moved, draw()):
+                same = x == y
+                assert (binomial_product(x) == binomial_product(y)) == same, (x, y)
+                outcomes.add(same)
+        assert outcomes == {True, False}
+
+    def test_sensitivity_on_the_differential_systems(self):
+        # eq5 reads b, the exponents and the rank, and no other field.
+        fails = set()
+        for family, rank in SYSTEMS:
+            for kind, bad in eq5_cases(build(RootSystemId(family, rank))):
+                rep = run_suite(bad, ["eq5"])[0]
+                if not rep.passed:
+                    fails.add(kind)
+                    assert rep.witness.startswith(
+                        "'height product' != 'exponent product': exponent of (1-q^"), rep
+                assert rep.passed == (kind in ("m", "p", "e(1)", "e(h)")), (family, rank, kind)
+        assert fails == {"b", "exponents", "rank"}
+        bad = corrupted(build(RootSystemId("A", 4)), "b")
+        assert run_suite(bad, ["eq5"])[0].witness == (
+            "'height product' != 'exponent product': exponent of (1-q^3) is 0 vs 1")
+
+    def test_agreeing_forms_are_the_exponent_polynomial(self, catalog):
+        # What eq5 no longer checks, by the dense route: wherever the two
+        # forms agree, on a catalog system or a corrupted one, their
+        # quotient is the product of [e + 1]_q, and its value at 1 is |W|.
+        agreed = 0
+        for rs in catalog.values():
+            for _, case in [(None, rs), *eq5_cases(rs)]:
+                by_heights, by_exponents = weyl_length_gf_product(case)
+                if by_heights != by_exponents:
+                    continue
+                agreed += 1
+                gf = expand_binomials(by_exponents)
+                assert gf == prod(Polynomial.geometric(e + 1) for e in case.exponents), case
+                assert gf(1) == weyl_order(case), case
+        assert agreed == 5 * len(catalog)
+
+    def test_nothing_is_expanded_above_the_cap(self, catalog, monkeypatch):
+        # Neither E8 (|W| = 696,729,600) nor D250 is enumerated under the
+        # default cap, so eq5 forms no polynomial product or quotient.
+        d250 = build(RootSystemId("D", 250))
+
+        def refuse(*args):
+            raise AssertionError("polynomial arithmetic in eq5")
+
+        for name in ("__mul__", "__rmul__", "__divmod__"):
+            monkeypatch.setattr(Polynomial, name, refuse)
+        for rs in (catalog["E8"], d250):
+            assert identities.eq5_check(rs) is None, rs.id
+            rep = run_suite(rs, ["eq5"])[0]
+            assert (rep.verdict, rep.witness) == ("pass", None), rs.id
 
 
 class TestGuardMaskedWitnesses:
@@ -1228,9 +1301,9 @@ class TestClassSums:
         # One entry of the order-8 row, c_8(3) = 0, patched to 1.
         rs = catalog["A7"]
         ctx = _context(8)
-        row = list(ctx.ramanujan_row())
+        row = list(ctx.ramanujan_row)
         row[3] += 1
-        monkeypatch.setattr(ctx, "_ramanujan", tuple(row))
+        monkeypatch.setattr(ctx, "ramanujan_row", tuple(row))
         rep = run_suite(rs, ["prop3"])[0]
         assert (rep.verdict, rep.witness) == (
             "fail", "interpolation routes disagree: interpolant misses node 3")

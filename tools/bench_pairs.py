@@ -2,8 +2,9 @@
 
     python3 tools/bench_pairs.py <parent-rev> <change-rev> --pr 23
 
-checks both revisions out as git worktrees under a temporary directory and
-runs `bench/run.py` of each checkout on every workload of BENCHMARK.json
+clones the repository twice into a temporary directory (`git clone
+--no-checkout`), checks one revision out detached in each clone and runs
+`bench/run.py` of each checkout on every workload of BENCHMARK.json
 (`--trace 0`, for its `run_seconds`) in 10 alternating pairs: pair k runs
 the parent first when k is even and the change first when k is odd, both
 with seed <pr>01 + k.  Each run's `env` line is kept verbatim.  Every
@@ -11,7 +12,7 @@ end-to-end metric is summarised per side by its median and quartiles over
 the pairs (`statistics.quantiles(n=4, method='inclusive')`), by
 `change_wins`, the number of pairs in which the change is strictly better,
 and by `median_change`, the change's median relative to the parent's.  The
-worktrees are removed at the end.  Only the standard library is used.
+clones go with the temporary directory.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -118,18 +119,13 @@ def main(argv=None):
         "commits": commits, "pairs": PAIRS, "seeds": seeds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
-        try:
-            for side in SIDES:
-                git("worktree", "add", "--detach", str(checkouts[side]), commits[side])
-            for workload in (w["name"] for w in spec["workloads"]):
-                runs = paired_runs(checkouts, workload, seeds, seconds)
-                doc["workloads"][workload] = {
-                    "metrics": aggregate(runs, spec["end_to_end"]), "runs": runs}
-        finally:
-            for side in SIDES:
-                if checkouts[side].exists():
-                    git("worktree", "remove", "--force", str(checkouts[side]))
-            git("worktree", "prune")
+        for side in SIDES:
+            git("clone", "--quiet", "--no-checkout", str(ROOT), str(checkouts[side]))
+            git("-C", str(checkouts[side]), "checkout", "--quiet", "--detach", commits[side])
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs = paired_runs(checkouts, workload, seeds, seconds)
+            doc["workloads"][workload] = {
+                "metrics": aggregate(runs, spec["end_to_end"]), "runs": runs}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
