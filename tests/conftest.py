@@ -129,7 +129,7 @@ def binomial_product(x):
         factor = Polynomial((1,) + (0,) * (d - 1) + (-1,)) ** abs(e)
         if e > 0:
             num = num * factor
-        elif e < 0:
+        else:
             den = den * factor
     return RationalFunction(num, den)
 

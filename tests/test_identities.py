@@ -596,7 +596,7 @@ class TestEq5:
         # quotient is the product of [e + 1]_q, and its value at 1 is |W|.
         agreed = 0
         for rs in catalog.values():
-            for _, case in [(None, rs), *eq5_cases(rs)]:
+            for case in [rs, *(bad for _, bad in eq5_cases(rs))]:
                 by_heights, by_exponents = weyl_length_gf_product(case)
                 if by_heights != by_exponents:
                     continue
