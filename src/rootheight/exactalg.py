@@ -32,9 +32,10 @@ Each cyclotomic order has one field context, built once by the cached
 proper divisors' contexts (``numth.cyclotomic_poly`` returns it), and its
 term list, the primitive residues,
 ``coords`` for sums of powers, ``root_sum`` for sums of field elements times
-powers of the root, ``trace`` for the sum of the Galois conjugates of
-v * z**e (a rational, from the Ramanujan sums c_h(0..h-1), which the context
-builds on first use), and the inverses 1/(1 - z) and 1/Phi'(z), memoised.
+powers of the root, ``traces`` for the sums of the Galois conjugates of
+v * z**e over a run of e (integer sums over the Ramanujan sums
+c_h(0..h-1), which the context builds on first use), and the inverses
+1/(1 - z) and 1/Phi'(z), memoised.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DivisionByZero, NotDivisible
 
@@ -64,6 +66,18 @@ def _int_coeffs(coeffs):
     """The coefficients as a list, each integral Fraction as its int numerator."""
     return [c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
             for c in coeffs]
+
+
+def _over_one_denominator(coeffs):
+    """Rational coefficients as (nums, den): integer numerators over their
+    least common denominator, each coefficient being nums[i]/den."""
+    den = lcm(1, *(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _ratio(num, den):
+    """The rational num/den: an int when den divides num, else one Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def _convolve(a, b):
@@ -346,8 +360,7 @@ def poly_arith(a, b, op):
 
 def _primitive(coeffs):
     """Nonzero rational coefficients scaled to content-1 ints, top positive."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    ints, _ = _over_one_denominator(coeffs)
     content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     return [c // content for c in ints]
 
@@ -448,13 +461,17 @@ class _CycContext:
             row.append(-acc)
         return tuple(row)
 
-    def trace(self, v, e=0):
-        """Tr(v * z**e) over Q, the sum of its Galois conjugates: the sum of
-        v_t c_h(t + e) over the coordinates v_t of v (a CycNum of this order
-        or a rational), a rational number formed without field products."""
+    def traces(self, v, stop):
+        """Tr(v * z**e) = sums[e]/den over Q for e = 0..stop-1, the sums of
+        the Galois conjugates of v * z**e: v (a CycNum of this order or a
+        rational) is written once as integer numerators n_t over one
+        denominator den, and sums[e] is the integer sum of n_t c_h(t + e),
+        with no field product and no ``Fraction``."""
         row, h = self.ramanujan_row, self.order
-        coeffs = v.coeffs if isinstance(v, CycNum) else (v,)
-        return sum(c * row[(t + e) % h] for t, c in enumerate(coeffs) if c)
+        nums, den = _over_one_denominator(v.coeffs if isinstance(v, CycNum) else (v,))
+        span = len(nums)
+        ext = [row[k % h] for k in range(stop + span - 1)]  # c_h(k), k past h too
+        return [sum(map(mul, nums, ext[e:e + span])) for e in range(stop)], den
 
     @cached_property
     def inv_one_minus(self):

@@ -10,7 +10,7 @@ Coxeter order where roots of unity appear), so a "pass" verdict means exact
 coefficient equality, never a numerical tolerance.  Every sum over roots of
 unity is formed without a loop of field products: where the summands are the
 Galois conjugates of one field element (props 4, 14, 15 and 18), the sum is
-that element's ``trace``, a rational read off the Ramanujan sums; every sum
+its trace, an integer sum over the Ramanujan sums and one denominator; every sum
 over all h-th roots in props 1, 2, 3, 6, 9 and eq13 has weights that depend
 only on gcd(k, h) and groups into Ramanujan sums of the divisor orders
 (``numth.class_sums``).  Checks are pure and independent; a runner may
@@ -44,11 +44,13 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, ReconstructionMismatch,
                      RootHeightError)
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
-                       _cyc_remainder, _rf_sum, cyc_eval, poly_str)
+                       _cyc_remainder, _over_one_denominator, _ratio, _rf_sum, cyc_eval,
+                       poly_str)
 from .linalg import FractionLU, det
 from .numth import (ArithSeq, class_sums, class_transform, cyclotomic_discriminant,
                     cyclotomic_poly, divisors, factorize, gcd_count, is_cohen,
@@ -243,8 +245,10 @@ def lagrange_primitive_roots(value, h):
     coefficient j is the sum over i > j of Phi_i D(i-1-j), where
     D(e) = sum_k v_k z**(ke)/Phi'(z**k) is sum_t a_t U(t+e) for the
     coordinates a_t of 1/Phi'(z), since 1/Phi'(z**k) is its conjugate too.
-    For h >= 3 (where the discriminant is defined) it is cross-checked
-    against the Gram-system form: coefficients a_j with
+    U and the a_t are each taken as integer numerators over one
+    denominator, so both sums run in ints and each coefficient is one
+    division.  For h >= 3 (where the discriminant is defined) it is
+    cross-checked against the Gram-system form: coefficients a_j with
     sum_j c_h(i + j) a_j = U(i), i < phi, solved over the Ramanujan-sum
     Gram matrix.
     """
@@ -252,16 +256,16 @@ def lagrange_primitive_roots(value, h):
     phi = ctx.phi
     if isinstance(value, CycNum) and value.order != h:
         raise ValueError(f"value lies in the order-{value.order} field, not order {h}")
-    sums = [ctx.trace(value, e) for e in range(min(h, 2 * phi - 1))]
-    inv = [(t, a) for t, a in enumerate(ctx.inv_dphi.coeffs) if a]
-    dsums = [sum(a * sums[(t + e) % h] for t, a in inv) for e in range(phi)]
-    total = Polynomial([sum(c * dsums[i - 1 - j] for i, c in enumerate(ctx.modulus)
-                            if i > j and c)
+    sums, den = ctx.traces(value, 2 * phi - 1)
+    inv, inv_den = _over_one_denominator(ctx.inv_dphi.coeffs)
+    dsums = [sum(map(mul, inv, sums[e:e + phi])) for e in range(phi)]
+    total = Polynomial([_ratio(sum(map(mul, ctx.modulus[j + 1:], dsums)), den * inv_den)
                         for j in range(phi)])
 
     if h >= 3:
         w = _poly_mismatch("barycentric", total, "determinant",
-                           Polynomial(_gram_lu(h).solve(sums[:phi])))
+                           Polynomial(_gram_lu(h).solve([_ratio(s, den)
+                                                         for s in sums[:phi]])))
         if w:
             raise MethodMismatch(f"primitive interpolation routes disagree: {w}")
     return total
@@ -660,8 +664,9 @@ def _pole_interpolant(h, shift):
     interp = lagrange_primitive_roots(value, h)
     if not shift:
         phi_at_one = cyclotomic_poly(h)(1)
-        for j, alt in enumerate(_lvec_interpolated(h), start=1):
-            if ctx.trace(value, j - 1) * phi_at_one != alt:
+        sums, den = ctx.traces(value, ctx.phi)
+        for j, (s, alt) in enumerate(zip(sums, _lvec_interpolated(h)), start=1):
+            if s * phi_at_one != alt * den:
                 raise MethodMismatch(f"pole-sum vector entry j={j} mismatch")
     return interp
 
@@ -669,23 +674,27 @@ def _pole_interpolant(h, shift):
 def _lvec_interpolated(h):
     """Phi_h(1) * L_{h,j}, j = 1..phi(h), as the traces of T z**(j-1), where
     T = Phi_h(1)/(1 - z) is taken as Phi_h(q)/(q - z) at q = 1: the sum over
-    e of (Phi_{e+1} + ... + Phi_phi) z**e."""
+    e of (Phi_{e+1} + ... + Phi_phi) z**e, whose traces are integers."""
     ctx = _context(h)
     at_one = CycNum._raw(h, [sum(ctx.modulus[e + 1:]) for e in range(ctx.phi)])
-    return [ctx.trace(at_one, j) for j in range(ctx.phi)]
+    return ctx.traces(at_one, ctx.phi)[0]
 
 
 @lru_cache(maxsize=None)
 def pole_sum_witness(h):
     """Verify, for m = 1..h, that the pole sums over the primitive d-th
     roots, summed across the divisors d > 1, equal m - (h+1)/2.  The pole
-    sum of d is the trace Tr(z_d**m/(1 - z_d)) over Q in the order-d field."""
+    sum of d is the trace Tr(z_d**m/(1 - z_d)) over Q in the order-d field,
+    which depends on m mod d alone: each divisor takes the d traces of
+    1/(1 - z_d), integer numerators over one denominator, and every m is
+    compared in integers, over the lcm of those denominators."""
     ctxs = [_context(d) for d in divisors(h)[1:]]
+    tables = [ctx.traces(ctx.inv_one_minus, ctx.order) for ctx in ctxs]
+    scale = lcm(1, *(den for _, den in tables))
+    tables = [[s * (scale // den) for s in sums] for sums, den in tables]
     for m in range(1, h + 1):
-        total = sum(ctx.trace(ctx.inv_one_minus, m) for ctx in ctxs)
-        expected = Fraction(2 * m - h - 1, 2)
-        if total != expected:
-            return f"pole sum at m={m} is not {expected}"
+        if 2 * sum(sums[m % len(sums)] for sums in tables) != (2 * m - h - 1) * scale:
+            return f"pole sum at m={m} is not {Fraction(2 * m - h - 1, 2)}"
     return None
 
 

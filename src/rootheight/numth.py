@@ -153,11 +153,12 @@ def psi_poly(h):
 def gcd_count(d, h, x):
     """Count integers 1 <= j <= x with d dividing gcd(j, h).
 
-    ``x`` may be any nonnegative rational; floor semantics apply.
+    ``x`` may be any nonnegative rational; floor semantics apply, and an
+    int ``x`` stays in int arithmetic.
     """
     if h % d != 0:
         return 0
-    return int(Fraction(x) / d)
+    return x // d
 
 
 class ArithSeq(namedtuple("ArithSeq", "h values")):

@@ -11,8 +11,8 @@ import pytest
 from rootheight.errors import DivisionByZero, NotDivisible
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction,
                                  _coeff_inv, _context, _CycContext, _cyc_remainder,
-                                 _divide, _low_terms, cyc_eval, poly_arith, poly_gcd,
-                                 poly_str, ratfun_normalize)
+                                 _divide, _low_terms, _ratio, cyc_eval, poly_arith,
+                                 poly_gcd, poly_str, ratfun_normalize)
 from rootheight.identities import _periodic_members
 from rootheight.linalg import FractionLU
 from rootheight.numth import (cyclotomic_poly, factorize, ramanujan_sum,
@@ -184,6 +184,22 @@ class TestPolynomial:
         assert poly_str(Polynomial(())) == "0"
 
 
+def fraction_trace(ctx, v, e=0):
+    """Tr(v * z**e) as the field context took it before its integer trace
+    table: the sum of v_t c_h(t + e), one Fraction-times-int product per
+    nonzero coordinate v_t of v (a CycNum of the context's order or a
+    rational)."""
+    row, h = ctx.ramanujan_row, ctx.order
+    coeffs = v.coeffs if isinstance(v, CycNum) else (v,)
+    return sum(c * row[(t + e) % h] for t, c in enumerate(coeffs) if c)
+
+
+def trace_values(ctx, v, stop):
+    """The trace table's entries e = 0..stop-1 as rationals."""
+    sums, den = ctx.traces(v, stop)
+    return [_ratio(s, den) for s in sums]
+
+
 class TestCycNum:
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 6, 8, 12, 30])
     def test_root_of_unity_order(self, h):
@@ -338,9 +354,11 @@ class TestCycNum:
                 assert list(got.coeffs) == naive, (h, terms)
 
     def test_trace_matches_conjugate_root_sum(self):
-        # trace(v, e) against the conjugate route it replaces: the root sum
-        # of sigma_k(v) z**(ke) over the primitive residues k, where
-        # sigma_k(v) is v's coordinate polynomial evaluated at z**k.
+        # The trace table, and the per-coordinate oracle, against the
+        # conjugate route they replace: the root sum of sigma_k(v) z**(ke)
+        # over the primitive residues k, where sigma_k(v) is v's coordinate
+        # polynomial evaluated at z**k.  The table runs to e = h + 1, past
+        # one period; e = -1 reads entry h - 1.
         rng = random.Random(17)
         for h in range(1, 41):
             ctx = _context(h)
@@ -349,12 +367,14 @@ class TestCycNum:
                                            Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
                                for _ in range(ctx.phi)])
                 conjugates = [(k, cyc_eval(Polynomial(v.coeffs), h, k)) for k in ctx.residues]
+                table = trace_values(ctx, v, h + 2)
                 for e in range(-1, h + 1):
                     direct = ctx.root_sum((k * e, c) for k, c in conjugates)
                     assert direct.is_rational, (h, e)
-                    assert ctx.trace(v, e) == direct.as_rational(), (h, e)
+                    assert table[e % h if e < 0 else e] == direct.as_rational(), (h, e)
+                    assert fraction_trace(ctx, v, e) == direct.as_rational(), (h, e)
                 r = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                assert ctx.trace(r, 1) == ctx.trace(CycNum.rational(h, r), 1)
+                assert trace_values(ctx, r, 2)[1] == trace_values(ctx, CycNum.rational(h, r), 2)[1]
 
     def test_ramanujan_row_matches_numth(self):
         for h in range(1, 61):
@@ -364,7 +384,7 @@ class TestCycNum:
     def test_ramanujan_row_built_on_first_use(self):
         ctx = _CycContext(35)
         assert "ramanujan_row" not in vars(ctx)
-        ctx.trace(CycNum.zeta_pow(35, 1))
+        ctx.traces(CycNum.zeta_pow(35, 1), 1)
         assert "ramanujan_row" in vars(ctx)
         assert ctx.ramanujan_row is ctx.ramanujan_row
 
@@ -373,6 +393,78 @@ class TestCycNum:
         assert (z + 1) - z == 1
         assert Fraction(1, 2) * z + Fraction(1, 2) * z == z
         assert (2 * z) * Fraction(1, 2) == z
+
+
+def count_fractions(fn, *args):
+    """fn(*args) and the number of Fraction.__new__ calls it made, counted
+    as bench/tracer.py counts them."""
+    made, original = [], Fraction.__new__
+
+    def counted(cls, *a, **kw):
+        made.append(None)
+        return original(cls, *a, **kw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counted))
+        result = fn(*args)
+    return result, len(made)
+
+
+class TestTraceTable:
+    """A field context's trace table, integer sums over one denominator,
+    against the per-coordinate Fraction sum it replaced (``fraction_trace``)."""
+
+    DENSE = (998, 993, 899)  # 2p, 3p and pq near 1000
+
+    @staticmethod
+    def _values(ctx, rng):
+        """1/Phi'(z), 1/(1 - z) (order above 1), a rational and two random
+        elements with rational coordinates."""
+        h = ctx.order
+        values = [ctx.inv_dphi, Fraction(rng.randint(-9, 9), rng.randint(1, 7))]
+        if h > 1:
+            values.append(ctx.inv_one_minus)
+        for _ in range(2):
+            values.append(CycNum(h, [rng.choice([0, rng.randint(-9, 9),
+                                                 Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+                                     for _ in range(ctx.phi)]))
+        return values
+
+    def test_matches_fraction_oracle(self):
+        # Every entry up to h = 60, three past one period.
+        rng = random.Random(71)
+        for h in range(1, 61):
+            ctx = _context(h)
+            for v in self._values(ctx, rng):
+                sums, den = ctx.traces(v, h + 3)
+                assert len(sums) == h + 3 and all(type(s) is int for s in sums)
+                assert [Fraction(s, den) for s in sums] == [
+                    fraction_trace(ctx, v, e) for e in range(h + 3)], (h, v)
+
+    def test_matches_fraction_oracle_dense_orders(self):
+        # The whole period is built; the oracle (about 0.6 ms a trace at
+        # these orders) reads both ends of it and a random sample.
+        rng = random.Random(73)
+        for h in self.DENSE:
+            ctx = _context(h)
+            for v in self._values(ctx, rng):
+                sums, den = ctx.traces(v, h + 1)
+                assert len(sums) == h + 1
+                for e in sorted({0, 1, h - 1, h, *rng.sample(range(h), 8)}):
+                    assert Fraction(sums[e], den) == fraction_trace(ctx, v, e), (h, e)
+
+    def test_one_fraction_at_most_per_non_integral_trace(self):
+        # Building the table of one dense order-105 element and dividing
+        # each entry once makes no Fraction but the non-integral results.
+        h = 105
+        ctx = _context(h)
+        rng = random.Random(79)
+        v = CycNum(h, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(ctx.phi)])
+        assert ctx.ramanujan_row
+        values, made = count_fractions(trace_values, ctx, v, h)
+        non_integral = sum(type(x) is Fraction for x in values)
+        assert non_integral and made <= non_integral
+        assert values == [fraction_trace(ctx, v, e) for e in range(h)]
 
 
 class TestRationalFunction:

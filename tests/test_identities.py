@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 
 import pytest
@@ -30,10 +31,11 @@ from rootheight.identities import (ONE, SingularityData, ZERO, _gram_lu,
 from rootheight.linalg import FractionLU, det
 from rootheight.numth import (ArithSeq, class_sums, cyclotomic_discriminant,
                               cyclotomic_poly, divisors, is_cohen, mobius, psi_poly,
-                              ramanujan_sum, totient)
+                              ramanujan_sum, ramanujan_sums, totient)
 from rootheight.rootsys import (CoxeterElement, RootSystem, RootSystemId, build,
                                 coxeter_element, weyl_length_gf_product, weyl_order)
 from test_differential import CORRUPTIONS, SYSTEMS, corrupted
+from test_exactalg import count_fractions, fraction_trace
 
 
 def P(*coeffs):
@@ -456,6 +458,73 @@ class TestInterpolation:
             for _ in range(3 if h <= 12 else 1):
                 p = Polynomial([rng.randint(-5, 5) for _ in range(phi)])
                 assert lagrange_primitive_roots(cyc_eval(p, h, 1), h) == p
+
+    def test_primitive_matches_fraction_route(self):
+        # The integer sums against the Fraction sums they replaced, for
+        # 1/(1 - z), z/(1 - z), a random element and a rational: the same
+        # coefficients, each an int exactly where the old route's was.
+        rng = random.Random(67)
+        for h in range(1, 61):
+            ctx = _context(h)
+            values = [random_cycnums(rng, h, 1)[0], Fraction(rng.randint(-9, 9), 7)]
+            if h > 1:
+                values += [ctx.inv_one_minus, ctx.inv_one_minus - 1]
+            for v in values:
+                got = lagrange_primitive_roots(v, h).coeffs
+                want = fraction_lagrange_primitive_roots(v, h).coeffs
+                assert got == want and list(map(type, got)) == list(map(type, want)), (h, v)
+
+
+def fraction_lagrange_primitive_roots(value, h):
+    """The barycentric numerator as lagrange_primitive_roots formed it before
+    its integer sums: per-coordinate Fraction traces U(e), then D(e) and the
+    coefficients in Fraction arithmetic."""
+    ctx = _context(h)
+    phi = ctx.phi
+    sums = [fraction_trace(ctx, value, e) for e in range(min(h, 2 * phi - 1))]
+    inv = [(t, a) for t, a in enumerate(ctx.inv_dphi.coeffs) if a]
+    dsums = [sum(a * sums[(t + e) % h] for t, a in inv) for e in range(phi)]
+    return Polynomial([sum(c * dsums[i - 1 - j] for i, c in enumerate(ctx.modulus)
+                           if i > j and c)
+                       for j in range(phi)])
+
+
+@lru_cache(maxsize=None)
+def pole_sum_oracle(d):
+    """Tr(z**m/(1 - z)) for m = 0..d-1 over the primitive d-th roots z,
+    d >= 2, without the field inverse: sum_{j<d} j z**j = d/(z - 1), so
+    1/(1 - z) = -(1/d) sum_j j z**j and the pole sum is
+    -(1/d) sum_j j c_d(j + m), an integer class sum over the divisor
+    formula's Ramanujan sums."""
+    row = ramanujan_sums(d)
+    return [Fraction(-sum(j * row[(j + m) % d] for j in range(1, d)), d) for m in range(d)]
+
+
+class TestPoleSumOracle:
+    """prop15's pole sums against an oracle that shares neither the field
+    inverse nor the Newton row with them."""
+
+    ORDERS = (*range(2, 61), 998, 1000)
+
+    def test_traces_of_inv_one_minus(self):
+        for d in self.ORDERS:
+            ctx = _context(d)
+            sums, den = ctx.traces(ctx.inv_one_minus, d)
+            assert [Fraction(s, den) for s in sums] == pole_sum_oracle(d), d
+
+    def test_closed_form_and_witness(self):
+        for h in (1, *self.ORDERS):
+            tables = [pole_sum_oracle(d) for d in divisors(h)[1:]]
+            for m in range(1, h + 1):
+                assert sum(t[m % len(t)] for t in tables) == Fraction(2 * m - h - 1, 2), (h, m)
+            assert pole_sum_witness.__wrapped__(h) is None, h
+
+    def test_witness_makes_no_fraction(self):
+        # The comparison runs in integers: once the inverses exist, a
+        # passing order-998 witness makes no Fraction at all.
+        for d in divisors(998)[1:]:
+            assert _context(d).inv_one_minus
+        assert count_fractions(pole_sum_witness.__wrapped__, 998) == (None, 0)
 
 
 @pytest.fixture
