@@ -153,8 +153,7 @@ def psi_poly(h):
 def gcd_count(d, h, x):
     """Count integers 1 <= j <= x with d dividing gcd(j, h).
 
-    ``x`` may be any nonnegative rational; floor semantics apply, and an
-    int ``x`` stays in int arithmetic.
+    ``x`` may be any nonnegative rational; floor semantics apply.
     """
     if h % d != 0:
         return 0
