@@ -35,7 +35,8 @@ term list, the primitive residues,
 powers of the root, ``traces`` for the sums of the Galois conjugates of
 v * z**e over a run of e (integer sums over the Ramanujan sums
 c_h(0..h-1), which the context builds on first use), and the inverses
-1/(1 - z) and 1/Phi'(z), memoised.
+1/(1 - z), by the extended Euclid, and 1/Phi'(z) = z R(z)/h with
+R = (q**h - 1)/Phi_h, memoised.
 """
 
 from __future__ import annotations
@@ -408,11 +409,11 @@ class _CycContext:
     moduli of the contexts of its proper divisors (``NotDivisible`` if one
     leaves a remainder), the nonzero terms of Phi_h below its top (the
     divisor that ``_divide`` runs over) and the primitive residues, plus
-    the Ramanujan sums and the inverses 1/(1 - z) and 1/Phi_h'(z), each a
-    ``cached_property`` built on first use.  Every reduction modulo Phi_h,
-    of a sum of powers, a product or a Munagi part, is one
-    ``_cyc_remainder`` over ``terms``, so the term list of an order is
-    built once per process, with its context."""
+    the Ramanujan sums and the inverses 1/(1 - z) (by ``CycNum.inverse``)
+    and 1/Phi_h'(z) (by its closed form), each a ``cached_property`` built
+    on first use.  Every reduction modulo Phi_h, of a sum of powers, a
+    product or a Munagi part, is one ``_cyc_remainder`` over ``terms``, so
+    the term list of an order is built once per process, with its context."""
 
     def __init__(self, h):
         coeffs = [-1] + [0] * (h - 1) + [1]
@@ -480,8 +481,12 @@ class _CycContext:
 
     @cached_property
     def inv_dphi(self):
-        """1/Phi'(z) for the order-h cyclotomic polynomial Phi."""
-        return cyc_eval(Polynomial(self.modulus).derivative(), self.order, 1).inverse()
+        """1/Phi'(z) = z R(z)/h with R = (q**h - 1)/Phi: differentiating
+        q**h - 1 = Phi(q) R(q) at z gives h z**(h-1) = Phi'(z) R(z), so one
+        division and one reduction, no inversion."""
+        h = self.order
+        r, _ = _divide([-1] + [0] * (h - 1) + [1], self.terms, self.phi)
+        return CycNum._raw(h, [_ratio(c, h) for c in self.coords(enumerate(r, 1))])
 
 
 @lru_cache(maxsize=None)

@@ -774,21 +774,17 @@ def _sparse_mul(f, g):
     return {k: c for k, c in out.items() if c}
 
 
-def _weights_identity_holds(rs, a, b, c):
+def _weights_identity_holds(rs, weights):
     """E(q) = q**-h * prod over x in (a, b, c) of (q**h - q**x)/(q**x - 1),
-    decided after the substitution q -> t**2, which clears half-integer
-    exponents, as E(t**2) t**(2h) prod (t**(2x) - 1) = prod (t**(2h) -
-    t**(2x)) on term dicts: at most 8n terms on the left and 8 on the
-    right."""
+    given the doubled weights 2a, 2b, 2c as ints and decided after the
+    substitution q -> t**2, which clears half-integer exponents, as
+    E(t**2) t**(2h) prod (t**(2x) - 1) = prod (t**(2h) - t**(2x)) on term
+    dicts: at most 8n terms on the left and 8 on the right."""
     h2 = 2 * rs.h
     lhs, rhs = {}, {0: 1}
     for e in rs.exponents:
         lhs[2 * e + h2] = lhs.get(2 * e + h2, 0) + 1
-    for x in (a, b, c):
-        e = 2 * x
-        if e.denominator != 1:
-            raise MethodMismatch(f"{rs.id}: weight {x} is not a half-integer")
-        e = int(e)
+    for e in weights:
         lhs = _sparse_mul(lhs, ((e, 1), (0, -1)))
         rhs = _sparse_mul(rhs, ((h2, 1), (e, -1)))
     return lhs == rhs
@@ -796,28 +792,21 @@ def _weights_identity_holds(rs, a, b, c):
 
 def singularity_data(rs):
     """Search the admissible half-integer weight triple (a, b, c) with
-    a + b + c = h + 1 and c = h/2 satisfying the eigenvalue product formula;
-    exactly one must exist."""
+    a + b + c = h + 1 and c = h/2 satisfying the eigenvalue product formula,
+    over the doubled weights 2a = t <= 2b = h + 2 - t; exactly one must exist."""
     if rs.id.family not in "ADE":
         raise ValueError("weight data applies to simply-laced systems only")
     h = rs.h
-    c = Fraction(h, 2)
-    found = []
-    t = 2
-    while Fraction(t, 2) <= (c + 1) / 2:
-        a = Fraction(t, 2)
-        b = c + 1 - a
-        if _weights_identity_holds(rs, a, b, c):
-            found.append((a, b))
-        t += 1
+    found = [t for t in range(2, h // 2 + 2)
+             if _weights_identity_holds(rs, (t, h + 2 - t, h))]
     if len(found) != 1:
         raise NoTripleFound(f"{rs.id}: {len(found)} admissible triples")
-    a, b = found[0]
+    t = found[0]
     cartan_det = det(rs.cartan)
     if cartan_det != int(cartan_det):
         raise MethodMismatch(f"{rs.id}: Cartan determinant {cartan_det} is not an integer")
-    return SingularityData(rs.id, a, b, c, _binary_group_order(rs.id),
-                           _branch_lengths(rs.id), int(cartan_det))
+    return SingularityData(rs.id, Fraction(t, 2), Fraction(h + 2 - t, 2), Fraction(h, 2),
+                           _binary_group_order(rs.id), _branch_lengths(rs.id), int(cartan_det))
 
 
 def singularity_check(rs):

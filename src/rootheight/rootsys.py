@@ -14,8 +14,7 @@ from math import gcd
 from .errors import GroupTooLarge, InvalidRank, MethodMismatch
 from .exactalg import Polynomial
 from .linalg import charpoly_int
-from .numth import (class_sums, class_transform, cyclotomic_poly, divisors, mobius,
-                    ramanujan_sums)
+from .numth import class_sums, class_transform, divisors, mobius, ramanujan_sums
 
 FAMILIES = "ABCDEFG"
 
@@ -328,7 +327,12 @@ def coxeter_element(rs):
     p_j != 0 (s_j fixes a root with p_j = 0).  Coordinate i of the root
     in the simple-root basis changes only under s_i, by -p_i, and is the
     diagonal entry (c**t)_ii, so tr(c**t) sums it over i.  c**h = I holds
-    when every alpha_i is back after h steps: the simple roots are a basis."""
+    when every alpha_i is back after h steps: the simple roots are a basis.
+
+    The eigenvalue data give the charpoly as the product of Phi_d**m(h/d),
+    whose t-th power sum is sum_d m(h/d) c_d(t) (t = 0: its degree).  By
+    Newton's identities over Q the traces equal that transform exactly when
+    the two charpolys agree; ``charpoly_int`` makes it from the traces."""
     if rs._coxeter is not None:
         return rs._coxeter
     n, h = rs.id.rank, rs.h
@@ -346,17 +350,10 @@ def coxeter_element(rs):
                     _reflect(p, j, cols)
         if p != start:
             raise MethodMismatch(f"{rs.id}: Coxeter element order is not h")
-    charpoly = charpoly_int(traces)
-
-    expected = Polynomial((1,))
-    for d in divisors(h):
-        mult = rs.m[(h // d) % h]
-        if mult:
-            expected = expected * cyclotomic_poly(d) ** mult
-    if charpoly != expected:
+    if traces != class_transform(rs.m, h, ramanujan_sums):
         raise MethodMismatch(f"{rs.id}: charpoly does not match eigenvalue data")
 
-    cox = CoxeterElement(charpoly, tuple(traces))
+    cox = CoxeterElement(charpoly_int(traces), tuple(traces))
     rs._coxeter = cox
     return cox
 
@@ -364,9 +361,9 @@ def coxeter_element(rs):
 def factor_exponents(rs):
     """Exponents e(d) of the factorization of the Coxeter characteristic
     polynomial into binomials q**d - 1, by Moebius inversion over the
-    divisor lattice.  ``coxeter_element`` has matched that polynomial with
-    the product of Phi_d**m(h/d), which is the product of (q**d - 1)**e(d)
-    for the inversion of the same m."""
+    divisor lattice.  ``coxeter_element`` has matched the power sums of that
+    polynomial with those of the product of Phi_d**m(h/d), which is the
+    product of (q**d - 1)**e(d) for the inversion of the same m."""
     coxeter_element(rs)
     return _moebius_exponents(rs.m, rs.h)
 

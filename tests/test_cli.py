@@ -53,6 +53,14 @@ class TestInfo:
     def test_bad_rank_usage_error(self, capsys):
         assert run_cli(capsys, "info", "E", "9")[0] == 2
 
+    def test_builds_no_field_context(self, capsys):
+        # The Coxeter guard compares the traces with a class transform over
+        # the divisor-formula Ramanujan sums, so info needs no cyclotomic field.
+        clear_identity_memos()
+        for family, rank in (("A", "60"), ("C", "48"), ("E", "8")):
+            assert run_cli(capsys, "info", family, rank)[0] == 0
+        assert _context.cache_info().misses == 0
+
     def test_rank_limit(self, capsys):
         assert run_cli(capsys, "info", "A", "501")[0] == 2
         assert run_cli(capsys, "verify", "A", "99999", "--props", "prop2")[0] == 2

@@ -262,6 +262,15 @@ class TestCycNum:
                 x = cyc_eval(dphi, h, k)
                 assert ref_product(h, x.inverse().coeffs, x.coeffs) == one, (h, k)
 
+    def test_inv_dphi_closed_form_matches_euclid(self):
+        # z R(z)/h with R = (q**h - 1)/Phi_h against the extended-Euclid
+        # inverse of Phi_h'(z) it replaced, coordinate types included.
+        for h in [*range(1, 61), 899, 993, 998]:
+            euclid = cyc_eval(cyclotomic_poly(h).derivative(), h, 1).inverse()
+            got = _context(h).inv_dphi
+            assert [(type(c), c) for c in got.coeffs] == \
+                [(type(c), c) for c in euclid.coeffs], h
+
     @staticmethod
     def _coefficient(rng):
         return rng.choice([0, rng.randint(-5, 5),

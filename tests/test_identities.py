@@ -1437,18 +1437,30 @@ class TestSparseRoutes:
         systems += [build(RootSystemId("A", 30)), build(RootSystemId("D", 20))]
         held = 0
         for rs in systems:
-            c = Fraction(rs.h, 2)
-            for t in range(2, rs.h + 2):
-                a = Fraction(t, 2)
-                args = (rs, a, c + 1 - a, c)
-                got = identities._weights_identity_holds(*args)
-                assert got == dense_weights_identity_holds(*args), (rs.id, t)
+            h = rs.h
+            for t in range(2, h + 2):
+                got = identities._weights_identity_holds(rs, (t, h + 2 - t, h))
+                halves = (Fraction(t, 2), Fraction(h + 2 - t, 2), Fraction(h, 2))
+                assert got == dense_weights_identity_holds(rs, *halves), (rs.id, t)
                 held += got
         assert held >= len(systems)
 
+    def test_search_passes_int_triples(self, catalog, monkeypatch):
+        # singularity_data walks the doubled weights as ints, never Fractions.
+        seen = []
+        real = identities._weights_identity_holds
+        monkeypatch.setattr(identities, "_weights_identity_holds",
+                            lambda rs, weights: seen.append(weights) or real(rs, weights))
+        systems = [rs for rs in catalog.values() if rs.id.family in "ADE"]
+        systems += [build(RootSystemId("A", 30)), build(RootSystemId("D", 20))]
+        for rs in systems:
+            del seen[:]
+            data = singularity_data(rs)
+            assert len(seen) == rs.h // 2, rs.id
+            assert all(type(x) is int for weights in seen for x in weights), rs.id
+            assert (2 * data.a, 2 * data.b, 2 * data.c) in seen, rs.id
+
     def test_weight_identity_guards(self, catalog, monkeypatch):
-        with pytest.raises(MethodMismatch, match="weight 1/3 is not a half-integer"):
-            identities._weights_identity_holds(catalog["E6"], Fraction(1, 3), 3, 6)
         # E6 has six candidates a = 1, 3/2, ..., 7/2; exactly one must hold.
         for holds, count in ((True, 6), (False, 0)):
             monkeypatch.setattr(identities, "_weights_identity_holds",

@@ -17,7 +17,7 @@ from rootheight.errors import GroupTooLarge, InvalidRank, MethodMismatch
 from rootheight.exactalg import Polynomial, _context
 from rootheight.identities import run_suite
 from rootheight.linalg import charpoly_int
-from rootheight.numth import ArithSeq, divisors, is_cohen, ramanujan_sums
+from rootheight.numth import ArithSeq, cyclotomic_poly, divisors, is_cohen, ramanujan_sums
 from rootheight.rootsys import (RootSystem, RootSystemId, _close_positive_roots,
                                 build, cartan_matrix, coxeter_element,
                                 factor_exponents, mat_mul, multiplicities,
@@ -248,6 +248,21 @@ def faddeev_leverrier(mat):
         m = tuple(tuple(am[i][j] + (q if i == j else 0) for j in range(n))
                   for i in range(n))
     return Polynomial(tuple(reversed(coeffs_desc)))
+
+
+def product_charpoly(rs):
+    """The route the trace guard of ``coxeter_element`` replaced: the product
+    of Phi_d**m(h/d) over the divisors d of h, in dense powers."""
+    out = Polynomial((1,))
+    for d in divisors(rs.h):
+        out = out * cyclotomic_poly(d) ** rs.m[(rs.h // d) % rs.h]
+    return out
+
+
+def with_m(rs, m):
+    """A hand-built copy of rs with the multiplicities m and no cached data."""
+    return RootSystem(rs.id, rs.cartan, rs.h, rs.exponents, rs.b,
+                      rs.two_rho_pairings, m, rs.e_of_d, rs.p)
 
 
 def coords_power_sums(rs):
@@ -607,6 +622,38 @@ class TestCoxeterElement:
                            a4.two_rho_pairings, [0, 0, 2, 1, 1], a4.e_of_d, a4.p)
         with pytest.raises(MethodMismatch, match="charpoly does not match"):
             coxeter_element(wrong)
+
+    def test_trace_guard_matches_product_oracle(self, catalog):
+        # The guard raises exactly when the charpoly of the traces differs
+        # from the product of Phi_d**m(h/d), for randomly perturbed m >= 0.
+        rng = random.Random(29)
+        systems = list(catalog.values())
+        systems += [build(RootSystemId(f, n)) for f, n in (("A", 30), ("D", 20), ("C", 12))]
+        outcomes = []
+        for rs in systems:
+            charpoly = coxeter_element(rs).charpoly
+            for _ in range(60):
+                m = list(rs.m)
+                for _ in range(rng.randint(0, 2)):
+                    k = rng.randrange(rs.h)
+                    m[k] = max(0, m[k] + rng.choice((-1, 1, 2)))
+                copy = with_m(rs, m)
+                try:
+                    coxeter_element(copy)
+                    raised = False
+                except MethodMismatch as exc:
+                    assert str(exc) == f"{rs.id}: charpoly does not match eigenvalue data"
+                    raised = True
+                assert raised == (charpoly != product_charpoly(copy)), (rs.id, m)
+                outcomes.append(raised)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_trace_guard_refuses_negative_m(self, catalog):
+        # The product route could not raise Phi_d to a negative power; the
+        # class transform takes it and misses the traces.
+        a4 = catalog["A4"]
+        with pytest.raises(MethodMismatch, match="charpoly does not match"):
+            coxeter_element(with_m(a4, [0, -1, 2, 1, 2]))
 
     def test_built_once_per_system(self, monkeypatch):
         # Every check of the suite reads the Coxeter data, which is built
