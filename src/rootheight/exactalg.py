@@ -635,7 +635,8 @@ def cyc_eval(p, h, k):
 class RationalFunction:
     """Quotient of two polynomials over one coefficient field.
 
-    Instances are not normalized eagerly; equality is decided by
+    Instances are not normalized eagerly; equality compares numerators over
+    equal or negated denominators and is otherwise decided by
     cross-multiplication, and ``normalize`` produces the canonical form
     (gcd cancelled, monic denominator).
     """
@@ -655,7 +656,10 @@ class RationalFunction:
         return x if isinstance(x, RationalFunction) else cls(x)
 
     def __add__(self, other):
-        return _rf_sum((self, self._wrap(other)))
+        """The sum over ``_sum_plan`` of the two denominators."""
+        other = self._wrap(other)
+        den, ma, mb = _sum_plan(self.den.coeffs, other.den.coeffs)
+        return RationalFunction(self.num * ma + other.num * mb, den)
 
     __radd__ = __add__
 
@@ -676,7 +680,13 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        """Over equal or negated denominators, equality of the numerators;
+        otherwise by cross-multiplication."""
         o = self._wrap(other)
+        if self.den.coeffs == o.den.coeffs:
+            return self.num.coeffs == o.num.coeffs
+        if self.den == -o.den:
+            return self.num == -o.num
         return self.num * o.den == o.num * self.den
 
     def __bool__(self):
@@ -704,57 +714,15 @@ class RationalFunction:
 
 
 @lru_cache(maxsize=None)
-def _sum_plan(dens):
-    """Common denominator L of a sum whose terms have the denominators dens
-    (coefficient tuples), with one multiplier M_i per term, so that the sum
-    is (sum of n_i * M_i) / L.  Terms are added left to right: from
-    acc = D_0, step i cancels g = gcd(acc, D_i) into da_i = acc/g and
-    db_i = D_i/g (acc and D_i when g is constant) and sets acc = acc * db_i;
-    then M_i = da_i * (db_{i+1} * ... * db_k), with da_0 = 1, from suffix
-    products.  No terms give 0/1."""
-    one = Polynomial((1,))
-    polys = [Polynomial(coeffs) for coeffs in dens] or [one]
-    acc, steps = polys[0], []
-    for den in polys[1:]:
-        g = poly_gcd(acc, den)
-        da, db = (acc, den) if g.degree < 1 else (acc.divexact(g), den.divexact(g))
-        steps.append((da, db))
-        acc = acc * db
-    mults, suffix = [], one
-    for da, db in reversed(steps):
-        mults.append(da * suffix)
-        suffix = db * suffix
-    return acc, (suffix, *reversed(mults))
-
-
-@lru_cache(maxsize=None)
-def _lift(num, mult):
-    """The nonzero (i, c) terms of the product of two rational coefficient
-    tuples: a term's numerator lifted by its plan multiplier, memoised by
-    content."""
-    return tuple((i, c) for i, c in enumerate((Polynomial(num) * Polynomial(mult)).coeffs)
-                 if c)
-
-
-def _rf_sum(terms, weights=None):
-    """Sum of rational functions over the memoised plan of their
-    denominators; ``+`` is the sum of two terms, so every addition of
-    rational functions takes this one route.  With weights, the sum of
-    w_i * t_i over rational terms is the weighted sum of their memoised
-    ``_lift``s, additions in place of products: the same num and den
-    coefficients as the plain sum of the scaled terms."""
-    terms = list(terms)
-    den, mults = _sum_plan(tuple(t.den.coeffs for t in terms))
-    if weights is None:
-        num = sum((t.num * m for t, m in zip(terms, mults)), Polynomial(()))
-        return RationalFunction(num, den)
-    lifts = [(w, _lift(t.num.coeffs, m.coeffs)) for t, m, w in zip(terms, mults, weights)
-             if w]
-    out = [0] * max((lift[-1][0] + 1 for _, lift in lifts if lift), default=0)
-    for w, lift in lifts:
-        for i, c in lift:
-            out[i] += w * c
-    return RationalFunction(Polynomial(out), den)
+def _sum_plan(a, b):
+    """Common denominator of two denominators (coefficient tuples) and the
+    multipliers of the two numerators: with g = gcd(a, b), a * (b/g) and
+    the multipliers b/g and a/g, or a * b, b and a when g is constant;
+    memoised, so a sum over denominators met before takes no gcd."""
+    a, b = Polynomial(a), Polynomial(b)
+    g = poly_gcd(a, b)
+    da, db = (a, b) if g.degree < 1 else (a.divexact(g), b.divexact(g))
+    return a * db, db, da
 
 
 def ratfun_normalize(num, den):

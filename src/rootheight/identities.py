@@ -4,24 +4,25 @@ verification of the full identity catalog.
 A check maps a root system to its first witness, a ``str``, or to ``None``
 when it passes; ``run_check`` alone names the check, labels the system and
 makes the ``IdentityReport``, and turns a raised error into the witness.
-Equality of rational functions is decided by cross-multiplication over the
-exact coefficient field (rationals, or the cyclotomic field of the system's
-Coxeter order where roots of unity appear), so a "pass" verdict means exact
-coefficient equality, never a numerical tolerance.  Every sum over roots of
-unity is formed without a loop of field products: where the summands are the
-Galois conjugates of one field element (props 4, 14, 15 and 18), the sum is
-its trace, an integer sum over the Ramanujan sums and one denominator; every sum
-over all h-th roots in props 1, 2, 3, 6, 9 and eq13 has weights that depend
-only on gcd(k, h) and groups into Ramanujan sums of the divisor orders
-(``numth.class_sums``).  Checks are pure and independent; a runner may
-execute them concurrently and sort the reports afterwards.
+Equality of rational functions is decided over the exact coefficient field
+(rationals, or the cyclotomic field of the system's Coxeter order where
+roots of unity appear), by the numerators over equal or negated
+denominators and by cross-multiplication otherwise, so a "pass" verdict
+means exact coefficient equality, never a numerical tolerance.  Every sum
+over roots of unity is formed without a loop of field products: where the
+summands are the Galois conjugates of one field element (props 4, 14, 15
+and 18), the sum is its trace, an integer sum over the Ramanujan sums and
+one denominator; every sum over all h-th roots in props 1, 2, 3, 6, 9 and
+eq13 has weights that depend only on gcd(k, h) and groups into Ramanujan
+sums of the divisor orders (``numth.class_sums``).  Checks are pure and
+independent; a runner may execute them concurrently and sort the reports
+afterwards.
 
-Checks share memo tables across systems: the common-denominator plan of
-each divisor-sum expansion and each term's numerator lifted to it
-(``exactalg._sum_plan`` and ``exactalg._lift``), the building blocks keyed
-on a divisor d (or on h and d), the interpolants of props 14 and 18 (with
-prop14's pole-sum vector check) and the witnesses of prop6 and prop15,
-which read only h.  Sharing is sound because every memoised function is
+Checks share memo tables across systems: each divisor-sum term's
+numerator lifted to its sum's denominator (``_lifted``), the building
+blocks keyed on a divisor d (or on h and d), the interpolants of props 14
+and 18 (with prop14's pole-sum vector check) and the witnesses of prop6
+and prop15, which read only h.  Sharing is sound because every memoised function is
 pure and keyed on integers or coefficient tuples, never on a root system;
 ``run_check`` adds the calling system's label.  What a system's own fields
 determine, B(q) and the Munagi parts of B(q) and qB(q), is built once per
@@ -31,9 +32,13 @@ Each divisor-sum expansion is built once.  prop2's four expansions of
 Phi_d'/Phi_d form one table per divisor d (``_phi_log_forms``), which
 keeps each at q and at 1/q, f -> q**-1 f(1/q): prop2 reads the first, the
 Cohen tails of props 5, 6 and 9 the second; and props 6 and 10 reuse
-prop7's Moebius tail.  A member is a weighted sum of such terms
-(``_weighted_sum``), so a system adds memoised lifts where it would
-multiply polynomials.  Props 5, 6 and 9 build every member at h times its
+prop7's Moebius tail.  Every term over 1 - q**d divides 1 - q**h, the
+denominator of Munagi's q-partial fractions, so a member, a weighted sum
+of such terms, is built as integer numerators over one denominator per
+chain, +-(q**h - 1) times q where the terms carry a q (``_over``): a
+system adds memoised lifted numerators where it would multiply
+polynomials, and the members of props 5, 6, 7 and 9 compare by their
+numerators alone.  Props 5, 6 and 9 build every member at h times its
 value and compare in integers; a failing chain's witness comes from the
 members at 1/h (``_h_scale_check``).
 """
@@ -49,7 +54,7 @@ from operator import mul
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, ReconstructionMismatch,
                      RootHeightError)
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
-                       _cyc_remainder, _over_one_denominator, _ratio, _rf_sum, cyc_eval,
+                       _cyc_remainder, _over_one_denominator, _ratio, cyc_eval,
                        poly_str)
 from .linalg import FractionLU, det
 from .numth import (ArithSeq, class_sums, class_transform, cyclotomic_discriminant,
@@ -114,14 +119,12 @@ def _poly_mismatch(la, pa, lb, pb):
 
 
 def _rf_mismatch(la, fa, lb, fb):
-    """None when fa = fb; over equal or negated denominators that is
-    equality of the numerators, and the cross-difference is formed only to
-    render a failing witness."""
-    if fa.den == fb.den and fa.num == fb.num or fa.den == -fb.den and fa.num == -fb.num:
+    """None when fa = fb (over equal or negated denominators, equality of
+    the numerators); the cross-difference is formed only to render a
+    failing witness."""
+    if fa == fb:
         return None
     d = fa.num * fb.den - fb.num * fa.den
-    if d.is_zero:
-        return None
     i = next(i for i, c in enumerate(d.coeffs) if c)
     return (f"'{la}' != '{lb}': cross-difference has q^{i} "
             f"coefficient {_render(d.coeffs[i])}")
@@ -161,11 +164,37 @@ def _psi_sum(d):
                 for dp in divisors(d) if (mu := mobius(dp))), ZERO)
 
 
-def _weighted_sum(pairs):
-    """The sum of w * F over the (w, F) pairs, from the memoised lifts of
-    the terms F (``_rf_sum`` with weights)."""
+@lru_cache(maxsize=None)
+def _lifted(num, den, top):
+    """The nonzero (i, c) terms of num * (top/den), for coefficient tuples
+    with den dividing top: a term's numerator lifted to its sum's
+    denominator, memoised by content."""
+    mult = Polynomial(top).divexact(Polynomial(den))
+    return tuple((i, c) for i, c in enumerate((Polynomial(num) * mult).coeffs) if c)
+
+
+def _over(h, pairs, lift=_lifted):
+    """The sum of w * f over the (w, f) pairs as one rational function over
+    D = +-q**s (q**h - 1), s the highest power of q in a term's
+    denominator, each of which divides D: every numerator is lifted by the
+    exact multiplier D/f.den (``lift``) and added into one row with its
+    weight, a zero weight adding nothing.  The sign of D is the product of
+    the denominators' leading coefficients, negated when none vanishes at
+    q = 1.  Then D is the terms' least common denominator with that
+    leading coefficient times a polynomial with lowest coefficient +1, so
+    a cross-difference has the lowest coefficient, which a witness prints,
+    that it has over that least common denominator."""
     pairs = list(pairs)
-    return _rf_sum([f for _, f in pairs], [w for w, _ in pairs])
+    dens = [f.den.coeffs for _, f in pairs]
+    sign = prod(den[-1] for den in dens) * (-1 if all(map(sum, dens)) else 1)
+    s = max((next(i for i, c in enumerate(den) if c) for den in dens), default=0)
+    top = (0,) * s + (-sign,) + (0,) * (h - 1) + (sign,)
+    rows = [(w, lift(f.num.coeffs, f.den.coeffs, top)) for w, f in pairs if w]
+    out = [0] * max((row[-1][0] + 1 for _, row in rows if row), default=0)
+    for w, row in rows:
+        for i, c in row:
+            out[i] += w * c
+    return RationalFunction(Polynomial(out), Polynomial(top))
 
 
 def _log_derivative(p):
@@ -184,9 +213,9 @@ def _phi_log_forms(d):
     den reversed to lengths L - 1 and L for L = deg den."""
     forms = {
         "cyclotomic log-derivatives": _log_derivative(cyclotomic_poly(d)),
-        "Moebius split": _rf_sum(mu * RationalFunction(Polynomial.monomial(dp - 1, dp),
-                                                       _qm1(dp))
-                                 for dp in divisors(d) if (mu := mobius(d // dp))),
+        "Moebius split": _over(d, ((mu, RationalFunction(Polynomial.monomial(dp - 1, dp),
+                                                         _qm1(dp)))
+                                   for dp in divisors(d) if (mu := mobius(d // dp)))),
         "Ramanujan numerators": RationalFunction(
             Polynomial(ramanujan_sums(d)[1:] + ramanujan_sums(d)[:1]), _qm1(d)),
         "totient q-analogue": totient(d) * RationalFunction(_psi_sum(d),
@@ -374,12 +403,12 @@ def prop2_check(rs):
     members = [
         ("C'/C", _log_derivative(coxeter_element(rs).charpoly)),
         ("binomial exponents",
-         _weighted_sum((e, RationalFunction(Polynomial.monomial(d - 1, d), _qm1(d)))
-                       for d in divs if (e := rs.e_of_d[d]))),
+         _over(h, ((e, RationalFunction(Polynomial.monomial(d - 1, d), _qm1(d)))
+                   for d in divs if (e := rs.e_of_d[d])))),
         ("eigenvalue poles", RationalFunction(Polynomial(_pole_sums(rs.m, h, "m")[::-1]),
                                               _qm1(h))),
     ]
-    members += [(label, _weighted_sum((mult, _phi_log_forms(d)[label][0]) for d, mult in mults))
+    members += [(label, _over(h, ((mult, _phi_log_forms(d)[label][0]) for d, mult in mults)))
                 for label in ("cyclotomic log-derivatives", "Moebius split",
                               "Ramanujan numerators", "totient q-analogue")]
     return _chain_check(members)
@@ -437,7 +466,7 @@ def _cohen_tail_members(h, avals):
     q**-1 * (Phi_d'/Phi_d)(1/q); so every member is the sum of avals[d] times
     the 1/q form of one ``_phi_log_forms(d)`` entry, integers for integer A."""
     divs = [d for d in divisors(h) if avals[d]]
-    return [(label, _weighted_sum((avals[d], _phi_log_forms(d)[key][1]) for d in divs))
+    return [(label, _over(h, ((avals[d], _phi_log_forms(d)[key][1]) for d in divs)))
             for label, key in (("Ramanujan numerators", "Ramanujan numerators"),
                                ("reciprocal log-derivative", "cyclotomic log-derivatives"),
                                ("Moebius split", "Moebius split"),
@@ -501,9 +530,9 @@ def _prop6_witness(h):
 def _moebius_tail(h, d, shifted):
     """Sum over d'|d of mu(d') q**(shifted * x)/(1 - q**x), x = h d'/d;
     prop7 weights it over d, prop6 reads d = h and prop10 its splits."""
-    return _rf_sum(mu * RationalFunction(Polynomial.monomial(h * dp // d * shifted),
-                                         _one_minus(h * dp // d))
-                   for dp in divisors(d) if (mu := mobius(dp)))
+    return _over(h, ((mu, RationalFunction(Polynomial.monomial(h * dp // d * shifted),
+                                           _one_minus(h * dp // d)))
+                     for dp in divisors(d) if (mu := mobius(dp))))
 
 
 def prop7_check(rs):
@@ -520,10 +549,10 @@ def prop7_check(rs):
         ("E/(1-q^h) - a(0)", lhs_full - a(0)),
         ("psi substitution", RationalFunction(num, _one_minus(h))),
         ("Moebius with shifted numerators",
-         _weighted_sum((a(h // d), _moebius_tail(h, d, True)) for d in divs)),
+         _over(h, ((a(h // d), _moebius_tail(h, d, True)) for d in divs))),
         ("split constant term",
-         _weighted_sum([(a(0), RationalFunction(Polynomial.monomial(h), _one_minus(h)))]
-                       + [(a(h // d), _moebius_tail(h, d, False)) for d in divs if d != 1])),
+         _over(h, [(a(0), RationalFunction(Polynomial.monomial(h), _one_minus(h)))]
+               + [(a(h // d), _moebius_tail(h, d, False)) for d in divs if d != 1])),
     ]
     return _chain_check(members)
 
@@ -558,9 +587,10 @@ def prop9_check(rs):
 def _split_from_tail(h, d, shifted):
     """Sum over d'|d of mu(d') (d/d' - (1-q^h) q^(shifted * x)/(1-q^x)),
     x = h d'/d, over 1 - q: the mu(d') d/d' add up to phi(d), and the rest
-    is (1-q^h) times prop7's Moebius tail."""
-    return ((totient(d) - _moebius_tail(h, d, shifted) * _one_minus(h))
-            * RationalFunction(ONE, _one_minus(1)))
+    is (1-q^h) times prop7's Moebius tail; that tail is N over
+    s (q**h - 1) for a sign s, so the rest is the polynomial -s N."""
+    tail = _moebius_tail(h, d, shifted)
+    return RationalFunction(tail.num * tail.den.leading + totient(d), _one_minus(1))
 
 
 def prop10_check(rs):
@@ -577,12 +607,12 @@ def prop10_check(rs):
         ("B", RationalFunction(b_poly(rs), ONE)),
         ("(n-E)/(1-q)", RationalFunction(n - exponent_poly(rs), _one_minus(1))),
         ("psi deficit",
-         _weighted_sum((mult, RationalFunction(totient(d) - psi_poly(d).compose_power(h // d),
-                                               _one_minus(1))) for d, mult in mults)),
-        ("Moebius plain split",
-         _weighted_sum((mult, _split_from_tail(h, d, False)) for d, mult in mults)),
-        ("Moebius shifted split",
-         _weighted_sum((mult, _split_from_tail(h, d, True)) for d, mult in mults)),
+         _over(1, ((mult, RationalFunction(totient(d) - psi_poly(d).compose_power(h // d),
+                                           _one_minus(1))) for d, mult in mults))),
+        ("Moebius plain split", _over(1, ((mult, _split_from_tail(h, d, False))
+                                          for d, mult in mults))),
+        ("Moebius shifted split", _over(1, ((mult, _split_from_tail(h, d, True))
+                                            for d, mult in mults))),
     ]
     return _chain_check(members)
 
@@ -616,8 +646,8 @@ def prop12_check(rs):
     """B(q) from the constant-part decomposition of the eigenvalue
     multiplicities."""
     h, n = rs.h, rs.id.rank
-    tail = _weighted_sum((e, RationalFunction(ONE, _one_minus(d)))
-                         for d in divisors(h) if (e := rs.e_of_d[h // d]))
+    tail = _over(h, ((e, RationalFunction(ONE, _one_minus(d)))
+                     for d in divisors(h) if (e := rs.e_of_d[h // d])))
     rhs = RationalFunction(Polynomial((n,)), _one_minus(1)) - \
         RationalFunction(_one_minus(h), _one_minus(1)) * tail
     return _chain_check([("B", RationalFunction(b_poly(rs), ONE)),
@@ -709,14 +739,14 @@ def paired_parts_check(rs, shift):
     """Palindromic pairing of the decomposition parts H_d of q**shift * B(q):
     the sum of (H_d / q**shift + q**(d-1+shift) H_d(1/q)) / (1-q**d) is
     n/(1-q) (prop16 for shift 0, prop19 for shift 1).  Each divisor adds
-    one term (H_d + q**(d-1+2 shift) H_d(1/q)) / (q**shift (1-q**d)) to a
-    plain ``_rf_sum``: the parts are the system's own, so their products
-    with the plan multipliers are not memoised."""
+    one term (H_d + q**(d-1+2 shift) H_d(1/q)) / (q**shift (1-q**d)) to
+    ``_over``: the parts are the system's own, so their lifts are not
+    memoised."""
     h, n = rs.h, rs.id.rank
     parts = _b_parts(rs, shift)
-    total = _rf_sum(RationalFunction(parts[d] + parts[d].reversed_to(d - 1 + shift).shifted(shift),
-                                     _one_minus(d).shifted(shift))
-                    for d in divisors(h))
+    total = _over(h, ((1, RationalFunction(parts[d] + parts[d].reversed_to(d - 1 + shift)
+                                           .shifted(shift), _one_minus(d).shifted(shift)))
+                      for d in divisors(h)), lift=_lifted.__wrapped__)
     return _chain_check([("n/(1-q)", RationalFunction(Polynomial((n,)), _one_minus(1))),
                          ("paired parts", total)])
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 import rootheight.exactalg as exactalg
 import rootheight.identities as identities
 import rootheight.numth as numth
 from rootheight import build, default_catalog
-from rootheight.exactalg import Polynomial, RationalFunction
+from rootheight.exactalg import Polynomial, RationalFunction, poly_gcd
 
 
 @pytest.fixture(scope="session")
@@ -139,3 +141,83 @@ def expand_binomials(x):
     exactly by its denominator (``NotDivisible`` when it is no
     polynomial)."""
     return binomial_product(x).as_polynomial()
+
+
+# The route the divisor expansions took before each was built over one
+# denominator per chain, kept as their oracle: the terms added over the
+# gcd-chain plan of their denominators, each numerator lifted by its plan
+# multiplier and added with its weight.
+
+
+@lru_cache(maxsize=None)
+def sum_plan(dens):
+    """Common denominator L of a sum whose terms have the denominators dens
+    (coefficient tuples), with one multiplier M_i per term, so that the sum
+    is (sum of n_i * M_i) / L.  Terms are added left to right: from
+    acc = D_0, step i cancels g = gcd(acc, D_i) into da_i = acc/g and
+    db_i = D_i/g (acc and D_i when g is constant) and sets acc = acc * db_i;
+    then M_i = da_i * (db_{i+1} * ... * db_k), with da_0 = 1, from suffix
+    products.  No terms give 0/1."""
+    one = Polynomial((1,))
+    polys = [Polynomial(coeffs) for coeffs in dens] or [one]
+    acc, steps = polys[0], []
+    for den in polys[1:]:
+        g = poly_gcd(acc, den)
+        da, db = (acc, den) if g.degree < 1 else (acc.divexact(g), den.divexact(g))
+        steps.append((da, db))
+        acc = acc * db
+    mults, suffix = [], one
+    for da, db in reversed(steps):
+        mults.append(da * suffix)
+        suffix = db * suffix
+    return acc, (suffix, *reversed(mults))
+
+
+def lift(num, mult):
+    """The nonzero (i, c) terms of the product of two coefficient tuples: a
+    term's numerator lifted by its plan multiplier."""
+    return tuple((i, c) for i, c in enumerate((Polynomial(num) * Polynomial(mult)).coeffs)
+                 if c)
+
+
+def rf_sum(terms, weights=None):
+    """Sum of rational functions over the plan of their denominators; with
+    weights, the sum of w_i * t_i as the weighted sum of their lifts."""
+    terms = list(terms)
+    den, mults = sum_plan(tuple(t.den.coeffs for t in terms))
+    if weights is None:
+        num = sum((t.num * m for t, m in zip(terms, mults)), Polynomial(()))
+        return RationalFunction(num, den)
+    lifts = [(w, lift(t.num.coeffs, m.coeffs)) for t, m, w in zip(terms, mults, weights)
+             if w]
+    out = [0] * max((row[-1][0] + 1 for _, row in lifts if row), default=0)
+    for w, row in lifts:
+        for i, c in row:
+            out[i] += w * c
+    return RationalFunction(Polynomial(out), den)
+
+
+def weighted_sum(pairs):
+    """The sum of w * F over the (w, F) pairs, by ``rf_sum`` with weights."""
+    pairs = list(pairs)
+    return rf_sum([f for _, f in pairs], [w for w, _ in pairs])
+
+
+def lifted_to(f, den):
+    """f over den, a multiple of f.den: its numerator times the exact
+    quotient."""
+    return RationalFunction(f.num * den.divexact(f.den), den)
+
+
+def assert_over(got, want, h):
+    """got is want over its chain's denominator D = +-q**s (q**h - 1), s the
+    power of q in want.den: D is a multiple of want.den whose quotient has
+    lowest coefficient +1, so a cross-difference keeps its lowest
+    coefficient, and got's numerator is want's times that quotient,
+    coefficient for coefficient."""
+    s = next(i for i, c in enumerate(want.den.coeffs) if c)
+    top = Polynomial.monomial(s) * (Polynomial.monomial(h) - 1)
+    assert got.den in (top, -top), (h, got.den, want.den)
+    quot = got.den.divexact(want.den)
+    assert next(c for c in quot.coeffs if c) == 1, (h, got.den, want.den)
+    assert got.num.coeffs == lifted_to(want, got.den).num.coeffs, (h, got, want)

@@ -511,6 +511,32 @@ class TestRationalFunction:
         assert f == g
         assert f != g + 1
 
+    def test_equality_matches_cross_multiplication(self):
+        # == reads numerators alone over equal or negated denominators and
+        # cross-multiplies otherwise: against cross-multiplication on random
+        # pairs over equal, negated and unrelated denominators, each half
+        # of them equal in value (the second scaled by a unit or a
+        # polynomial factor).
+        rng = random.Random(3011)
+        poly = lambda n: Polynomial([rng.choice([0, rng.randint(-4, 4),
+                                                 Fraction(rng.randint(-4, 4), rng.randint(1, 5))])
+                                     for _ in range(n)])
+        kinds = {"equal": 0, "negated": 0, "unrelated": 0}
+        results = set()
+        for _ in range(600):
+            f = RationalFunction(poly(rng.randint(0, 6)), poly(rng.randint(1, 6)) + P(0, 0, 0, 0, 0, 0, 1))
+            kind = rng.choice(list(kinds))
+            scale = {"equal": P(1), "negated": P(-1),
+                     "unrelated": P(rng.randint(1, 3), 1)}[kind]
+            g = RationalFunction(f.num * scale, f.den * scale)
+            if rng.random() < 0.5:
+                g = RationalFunction(g.num + P(*[0] * rng.randint(0, 4), 1), g.den)
+            want = f.num * g.den == g.num * f.den
+            assert (f == g) is want and (g == f) is want, (f, g)
+            kinds[kind] += 1
+            results.add((kind, want))
+        assert len(results) == 6 and min(kinds.values()) > 150
+
     def test_field_operations(self):
         half = RationalFunction(P(1), P(0, 2))
         assert half + half == RationalFunction(P(1), P(0, 1))

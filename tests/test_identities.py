@@ -14,11 +14,12 @@ import pytest
 import rootheight.exactalg as exactalg
 import rootheight.identities as identities
 import rootheight.rootsys as rootsys
-from conftest import MEMO_MODULES, binomial_product, clear_identity_memos, expand_binomials
+from conftest import (MEMO_MODULES, assert_over, binomial_product, clear_identity_memos,
+                      expand_binomials, lifted_to, rf_sum, weighted_sum)
 from rootheight.errors import (DegreeTooHigh, MethodMismatch, ReconstructionMismatch,
-                               SingularSystem)
+                               RootHeightError, SingularSystem)
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction, _context,
-                                 _rf_sum, _sum_plan, cyc_eval, poly_gcd)
+                                 _sum_plan, cyc_eval, poly_gcd)
 from rootheight.cli import main
 from rootheight.identities import (ONE, SingularityData, ZERO, _gram_lu,
                                    _lvec_interpolated, available_checks,
@@ -856,8 +857,8 @@ def pairwise_add(a, b):
 
 
 def slow_rf_sum(terms):
-    """The route _rf_sum replaced: pairwise additions left to right onto
-    zero."""
+    """The route the plan of a sum replaced: pairwise additions left to
+    right onto zero."""
     total = RationalFunction(ZERO, ONE)
     for t in terms:
         total = pairwise_add(total, t)
@@ -869,28 +870,29 @@ def coeff_tuples(f):
 
 
 def assert_same_sum(terms):
-    got = _rf_sum(terms)
+    # The plan of the oracle sums, and + left to right onto zero.
+    got = rf_sum(terms)
     assert coeff_tuples(got) == coeff_tuples(slow_rf_sum(terms))
+    assert coeff_tuples(sum(terms, RationalFunction(ZERO, ONE))) == coeff_tuples(got)
     return got
 
 
 class TestSumPlan:
-    """_rf_sum over a memoised common-denominator plan, and ``+`` as its
-    two-term case, against pairwise additions: the same coefficient tuples,
-    not only an equal value."""
+    """``+`` over the memoised two-term plan, and the oracle sums over the
+    plan of all their terms, against pairwise additions: the same
+    coefficient tuples, not only an equal value.  A divisor expansion over
+    its chain's denominator is checked against the oracle's sum."""
 
     def test_matches_pairwise_sum_during_verify_all(self, capsys, monkeypatch):
         clear_identity_memos()
-        calls = []
-        add = RationalFunction.__add__
+        calls, expansions = [], []
+        add, over = RationalFunction.__add__, identities._over
 
-        def recording(terms, weights=None):
+        def recording(h, pairs, **kwargs):
             # A weighted sum is compared with the plain sum of its scaled terms.
-            terms = list(terms)
-            got = _rf_sum(terms, weights)
-            if weights is not None:
-                terms = [w * t for w, t in zip(weights, terms)]
-            calls.append((terms, got))
+            pairs = list(pairs)
+            got = over(h, pairs, **kwargs)
+            expansions.append((h, [w * t for w, t in pairs], got))
             return got
 
         def adding(a, b):
@@ -898,14 +900,17 @@ class TestSumPlan:
             calls.append(([a, RationalFunction._wrap(b)], got))
             return got
 
-        monkeypatch.setattr(identities, "_rf_sum", recording)
+        monkeypatch.setattr(identities, "_over", recording)
         monkeypatch.setattr(RationalFunction, "__add__", adding)
         monkeypatch.setattr(RationalFunction, "__radd__", adding)
         assert main(["verify", "all", "--format", "json"]) == 0
-        assert sum(len(terms) == 2 for terms, _ in calls) > 500
+        assert sum(len(terms) == 2 for terms, _ in calls) + \
+            sum(len(terms) == 2 for _, terms, _ in expansions) > 500
         capsys.readouterr()
         for terms, got in calls:
             assert coeff_tuples(got) == coeff_tuples(slow_rf_sum(terms)), terms
+        for h, terms, got in expansions:
+            assert_over(got, slow_rf_sum(terms), h)
         assert len(calls) > _sum_plan.cache_info().currsize > 0
 
     def test_hand_cases(self):
@@ -933,29 +938,65 @@ def typed(f):
 
 
 class TestWeightedSums:
-    """A divisor expansion summed as weights times memoised lifts against
-    the plain sum of its pre-scaled terms: identical num and den tuples."""
+    """A divisor expansion summed over its chain's denominator against the
+    plain oracle sum of its pre-scaled terms: the same value, over
+    +-q**s (q**h - 1), with the numerator lifted coefficient for
+    coefficient (``conftest.assert_over``)."""
 
     def test_members_match_prescaled_sums_on_catalog(self, catalog, monkeypatch):
         clear_identity_memos()
         seen = []
+        real = identities._over
 
-        def checked(terms, weights=None):
-            got = _rf_sum(terms, weights)
-            if weights is not None:
-                want = _rf_sum([w * t for w, t in zip(weights, terms)])
-                assert typed(got) == typed(want), (terms, weights)
-                seen.append(len(terms))
+        def checked(h, pairs, **kwargs):
+            pairs = list(pairs)
+            got = real(h, pairs, **kwargs)
+            assert_over(got, rf_sum([w * t for w, t in pairs]), h)
+            seen.append(len(pairs))
             return got
 
-        monkeypatch.setattr(identities, "_rf_sum", checked)
+        monkeypatch.setattr(identities, "_over", checked)
         for rs in catalog.values():
             for rep in run_suite(rs, ["prop2", "prop5", "prop6", "prop7", "prop9",
                                       "prop10", "prop12"]):
                 assert rep.passed, (rs.id, rep)
         # prop2 5, prop5 4, prop7 2, prop9 4, prop10 3 and prop12 1 weighted
-        # sums per system, and prop6's 4 per Coxeter number (15 of them).
-        assert len(seen) == 34 * 19 + 15 * 4
+        # sums per system, and prop6's 4 per Coxeter number (15 of them); the
+        # tables add one sum per Moebius split and per Moebius tail.
+        assert len(seen) == 34 * 19 + 15 * 4 + \
+            identities._phi_log_forms.cache_info().currsize + \
+            identities._moebius_tail.cache_info().currsize
+
+    def test_members_match_oracle_on_catalog_and_corruptions(self, catalog, monkeypatch):
+        # Every converted member, on all catalog systems and under every
+        # corruption of the differential, against the route it replaced:
+        # the weighted sum of the lifts over the gcd-chain plan.
+        clear_identity_memos()
+        seen = []
+        real = identities._over
+
+        def checked(h, pairs, **kwargs):
+            pairs = list(pairs)
+            got = real(h, pairs, **kwargs)
+            assert_over(got, weighted_sum(pairs), h)
+            seen.append(h)
+            return got
+
+        monkeypatch.setattr(identities, "_over", checked)
+        systems = list(catalog.values())
+        systems += [corrupted(build(RootSystemId(family, rank)), kind)
+                    for family, rank in SYSTEMS for kind in CORRUPTIONS]
+        cids = ["prop2", "prop5", "prop6", "prop7", "prop9", "prop10", "prop12",
+                "prop16", "prop19"]
+        for rs in systems:
+            identities._prop6_witness.cache_clear()
+            for cid in cids:
+                # Called directly, so a failed assertion is not made a witness.
+                try:
+                    identities._CHECKS[cid](rs)
+                except RootHeightError:
+                    pass
+        assert len(systems) == 34 + 48 and len(seen) > 20 * len(systems)
 
     def test_random_weights_match_prescaled_sums(self):
         rng = random.Random(181)
@@ -981,9 +1022,8 @@ class TestWeightedSums:
             for terms in families:
                 terms = rng.sample(terms, rng.randint(1, len(terms)))
                 weights = [weight() for _ in terms]
-                got = _rf_sum(terms, weights)
-                want = _rf_sum([w * t for w, t in zip(weights, terms)])
-                assert typed(got) == typed(want), (h, terms, weights)
+                got = identities._over(h, zip(weights, terms))
+                assert_over(got, rf_sum([w * t for w, t in zip(weights, terms)]), h)
                 sums += 1
         assert sums == 420
 
@@ -1038,7 +1078,14 @@ class TestPerSystemData:
         clear_identity_memos()
         for rs in catalog.values():
             assert all(rep.passed for rep in run_suite(rs, ["prop16", "prop19"])), rs.id
-        assert exactalg._lift.cache_info().currsize == 0
+        assert identities._lifted.cache_info().currsize == 0
+        filled = {f"{module.__name__}.{name}" for module in MEMO_MODULES
+                  for name, value in vars(module).items()
+                  if hasattr(value, "cache_info") and value.__module__ == module.__name__
+                  and value.cache_info().currsize}
+        # Only the field contexts of the orders decomposed may fill (none
+        # when the catalog's parts are already kept on its systems).
+        assert filled <= {"rootheight.exactalg._context"}
 
 
 def test_clear_identity_memos_empties_every_table(catalog):
@@ -1052,7 +1099,7 @@ def test_clear_identity_memos_empties_every_table(catalog):
               or hasattr(value, "cache_clear") and value.__module__ == module.__name__}
     del tables["rootheight.identities._CHECKS"]
     size = lambda t: len(t) if isinstance(t, dict) else t.cache_info().currsize
-    assert {"rootheight.exactalg._lift", "rootheight.exactalg._sum_plan",
+    assert {"rootheight.identities._lifted", "rootheight.exactalg._sum_plan",
             "rootheight.exactalg._context", "rootheight.identities._pole_interpolant",
             "rootheight.identities._split_from_tail",
             "rootheight.numth.ramanujan_sums"} <= set(tables)
@@ -1113,8 +1160,8 @@ def old_ramanujan_tail(d):
 
 def old_moebius_pole_split(d):
     """Sum over d'|d of mu(d/d') * d'/(1 - q**d')."""
-    return _rf_sum(mu * dp * RationalFunction(ONE, one_minus(dp))
-                   for dp in divisors(d) if (mu := mobius(d // dp)))
+    return rf_sum(mu * dp * RationalFunction(ONE, one_minus(dp))
+                  for dp in divisors(d) if (mu := mobius(d // dp)))
 
 
 def old_totient_tail(d):
@@ -1126,17 +1173,17 @@ def old_totient_tail(d):
 def old_moebius_split(h, d, shifted):
     """Sum over d'|d of mu(d') (d/d' - (1-q^h) q^(shifted * x)/(1-q^x)),
     x = h d'/d, over 1 - q."""
-    inner = _rf_sum(mu * (RationalFunction(Polynomial((d // dp,)), ONE)
-                          - RationalFunction(one_minus(h).shifted(h * dp // d * shifted),
-                                             one_minus(h * dp // d)))
-                    for dp in divisors(d) if (mu := mobius(dp)))
+    inner = rf_sum(mu * (RationalFunction(Polynomial((d // dp,)), ONE)
+                         - RationalFunction(one_minus(h).shifted(h * dp // d * shifted),
+                                            one_minus(h * dp // d)))
+                   for dp in divisors(d) if (mu := mobius(dp)))
     return inner * RationalFunction(ONE, one_minus(1))
 
 
 def old_prop6_moebius(h, shifted):
     """prop6's inline sum over d|h of mu(d) q**(shifted * d)/(1 - q**d)."""
-    return _rf_sum(mu * RationalFunction(Polynomial.monomial(d * shifted), one_minus(d))
-                   for d in divisors(h) if (mu := mobius(d)))
+    return rf_sum(mu * RationalFunction(Polynomial.monomial(d * shifted), one_minus(d))
+                  for d in divisors(h) if (mu := mobius(d)))
 
 
 class TestDivisorForms:
@@ -1159,11 +1206,16 @@ class TestDivisorForms:
         cases = 0
         for h in range(1, 61):
             for shifted in (True, False):
-                assert coeff_tuples(identities._moebius_tail(h, h, shifted)) == \
-                    coeff_tuples(old_prop6_moebius(h, shifted)), (h, shifted)
+                # The tail over +-(q**h - 1), the split over 1 - q, which the
+                # old split's denominator is a multiple of.
+                assert_over(identities._moebius_tail(h, h, shifted),
+                            old_prop6_moebius(h, shifted), h)
                 for d in divisors(h):
-                    assert coeff_tuples(identities._split_from_tail(h, d, shifted)) == \
-                        coeff_tuples(old_moebius_split(h, d, shifted)), (h, d, shifted)
+                    split, old = (identities._split_from_tail(h, d, shifted),
+                                  old_moebius_split(h, d, shifted))
+                    assert split.den == one_minus(1), (h, d, shifted)
+                    assert coeff_tuples(lifted_to(split, old.den)) == coeff_tuples(old), \
+                        (h, d, shifted)
                     cases += 1
         assert cases == 522
 
@@ -1208,9 +1260,8 @@ def old_periodic_members(h, a):
                        ("reciprocal log-derivative", "cyclotomic log-derivatives"),
                        ("Moebius split", "Moebius split"),
                        ("totient q-analogue", "totient q-analogue")):
-        total = identities._weighted_sum((a[(h // d) % h],
-                                          recip(identities._phi_log_forms(d)[key][0]))
-                                         for d in divs)
+        total = weighted_sum((a[(h // d) % h], recip(identities._phi_log_forms(d)[key][0]))
+                             for d in divs)
         members.append((label, total * Fraction(1, h)))
     return members
 
@@ -1234,7 +1285,8 @@ class TestHScaleChains:
             old = old_periodic_members(h, a)
             assert [label for label, _ in new] == [label for label, _ in old]
             for (label, f), (_, g) in zip(new, old):
-                # The same coefficient tuples, so a witness renders the same;
+                # The old member over the chain's denominator +-(q**h - 1),
+                # coefficient for coefficient, so a witness renders the same;
                 # the eigenvalue poles, once CycNums over q**h - 1, are now
                 # their rational values negated over 1 - q**h.
                 scaled = f * Fraction(1, h)
@@ -1242,9 +1294,31 @@ class TestHScaleChains:
                     assert all(c.is_rational for c in g.num.coeffs), h
                     g = RationalFunction(Polynomial([-c.as_rational() for c in g.num.coeffs]),
                                          -g.den)
-                assert (scaled.num.coeffs, scaled.den.coeffs) == (g.num.coeffs, g.den.coeffs), \
-                    (h, label)
+                assert_over(scaled, g, h)
                 assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs), (h, label)
+
+    def test_chains_compare_on_one_denominator(self, catalog, monkeypatch):
+        # Props 5, 6, 7 and 9 build every member over +-(1 - q**h), so each
+        # comparison of a passing chain reads numerators alone: no
+        # polynomial product runs inside _chain_check.
+        clear_identity_memos()
+        inside, products = [False], []
+        real_chain, real_mul = identities._chain_check, Polynomial.__mul__
+
+        def chain(members):
+            inside[0] = True
+            try:
+                return real_chain(members)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(identities, "_chain_check", chain)
+        monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: (
+            inside[0] and products.append((a, b))) or real_mul(a, b))
+        for rs in catalog.values():
+            for cid in ("prop5", "prop6", "prop7", "prop9"):
+                assert identities._CHECKS[cid](rs) is None, (rs.id, cid)
+        assert not inside[0] and products == []
 
     def test_passing_chain_is_compared_once(self, catalog, monkeypatch):
         # A passing chain is decided at h scale: no member is rebuilt at 1/h.
@@ -1422,10 +1496,11 @@ def dense_weights_identity_holds(rs, a, b, c):
 
 def old_paired_total(parts, h, shift):
     """The route paired_parts_check replaced: per divisor, a sum of two
-    rational functions times 1/(1 - q**d), added by _rf_sum."""
-    return _rf_sum((RationalFunction(parts[d], Polynomial.monomial(shift))
-                    + RationalFunction(parts[d].reversed_to(d - 1 + shift), ONE))
-                   * RationalFunction(ONE, one_minus(d)) for d in divisors(h))
+    rational functions times 1/(1 - q**d), added over the plan of their
+    denominators."""
+    return rf_sum((RationalFunction(parts[d], Polynomial.monomial(shift))
+                   + RationalFunction(parts[d].reversed_to(d - 1 + shift), ONE))
+                  * RationalFunction(ONE, one_minus(d)) for d in divisors(h))
 
 
 class TestSparseRoutes:
@@ -1471,9 +1546,9 @@ class TestSparseRoutes:
     def test_paired_parts_match_old_builder(self, catalog, monkeypatch):
         clear_identity_memos()
         totals = []
-        real = identities._rf_sum
-        monkeypatch.setattr(identities, "_rf_sum",
-                            lambda terms: totals.append(real(terms)) or totals[-1])
+        real = identities._over
+        monkeypatch.setattr(identities, "_over", lambda *args, **kwargs:
+                            totals.append(real(*args, **kwargs)) or totals[-1])
         for rs in catalog.values():
             for shift, cid in ((0, "prop16"), (1, "prop19")):
                 rep = run_suite(rs, [cid])[0]
