@@ -683,8 +683,8 @@ class RationalFunction:
         """Over equal or negated denominators, equality of the numerators;
         otherwise by cross-multiplication."""
         o = self._wrap(other)
-        if self.den.coeffs == o.den.coeffs:
-            return self.num.coeffs == o.num.coeffs
+        if self.den == o.den:
+            return self.num == o.num
         if self.den == -o.den:
             return self.num == -o.num
         return self.num * o.den == o.num * self.den
