@@ -214,10 +214,11 @@ def assert_over(got, want, h):
     power of q in want.den: D is a multiple of want.den whose quotient has
     lowest coefficient +1, so a cross-difference keeps its lowest
     coefficient, and got's numerator is want's times that quotient,
-    coefficient for coefficient."""
+    coefficient for coefficient and type for type (int or Fraction)."""
     s = next(i for i, c in enumerate(want.den.coeffs) if c)
     top = Polynomial.monomial(s) * (Polynomial.monomial(h) - 1)
     assert got.den in (top, -top), (h, got.den, want.den)
     quot = got.den.divexact(want.den)
     assert next(c for c in quot.coeffs if c) == 1, (h, got.den, want.den)
-    assert got.num.coeffs == lifted_to(want, got.den).num.coeffs, (h, got, want)
+    typed = lambda p: tuple((type(c), c) for c in p.coeffs)
+    assert typed(got.num) == typed(lifted_to(want, got.den).num), (h, got, want)

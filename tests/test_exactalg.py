@@ -514,9 +514,9 @@ class TestRationalFunction:
     def test_equality_matches_cross_multiplication(self):
         # == reads numerators alone over equal or negated denominators and
         # cross-multiplies otherwise: against cross-multiplication on random
-        # pairs over equal, negated and unrelated denominators, each half
-        # of them equal in value (the second scaled by a unit or a
-        # polynomial factor).
+        # pairs over equal, negated and unrelated denominators, the second
+        # the first scaled by 1, -1 or c + q, about half of them with its
+        # numerator then changed.
         rng = random.Random(3011)
         poly = lambda n: Polynomial([rng.choice([0, rng.randint(-4, 4),
                                                  Fraction(rng.randint(-4, 4), rng.randint(1, 5))])
@@ -524,7 +524,8 @@ class TestRationalFunction:
         kinds = {"equal": 0, "negated": 0, "unrelated": 0}
         results = set()
         for _ in range(600):
-            f = RationalFunction(poly(rng.randint(0, 6)), poly(rng.randint(1, 6)) + P(0, 0, 0, 0, 0, 0, 1))
+            # q**6 keeps the denominator nonzero.
+            f = RationalFunction(poly(rng.randint(0, 6)), poly(6) + Polynomial.monomial(6))
             kind = rng.choice(list(kinds))
             scale = {"equal": P(1), "negated": P(-1),
                      "unrelated": P(rng.randint(1, 3), 1)}[kind]

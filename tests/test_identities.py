@@ -11,7 +11,6 @@ from math import gcd, prod
 
 import pytest
 
-import rootheight.exactalg as exactalg
 import rootheight.identities as identities
 import rootheight.rootsys as rootsys
 from conftest import (MEMO_MODULES, assert_over, binomial_product, clear_identity_memos,
