@@ -36,7 +36,7 @@ powers of the root, ``traces`` for the sums of the Galois conjugates of
 v * z**e over a run of e (integer sums over the Ramanujan sums
 c_h(0..h-1), which the context builds on first use), and the inverses
 1/(1 - z), by the extended Euclid, and 1/Phi'(z) = z R(z)/h with
-R = (q**h - 1)/Phi_h, memoised.
+R = (q**h - 1)/Phi_h, memoised, as are the ``cofactor`` quotients.
 """
 
 from __future__ import annotations
@@ -429,6 +429,15 @@ class _CycContext:
         self.terms = _low_terms(self.modulus)
         self.residues = tuple(k for k in range(1, h + 1)
                               if gcd(k, h) == 1 and (h == 1 or k < h))
+        self._cofactors = {}
+
+    def cofactor(self, den, top):
+        """top/den for coefficient tuples, den dividing top = +-q**s (q**h - 1):
+        the lift of a divisor-sum term, divided once per order and shared."""
+        quot = self._cofactors.get((den, top))
+        if quot is None:
+            quot = self._cofactors[den, top] = Polynomial(top).divexact(Polynomial(den))
+        return quot
 
     def coords(self, terms):
         """Power-basis coordinates of the sum of c * z**e over the (e, c)

@@ -6,9 +6,11 @@ when it passes; ``run_check`` alone names the check, labels the system and
 makes the ``IdentityReport``, and turns a raised error into the witness.
 Equality of rational functions is decided over the exact coefficient field
 (rationals, or the cyclotomic field of the system's Coxeter order where
-roots of unity appear), by the numerators over equal or negated
-denominators and by cross-multiplication otherwise, so a "pass" verdict
-means exact coefficient equality, never a numerical tolerance.  Every sum
+roots of unity appear): a chain compares the numerators of members whose
+denominators agree up to sign and cross-multiplies only between such groups
+(``_chain_check``), and eq19, eq20 and prop12 form their cross-differences
+over known binomial denominators, adding no rational functions.  So a
+"pass" verdict means exact coefficient equality, never a tolerance.  Every sum
 over roots of unity is formed without a loop of field products: where the
 summands are the Galois conjugates of one field element (props 4, 14, 15
 and 18), the sum is its trace, an integer sum over the Ramanujan sums and
@@ -19,7 +21,8 @@ independent; a runner may execute them concurrently and sort the reports
 afterwards.
 
 Checks share memo tables across systems: each divisor-sum term's
-numerator lifted to its sum's denominator (``_lifted``), the building
+numerator lifted to its sum's denominator (``_lifted``, by a multiplier
+that the order's field context divides once for all systems), the building
 blocks keyed on a divisor d (or on h and d), the interpolants of props 14
 and 18 (with prop14's pole-sum vector check) and the witnesses of prop6
 and prop15, which read only h.  Sharing is sound because every memoised function is
@@ -66,7 +69,6 @@ from .rootsys import (DEFAULT_BFS_CAP, b_from_exponents, b_poly, coxeter_element
                       dynkin_polys, exponent_poly, factor_exponents, power_sums,
                       weyl_length_gf_bruteforce, weyl_length_gf_product, weyl_order)
 
-Q = Polynomial.monomial(1)
 ONE = Polynomial((1,))
 ZERO = Polynomial(())
 
@@ -79,6 +81,13 @@ def _one_minus(k):
 def _qm1(k):
     """q**k - 1."""
     return Polynomial((-1,) + (0,) * (k - 1) + (1,))
+
+
+def _times_qm1(p, *ks):
+    """p times the product of q**k - 1 over ks, by shifts and subtractions."""
+    for k in ks:
+        p = p.shifted(k) - p
+    return p
 
 
 class IdentityReport(namedtuple("IdentityReport",
@@ -118,25 +127,37 @@ def _poly_mismatch(la, pa, lb, pb):
             f"({_render(pa.coeff(i))} vs {_render(pb.coeff(i))})")
 
 
+def _cross_witness(la, lb, d):
+    """The witness of a nonzero cross-difference d = num_a den_b - num_b den_a."""
+    i = next(i for i, c in enumerate(d.coeffs) if c)
+    return (f"'{la}' != '{lb}': cross-difference has q^{i} "
+            f"coefficient {_render(d.coeffs[i])}")
+
+
 def _rf_mismatch(la, fa, lb, fb):
     """None when fa = fb (over equal or negated denominators, equality of
     the numerators); the cross-difference is formed only to render a
     failing witness."""
     if fa == fb:
         return None
-    d = fa.num * fb.den - fb.num * fa.den
-    i = next(i for i, c in enumerate(d.coeffs) if c)
-    return (f"'{la}' != '{lb}': cross-difference has q^{i} "
-            f"coefficient {_render(d.coeffs[i])}")
+    return _cross_witness(la, lb, fa.num * fb.den - fb.num * fa.den)
 
 
 def _chain_check(members):
-    """Compare every labelled rational function against the first."""
+    """Compare every labelled rational function against the first: by the
+    numerators within each group of denominators equal up to sign, and by
+    one cross-multiplication of the head with each other group.  On any
+    mismatch every member is compared with the head in order, for the
+    witness of the first that differs."""
     la, fa = members[0]
-    for lb, fb in members[1:]:
-        w = _rf_mismatch(la, fa, lb, fb)
-        if w:
-            return w
+    groups = {}  # denominator -> numerator coefficients, one entry per sign
+    for i, (_, f) in enumerate(members):
+        num = groups.get(f.den.coeffs)
+        if num is None and (i == 0 or fa == f):
+            groups[f.den.coeffs], groups[(-f.den).coeffs] = f.num.coeffs, (-f.num).coeffs
+        elif num != f.num.coeffs:
+            return next(filter(None, (_rf_mismatch(la, fa, lb, fb)
+                                      for lb, fb in members[1:])), None)
     return None
 
 
@@ -165,11 +186,11 @@ def _psi_sum(d):
 
 
 @lru_cache(maxsize=None)
-def _lifted(num, den, top):
+def _lifted(h, num, den, top):
     """The nonzero (i, c) terms of num * (top/den), for coefficient tuples
     with den dividing top: a term's numerator lifted to its sum's
-    denominator, memoised by content."""
-    mult = Polynomial(top).divexact(Polynomial(den))
+    denominator, memoised by content, by the order's shared cofactor."""
+    mult = _context(h).cofactor(den, top)
     return tuple((i, c) for i, c in enumerate((Polynomial(num) * mult).coeffs) if c)
 
 
@@ -189,7 +210,7 @@ def _over(h, pairs, lift=_lifted):
     sign = prod(den[-1] for den in dens) * (-1 if all(map(sum, dens)) else 1)
     s = max((next(i for i, c in enumerate(den) if c) for den in dens), default=0)
     top = (0,) * s + (-sign,) + (0,) * (h - 1) + (sign,)
-    rows = [(w, lift(f.num.coeffs, f.den.coeffs, top)) for w, f in pairs if w]
+    rows = [(w, lift(h, f.num.coeffs, f.den.coeffs, top)) for w, f in pairs if w]
     out = [0] * max((row[-1][0] + 1 for _, row in rows if row), default=0)
     for w, row in rows:
         for i, c in row:
@@ -541,12 +562,12 @@ def prop7_check(rs):
     expansion minus a(0) for every a, so it also checks that expansion."""
     h = rs.h
     a = lambda k: rs.m[k % h]
-    lhs_full = RationalFunction(exponent_poly(rs), _one_minus(h))
     divs = [d for d in divisors(h) if a(h // d)]
 
     num = sum((a(h // d) * psi_poly(d).compose_power(h // d) for d in divs), ZERO)
     members = [
-        ("E/(1-q^h) - a(0)", lhs_full - a(0)),
+        ("E/(1-q^h) - a(0)", RationalFunction(exponent_poly(rs) - a(0) * _one_minus(h),
+                                              _one_minus(h))),
         ("psi substitution", RationalFunction(num, _one_minus(h))),
         ("Moebius with shifted numerators",
          _over(h, ((a(h // d), _moebius_tail(h, d, True)) for d in divs))),
@@ -644,14 +665,14 @@ def prop11_check(rs):
 
 def prop12_check(rs):
     """B(q) from the constant-part decomposition of the eigenvalue
-    multiplicities."""
+    multiplicities.  The tail is N/T, T = s (q**h - 1) for a sign s, so the
+    form n/(1-q) - (1-q**h)/(1-q) * tail is -(n + s N) T over (q - 1) T: its
+    cross-difference against B is T (n + s N - (1 - q) B)."""
     h, n = rs.h, rs.id.rank
     tail = _over(h, ((e, RationalFunction(ONE, _one_minus(d)))
                      for d in divisors(h) if (e := rs.e_of_d[h // d])))
-    rhs = RationalFunction(Polynomial((n,)), _one_minus(1)) - \
-        RationalFunction(_one_minus(h), _one_minus(1)) * tail
-    return _chain_check([("B", RationalFunction(b_poly(rs), ONE)),
-                         ("constant-part form", rhs)])
+    d = tail.num * tail.den.leading + n + _times_qm1(b_poly(rs), 1)
+    return _cross_witness("B", "constant-part form", tail.den * d) if d else None
 
 
 def prop13_check(rs):
@@ -820,6 +841,19 @@ def _weights_identity_holds(rs, weights):
     return lhs == rhs
 
 
+def _weight_candidates(rs):
+    """The doubled weights t in 2..h/2+1 at which both sides of the weight
+    identity agree at t = 2, E(4) 2**(2h) prod (2**x - 1) and
+    prod (2**(2h) - 2**x) over x in (t, h + 2 - t, h): unequal values of
+    (Laurent) polynomials prove them different, so only these t need
+    ``_weights_identity_holds``.  E(4) is formed once, in ints: both sides
+    are scaled by 4**k, k > 0 only if an exponent lies below -h."""
+    h, top, k = rs.h, 4 ** rs.h, max(0, -rs.h - min(rs.exponents))
+    lhs = sum(4 ** (e + h + k) for e in rs.exponents) * (2 ** h - 1)
+    return [t for t in range(2, h // 2 + 2) if lhs * (2 ** t - 1) * (2 ** (h + 2 - t) - 1)
+            == 4 ** k * (top - 2 ** h) * (top - 2 ** t) * (top - 2 ** (h + 2 - t))]
+
+
 def singularity_data(rs):
     """Search the admissible half-integer weight triple (a, b, c) with
     a + b + c = h + 1 and c = h/2 satisfying the eigenvalue product formula,
@@ -827,7 +861,7 @@ def singularity_data(rs):
     if rs.id.family not in "ADE":
         raise ValueError("weight data applies to simply-laced systems only")
     h = rs.h
-    found = [t for t in range(2, h // 2 + 2)
+    found = [t for t in _weight_candidates(rs)
              if _weights_identity_holds(rs, (t, h + 2 - t, h))]
     if len(found) != 1:
         raise NoTripleFound(f"{rs.id}: {len(found)} admissible triples")
@@ -851,15 +885,14 @@ def singularity_check(rs):
     h, n = rs.h, rs.id.rank
     a, b, c = data.a, data.b, data.c
 
+    # The weight form (t**2 P/Q - n)/(t**2 - 1), P and Q the products of t**(2h-x) - 1
+    # and t**x - 1 over x in (2a, 2b), has cross-difference B(t**2) Q (t**2-1) - t**2 P + n Q.
     ia, ib = int(2 * a), int(2 * b)
-    inner = RationalFunction(
-        Polynomial.monomial(2) * (Polynomial.monomial(2 * h - ia) - 1)
-        * (Polynomial.monomial(2 * h - ib) - 1),
-        (Polynomial.monomial(ia) - 1) * (Polynomial.monomial(ib) - 1)) - n
-    rhs = inner * RationalFunction(ONE, Polynomial.monomial(2) - 1)
-    if witness := _chain_check([("B(t^2)", RationalFunction(b_poly(rs).compose_power(2), ONE)),
-                                ("weight form", rhs)]):
-        return witness
+    d = (_times_qm1(b_poly(rs).compose_power(2), ia, ib, 2)
+         - _times_qm1(Polynomial.monomial(2), 2 * h - ia, 2 * h - ib)
+         + n * _times_qm1(ONE, ia, ib))
+    if d:
+        return _cross_witness("B(t^2)", "weight form", d)
     if 2 * a * b != data.group_order:
         return f"2ab = {2 * a * b} but group order is {data.group_order}"
     disc = (h + 2) ** 2 - 8 * data.group_order
@@ -940,12 +973,14 @@ def dynkin_check(rs):
     ]
     if witness := next((c for c in checks if c), None):
         return witness
+    # Each relation q poly/(q**p - 1) - n/(q - 1) is (q poly - n [p]_q)/(q**p - 1),
+    # so its cross-difference against B is B (q**p - 1) - q poly + n [p]_q.
     for label, poly, period in (("quotient relation", dpoly, h),
                                 ("antichain relation", mpoly, h - 1)):
-        rel = RationalFunction(poly.shifted(1), _qm1(period)) - \
-            RationalFunction(Polynomial((n,)), Q - 1)
-        if witness := _chain_check([("B", RationalFunction(bpoly, ONE)), (label, rel)]):
-            return witness
+        d = (_times_qm1(bpoly, period) - poly.shifted(1)
+             + n * Polynomial.geometric(period))
+        if d:
+            return _cross_witness("B", label, d)
     return None
 
 
@@ -961,12 +996,13 @@ def mirimanoff_check(rs, m):
 
     direct = Polynomial([0] + [rs.b[k - 1] * k ** m for k in range(1, h)])
 
-    tails = ZERO
+    tails = [0] * (max(rs.exponents) + 1)
     for e in rs.exponents:
-        tails = tails + Polynomial([0] + [i ** m for i in range(1, e + 1)])
+        for i in range(1, e + 1):
+            tails[i] += i ** m
 
     return (_poly_mismatch("operator", via_operator, "direct", direct)
-            or _poly_mismatch("operator", via_operator, "tails", tails))
+            or _poly_mismatch("operator", via_operator, "tails", Polynomial(tails)))
 
 
 def _mirimanoff_suite(rs):

@@ -222,3 +222,60 @@ def assert_over(got, want, h):
     assert next(c for c in quot.coeffs if c) == 1, (h, got.den, want.den)
     typed = lambda p: tuple((type(c), c) for c in p.coeffs)
     assert typed(got.num) == typed(lifted_to(want, got.den).num), (h, got, want)
+
+
+def sequential_chain(members):
+    """The comparison the grouped ``_chain_check`` replaced, kept as its
+    oracle: every member against the first, in order, the first witness
+    returned."""
+    la, fa = members[0]
+    for lb, fb in members[1:]:
+        if witness := identities._rf_mismatch(la, fa, lb, fb):
+            return witness
+    return None
+
+
+# The routes that props 7 and 12, eq19 and eq20 took before each was decided
+# as a polynomial identity over its known denominators, kept as oracles:
+# their members as rational-function sums over the two-term plan.
+
+
+def one_minus(k):
+    """1 - q**k."""
+    return Polynomial((1,) + (0,) * (k - 1) + (-1,))
+
+
+def slow_prop7_head(rs):
+    """prop7's head member, E/(1-q**h) - a(0)."""
+    return RationalFunction(identities.exponent_poly(rs), one_minus(rs.h)) - rs.m[0]
+
+
+def slow_prop12_members(rs, b):
+    """prop12's chain for the height polynomial b: B against
+    n/(1-q) - (1-q**h)/(1-q) * tail."""
+    h, n = rs.h, rs.id.rank
+    tail = identities._over(h, ((e, RationalFunction(Polynomial((1,)), one_minus(d)))
+                                for d in numth.divisors(h) if (e := rs.e_of_d[h // d])))
+    rhs = RationalFunction(Polynomial((n,)), one_minus(1)) - \
+        RationalFunction(one_minus(h), one_minus(1)) * tail
+    return [("B", RationalFunction(b)), ("constant-part form", rhs)]
+
+
+def slow_weight_form_members(h, n, a, b, bq):
+    """eq19's chain for the doubled weights a, b and the height polynomial
+    bq: B(t**2) against (t**2 P/Q - n)/(t**2 - 1)."""
+    mono = Polynomial.monomial
+    inner = RationalFunction(mono(2) * (mono(2 * h - a) - 1) * (mono(2 * h - b) - 1),
+                             (mono(a) - 1) * (mono(b) - 1)) - n
+    return [("B(t^2)", RationalFunction(bq.compose_power(2))),
+            ("weight form", inner * RationalFunction(Polynomial((1,)), mono(2) - 1))]
+
+
+def slow_dynkin_relations(h, n, dpoly, mpoly, bq):
+    """eq20's two chains: B against q poly/(q**p - 1) - n/(q - 1)."""
+    mono = Polynomial.monomial
+    return [[("B", RationalFunction(bq)),
+             (label, RationalFunction(poly.shifted(1), mono(period) - 1)
+              - RationalFunction(Polynomial((n,)), mono(1) - 1))]
+            for label, poly, period in (("quotient relation", dpoly, h),
+                                        ("antichain relation", mpoly, h - 1))]

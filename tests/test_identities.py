@@ -3,6 +3,7 @@ interpolation projections, and full-suite runs on small systems."""
 
 import json
 import random
+from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,9 @@ import pytest
 import rootheight.identities as identities
 import rootheight.rootsys as rootsys
 from conftest import (MEMO_MODULES, assert_over, binomial_product, clear_identity_memos,
-                      expand_binomials, lifted_to, rf_sum, weighted_sum)
+                      expand_binomials, lifted_to, one_minus, rf_sum, sequential_chain,
+                      slow_dynkin_relations, slow_prop7_head, slow_prop12_members,
+                      slow_weight_form_members, weighted_sum)
 from rootheight.errors import (DegreeTooHigh, MethodMismatch, ReconstructionMismatch,
                                RootHeightError, SingularSystem)
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction, _context,
@@ -882,7 +885,10 @@ class TestSumPlan:
     coefficient tuples, not only an equal value.  A divisor expansion over
     its chain's denominator is checked against the oracle's sum."""
 
-    def test_matches_pairwise_sum_during_verify_all(self, capsys, monkeypatch):
+    def test_matches_pairwise_sum_during_verify_all(self, catalog, capsys, monkeypatch):
+        # A passing verify all adds no rational functions: the sums are
+        # those of the routes props 7 and 12, eq19 and eq20 replaced
+        # (conftest), built here for every catalog system.
         clear_identity_memos()
         calls, expansions = [], []
         add, over = RationalFunction.__add__, identities._over
@@ -903,6 +909,15 @@ class TestSumPlan:
         monkeypatch.setattr(RationalFunction, "__add__", adding)
         monkeypatch.setattr(RationalFunction, "__radd__", adding)
         assert main(["verify", "all", "--format", "json"]) == 0
+        assert calls == [] and _sum_plan.cache_info().currsize == 0
+        for rs in catalog.values():
+            h, n, bq = rs.h, rs.id.rank, b_poly(rs)
+            slow_prop7_head(rs)
+            slow_prop12_members(rs, bq)
+            slow_dynkin_relations(h, n, *identities.dynkin_polys(rs), bq)
+            if rs.id.family in "ADE":
+                data = singularity_data(rs)
+                slow_weight_form_members(h, n, int(2 * data.a), int(2 * data.b), bq)
         assert sum(len(terms) == 2 for terms, _ in calls) + \
             sum(len(terms) == 2 for _, terms, _ in expansions) > 500
         capsys.readouterr()
@@ -1090,8 +1105,10 @@ class TestPerSystemData:
 def test_clear_identity_memos_empties_every_table(catalog):
     # Every lru_cache and module-level dict of the memo modules, filled by
     # the suites, is empty afterwards; _CHECKS is the check table, no memo.
+    # A passing suite adds no rational functions, so one sum fills the plans.
     for rs in catalog.values():
         run_suite(rs)
+    RationalFunction(ONE, one_minus(2)) + RationalFunction(ONE, one_minus(1))
     tables = {f"{module.__name__}.{name}": value
               for module in MEMO_MODULES for name, value in vars(module).items()
               if isinstance(value, dict) and not name.startswith("__")
@@ -1139,10 +1156,6 @@ class TestHOnlyMemos:
 # The builders that prop2's per-divisor table replaced, kept as oracles: the
 # Cohen tail expansions of Phi_d'/Phi_d at 1/q, prop10's Moebius split and
 # prop6's inline Moebius sums.
-
-
-def one_minus(k):
-    return Polynomial((1,) + (0,) * (k - 1) + (-1,))
 
 
 def old_phi_recip(d):
@@ -1330,6 +1343,223 @@ class TestHScaleChains:
             assert identities.prop5_check(rs) is None and identities.prop9_check(rs) is None
             assert identities._prop6_witness.__wrapped__(rs.h) is None
             assert len(calls) == 3, rs.id
+
+
+class TestKnownDenominators:
+    """Chains compared over shared denominators: the grouped
+    ``_chain_check`` against the sequential loop it replaced
+    (``conftest.sequential_chain``), and props 7 and 12, eq19 and eq20,
+    decided as polynomial identities over their known denominators, against
+    the rational-function routes they replaced (conftest), witness for
+    witness.  The texts pinned here are those the replaced routes render."""
+
+    CHECKS = ("prop2", "prop10", "prop12", "prop16", "prop19", "eq19", "eq20")
+
+    def test_grouped_chain_matches_sequential_loop(self):
+        # Chains of one value over shared, negated and unrelated
+        # denominators, some members' numerators disturbed.
+        rng = random.Random(3101)
+        R = RationalFunction
+
+        def poly(degree):
+            coeffs = [rng.choice([0, 1, -1, 2, Fraction(1, 3)])
+                      for _ in range(rng.randint(0, degree))]
+            return Polynomial(coeffs + [rng.choice([1, -1, 2])])
+
+        outcomes = {True: 0, False: 0}
+        for _ in range(600):
+            num, den = poly(4), poly(3)
+            mults = [poly(2) for _ in range(rng.randint(1, 3))]
+            members = []
+            for k in range(rng.randint(2, 7)):
+                m = rng.choice(mults) * rng.choice([1, -1])
+                f = R(num * m, den * m)
+                if rng.random() < 0.12:
+                    bump = Polynomial.monomial(rng.randint(0, 4), rng.choice([1, -2]))
+                    f = R(f.num + bump, f.den)
+                members.append((f"m{k}", f))
+            got = identities._chain_check(members)
+            assert got == sequential_chain(members), members
+            outcomes[got is None] += 1
+        assert min(outcomes.values()) > 150, outcomes
+
+    def test_products_only_between_denominator_groups(self, catalog, capsys, monkeypatch):
+        # From cleared memos, the polynomial products inside _chain_check
+        # over the catalog, two per cross-multiplication: prop2 compares C'/C
+        # against its members over +-(q**h - 1) and over +-q (q**h - 1),
+        # prop10 B against its members over +-(1 - q), props 16 and 19
+        # n/(1-q) against the paired parts; prop12, eq19 and eq20 decide
+        # polynomial identities and compare no chain.  A passing verify all
+        # then forms no sum plan.
+        clear_identity_memos()
+        inside, counts = [None], Counter()
+        real_chain, real_mul = identities._chain_check, Polynomial.__mul__
+
+        def chain(members):
+            inside[0] = cid
+            try:
+                return real_chain(members)
+            finally:
+                inside[0] = None
+
+        def counted(a, b):
+            if inside[0]:
+                counts[inside[0]] += 1
+            return real_mul(a, b)
+
+        monkeypatch.setattr(identities, "_chain_check", chain)
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        for rs in catalog.values():
+            for cid in self.CHECKS:
+                if cid in available_checks(rs):
+                    assert identities._CHECKS[cid](rs) is None, (rs.id, cid)
+        assert counts == {"prop2": 4 * 34, "prop10": 2 * 34, "prop16": 2 * 34,
+                          "prop19": 2 * 34}
+        monkeypatch.undo()
+        clear_identity_memos()
+        assert main(["verify", "all", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert _sum_plan.cache_info()[:2] == (0, 0)
+
+    def test_lift_multipliers_divided_once_per_order(self, catalog, monkeypatch):
+        # Props 6, 16 and 19 lift over the order's shared cofactors: one
+        # division per order and denominator, whichever systems share them
+        # (518 divisions while every system divided afresh).
+        clear_identity_memos()
+        divisions = []
+        real = Polynomial.divexact
+        monkeypatch.setattr(Polynomial, "divexact",
+                            lambda a, b: divisions.append(b.coeffs) or real(a, b))
+        for rs in catalog.values():
+            for rep in run_suite(rs, ["prop6", "prop16", "prop19"]):
+                assert rep.passed, (rs.id, rep)
+        orders = {d for rs in catalog.values() for d in divisors(rs.h)}
+        tables = [_context(d)._cofactors for d in orders]
+        assert len(divisions) == sum(map(len, tables)) < 34 * 8
+
+    def test_prop2_later_member_witness(self, catalog, monkeypatch):
+        # One of prop2's table entries off by q**d for d > 1.  The Moebius
+        # split breaks the group over +-(q**h - 1), the totient member is a
+        # group of its own: either way the members are compared against
+        # C'/C in order, and the witness names the patched member.
+        real = identities._phi_log_forms
+        for key in ("Moebius split", "totient q-analogue"):
+            def forms(d, key=key):
+                got = dict(real(d))
+                f, r = got[key]
+                got[key] = (RationalFunction(f.num + Polynomial.monomial(d), f.den), r)
+                return got if d > 1 else real(d)
+
+            monkeypatch.setattr(identities, "_phi_log_forms", forms)
+            got = [run_suite(catalog[name], ["prop2"])[0].witness for name in ("E6", "A4", "B3")]
+            assert got == [f"'C'/C' != '{key}': cross-difference has q^{i} coefficient -1"
+                           for i in (3, 5, 2)], key
+
+    def test_prop10_later_member_witness(self, catalog, monkeypatch):
+        # The shifted splits off by q: the last member breaks the group over
+        # +-(1 - q), and the witness names it.
+        real = identities._split_from_tail
+
+        def split(h, d, shifted):
+            f = real(h, d, shifted)
+            return RationalFunction(f.num + Polynomial.monomial(1), f.den) if shifted else f
+
+        monkeypatch.setattr(identities, "_split_from_tail", split)
+        got = [run_suite(catalog[name], ["prop10"])[0].witness for name in ("E6", "A4", "B3")]
+        assert got == [f"'B' != 'Moebius shifted split': cross-difference has q^1 coefficient {c}"
+                       for c in (2, -1, 2)]
+
+    def test_eq20_relation_witnesses(self, catalog, monkeypatch):
+        # One relation's polynomial disturbed by a bump with value 0 at 1
+        # and degree below 2h - 3, past eq20's degree and value checks.
+        real = identities.dynkin_polys
+        bump = P(0, 0, 3, -1, -2)
+        for which, label in enumerate(("quotient relation", "antichain relation")):
+            monkeypatch.setattr(identities, "dynkin_polys", lambda rs, which=which: tuple(
+                p + bump if i == which else p for i, p in enumerate(real(rs))))
+            for name in ("E6", "D5", "G2", "C4"):
+                rs = catalog[name]
+                rep = run_suite(rs, ["eq20"])[0]
+                assert rep.witness == \
+                    f"'B' != '{label}': cross-difference has q^3 coefficient -3", name
+                chains = slow_dynkin_relations(rs.h, rs.id.rank, *identities.dynkin_polys(rs),
+                                               b_poly(rs))
+                assert rep.witness == sequential_chain(chains[which]), name
+
+    def test_b_past_the_guard_witnesses(self, catalog, monkeypatch):
+        # B(q) + 2q**2 - q**4 past b_poly's guard: prop12, eq20 and eq19's
+        # weight form fail by the witnesses of their rational-function routes.
+        texts = {"prop12": "'B' != 'constant-part form': cross-difference has q^2 coefficient 2",
+                 "eq20": "'B' != 'quotient relation': cross-difference has q^2 coefficient -2",
+                 "eq19": "'B(t^2)' != 'weight form': cross-difference has q^4 coefficient -2"}
+        for name in ("E6", "D5", "A4", "G2", "E8"):
+            rs = catalog[name]
+            bad = b_poly(rs) + P(0, 0, 2, 0, -1)
+            monkeypatch.setattr(identities, "b_poly", lambda _, bad=bad: bad)
+            for cid in available_checks(rs):
+                if cid in texts:
+                    assert run_suite(rs, [cid])[0].witness == texts[cid], (name, cid)
+
+    def test_paired_parts_witnesses(self, catalog, monkeypatch):
+        real = identities._b_parts
+
+        def corrupted(rs, shift):
+            parts = dict(real(rs, shift))
+            parts[rs.h] = parts[rs.h] + P(0, -1, 3)
+            return parts
+
+        monkeypatch.setattr(identities, "_b_parts", corrupted)
+        for name in ("E6", "D5", "G2", "A7"):
+            for cid in ("prop16", "prop19"):
+                assert run_suite(catalog[name], [cid])[0].witness == \
+                    "'n/(1-q)' != 'paired parts': cross-difference has q^1 coefficient -1"
+
+    def test_identities_match_rational_routes(self, catalog, monkeypatch):
+        # Random disturbances of B(q) and of eq20's polynomials on every
+        # catalog system: each polynomial identity fails or holds with the
+        # witness of the chain of its rational-function route.
+        rng = random.Random(31)
+        real_b, real_dynkin = b_poly, identities.dynkin_polys
+        failed = 0
+        for rs in catalog.values():
+            h, n = rs.h, rs.id.rank
+            for trial in range(4):
+                # Trial 0 leaves all as built; 1 disturbs B, 2 and 3 the two
+                # polynomials of eq20, keeping their degrees and values at 1.
+                bumps = [ZERO] * 4
+                i, j = (rng.randint(0, max(2 * h - 4, 0)) for _ in range(2))
+                bumps[trial] = Polynomial.monomial(i, rng.choice([1, -2])) * \
+                    (1 if trial == 1 else 0) + (Polynomial.monomial(i) - Polynomial.monomial(j))
+                bq = real_b(rs) + bumps[1]
+                dpoly, mpoly = (p + bump for p, bump in zip(real_dynkin(rs), bumps[2:]))
+                monkeypatch.setattr(identities, "b_poly", lambda _, bq=bq: bq)
+                monkeypatch.setattr(identities, "dynkin_polys", lambda _, p=(dpoly, mpoly): p)
+                assert identities.prop12_check(rs) == \
+                    sequential_chain(slow_prop12_members(rs, bq)), (rs.id, trial)
+                quotient, antichain = slow_dynkin_relations(h, n, dpoly, mpoly, bq)
+                assert dynkin_check(rs) == \
+                    (sequential_chain(quotient) or sequential_chain(antichain)), (rs.id, trial)
+                failed += dynkin_check(rs) is not None
+                if rs.id.family in "ADE":
+                    data = singularity_data(rs)
+                    members = slow_weight_form_members(h, n, int(2 * data.a), int(2 * data.b), bq)
+                    assert singularity_check(rs) == sequential_chain(members), (rs.id, trial)
+        assert failed > 34 * 2
+
+    def test_prop7_head_matches_rational_route(self, catalog, monkeypatch):
+        # prop7's head, E - a(0)(1 - q**h) over 1 - q**h, is the difference
+        # E/(1-q**h) - a(0) coefficient for coefficient, on the catalog and
+        # under every corruption of the differential.
+        heads = []
+        real = identities._chain_check
+        monkeypatch.setattr(identities, "_chain_check",
+                            lambda members: heads.append(members[0][1]) or real(members))
+        systems = list(catalog.values())
+        systems += [corrupted(build(RootSystemId(family, rank)), kind)
+                    for family, rank in SYSTEMS for kind in CORRUPTIONS]
+        for rs in systems:
+            identities.prop7_check(rs)
+            assert typed(heads.pop()) == typed(slow_prop7_head(rs)), rs.id
 
 
 def corrupted_copy(rs, m=None, p=None, exponents=None, b=None, h=None):
@@ -1520,22 +1750,45 @@ class TestSparseRoutes:
         assert held >= len(systems)
 
     def test_search_passes_int_triples(self, catalog, monkeypatch):
-        # singularity_data walks the doubled weights as ints, never Fractions.
-        seen = []
-        real = identities._weights_identity_holds
+        # singularity_data walks the doubled weights as ints, never Fractions:
+        # every t by its values at t = 2, the t they leave on term dicts.
+        seen, walked = [], []
+        real, real_walk = identities._weights_identity_holds, identities._weight_candidates
         monkeypatch.setattr(identities, "_weights_identity_holds",
                             lambda rs, weights: seen.append(weights) or real(rs, weights))
+        monkeypatch.setattr(identities, "_weight_candidates",
+                            lambda rs: walked.append(real_walk(rs)) or walked[-1])
         systems = [rs for rs in catalog.values() if rs.id.family in "ADE"]
         systems += [build(RootSystemId("A", 30)), build(RootSystemId("D", 20))]
         for rs in systems:
-            del seen[:]
+            del seen[:], walked[:]
             data = singularity_data(rs)
-            assert len(seen) == rs.h // 2, rs.id
+            h = rs.h
+            assert seen == [(t, h + 2 - t, h) for t in walked[0]], rs.id
+            assert set(walked[0]) <= set(range(2, h // 2 + 2)), rs.id
             assert all(type(x) is int for weights in seen for x in weights), rs.id
             assert (2 * data.a, 2 * data.b, 2 * data.c) in seen, rs.id
 
+    def test_weight_search_matches_dict_walk(self):
+        # The values at t = 2 keep every t that the term dicts accept, so the
+        # search finds the t list of the dict walk over every t.
+        ids = [RootSystemId("A", r) for r in range(1, 40)]
+        ids += [RootSystemId("D", r) for r in range(4, 40)]
+        ids += [RootSystemId("E", r) for r in (6, 7, 8)] + [RootSystemId("D", 250)]
+        for rsid in ids:
+            rs = build(rsid)
+            h = rs.h
+            walk = [t for t in range(2, h // 2 + 2)
+                    if identities._weights_identity_holds(rs, (t, h + 2 - t, h))]
+            kept = identities._weight_candidates(rs)
+            assert set(walk) <= set(kept), rsid
+            assert walk == [2 * singularity_data(rs).a], rsid
+
     def test_weight_identity_guards(self, catalog, monkeypatch):
         # E6 has six candidates a = 1, 3/2, ..., 7/2; exactly one must hold.
+        # All six are let past the values at t = 2.
+        monkeypatch.setattr(identities, "_weight_candidates",
+                            lambda rs: list(range(2, rs.h // 2 + 2)))
         for holds, count in ((True, 6), (False, 0)):
             monkeypatch.setattr(identities, "_weights_identity_holds",
                                 lambda *args, holds=holds: holds)
