@@ -1546,10 +1546,24 @@ class TestKnownDenominators:
                     assert singularity_check(rs) == sequential_chain(members), (rs.id, trial)
         assert failed > 34 * 2
 
+    def test_prop12_tail_of_either_sign(self, catalog):
+        # The tail's sign s is (-1)**k for its k nonzero e(d): +1 on every
+        # catalog system, -1 where e(1) or e(h) moved by one reaches or
+        # leaves 0.  Either way prop12 fails or holds with the witness of
+        # the rational-function route.
+        signs = Counter()
+        for rs in catalog.values():
+            for system in (rs, corrupted(rs, "e(1)"), corrupted(rs, "e(h)")):
+                signs[(-1) ** sum(1 for e in system.e_of_d.values() if e)] += 1
+                assert identities.prop12_check(system) == \
+                    sequential_chain(slow_prop12_members(system, b_poly(system))), system.id
+        assert signs[1] > 34 and signs[-1] > 5, signs
+
     def test_prop7_head_matches_rational_route(self, catalog, monkeypatch):
         # prop7's head, E - a(0)(1 - q**h) over 1 - q**h, is the difference
-        # E/(1-q**h) - a(0) coefficient for coefficient, on the catalog and
-        # under every corruption of the differential.
+        # E/(1-q**h) - a(0) coefficient for coefficient, on the catalog,
+        # under every corruption of the differential and with a(0) = m(0),
+        # 0 for every root system, raised by one.
         heads = []
         real = identities._chain_check
         monkeypatch.setattr(identities, "_chain_check",
@@ -1557,6 +1571,8 @@ class TestKnownDenominators:
         systems = list(catalog.values())
         systems += [corrupted(build(RootSystemId(family, rank)), kind)
                     for family, rank in SYSTEMS for kind in CORRUPTIONS]
+        systems += [corrupted_copy(rs, m=[rs.m[0] + 1] + list(rs.m[1:]))
+                    for rs in catalog.values()]
         for rs in systems:
             identities.prop7_check(rs)
             assert typed(heads.pop()) == typed(slow_prop7_head(rs)), rs.id
