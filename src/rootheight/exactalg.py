@@ -14,29 +14,16 @@ units 1 and -1 invert to themselves.  So ``monic``, ``divmod`` by a divisor
 with leading coefficient +-1, rational-function sums and ``normalize`` keep
 integer inputs in ``int`` arithmetic, several times cheaper than ``Fraction``
 arithmetic for the same values; ``poly_gcd`` runs in ints for any rational
-operands, made primitive integer polynomials.  Products
-run over the nonzero coefficients only, so multiplying by a sparse factor
-such as 1 - q**d costs O(deg), not O(deg * d).
+operands, made primitive integer polynomials.  Products run over the nonzero
+coefficients only, so multiplying by a sparse factor such as 1 - q**d costs
+O(deg), not O(deg * d).
 
-There is one division loop, ``_divide``: a divisor given by the list of its
-nonzero entries below the top and, unless it is monic, the inverse of its
-leading coefficient, which scales each quotient term.  ``divmod`` on
-polynomials builds that list on each call.  Reduction modulo the order-h
-cyclotomic polynomial Phi_h
-(``_cyc_remainder``) folds a coefficient sequence modulo q**h - 1 and
-divides over the list that the order's field context holds; it reduces
-field products, sums of powers of the root and Munagi's partial fractions.
-
-Each cyclotomic order has one field context, built once by the cached
-``_context(h)``: the modulus Phi_h, q**h - 1 divided by the moduli of its
-proper divisors' contexts (``numth.cyclotomic_poly`` returns it), and its
-term list, the primitive residues,
-``coords`` for sums of powers, ``root_sum`` for sums of field elements times
-powers of the root, ``traces`` for the sums of the Galois conjugates of
-v * z**e over a run of e (integer sums over the Ramanujan sums
-c_h(0..h-1), which the context builds on first use), and the inverses
-1/(1 - z), by the extended Euclid, and 1/Phi'(z) = z R(z)/h with
-R = (q**h - 1)/Phi_h, memoised, as are the ``cofactor`` quotients.
+There is one division loop, ``_divide``.  Reduction modulo the order-h
+cyclotomic polynomial Phi_h (``_cyc_remainder``) folds a coefficient sequence
+modulo q**h - 1 and divides over the term list of the order's field context;
+it reduces field products, sums of powers of the root and Munagi's partial
+fractions.  Each order has one context (``_CycContext``), built once by the
+cached ``_context(h)``, whose modulus ``numth.cyclotomic_poly`` returns.
 """
 
 from __future__ import annotations

@@ -6,44 +6,36 @@ when it passes; ``run_check`` alone names the check, labels the system and
 makes the ``IdentityReport``, and turns a raised error into the witness.
 Equality of rational functions is decided over the exact coefficient field
 (rationals, or the cyclotomic field of the system's Coxeter order where
-roots of unity appear): a chain compares the numerators of members whose
-denominators agree up to sign and cross-multiplies only between such groups
-(``_chain_check``), and eq19, eq20 and prop12 form their cross-differences
-over known binomial denominators, adding no rational functions.  So a
-"pass" verdict means exact coefficient equality, never a tolerance.  Every sum
-over roots of unity is formed without a loop of field products: where the
-summands are the Galois conjugates of one field element (props 4, 14, 15
-and 18), the sum is its trace, an integer sum over the Ramanujan sums and
-one denominator; every sum over all h-th roots in props 1, 2, 3, 6, 9 and
-eq13 has weights that depend only on gcd(k, h) and groups into Ramanujan
-sums of the divisor orders (``numth.class_sums``).  Checks are pure and
-independent; a runner may execute them concurrently and sort the reports
-afterwards.
+roots of unity appear): a chain compares numerators over denominators equal
+up to sign and cross-multiplies only between them (``_chain_check``), and
+eq19, eq20 and prop12 compare polynomials over known binomial denominators.
+So a "pass" verdict means exact coefficient equality, never a tolerance.
+Every sum over roots of unity is formed without a loop of field products:
+where the summands are the Galois conjugates of one field element (props 4,
+14, 15 and 18), the sum is its trace, an integer sum over the Ramanujan sums
+and one denominator; every sum over all h-th roots in props 1, 2, 3, 6, 9
+and eq13 has weights that depend only on gcd(k, h) and groups into
+Ramanujan sums of the divisor orders (``numth.class_sums``).  Checks are
+pure and independent; a runner may execute them concurrently and sort the
+reports afterwards.
 
-Checks share memo tables across systems: each divisor-sum term's
-numerator lifted to its sum's denominator (``_lifted``, by a multiplier
-that the order's field context divides once for all systems), the building
-blocks keyed on a divisor d (or on h and d), the interpolants of props 14
-and 18 (with prop14's pole-sum vector check) and the witnesses of prop6
-and prop15, which read only h.  Sharing is sound because every memoised function is
-pure and keyed on integers or coefficient tuples, never on a root system;
-``run_check`` adds the calling system's label.  What a system's own fields
-determine, B(q) and the Munagi parts of B(q) and qB(q), is built once per
-system and kept on it.
+Checks share memo tables across systems: each divisor-sum term's numerator
+lifted to its sum's denominator (``_lifted``, by a cofactor shared on the
+order's field context), the building blocks keyed on a divisor d (or on h
+and d), the interpolants of props 14 and 18 (with prop14's pole-sum vector
+check) and the witnesses of prop6 and prop15, which read only h.  Sharing is
+sound because every memoised function is pure and keyed on integers or
+coefficient tuples, never on a root system; ``run_check`` adds the calling
+system's label.  What a system's own fields determine, B(q) and the Munagi
+parts of B(q) and qB(q), is built once per system and kept on it.
 
-Each divisor-sum expansion is built once.  prop2's four expansions of
-Phi_d'/Phi_d form one table per divisor d (``_phi_log_forms``), which
-keeps each at q and at 1/q, f -> q**-1 f(1/q): prop2 reads the first, the
-Cohen tails of props 5, 6 and 9 the second; and props 6 and 10 reuse
-prop7's Moebius tail.  Every term over 1 - q**d divides 1 - q**h, the
-denominator of Munagi's q-partial fractions, so a member, a weighted sum
-of such terms, is built as integer numerators over one denominator per
-chain, +-(q**h - 1) times q where the terms carry a q (``_over``): a
-system adds memoised lifted numerators where it would multiply
-polynomials, and the members of props 5, 6, 7 and 9 compare by their
-numerators alone.  Props 5, 6 and 9 build every member at h times its
-value and compare in integers; a failing chain's witness comes from the
-members at 1/h (``_h_scale_check``).
+Each divisor-sum expansion is built once: prop2's four expansions of
+Phi_d'/Phi_d per divisor d, at q and at 1/q (``_phi_log_forms``), which the
+Cohen tails of props 5, 6 and 9 share, and prop7's Moebius tail, which props
+6 and 10 reuse.  Every term over 1 - q**d divides 1 - q**h, so a member, a
+weighted sum of such terms, is built as integer numerators over one
+denominator per chain (``_over``), and props 5, 6 and 9 compare in integers
+at h times their values (``_h_scale_check``).
 """
 
 from __future__ import annotations
@@ -135,9 +127,7 @@ def _cross_witness(la, lb, d):
 
 
 def _rf_mismatch(la, fa, lb, fb):
-    """None when fa = fb (over equal or negated denominators, equality of
-    the numerators); the cross-difference is formed only to render a
-    failing witness."""
+    """None when fa = fb, else the witness of their cross-difference."""
     if fa == fb:
         return None
     return _cross_witness(la, lb, fa.num * fb.den - fb.num * fa.den)
@@ -146,18 +136,16 @@ def _rf_mismatch(la, fa, lb, fb):
 def _chain_check(members):
     """Compare every labelled rational function against the first: by the
     numerators within each group of denominators equal up to sign, and by
-    one cross-multiplication of the head with each other group.  On any
-    mismatch every member is compared with the head in order, for the
-    witness of the first that differs."""
+    one cross-multiplication of the head with each other group.  A member
+    passes only if it equals the head, so the first to fail gives the witness."""
     la, fa = members[0]
     groups = {}  # denominator -> numerator coefficients, one entry per sign
-    for i, (_, f) in enumerate(members):
+    for i, (lb, f) in enumerate(members):
         num = groups.get(f.den.coeffs)
         if num is None and (i == 0 or fa == f):
             groups[f.den.coeffs], groups[(-f.den).coeffs] = f.num.coeffs, (-f.num).coeffs
         elif num != f.num.coeffs:
-            return next(filter(None, (_rf_mismatch(la, fa, lb, fb)
-                                      for lb, fb in members[1:])), None)
+            return _rf_mismatch(la, fa, lb, f)
     return None
 
 
@@ -361,13 +349,11 @@ def munagi_decompose(numer, h):
     terms that the order's field context holds: O(h + d phi(d)) per
     divisor at most.  The rest is carried as integers over the common
     denominator scale = h * lcm(denominators of numer), and H_d is
-    subtracted over its nonzero terms.  A part coefficient that scale
-    divides is made an ``int``, any other a ``Fraction``, and
-    ``reconstruct`` does the same, so an integer numerator is rebuilt and
-    compared in ints.  The division by h is exact on every unit numerator
-    q**i for h <= 120 (tested), hence on every numerator of those periods;
-    the round trip guards every period.  A period below 1 raises
-    ``ValueError`` before any work.
+    subtracted over its nonzero terms; a part coefficient is an ``int``
+    where scale divides it, as in ``reconstruct``.  The division by h is
+    exact on every unit numerator q**i for h <= 120 (tested), hence on
+    every numerator of those periods; the round trip guards every period.
+    A period below 1 raises ``ValueError`` before any work.
     """
     if h < 1:
         raise ValueError(f"period must be positive, got {h}")
@@ -665,9 +651,8 @@ def prop11_check(rs):
 
 def prop12_check(rs):
     """B(q) from the constant-part decomposition of the eigenvalue
-    multiplicities.  The tail is N/T, T = s (q**h - 1) for a sign s, so the
-    form n/(1-q) - (1-q**h)/(1-q) * tail is -(n + s N) T over (q - 1) T: its
-    cross-difference against B is T (n + s N - (1 - q) B)."""
+    multiplicities: with the tail N/(s (q**h - 1)), s a sign, the form is
+    (n + s N)/(1 - q), decided as (1 - q) B = n + s N."""
     h, n = rs.h, rs.id.rank
     tail = _over(h, ((e, RationalFunction(ONE, _one_minus(d)))
                      for d in divisors(h) if (e := rs.e_of_d[h // d])))
@@ -842,12 +827,9 @@ def _weights_identity_holds(rs, weights):
 
 
 def _weight_candidates(rs):
-    """The doubled weights t in 2..h/2+1 at which both sides of the weight
-    identity agree at t = 2, E(4) 2**(2h) prod (2**x - 1) and
-    prod (2**(2h) - 2**x) over x in (t, h + 2 - t, h): unequal values of
-    (Laurent) polynomials prove them different, so only these t need
-    ``_weights_identity_holds``.  E(4) is formed once, in ints: both sides
-    are scaled by 4**k, k > 0 only if an exponent lies below -h."""
+    """The doubled weights t in 2..h/2+1 at which the two sides of the weight
+    identity have equal values at t = 2 (only these can be equal), in ints:
+    E(4) is formed once, both sides scaled by 4**k for exponents below -h."""
     h, top, k = rs.h, 4 ** rs.h, max(0, -rs.h - min(rs.exponents))
     lhs = sum(4 ** (e + h + k) for e in rs.exponents) * (2 ** h - 1)
     return [t for t in range(2, h // 2 + 2) if lhs * (2 ** t - 1) * (2 ** (h + 2 - t) - 1)
@@ -885,8 +867,7 @@ def singularity_check(rs):
     h, n = rs.h, rs.id.rank
     a, b, c = data.a, data.b, data.c
 
-    # The weight form (t**2 P/Q - n)/(t**2 - 1), P and Q the products of t**(2h-x) - 1
-    # and t**x - 1 over x in (2a, 2b), has cross-difference B(t**2) Q (t**2-1) - t**2 P + n Q.
+    # B(t**2) (t**2 - 1) Q = t**2 P - n Q, P and Q the products of t**(2h-x) - 1 and t**x - 1.
     ia, ib = int(2 * a), int(2 * b)
     d = (_times_qm1(b_poly(rs).compose_power(2), ia, ib, 2)
          - _times_qm1(Polynomial.monomial(2), 2 * h - ia, 2 * h - ib)
@@ -973,8 +954,7 @@ def dynkin_check(rs):
     ]
     if witness := next((c for c in checks if c), None):
         return witness
-    # Each relation q poly/(q**p - 1) - n/(q - 1) is (q poly - n [p]_q)/(q**p - 1),
-    # so its cross-difference against B is B (q**p - 1) - q poly + n [p]_q.
+    # Each relation q poly/(q**p - 1) - n/(q - 1) is decided as B (q**p - 1) = q poly - n [p]_q.
     for label, poly, period in (("quotient relation", dpoly, h),
                                 ("antichain relation", mpoly, h - 1)):
         d = (_times_qm1(bpoly, period) - poly.shifted(1)

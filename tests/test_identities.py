@@ -1440,8 +1440,8 @@ class TestKnownDenominators:
     def test_prop2_later_member_witness(self, catalog, monkeypatch):
         # One of prop2's table entries off by q**d for d > 1.  The Moebius
         # split breaks the group over +-(q**h - 1), the totient member is a
-        # group of its own: either way the members are compared against
-        # C'/C in order, and the witness names the patched member.
+        # group of its own: either way the first member to fail is the
+        # patched one, and the witness names it as the in-order loop does.
         real = identities._phi_log_forms
         for key in ("Moebius split", "totient q-analogue"):
             def forms(d, key=key):
