@@ -26,14 +26,14 @@ from .rootsys import (DEFAULT_BFS_CAP, RootSystemId, b_poly, build, coxeter_elem
 # never runs a check, and the suite is the largest module a cold start compiles.
 
 MAX_RANK = 500
-# Largest munagi period: a dense numerator decomposes within 1 s for every
-# h <= 2000 (slowest measured: h = 2p with Phi_h dense, h = 1966 and 1982,
-# 0.25 s; h = 1980 0.12 s, h = 2000 0.03 s; in-process main with cold caches,
-# best of 3, 2-core Xeon, CPython 3.11).
+# Largest munagi period: a dense integer numerator decomposes within 1 s for
+# every h <= 2000 (cold CLI runs, median of 5, 2-core Xeon, CPython 3.11); the
+# period's plan is most of it, largest where Phi_h is dense: h = 1995 0.62 s,
+# 1785 0.44 s, 1980 0.41 s, 1680 0.31 s, 2000 0.29 s, 1982 0.26 s, 1966 0.24 s.
 MAX_PERIOD = 2000
-# Largest munagi common denominator in bits: at h = 1966 a dense numerator took
-# 0.35 s over 2048 bits, 0.58 s over 4096 (h = 1980: 0.16 and 0.21 s; one
-# 14,000-bit numerator: 0.07 s).
+# Largest munagi common denominator in bits: over 2048 bits a dense numerator
+# took 0.97 s at h = 1995 (up to 1.36 s), 0.61 s at 1980 and 0.26 s at 1966;
+# over 4096 bits, in process, 0.55 s at 1980 and 0.18 s at 1966.
 MAX_DENOMINATOR_BITS = 2048
 # Largest --bfs-cap: admits E7 and A9 (walks of 4-5 s, 63-108 MB; README), not D8.
 MAX_BFS_CAP = 4_000_000

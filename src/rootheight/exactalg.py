@@ -21,15 +21,16 @@ O(deg), not O(deg * d).
 There is one division loop, ``_divide``.  Reduction modulo the order-h
 cyclotomic polynomial Phi_h (``_cyc_remainder``) folds a coefficient sequence
 modulo q**h - 1 and divides over the term list of the order's field context;
-it reduces field products, sums of powers of the root and Munagi's partial
-fractions.  Each order has one context (``_CycContext``), built once by the
-cached ``_context(h)``, whose modulus ``numth.cyclotomic_poly`` returns.
+it reduces field products, sums of powers of the root and Munagi's carries.
+Each order has one context (``_CycContext``), built once by the cached
+``_context(h)``, whose modulus ``numth.cyclotomic_poly`` returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import mul
 
@@ -396,11 +397,11 @@ class _CycContext:
     moduli of the contexts of its proper divisors (``NotDivisible`` if one
     leaves a remainder), the nonzero terms of Phi_h below its top (the
     divisor that ``_divide`` runs over) and the primitive residues, plus
-    the Ramanujan sums and the inverses 1/(1 - z) (by ``CycNum.inverse``)
-    and 1/Phi_h'(z) (by its closed form), each a ``cached_property`` built
-    on first use.  Every reduction modulo Phi_h, of a sum of powers, a
-    product or a Munagi part, is one ``_cyc_remainder`` over ``terms``, so
-    the term list of an order is built once per process, with its context."""
+    the Ramanujan sums, 1/(1 - z), 1/Phi_h'(z) and the Munagi carry and
+    plan, each a ``cached_property`` built on first use.  Every reduction
+    modulo Phi_h, of a sum of powers, a product or a carry, is one
+    ``_cyc_remainder`` over ``terms``, so the term list of an order is built
+    once per process, with its context."""
 
     def __init__(self, h):
         coeffs = [-1] + [0] * (h - 1) + [1]
@@ -484,6 +485,49 @@ class _CycContext:
         r, _ = _divide([-1] + [0] * (h - 1) + [1], self.terms, self.phi)
         return CycNum._raw(h, [_ratio(c, h) for c in self.coords(enumerate(r, 1))])
 
+    @cached_property
+    def munagi_carry(self):
+        """Munagi's parts of Phi_h/(1 - q**h), times h, on the proper divisors
+        e of h: the rest starts at h Phi_h and, largest e first, gives
+        H_e = (e/h) (rest mod Phi_e), exactly, and loses H_e (1 + q**e + ...)."""
+        h = self.order
+        rest = [h * c for c in self.modulus] + [0] * (h - self.phi - 1)
+        carry = {}
+        for e in reversed([e for e in range(1, h) if h % e == 0]):
+            top = carry[e] = [e * c // h for c in _cyc_remainder(rest, e)]
+            rest = [r - top[i % e] if i % e < len(top) else r for i, r in enumerate(rest)]
+        return carry
+
+    @cached_property
+    def munagi_plan(self):
+        """Munagi's parts of q**i/(1 - q**h), times h, for all i < h: layout holds
+        (d, lo, phi(d)) per divisor d, ascending, H_d in slots lo.. of h; column
+        i, q**i's nonzero (slots, values), is column i - 1 times q (column 0 is
+        H_h = 1, and H_1 is 0 before column h - 1): a value moves up a slot, and
+        v at degree phi(d) of H_d leaves as v Phi_d, back as v/d times d's carry."""
+        h = self.order
+        divs = [d for d in range(1, h + 1) if h % d == 0]
+        phis = [_context(d).phi for d in divs]
+        layout = list(zip(divs, accumulate(phis, initial=0), phis))
+        start = {d: lo for d, lo, _ in layout}
+        spill = []
+        for d, lo, phi in layout[1:]:
+            ctx = _context(d)
+            terms = [(lo + phi, -d)] + [(lo + j, -d * b) for j, b in ctx.terms]
+            terms += [(start[e] + j, c) for e, cs in ctx.munagi_carry.items()
+                      for j, c in enumerate(cs) if c]
+            spill.append((lo + phi - 1, d, terms))
+        flat, cols, slots = [0] * (h + 1), [], list(range(h))  # slot h: degree phi(h) of H_h
+        flat[start[h]] = h
+        while len(cols) < h:
+            cols.append((tuple(compress(slots, flat)), tuple(compress(flat, flat))))
+            over = [(flat[k] // d, terms) for k, d, terms in spill if flat[k]]
+            flat.insert(0, 0)
+            flat.pop()
+            for t, terms in over:
+                for j, c in terms:
+                    flat[j] += t * c
+        return layout, cols
 
 @lru_cache(maxsize=None)
 def _context(h):

@@ -49,8 +49,7 @@ from operator import mul
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, ReconstructionMismatch,
                      RootHeightError)
 from .exactalg import (CycNum, Polynomial, RationalFunction, _context,
-                       _cyc_remainder, _over_one_denominator, _ratio, cyc_eval,
-                       poly_str)
+                       _over_one_denominator, _ratio, cyc_eval, poly_str)
 from .linalg import FractionLU, det
 from .numth import (ArithSeq, class_sums, class_transform, cyclotomic_discriminant,
                     cyclotomic_poly, divisors, factorize, gcd_count, is_cohen,
@@ -337,42 +336,27 @@ class MunagiDecomposition(namedtuple("MunagiDecomposition", "h parts")):
 
 
 def munagi_decompose(numer, h):
-    """The unique parts H_d with deg H_d < phi(d), by cyclotomic reduction
-    over the divisors of h, largest first (Munagi, "Computation of
+    """The unique parts H_d with deg H_d < phi(d) (Munagi, "Computation of
     q-partial fractions", INTEGERS 7, 2007), with a verified round trip.
-
-    Modulo Phi_d, (1-q**h)/(1-q**d) is h/d, and every other divisor whose
-    part survives modulo Phi_d is a multiple of d, already subtracted from
-    the rest; so H_d = (d/h) * (rest mod Phi_d), which ``_cyc_remainder``
-    takes by folding the rest modulo q**d - 1 (each residue class mod d
-    summed) and dividing those d coefficients by Phi_d over the nonzero
-    terms that the order's field context holds: O(h + d phi(d)) per
-    divisor at most.  The rest is carried as integers over the common
-    denominator scale = h * lcm(denominators of numer), and H_d is
-    subtracted over its nonzero terms; a part coefficient is an ``int``
-    where scale divides it, as in ``reconstruct``.  The division by h is
-    exact on every unit numerator q**i for h <= 120 (tested), hence on
-    every numerator of those periods; the round trip guards every period.
-    A period below 1 raises ``ValueError`` before any work.
+    They are linear in the numerator: with its coefficients as integers c_i
+    over one denominator den, they are the sum of c_i times column i of the
+    order's plan (``_CycContext.munagi_plan``), each part coefficient an
+    ``int`` where scale = h * den divides it, else a ``Fraction``, as in
+    ``reconstruct``.  A period below 1 raises ``ValueError`` before any work.
     """
     if h < 1:
         raise ValueError(f"period must be positive, got {h}")
     if numer.degree >= h:
         raise DegreeTooHigh(f"degree {numer.degree} not below period {h}")
-    coeffs = numer.coeffs
-    scale = h * lcm(1, *(c.denominator for c in coeffs))
-    rest = [c.numerator * (scale // c.denominator) for c in coeffs]
-    rest += [0] * (h - len(rest))
-    parts = dict.fromkeys(divisors(h))
-    for d in reversed(parts):
-        top = [d * c // h for c in _cyc_remainder(rest, d)]
-        parts[d] = Polynomial([Fraction(c, scale) if c % scale else c // scale
-                               for c in top])
-        # rest -= H_d * (1 + q**d + ... + q**(h-d)), over H_d's nonzero terms
-        top = [(i, c) for i, c in enumerate(top) if c]
-        for shift in range(0, h, d):
-            for i, c in top:
-                rest[shift + i] -= c
+    layout, cols = _context(h).munagi_plan
+    nums, den = _over_one_denominator(numer.coeffs)
+    scale, acc = h * den, [0] * h
+    for (slots, values), c in zip(cols, nums):
+        if c:
+            for k, v in zip(slots, values):
+                acc[k] += c * v
+    parts = {d: Polynomial([Fraction(c, scale) if c % scale else c // scale
+                            for c in acc[lo:lo + phi]]) for d, lo, phi in layout}
     dec = MunagiDecomposition(h, parts)
     if dec.reconstruct() != numer:
         raise ReconstructionMismatch(f"parts of period {h} do not rebuild the numerator")

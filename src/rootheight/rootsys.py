@@ -266,9 +266,11 @@ def multiplicities(rs):
 
 
 def exponent_poly(rs):
-    """Sum of q**e over the exponents (multiplicities included)."""
+    """Sum of q**e over the exponents (multiplicities included), each in 1..h-1."""
     out = [0] * rs.h
     for e in rs.exponents:
+        if not 0 < e < rs.h:
+            raise MethodMismatch(f"{rs.id}: exponent {e} outside 1..{rs.h - 1}")
         out[e] += 1
     return Polynomial(out)
 

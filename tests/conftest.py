@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 
@@ -279,3 +281,36 @@ def slow_dynkin_relations(h, n, dpoly, mpoly, bq):
               - RationalFunction(Polynomial((n,)), mono(1) - 1))]
             for label, poly, period in (("quotient relation", dpoly, h),
                                         ("antichain relation", mpoly, h - 1))]
+
+
+@pytest.fixture
+def fresh_memos():
+    """Every memo table emptied before the test and again after it, so a
+    field context or a Munagi plan that the test corrupts or fills does not
+    outlive it."""
+    clear_identity_memos()
+    yield
+    clear_identity_memos()
+
+
+def fold_and_divide_parts(numer, h):
+    """The route the per-period plan of ``munagi_decompose`` replaced, kept
+    as its oracle: over the divisors of h, largest first, with the rest at
+    scale = h * lcm(denominators of numer) times numer in integers,
+    H_d = (d/h) (rest mod Phi_d), folded modulo q**d - 1 and divided by
+    Phi_d, then H_d (1 + q**d + ... + q**(h-d)) subtracted from the rest.
+    A part coefficient is an int where scale divides it, else a Fraction."""
+    coeffs = numer.coeffs
+    scale = h * lcm(1, *(c.denominator for c in coeffs))
+    rest = [c.numerator * (scale // c.denominator) for c in coeffs]
+    rest += [0] * (h - len(rest))
+    parts = dict.fromkeys(numth.divisors(h))
+    for d in reversed(parts):
+        top = [d * c // h for c in exactalg._cyc_remainder(rest, d)]
+        parts[d] = Polynomial([Fraction(c, scale) if c % scale else c // scale
+                               for c in top])
+        top = [(i, c) for i, c in enumerate(top) if c]
+        for shift in range(0, h, d):
+            for i, c in top:
+                rest[shift + i] -= c
+    return parts

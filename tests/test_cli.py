@@ -324,11 +324,13 @@ class TestMunagi:
         assert captured.err.startswith("rootheight: error: ReconstructionMismatch")
         assert "Traceback" not in captured.err
 
-    def test_corrupt_term_table_exits_1(self, capsys, monkeypatch):
-        # A wrong entry in the memoised term list of Phi_6 reaches the
+    def test_corrupt_term_table_exits_1(self, capsys, monkeypatch, fresh_memos):
+        # A wrong entry in the term list of Phi_6, set on a fresh context
+        # before the plan of period 6 is built from it, reaches the
         # round-trip guard: exit 1 (a failed internal cross-check), the
         # error on stderr and nothing on stdout.
         ctx = _context(6)
+        assert "munagi_plan" not in vars(ctx)
         (j, c), *others = ctx.terms
         monkeypatch.setattr(ctx, "terms", ((j, c + 1), *others))
         assert main(["munagi", "1,2,3", "--h", "6"]) == 1

@@ -1,23 +1,25 @@
 """Identity-catalog tests: frozen small values, decomposition oracles,
 interpolation projections, and full-suite runs on small systems."""
 
+import importlib.util
 import json
 import random
 from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
 import rootheight.identities as identities
 import rootheight.rootsys as rootsys
 from conftest import (MEMO_MODULES, assert_over, binomial_product, clear_identity_memos,
-                      expand_binomials, lifted_to, one_minus, rf_sum, sequential_chain,
-                      slow_dynkin_relations, slow_prop7_head, slow_prop12_members,
-                      slow_weight_form_members, weighted_sum)
+                      expand_binomials, fold_and_divide_parts, lifted_to, one_minus, rf_sum,
+                      sequential_chain, slow_dynkin_relations, slow_prop7_head,
+                      slow_prop12_members, slow_weight_form_members, weighted_sum)
 from rootheight.errors import (DegreeTooHigh, MethodMismatch, ReconstructionMismatch,
                                RootHeightError, SingularSystem)
 from rootheight.exactalg import (CycNum, Polynomial, RationalFunction, _context,
@@ -39,6 +41,8 @@ from rootheight.rootsys import (CoxeterElement, RootSystem, RootSystemId, build,
                                 coxeter_element, weyl_length_gf_product, weyl_order)
 from test_differential import CORRUPTIONS, SYSTEMS, corrupted
 from test_exactalg import count_fractions, fraction_trace
+
+MUNAGI_CLIENT = Path(__file__).resolve().parents[1] / "bench" / "munagi_client.py"
 
 
 def P(*coeffs):
@@ -162,6 +166,16 @@ class TestHeightPolynomial:
     def test_exponent_poly(self, catalog):
         assert exponent_poly(catalog["D4"]) == P(0, 1, 0, 2, 0, 1)
 
+    def test_exponent_poly_range(self, catalog):
+        # E6's exponent 1 moved out of 1..11: a named error, not the term
+        # q**9 (-3 read from the end) or an IndexError (12).
+        rs = catalog["E6"]
+        for bad in (-3, rs.h):
+            rebuilt = RootSystem(rs.id, rs.cartan, rs.h, [bad, *rs.exponents[1:]], rs.b,
+                                 rs.two_rho_pairings, rs.m, rs.e_of_d, rs.p)
+            with pytest.raises(MethodMismatch, match=f"^E6: exponent {bad} outside 1..11$"):
+                exponent_poly(rebuilt)
+
 
 class TestMunagi:
     def test_period_two_closed_form(self):
@@ -200,16 +214,42 @@ class TestMunagi:
                 with pytest.raises(ValueError, match=f"period must be positive, got {h}"):
                     munagi_decompose(numer, h)
 
-    def test_guard_fails_through_term_table(self, monkeypatch):
-        # One wrong entry in the memoised term list of Phi_6 gives a wrong
-        # H_6; the parts are unique, so the round trip must catch it.
+    def test_guard_fails_through_term_table(self, monkeypatch, fresh_memos):
+        # One wrong entry in the term list of Phi_6, set on a fresh context
+        # before the plan of period 6 is built from it, gives a wrong H_6;
+        # the parts are unique, so the round trip must catch it.
         ctx = _context(6)
+        assert "munagi_plan" not in vars(ctx)
         (j, c), *others = ctx.terms
         monkeypatch.setattr(ctx, "terms", ((j, c + 1), *others))
         with pytest.raises(ReconstructionMismatch):
             munagi_decompose(P(1, 2, 3), 6)
         monkeypatch.undo()
+        clear_identity_memos()
         assert munagi_decompose(P(1, 2, 3), 6).reconstruct() == P(1, 2, 3)
+
+    def test_guard_fails_through_plan_entry(self):
+        # One value of column 1 of the plan of period 6 off by one: q**1
+        # gets wrong parts, and the round trip catches it with and without
+        # -O, in a fresh interpreter, so no corrupted plan is left here.
+        script = (
+            "import sys\n"
+            "from rootheight.errors import ReconstructionMismatch\n"
+            "from rootheight.exactalg import Polynomial, _context\n"
+            "from rootheight.identities import munagi_decompose\n"
+            "ctx = _context(6)\n"
+            "layout, cols = ctx.munagi_plan\n"
+            "(slots, (v, *vs)) = cols[1]\n"
+            "ctx.munagi_plan = layout, [cols[0], (slots, (v + 1, *vs)), *cols[2:]]\n"
+            "assert munagi_decompose(Polynomial((1,)), 6).parts[6] == Polynomial((1,))\n"
+            "try:\n"
+            "    munagi_decompose(Polynomial((1, 2, 3)), 6)\n"
+            "except ReconstructionMismatch:\n"
+            "    print(sys.flags.optimize, 'raised')\n")
+        for flags, optimize in (([], 0), (["-O"], 1)):
+            proc = subprocess.run([sys.executable, *flags, "-c", script],
+                                  capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout) == (0, f"{optimize} raised\n"), proc.stderr
 
     def test_roundtrip_random(self):
         rng = random.Random(11)
@@ -252,11 +292,56 @@ class TestMunagi:
                 assert dec.reconstruct() == product_reconstruct(dec) == numer
 
     def test_unit_numerators(self):
-        # The reduction divides by h in integers; an inexact division would
-        # fail the round trip and raise.
+        # The plan divides each overflow by its part's order in integers; an
+        # inexact division would fail the round trip and raise.
         for h in range(1, 121):
             for i in range(h):
                 munagi_decompose(Polynomial.monomial(i), h)
+
+    def test_matches_fold_and_divide_route(self, fresh_memos):
+        # Equal parts, each coefficient of the same type, on every numerator
+        # kind the plan meets: dense, sparse, gcd-periodic, rational and unit.
+        rng = random.Random(41)
+        for h in [*range(1, 241), 1260, 1680, 1890, 1966, 1980, 2000]:
+            gcd_values = {d: rng.randint(-99, 99) for d in divisors(h)}
+            sparse = [0] * h
+            for i in rng.sample(range(h), min(h, 3)):
+                sparse[i] = rng.choice((-7, 1, 5))
+            units = {0, h - 1, totient(h) - 1, totient(h), rng.randrange(h)} - {h}
+            numers = [[rng.randint(-99, 99) for _ in range(h)], sparse,
+                      [gcd_values[gcd(i, h)] for i in range(h)],
+                      [Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                       for _ in range(rng.randint(1, h))],
+                      *([0] * i + [1] for i in sorted(units))]
+            for coeffs in numers:
+                numer = Polynomial(coeffs)
+                got, want = munagi_decompose(numer, h).parts, fold_and_divide_parts(numer, h)
+                assert got == want, (h, coeffs)
+                assert [list(map(type, p.coeffs)) for p in got.values()] == \
+                    [list(map(type, want[d].coeffs)) for d in got], (h, coeffs)
+            if h > 240:
+                clear_identity_memos()  # a large plan is tens of MB
+
+    def test_plan_built_once_per_period(self, monkeypatch, fresh_memos, capsys):
+        # One build per period per process: the munagi workload's stream has
+        # 8 periods, the catalog 15.
+        ctx_type = type(_context(1))
+        real, built = ctx_type.munagi_plan.func, []
+        plan = cached_property(lambda ctx: built.append(ctx.order) or real(ctx))
+        plan.__set_name__(ctx_type, "munagi_plan")
+        monkeypatch.setattr(ctx_type, "munagi_plan", plan)
+        spec = importlib.util.spec_from_file_location("munagi_client", MUNAGI_CLIENT)
+        client = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(client)
+        stream = client.requests(1)
+        for h, coeffs in stream:
+            munagi_decompose(Polynomial(coeffs), h)
+        assert sorted(built) == sorted({h for h, _ in stream}) == list(client.PERIODS)
+        clear_identity_memos()
+        built.clear()
+        assert main(["verify", "all", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(built) == len(set(built)) == 15
 
     def test_round_trip_guard_survives_optimize(self):
         script = (
@@ -1109,6 +1194,8 @@ def test_clear_identity_memos_empties_every_table(catalog):
     for rs in catalog.values():
         run_suite(rs)
     RationalFunction(ONE, one_minus(2)) + RationalFunction(ONE, one_minus(1))
+    munagi_decompose(P(1, 2, 3), 6)
+    assert "munagi_plan" in vars(_context(6))
     tables = {f"{module.__name__}.{name}": value
               for module in MEMO_MODULES for name, value in vars(module).items()
               if isinstance(value, dict) and not name.startswith("__")
@@ -1122,6 +1209,8 @@ def test_clear_identity_memos_empties_every_table(catalog):
     assert all(size(t) for t in tables.values()), tables
     clear_identity_memos()
     assert {name: size(t) for name, t in tables.items() if size(t)} == {}
+    # The plans live on the field contexts, so they went with _context.
+    assert "munagi_plan" not in vars(_context(6))
 
 
 class TestHOnlyMemos:
