@@ -142,7 +142,8 @@ def _verify_options(args):
         raise UsageError("--props and --all are mutually exclusive")
     props = None
     if args.props is not None:
-        props = [p.strip() for p in args.props.split(",") if p.strip()]
+        # Each id once, at its first place: a repeated id runs and counts once.
+        props = list(dict.fromkeys(p.strip() for p in args.props.split(",") if p.strip()))
         if not props:
             raise UsageError(f"--props {args.props!r} names no check id")
         unknown = [p for p in props if p not in CHECK_IDS]

@@ -205,8 +205,7 @@ class Polynomial:
             return Polynomial(())
         return Polynomial(_convolve(a, b))
 
-    def __rmul__(self, other):
-        return Polynomial(tuple(other * c for c in self.coeffs))
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
@@ -616,10 +615,7 @@ class CycNum:
         return CycNum._raw(self.order,
                            _cyc_remainder(_convolve(self.coeffs, o.coeffs), self.order))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def inverse(self):
         if not self:
@@ -675,10 +671,10 @@ def cyc_eval(p, h, k):
 class RationalFunction:
     """Quotient of two polynomials over one coefficient field.
 
-    Instances are not normalized eagerly; equality compares numerators over
-    equal or negated denominators and is otherwise decided by
+    Instances are not normalized eagerly; equality is decided by
     cross-multiplication, and ``normalize`` produces the canonical form
-    (gcd cancelled, monic denominator).
+    (gcd cancelled, monic denominator).  Callers that compare many values
+    over shared denominators group them first (``identities._chain_check``).
     """
 
     __slots__ = ("num", "den")
@@ -720,13 +716,8 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        """Over equal or negated denominators, equality of the numerators;
-        otherwise by cross-multiplication."""
+        """By cross-multiplication: a/b == c/d when a*d == c*b."""
         o = self._wrap(other)
-        if self.den == o.den:
-            return self.num == o.num
-        if self.den == -o.den:
-            return self.num == -o.num
         return self.num * o.den == o.num * self.den
 
     def __bool__(self):

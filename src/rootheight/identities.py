@@ -44,7 +44,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import (DegreeTooHigh, MethodMismatch, NoTripleFound, ReconstructionMismatch,
                      RootHeightError)
@@ -75,10 +75,14 @@ def _qm1(k):
 
 
 def _times_qm1(p, *ks):
-    """p times the product of q**k - 1 over ks, by shifts and subtractions."""
+    """p times the product of q**k - 1 over ks, on its coefficient list: per
+    k, the negated list with the input added back k places up."""
+    cs = list(p.coeffs)
     for k in ks:
-        p = p.shifted(k) - p
-    return p
+        out = [-c for c in cs] + [0] * k
+        out[k:] = map(add, out[k:], cs)
+        cs = out
+    return Polynomial(cs)
 
 
 class IdentityReport(namedtuple("IdentityReport",
@@ -784,40 +788,25 @@ def _branch_lengths(rsid):
     return {6: (2, 3, 3), 7: (2, 3, 4), 8: (2, 3, 5)}[rsid.rank]
 
 
-def _sparse_mul(f, g):
-    """Product of a polynomial held as {exponent: nonzero coefficient} and
-    one given by (exponent, coefficient) pairs, as such a dict."""
-    out = {}
-    for i, a in f.items():
-        for j, b in g:
-            out[i + j] = out.get(i + j, 0) + a * b
-    return {k: c for k, c in out.items() if c}
-
-
 def _weights_identity_holds(rs, weights):
     """E(q) = q**-h * prod over x in (a, b, c) of (q**h - q**x)/(q**x - 1),
     given the doubled weights 2a, 2b, 2c as ints and decided after the
     substitution q -> t**2, which clears half-integer exponents, as
-    E(t**2) t**(2h) prod (t**(2x) - 1) = prod (t**(2h) - t**(2x)) on term
-    dicts: at most 8n terms on the left and 8 on the right."""
+    E(t**2) prod (t**x - 1) = t**(sum x - 2h) prod (t**(2h-x) - 1), both
+    sides built by ``_times_qm1``; a + b + c = h + 1 makes the power t**2."""
     h2 = 2 * rs.h
-    lhs, rhs = {}, {0: 1}
-    for e in rs.exponents:
-        lhs[2 * e + h2] = lhs.get(2 * e + h2, 0) + 1
-    for e in weights:
-        lhs = _sparse_mul(lhs, ((e, 1), (0, -1)))
-        rhs = _sparse_mul(rhs, ((h2, 1), (e, -1)))
-    return lhs == rhs
+    lhs = _times_qm1(exponent_poly(rs).compose_power(2), *weights)
+    return lhs == _times_qm1(Polynomial.monomial(sum(weights) - h2), *(h2 - x for x in weights))
 
 
 def _weight_candidates(rs):
     """The doubled weights t in 2..h/2+1 at which the two sides of the weight
     identity have equal values at t = 2 (only these can be equal), in ints:
-    E(4) is formed once, both sides scaled by 4**k for exponents below -h."""
-    h, top, k = rs.h, 4 ** rs.h, max(0, -rs.h - min(rs.exponents))
-    lhs = sum(4 ** (e + h + k) for e in rs.exponents) * (2 ** h - 1)
+    E(4) is formed once."""
+    h, top = rs.h, 4 ** rs.h
+    lhs = exponent_poly(rs)(4) * top * (2 ** h - 1)
     return [t for t in range(2, h // 2 + 2) if lhs * (2 ** t - 1) * (2 ** (h + 2 - t) - 1)
-            == 4 ** k * (top - 2 ** h) * (top - 2 ** t) * (top - 2 ** (h + 2 - t))]
+            == (top - 2 ** h) * (top - 2 ** t) * (top - 2 ** (h + 2 - t))]
 
 
 def singularity_data(rs):

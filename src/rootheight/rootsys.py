@@ -299,10 +299,10 @@ def b_poly(rs):
 
 
 def dynkin_polys(rs):
-    """D(q) and M(q): the sum of q**(e-1) over the exponents times
+    """D(q) and M(q): E(q)/q, the sum of q**(e-1) over the exponents, times
     1 + q + ... + q**(h-1) (representation variant) and times
     1 + q + ... + q**(h-2) (antichain variant)."""
-    spoly = sum((Polynomial.monomial(e - 1) for e in rs.exponents), Polynomial(()))
+    spoly = Polynomial(exponent_poly(rs).coeffs[1:])
     return Polynomial.geometric(rs.h) * spoly, Polynomial.geometric(rs.h - 1) * spoly
 
 

@@ -130,6 +130,18 @@ class TestVerify:
                        "A1    prop8        pass\n"
                        "1/2 checks passed on 1 systems\n")
 
+    def test_repeated_prop_runs_once(self, capsys):
+        # Each id runs and counts once, at its first place in the list.
+        code, out = run_cli(capsys, "verify", "A", "2", "--props", "prop1,prop8,prop1")
+        assert code == 0
+        assert out == ("A2    prop1        pass\n"
+                       "A2    prop8        pass\n"
+                       "2/2 checks passed on 1 systems\n")
+        code, out = run_cli(capsys, "verify", "A", "2", "--props", "prop1,prop8,prop1",
+                            "--format", "json")
+        assert code == 0
+        assert [c["id"] for c in json.loads(out)[0]["checks"]] == ["prop1", "prop8"]
+
     def test_jobs_flag(self, capsys):
         code, out = run_cli(capsys, "verify", "A", "2", "--props",
                             "prop8,cohen", "--jobs", "2", "--format", "json")

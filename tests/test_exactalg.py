@@ -512,11 +512,10 @@ class TestRationalFunction:
         assert f != g + 1
 
     def test_equality_matches_cross_multiplication(self):
-        # == reads numerators alone over equal or negated denominators and
-        # cross-multiplies otherwise: against cross-multiplication on random
-        # pairs over equal, negated and unrelated denominators, the second
-        # the first scaled by 1, -1 or c + q, about half of them with its
-        # numerator then changed.
+        # == cross-multiplies whatever the denominators: against
+        # cross-multiplication on random pairs over equal, negated and
+        # unrelated denominators, the second the first scaled by 1, -1 or
+        # c + q, about half of them with its numerator then changed.
         rng = random.Random(3011)
         poly = lambda n: Polynomial([rng.choice([0, rng.randint(-4, 4),
                                                  Fraction(rng.randint(-4, 4), rng.randint(1, 5))])

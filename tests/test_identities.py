@@ -31,7 +31,7 @@ from rootheight.identities import (ONE, SingularityData, ZERO, _gram_lu,
                                    exponent_poly, lagrange_all_roots,
                                    lagrange_primitive_roots, mirimanoff_check,
                                    munagi_decompose, pole_sum_witness,
-                                   run_suite,
+                                   run_check, run_suite,
                                    singularity_check, singularity_data)
 from rootheight.linalg import FractionLU, det
 from rootheight.numth import (ArithSeq, class_sums, cyclotomic_discriminant,
@@ -175,6 +175,20 @@ class TestHeightPolynomial:
                                  rs.two_rho_pairings, rs.m, rs.e_of_d, rs.p)
             with pytest.raises(MethodMismatch, match=f"^E6: exponent {bad} outside 1..11$"):
                 exponent_poly(rebuilt)
+
+    def test_exponent_range_named_by_every_reader(self, catalog):
+        # B(q), eq19's weight identity and D(q) all read E(q): an exponent
+        # outside 1..h-1 fails each of them with the error exponent_poly names.
+        rs = catalog["E6"]
+        for bad in (-3, 0, rs.h):
+            rebuilt = RootSystem(rs.id, rs.cartan, rs.h, [bad, *rs.exponents[1:]], rs.b,
+                                 rs.two_rho_pairings, rs.m, rs.e_of_d, rs.p)
+            message = f"E6: exponent {bad} outside 1..11"
+            for reader in (singularity_data, identities.dynkin_polys):
+                with pytest.raises(MethodMismatch, match=f"^{message}$"):
+                    reader(rebuilt)
+            rep = run_check(rebuilt, "eq19")
+            assert (rep.verdict, rep.witness) == ("fail", f"MethodMismatch: {message}"), bad
 
 
 class TestMunagi:
@@ -1126,8 +1140,9 @@ class TestWeightedSums:
         assert sums == 420
 
     def test_mismatch_over_equal_and_negated_denominators(self):
-        # Numerators decide over equal or negated denominators; a witness
-        # is still the cross-difference.
+        # Equal values over equal or negated denominators pass, decided by
+        # cross-multiplication like any other pair; a witness is the
+        # cross-difference.
         R = RationalFunction
         f = R(P(1), P(1, -1))
         assert identities._rf_mismatch("f", f, "g", R(P(1), P(1, -1))) is None
@@ -1442,6 +1457,30 @@ class TestKnownDenominators:
     witness.  The texts pinned here are those the replaced routes render."""
 
     CHECKS = ("prop2", "prop10", "prop12", "prop16", "prop19", "eq19", "eq20")
+
+    def test_times_qm1_matches_shift_and_subtract(self):
+        # _times_qm1 on coefficient lists against the route it replaced,
+        # p.shifted(k) - p for each k, coefficient types included: random int
+        # and Fraction polynomials, the zero polynomial, no k and a repeated k.
+        rng = random.Random(3301)
+
+        def coeff():
+            return rng.choice([0, rng.randint(-5, 5),
+                               Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+
+        cases = [(ZERO, (3, 1)), (ZERO, ()), (P(1, -2, 3), ()), (P(2, Fraction(1, 2)), (2, 2, 2))]
+        for _ in range(300):
+            p = Polynomial([coeff() for _ in range(rng.randint(0, 8))])
+            cases.append((p, tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 4)))))
+        for p, ks in cases:
+            want = p
+            for k in ks:
+                want = want.shifted(k) - want
+            got = identities._times_qm1(p, *ks)
+            assert [(type(c), c) for c in got.coeffs] == [(type(c), c) for c in want.coeffs], \
+                (p, ks)
+        assert any(len(set(ks)) < len(ks) for _, ks in cases)
+        assert any(type(c) is Fraction for p, _ in cases for c in p.coeffs)
 
     def test_grouped_chain_matches_sequential_loop(self):
         # Chains of one value over shared, negated and unrelated
@@ -1815,7 +1854,7 @@ class TestClassSums:
 
 
 def dense_weights_identity_holds(rs, a, b, c):
-    """The dense route the term-dict comparison replaced: E(t**2) against
+    """The dense route, the oracle of ``_weights_identity_holds``: E(t**2) against
     prod (t**(2h) - t**(2x)) / (t**(2h) prod (t**(2x) - 1)), cross-multiplied."""
     h2 = 2 * rs.h
     lhs = RationalFunction(exponent_poly(rs).compose_power(2), ONE)
@@ -1837,8 +1876,9 @@ def old_paired_total(parts, h, shift):
 
 
 class TestSparseRoutes:
-    """eq19's weight identity on term dicts and the one-numerator terms of
-    props 16 and 19, against the dense builders they replaced."""
+    """eq19's weight identity, decided by ``_times_qm1`` on coefficient
+    lists, and the one-numerator terms of props 16 and 19, against the
+    dense builders they replaced."""
 
     def test_weight_identity_matches_dense(self, catalog):
         systems = [rs for rs in catalog.values() if rs.id.family in "ADE"]
@@ -1855,7 +1895,7 @@ class TestSparseRoutes:
 
     def test_search_passes_int_triples(self, catalog, monkeypatch):
         # singularity_data walks the doubled weights as ints, never Fractions:
-        # every t by its values at t = 2, the t they leave on term dicts.
+        # every t by its values at t = 2, the t they leave by coefficients.
         seen, walked = [], []
         real, real_walk = identities._weights_identity_holds, identities._weight_candidates
         monkeypatch.setattr(identities, "_weights_identity_holds",
@@ -1874,8 +1914,9 @@ class TestSparseRoutes:
             assert (2 * data.a, 2 * data.b, 2 * data.c) in seen, rs.id
 
     def test_weight_search_matches_dict_walk(self):
-        # The values at t = 2 keep every t that the term dicts accept, so the
-        # search finds the t list of the dict walk over every t.
+        # The values at t = 2 keep every t that the coefficient comparison
+        # accepts, so the search finds the t list of that comparison walked
+        # over every t.
         ids = [RootSystemId("A", r) for r in range(1, 40)]
         ids += [RootSystemId("D", r) for r in range(4, 40)]
         ids += [RootSystemId("E", r) for r in (6, 7, 8)] + [RootSystemId("D", 250)]
