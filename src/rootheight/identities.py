@@ -801,12 +801,11 @@ def _weights_identity_holds(rs, weights):
 
 def _weight_candidates(rs):
     """The doubled weights t in 2..h/2+1 at which the two sides of the weight
-    identity have equal values at t = 2 (only these can be equal), in ints:
-    E(4) is formed once."""
-    h, top = rs.h, 4 ** rs.h
-    lhs = exponent_poly(rs)(4) * top * (2 ** h - 1)
-    return [t for t in range(2, h // 2 + 2) if lhs * (2 ** t - 1) * (2 ** (h + 2 - t) - 1)
-            == (top - 2 ** h) * (top - 2 ** t) * (top - 2 ** (h + 2 - t))]
+    identity have equal values at t = 2 (only these can be equal), in ints,
+    the factor 2**h - 1 of x = h cancelled: E(4) is formed once."""
+    h, e4 = rs.h, exponent_poly(rs)(4)
+    return [t for t in range(2, h // 2 + 2) if e4 * (2 ** t - 1) * (2 ** (h + 2 - t) - 1)
+            == 4 * (2 ** (2 * h - t) - 1) * (2 ** (h - 2 + t) - 1)]
 
 
 def singularity_data(rs):
