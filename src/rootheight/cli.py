@@ -167,12 +167,10 @@ def _verify_options(args):
 def cmd_verify(systems, props, bfs_cap, jobs, fmt, out):
     from .identities import available_checks
 
-    tasks = []
-    for rs in systems:
-        ids = None
-        if props is not None:
-            ids = [p for p in props if p in available_checks(rs)]
-        tasks.append((rs, ids, bfs_cap))
+    tasks = [(rs, props and [p for p in props if p in available_checks(rs)], bfs_cap)
+             for rs in systems]
+    if props and not any(ids for _, ids, _ in tasks):
+        raise UsageError(f"checks that apply to no selected system: {','.join(props)}")
 
     # At most one worker per system: the pool forks all of its workers up front.
     workers = min(jobs, len(tasks))

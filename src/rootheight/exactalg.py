@@ -420,7 +420,7 @@ class _CycContext:
 
     def cofactor(self, den, top):
         """top/den for coefficient tuples, den dividing top = +-q**s (q**h - 1):
-        the lift of a divisor-sum term, divided once per order and shared."""
+        the multiplier of ``identities._lifted``, divided once per order."""
         quot = self._cofactors.get((den, top))
         if quot is None:
             quot = self._cofactors[den, top] = Polynomial(top).divexact(Polynomial(den))
@@ -692,10 +692,14 @@ class RationalFunction:
         return x if isinstance(x, RationalFunction) else cls(x)
 
     def __add__(self, other):
-        """The sum over ``_sum_plan`` of the two denominators."""
+        """The sum over a * (b/g), g = gcd(a, b) of the denominators a and b:
+        the numerators times b/g and a/g, or a * b, b and a when g is
+        constant."""
         other = self._wrap(other)
-        den, ma, mb = _sum_plan(self.den.coeffs, other.den.coeffs)
-        return RationalFunction(self.num * ma + other.num * mb, den)
+        a, b = self.den, other.den
+        g = poly_gcd(a, b)
+        da, db = (a, b) if g.degree < 1 else (a.divexact(g), b.divexact(g))
+        return RationalFunction(self.num * db + other.num * da, a * db)
 
     __radd__ = __add__
 
@@ -742,18 +746,6 @@ class RationalFunction:
 
     def __str__(self):
         return f"({poly_str(self.num)})/({poly_str(self.den)})"
-
-
-@lru_cache(maxsize=None)
-def _sum_plan(a, b):
-    """Common denominator of two denominators (coefficient tuples) and the
-    multipliers of the two numerators: with g = gcd(a, b), a * (b/g) and
-    the multipliers b/g and a/g, or a * b, b and a when g is constant;
-    memoised, so a sum over denominators met before takes no gcd."""
-    a, b = Polynomial(a), Polynomial(b)
-    g = poly_gcd(a, b)
-    da, db = (a, b) if g.degree < 1 else (a.divexact(g), b.divexact(g))
-    return a * db, db, da
 
 
 def ratfun_normalize(num, den):

@@ -7,8 +7,8 @@ makes the ``IdentityReport``, and turns a raised error into the witness.
 Equality of rational functions is decided over the exact coefficient field
 (rationals, or the cyclotomic field of the system's Coxeter order where
 roots of unity appear): a chain compares numerators over denominators equal
-up to sign and cross-multiplies only between them (``_chain_check``), and
-eq19, eq20 and prop12 compare polynomials over known binomial denominators.
+up to sign and cross-multiplies only between them (``_chain_check``); eq19,
+eq20 and props 12, 16 and 19 compare polynomials over known denominators.
 So a "pass" verdict means exact coefficient equality, never a tolerance.
 Every sum over roots of unity is formed without a loop of field products:
 where the summands are the Galois conjugates of one field element (props 4,
@@ -130,10 +130,10 @@ def _cross_witness(la, lb, d):
 
 
 def _rf_mismatch(la, fa, lb, fb):
-    """None when fa = fb, else the witness of their cross-difference."""
-    if fa == fb:
-        return None
-    return _cross_witness(la, lb, fa.num * fb.den - fb.num * fa.den)
+    """None when fa = fb, else the witness of their cross-difference,
+    which is formed once."""
+    d = fa.num * fb.den - fb.num * fa.den
+    return _cross_witness(la, lb, d) if d else None
 
 
 def _chain_check(members):
@@ -145,10 +145,10 @@ def _chain_check(members):
     groups = {}  # denominator -> numerator coefficients, one entry per sign
     for i, (lb, f) in enumerate(members):
         num = groups.get(f.den.coeffs)
-        if num is None and (i == 0 or fa == f):
+        if num != f.num.coeffs and i and (witness := _rf_mismatch(la, fa, lb, f)):
+            return witness
+        if num is None:
             groups[f.den.coeffs], groups[(-f.den).coeffs] = f.num.coeffs, (-f.num).coeffs
-        elif num != f.num.coeffs:
-            return _rf_mismatch(la, fa, lb, f)
     return None
 
 
@@ -179,17 +179,17 @@ def _psi_sum(d):
 @lru_cache(maxsize=None)
 def _lifted(h, num, den, top):
     """The nonzero (i, c) terms of num * (top/den), for coefficient tuples
-    with den dividing top: a term's numerator lifted to its sum's
+    with den dividing top: an ``_over`` term's numerator lifted to its sum's
     denominator, memoised by content, by the order's shared cofactor."""
     mult = _context(h).cofactor(den, top)
     return tuple((i, c) for i, c in enumerate((Polynomial(num) * mult).coeffs) if c)
 
 
-def _over(h, pairs, lift=_lifted):
+def _over(h, pairs):
     """The sum of w * f over the (w, f) pairs as one rational function over
     D = +-q**s (q**h - 1), s the highest power of q in a term's
     denominator, each of which divides D: every numerator is lifted by the
-    exact multiplier D/f.den (``lift``) and added into one row with its
+    exact multiplier D/f.den (``_lifted``) and added into one row with its
     weight, a zero weight adding nothing.  The sign of D is the product of
     the denominators' leading coefficients, negated when none vanishes at
     q = 1.  Then D is the terms' least common denominator with that
@@ -201,7 +201,7 @@ def _over(h, pairs, lift=_lifted):
     sign = prod(den[-1] for den in dens) * (-1 if all(map(sum, dens)) else 1)
     s = max((next(i for i, c in enumerate(den) if c) for den in dens), default=0)
     top = (0,) * s + (-sign,) + (0,) * (h - 1) + (sign,)
-    rows = [(w, lift(h, f.num.coeffs, f.den.coeffs, top)) for w, f in pairs if w]
+    rows = [(w, _lifted(h, f.num.coeffs, f.den.coeffs, top)) for w, f in pairs if w]
     out = [0] * max((row[-1][0] + 1 for _, row in rows if row), default=0)
     for w, row in rows:
         for i, c in row:
@@ -732,17 +732,17 @@ def prop15_check(rs):
 def paired_parts_check(rs, shift):
     """Palindromic pairing of the decomposition parts H_d of q**shift * B(q):
     the sum of (H_d / q**shift + q**(d-1+shift) H_d(1/q)) / (1-q**d) is
-    n/(1-q) (prop16 for shift 0, prop19 for shift 1).  Each divisor adds
-    one term (H_d + q**(d-1+2 shift) H_d(1/q)) / (q**shift (1-q**d)) to
-    ``_over``: the parts are the system's own, so their lifts are not
-    memoised."""
+    n/(1-q) (prop16 for shift 0, prop19 for shift 1).  Times q**shift (1-q**h)
+    it is the sum of P_d (1 + q**d + ... + q**(h-d)), P_d = H_d +
+    q**(d-1+2 shift) H_d(1/q), added in integers by ``reconstruct``, against
+    n q**shift [h]_q.  Their difference, times (-1)**tau(h) (1-q), tau(h) the
+    number of divisors of h, is the cross-difference of the two sides over
+    (-1)**tau(h) q**shift (q**h - 1): a witness prints its lowest coefficient."""
     h, n = rs.h, rs.id.rank
-    parts = _b_parts(rs, shift)
-    total = _over(h, ((1, RationalFunction(parts[d] + parts[d].reversed_to(d - 1 + shift)
-                                           .shifted(shift), _one_minus(d).shifted(shift)))
-                      for d in divisors(h)), lift=_lifted.__wrapped__)
-    return _chain_check([("n/(1-q)", RationalFunction(Polynomial((n,)), _one_minus(1))),
-                         ("paired parts", total)])
+    parts, divs = _b_parts(rs, shift), divisors(h)
+    paired = {e: parts[e] + parts[e].reversed_to(e - 1 + shift).shifted(shift) for e in divs}
+    d = MunagiDecomposition(h, paired).reconstruct() - Polynomial((0,) * shift + (n,) * h)
+    return _cross_witness("n/(1-q)", "paired parts", -d if len(divs) % 2 else d) if d else None
 
 
 def prop17_check(rs):

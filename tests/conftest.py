@@ -27,7 +27,7 @@ MEMO_MODULES = (identities, exactalg, numth)
 def clear_identity_memos():
     """Empty every lru_cache defined in rootheight.identities,
     rootheight.exactalg and rootheight.numth (among them the field contexts,
-    the sum plans, the lifted numerators and the Ramanujan-sum rows), so the
+    the lifted numerators and the Ramanujan-sum rows), so the
     next run computes each memoised value afresh.  The per-system slots of
     a RootSystem are not global; a fresh build starts them empty."""
     for module in MEMO_MODULES:

@@ -191,9 +191,30 @@ class TestVerify:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("rootheight: error:"), props
-        # A known check that does not apply to G2 still runs nothing.
-        assert run_cli(capsys, "verify", "G", "2", "--props", "eq19") == (
-            0, "0/0 checks passed on 1 systems\n")
+        # A known check that does not apply to G2 is a usage error too.
+        assert main(["verify", "G", "2", "--props", "eq19"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_no_applicable_check_usage_error(self, capsys, fmt):
+        # Checks that apply to none of the selected systems run nothing, so
+        # verify refuses them by name instead of reporting 0/0 as a pass.
+        for selector, props in ((["B", "3"], "eq19"), (["G", "2"], "eq19,eq19")):
+            assert main(["verify", *selector, "--props", props, "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == \
+                "rootheight: error: checks that apply to no selected system: eq19\n"
+        # Over all systems, those without eq19 are still listed with no checks.
+        code, out = run_cli(capsys, "verify", "all", "--props", "eq19", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            docs = json.loads(out)
+            assert len(docs) == 34
+            assert {doc["system"] for doc in docs if not doc["checks"]} == {
+                name for name in map(str, rootheight.default_catalog()) if name[0] not in "ADE"}
+        else:
+            assert out.endswith("\n18/18 checks passed on 34 systems\n")
 
     def test_bfs_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOTHEIGHT_BFS_CAP", "1")

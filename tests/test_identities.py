@@ -22,8 +22,8 @@ from conftest import (MEMO_MODULES, assert_over, binomial_product, clear_identit
                       slow_prop12_members, slow_weight_form_members, weighted_sum)
 from rootheight.errors import (DegreeTooHigh, MethodMismatch, ReconstructionMismatch,
                                RootHeightError, SingularSystem)
-from rootheight.exactalg import (CycNum, Polynomial, RationalFunction, _context,
-                                 _sum_plan, cyc_eval, poly_gcd)
+from rootheight.exactalg import (CycNum, Polynomial, RationalFunction, _context, cyc_eval,
+                                 poly_gcd)
 from rootheight.cli import main
 from rootheight.identities import (ONE, SingularityData, ZERO, _gram_lu,
                                    _lvec_interpolated, available_checks,
@@ -978,23 +978,23 @@ def assert_same_sum(terms):
 
 
 class TestSumPlan:
-    """``+`` over the memoised two-term plan, and the oracle sums over the
+    """``+`` over the two-term plan, and the oracle sums over the
     plan of all their terms, against pairwise additions: the same
     coefficient tuples, not only an equal value.  A divisor expansion over
     its chain's denominator is checked against the oracle's sum."""
 
     def test_matches_pairwise_sum_during_verify_all(self, catalog, capsys, monkeypatch):
-        # A passing verify all adds no rational functions: the sums are
-        # those of the routes props 7 and 12, eq19 and eq20 replaced
-        # (conftest), built here for every catalog system.
+        # A passing verify all makes no + call on rational functions: the
+        # sums are those of the routes props 7 and 12, eq19 and eq20
+        # replaced (conftest), built here for every catalog system.
         clear_identity_memos()
         calls, expansions = [], []
         add, over = RationalFunction.__add__, identities._over
 
-        def recording(h, pairs, **kwargs):
+        def recording(h, pairs):
             # A weighted sum is compared with the plain sum of its scaled terms.
             pairs = list(pairs)
-            got = over(h, pairs, **kwargs)
+            got = over(h, pairs)
             expansions.append((h, [w * t for w, t in pairs], got))
             return got
 
@@ -1007,7 +1007,7 @@ class TestSumPlan:
         monkeypatch.setattr(RationalFunction, "__add__", adding)
         monkeypatch.setattr(RationalFunction, "__radd__", adding)
         assert main(["verify", "all", "--format", "json"]) == 0
-        assert calls == [] and _sum_plan.cache_info().currsize == 0
+        assert calls == []
         for rs in catalog.values():
             h, n, bq = rs.h, rs.id.rank, b_poly(rs)
             slow_prop7_head(rs)
@@ -1019,11 +1019,11 @@ class TestSumPlan:
         assert sum(len(terms) == 2 for terms, _ in calls) + \
             sum(len(terms) == 2 for _, terms, _ in expansions) > 500
         capsys.readouterr()
+        assert calls
         for terms, got in calls:
             assert coeff_tuples(got) == coeff_tuples(slow_rf_sum(terms)), terms
         for h, terms, got in expansions:
             assert_over(got, slow_rf_sum(terms), h)
-        assert len(calls) > _sum_plan.cache_info().currsize > 0
 
     def test_hand_cases(self):
         R = RationalFunction
@@ -1060,9 +1060,9 @@ class TestWeightedSums:
         seen = []
         real = identities._over
 
-        def checked(h, pairs, **kwargs):
+        def checked(h, pairs):
             pairs = list(pairs)
-            got = real(h, pairs, **kwargs)
+            got = real(h, pairs)
             assert_over(got, rf_sum([w * t for w, t in pairs]), h)
             seen.append(len(pairs))
             return got
@@ -1087,9 +1087,9 @@ class TestWeightedSums:
         seen = []
         real = identities._over
 
-        def checked(h, pairs, **kwargs):
+        def checked(h, pairs):
             pairs = list(pairs)
-            got = real(h, pairs, **kwargs)
+            got = real(h, pairs)
             assert_over(got, weighted_sum(pairs), h)
             seen.append(h)
             return got
@@ -1098,8 +1098,7 @@ class TestWeightedSums:
         systems = list(catalog.values())
         systems += [corrupted(build(RootSystemId(family, rank)), kind)
                     for family, rank in SYSTEMS for kind in CORRUPTIONS]
-        cids = ["prop2", "prop5", "prop6", "prop7", "prop9", "prop10", "prop12",
-                "prop16", "prop19"]
+        cids = ["prop2", "prop5", "prop6", "prop7", "prop9", "prop10", "prop12"]
         for rs in systems:
             identities._prop6_witness.cache_clear()
             for cid in cids:
@@ -1154,6 +1153,52 @@ class TestWeightedSums:
         assert identities._rf_mismatch("f", f, "g", R(P(2), P(2, -2))) is None
 
 
+def counting_products(monkeypatch):
+    """A list that gains one entry per Polynomial product, by ``*`` either way."""
+    products, real = [], Polynomial.__mul__
+    counted = lambda a, b: products.append(b) or real(a, b)
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted)
+    return products
+
+
+class TestOneCrossDifference:
+    """A chain comparison forms its cross-difference once, and no command
+    compares rational functions by ``==``."""
+
+    def test_failing_comparison_makes_two_products(self, monkeypatch):
+        # 1/(1 - q) against 2/(1 - q**2): one product per side (six while
+        # == decided first and the witness formed both products again).
+        products = counting_products(monkeypatch)
+        members = [("f", RationalFunction(P(1), P(1, -1))),
+                   ("g", RationalFunction(P(2), P(1, 0, -1)))]
+        assert identities._chain_check(members) == \
+            "'f' != 'g': cross-difference has q^0 coefficient -1"
+        assert len(products) == 2
+
+    def test_verify_all_calls_no_equality(self, capsys, monkeypatch):
+        clear_identity_memos()
+        calls, real = [], RationalFunction.__eq__
+        monkeypatch.setattr(RationalFunction, "__eq__",
+                            lambda a, b: calls.append(b) or real(a, b))
+        assert main(["verify", "all", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert calls == []
+
+    def test_paired_parts_products_per_system(self, catalog, monkeypatch):
+        # Props 16 and 19 add the parts in integers and make no product (208
+        # a check over the catalog while their parts were lifted to one
+        # denominator), the parts decomposed beforehand.
+        for rs in catalog.values():
+            identities._b_parts(rs, 0), identities._b_parts(rs, 1)
+        products = counting_products(monkeypatch)
+        for cid in ("prop16", "prop19"):
+            del products[:]
+            for rs in catalog.values():
+                assert identities._CHECKS[cid](rs) is None, (rs.id, cid)
+            assert products == [], cid
+
+
 class TestPerSystemData:
     """B(q) and the Munagi parts of B(q) and qB(q) are derived once per
     system and kept on it, never shared between systems."""
@@ -1186,8 +1231,8 @@ class TestPerSystemData:
                 "fail", "MethodMismatch: E6: height polynomial routes disagree"), rep
 
     def test_paired_parts_leave_no_lifts(self, catalog):
-        # Props 16 and 19 sum each system's own parts, which no other system
-        # shares: none of their products enters the memo of lifts.
+        # Props 16 and 19 add each system's own parts in integers: they lift
+        # nothing, so nothing enters the memo of lifts.
         clear_identity_memos()
         for rs in catalog.values():
             assert all(rep.passed for rep in run_suite(rs, ["prop16", "prop19"])), rs.id
@@ -1204,10 +1249,8 @@ class TestPerSystemData:
 def test_clear_identity_memos_empties_every_table(catalog):
     # Every lru_cache and module-level dict of the memo modules, filled by
     # the suites, is empty afterwards; _CHECKS is the check table, no memo.
-    # A passing suite adds no rational functions, so one sum fills the plans.
     for rs in catalog.values():
         run_suite(rs)
-    RationalFunction(ONE, one_minus(2)) + RationalFunction(ONE, one_minus(1))
     munagi_decompose(P(1, 2, 3), 6)
     assert "munagi_plan" in vars(_context(6))
     tables = {f"{module.__name__}.{name}": value
@@ -1216,7 +1259,7 @@ def test_clear_identity_memos_empties_every_table(catalog):
               or hasattr(value, "cache_clear") and value.__module__ == module.__name__}
     del tables["rootheight.identities._CHECKS"]
     size = lambda t: len(t) if isinstance(t, dict) else t.cache_info().currsize
-    assert {"rootheight.identities._lifted", "rootheight.exactalg._sum_plan",
+    assert {"rootheight.identities._lifted",
             "rootheight.exactalg._context", "rootheight.identities._pole_interpolant",
             "rootheight.identities._split_from_tail",
             "rootheight.numth.ramanujan_sums"} <= set(tables)
@@ -1514,10 +1557,9 @@ class TestKnownDenominators:
         # From cleared memos, the polynomial products inside _chain_check
         # over the catalog, two per cross-multiplication: prop2 compares C'/C
         # against its members over +-(q**h - 1) and over +-q (q**h - 1),
-        # prop10 B against its members over +-(1 - q), props 16 and 19
-        # n/(1-q) against the paired parts; prop12, eq19 and eq20 decide
-        # polynomial identities and compare no chain.  A passing verify all
-        # then forms no sum plan.
+        # prop10 B against its members over +-(1 - q); props 12, 16 and 19,
+        # eq19 and eq20 decide polynomial identities and compare no chain.
+        # A passing verify all then makes no + call on rational functions.
         clear_identity_memos()
         inside, counts = [None], Counter()
         real_chain, real_mul = identities._chain_check, Polynomial.__mul__
@@ -1540,18 +1582,22 @@ class TestKnownDenominators:
             for cid in self.CHECKS:
                 if cid in available_checks(rs):
                     assert identities._CHECKS[cid](rs) is None, (rs.id, cid)
-        assert counts == {"prop2": 4 * 34, "prop10": 2 * 34, "prop16": 2 * 34,
-                          "prop19": 2 * 34}
+        assert counts == {"prop2": 4 * 34, "prop10": 2 * 34}
         monkeypatch.undo()
         clear_identity_memos()
+        adds = []
+        real_add = RationalFunction.__add__
+        monkeypatch.setattr(RationalFunction, "__add__",
+                            lambda a, b: adds.append(b) or real_add(a, b))
+        monkeypatch.setattr(RationalFunction, "__radd__", RationalFunction.__add__)
         assert main(["verify", "all", "--format", "json"]) == 0
         capsys.readouterr()
-        assert _sum_plan.cache_info()[:2] == (0, 0)
+        assert adds == []
 
     def test_lift_multipliers_divided_once_per_order(self, catalog, monkeypatch):
-        # Props 6, 16 and 19 lift over the order's shared cofactors: one
-        # division per order and denominator, whichever systems share them
-        # (518 divisions while every system divided afresh).
+        # prop6 lifts over the order's shared cofactors: one division per
+        # order and denominator, whichever systems share them (518 divisions
+        # while every system divided afresh); props 16 and 19 divide nothing.
         clear_identity_memos()
         divisions = []
         real = Polynomial.divexact
@@ -1877,8 +1923,8 @@ def old_paired_total(parts, h, shift):
 
 class TestSparseRoutes:
     """eq19's weight identity, decided by ``_times_qm1`` on coefficient
-    lists, and the one-numerator terms of props 16 and 19, against the
-    dense builders they replaced."""
+    lists, and props 16 and 19, decided by adding their paired parts in
+    integers, against the dense builders they replaced."""
 
     def test_weight_identity_matches_dense(self, catalog):
         systems = [rs for rs in catalog.values() if rs.id.family in "ADE"]
@@ -1941,17 +1987,32 @@ class TestSparseRoutes:
             assert (rep.verdict, rep.witness) == ("fail", f"E6: {count} admissible triples")
 
     def test_paired_parts_match_old_builder(self, catalog, monkeypatch):
-        clear_identity_memos()
-        totals = []
-        real = identities._over
-        monkeypatch.setattr(identities, "_over", lambda *args, **kwargs:
-                            totals.append(real(*args, **kwargs)) or totals[-1])
-        for rs in catalog.values():
+        # Props 16 and 19, decided by reconstruct, against the chain of
+        # n/(1-q) and the parts summed by the route they replaced: the same
+        # verdict and witness, on the parts as built and with one part's
+        # coefficient moved by an int, a negative int and a Fraction.
+        rng = random.Random(1619)
+        real = identities._b_parts
+        systems = list(catalog.values())
+        systems += [build(RootSystemId("A", 30)), build(RootSystemId("D", 20))]
+        outcomes = Counter()
+        for rs in systems:
+            h, n = rs.h, rs.id.rank
             for shift, cid in ((0, "prop16"), (1, "prop19")):
-                rep = run_suite(rs, [cid])[0]
-                assert (rep.verdict, rep.witness) == ("pass", None), (rs.id, cid)
-                old = old_paired_total(identities._b_parts(rs, shift), rs.h, shift)
-                assert typed(totals.pop()) == typed(old), (rs.id, cid)
+                for bump in (0, rng.randint(1, 9), -rng.randint(1, 9),
+                             Fraction(rng.randint(1, 9), rng.randint(2, 9))):
+                    parts = dict(real(rs, shift))
+                    d = rng.choice(divisors(h))
+                    parts[d] += Polynomial.monomial(rng.randrange(totient(d)), bump)
+                    monkeypatch.setattr(identities, "_b_parts", lambda rs, s, parts=parts: parts)
+                    want = identities._chain_check([
+                        ("n/(1-q)", RationalFunction(P(n), one_minus(1))),
+                        ("paired parts", old_paired_total(parts, h, shift))])
+                    rep = run_suite(rs, [cid])[0]
+                    assert (rep.verdict, rep.witness) == ("fail" if want else "pass", want), \
+                        (rs.id, cid, d, bump)
+                    outcomes[rep.verdict] += 1
+        assert outcomes == {"pass": 2 * len(systems), "fail": 6 * len(systems)}
 
     def test_corrupted_part_fails(self, catalog, monkeypatch):
         real = identities._b_parts
