@@ -1185,7 +1185,7 @@ class TestOneCrossDifference:
         capsys.readouterr()
         assert calls == []
 
-    def test_paired_parts_products_per_system(self, catalog, monkeypatch):
+    def test_paired_parts_make_no_products(self, catalog, monkeypatch):
         # Props 16 and 19 add the parts in integers and make no product (208
         # a check over the catalog while their parts were lifted to one
         # denominator), the parts decomposed beforehand.
